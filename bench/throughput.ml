@@ -272,20 +272,6 @@ let run_idle_injector ~name ~max_instructions build =
       }
 
 
-(* Checkpoint overhead: the same two-process workload run plain and
-   with periodic Os.Snapshot captures.  Capture must be free in
-   modeled time (byte-identical cycle counts) and cheap in host time;
-   both are reported, with the image size, in the JSON. *)
-type snap_sample = {
-  sn_workload : string;
-  sn_image_bytes : int;
-  sn_captures : int;
-  sn_parity : bool;
-  sn_capture_seconds : float;
-  sn_plain_ips : float;
-  sn_ckpt_ips : float;
-}
-
 (* Incremental capture: the same workload checkpointed on EVERY
    scheduler slice through the delta chain (Os.Snapshot.start_chain /
    capture_delta), a rate at which full captures would be hopeless.
@@ -356,60 +342,13 @@ let build_snapshot_system ~n1 ~n2 () =
   | Error e -> failwith e);
   sys
 
-let run_snapshot_overhead () =
-  let every = 50_000 in
-  let n1 = 40_000 and n2 = 30_000 in
-  let max_slices = 100_000 in
-  let plain = build_snapshot_system ~n1 ~n2 () in
-  let pc = (Os.System.machine plain).Isa.Machine.counters in
-  let t0 = Unix.gettimeofday () in
-  let (_ : (string * Os.Kernel.exit) list) =
-    Os.System.run ~max_slices plain
-  in
-  let plain_dt = Unix.gettimeofday () -. t0 in
-  let plain_instr = Trace.Counters.instructions pc in
-  let ck = build_snapshot_system ~n1 ~n2 () in
-  let cc = (Os.System.machine ck).Isa.Machine.counters in
-  let captures = ref 0 in
-  let image_bytes = ref 0 in
-  let capture_seconds = ref 0.0 in
-  let next_due = ref every in
-  let on_slice () =
-    let cycles = Trace.Counters.cycles cc in
-    if cycles >= !next_due then begin
-      let t = Unix.gettimeofday () in
-      let img = Os.Snapshot.capture ck in
-      capture_seconds := !capture_seconds +. (Unix.gettimeofday () -. t);
-      incr captures;
-      image_bytes := String.length img;
-      next_due := ((cycles / every) + 1) * every
-    end
-  in
-  let t0 = Unix.gettimeofday () in
-  let (_ : (string * Os.Kernel.exit) list) =
-    Os.System.run ~max_slices ~on_slice ck
-  in
-  let ck_dt = Unix.gettimeofday () -. t0 in
-  if !captures = 0 then failwith "snapshot overhead: no captures taken";
-  {
-    sn_workload = "bump-pair";
-    sn_image_bytes = !image_bytes;
-    sn_captures = !captures;
-    sn_parity = Trace.Counters.cycles cc = Trace.Counters.cycles pc;
-    sn_capture_seconds = !capture_seconds;
-    sn_plain_ips = float_of_int plain_instr /. plain_dt;
-    sn_ckpt_ips =
-      float_of_int (Trace.Counters.instructions cc) /. ck_dt;
-  }
-
 let run_snapshot_incremental () =
   let n1 = 40_000 and n2 = 30_000 in
   let max_slices = 100_000 in
   (* The default 50-instruction quantum would mean a checkpoint every
      ~50 instructions — no checkpointing scheme amortizes that.  A
      2500-instruction slice keeps the rate extreme (a checkpoint
-     every ~2.5k instructions, versus every ~50k cycles in the
-     full-capture section) while staying a real scheduling
+     every ~2.5k instructions) while staying a real scheduling
      granularity. *)
   let quantum = 2_500 in
   let plain = build_snapshot_system ~n1 ~n2 () in
@@ -709,7 +648,7 @@ let backend_deterministic_fragment s =
   Buffer.contents buf
 
 let json_of_samples samples span_samples ~traced ~untraced ~idle
-    ~(chaos : Os.Chaos.report) ~snap ~snap_inc ~serving ~arena ~backends =
+    ~(chaos : Os.Chaos.report) ~snap_inc ~serving ~arena ~backends =
   let buf = Buffer.create 1024 in
   (* Host self-description up front: every section below — not just
      serving — is a measurement on this core count and compiler. *)
@@ -781,19 +720,6 @@ let json_of_samples samples span_samples ~traced ~untraced ~idle
        (Trace.Histogram.percentile h 99.0)
        (if Trace.Histogram.count h = 0 then 0
         else Trace.Histogram.max_value h));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"snapshot_overhead\": {\"workload\": %S, \"image_bytes\": %d, \
-        \"captures\": %d, \"capture_seconds_total\": %.6f, \
-        \"seconds_per_capture\": %.6f, \"modeled_cycles_identical\": %b, \
-        \"instructions_per_sec_plain\": %.0f, \
-        \"instructions_per_sec_checkpointed\": %.0f, \"overhead_ratio\": \
-        %.3f},\n"
-       snap.sn_workload snap.sn_image_bytes snap.sn_captures
-       snap.sn_capture_seconds
-       (snap.sn_capture_seconds /. float_of_int snap.sn_captures)
-       snap.sn_parity snap.sn_plain_ips snap.sn_ckpt_ips
-       (snap.sn_plain_ips /. snap.sn_ckpt_ips));
   Buffer.add_string buf
     (Printf.sprintf
        "  \"snapshot_incremental\": {\"workload\": %S, \"quantum\": %d, \
@@ -1006,15 +932,6 @@ let throughput () =
       (Printf.sprintf "chaos campaigns reported %d protection violations"
          (List.length chaos.Os.Chaos.violations));
   Format.printf "robustness - %a@." Os.Chaos.pp_report chaos;
-  let snap = run_snapshot_overhead () in
-  if not snap.sn_parity then
-    failwith "checkpointing changed the modeled cycle count";
-  Printf.printf
-    "host time - snapshot overhead on %s: %d captures of %d bytes, %.1f \
-     us/capture, run ratio %.2fx, modeled cycles identical\n"
-    snap.sn_workload snap.sn_captures snap.sn_image_bytes
-    (1e6 *. snap.sn_capture_seconds /. float_of_int snap.sn_captures)
-    (snap.sn_plain_ips /. snap.sn_ckpt_ips);
   let snap_inc = run_snapshot_incremental () in
   if not snap_inc.si_parity then
     failwith "incremental checkpointing changed the modeled cycle count";
@@ -1255,6 +1172,6 @@ let throughput () =
   let oc = open_out "BENCH_throughput.json" in
   output_string oc
     (json_of_samples samples span_samples ~traced ~untraced ~idle ~chaos
-       ~snap ~snap_inc ~serving ~arena ~backends);
+       ~snap_inc ~serving ~arena ~backends);
   close_out oc;
   Printf.printf "wrote BENCH_throughput.json\n"

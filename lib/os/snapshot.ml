@@ -6,15 +6,39 @@
    same cold state in a fresh machine, so a resumed run and the
    uninterrupted one continue from identical footing.
 
-   Layout:  magic "RINGSNAP" (8 bytes) | version | payload length |
-   FNV-1a 64 checksum of the payload | payload.  All integers are
-   8-byte big-endian (two's complement via Int64, so OCaml's 63-bit
-   negatives round-trip).  The checksum covers the payload only, so a
-   version bump is reported as [Bad_version], not hidden behind
-   [Checksum_mismatch].  Every hashtable is dumped sorted by key and
-   every list in a defined order, so capturing the same state twice
-   yields byte-identical images — the property the restore self-check
-   and the kill-and-resume equivalence proof both lean on. *)
+   Layout (format version 5):
+
+     magic (8 bytes) | version | payload length | checksum | payload
+
+   The magic is the image kind — "RINGSNAP" for a full image,
+   "RINGDELT" for a delta — and both kinds share one payload layout,
+   because a full image is a delta whose predecessor is the all-zero
+   machine:
+
+     payload = base_sum         predecessor's payload checksum
+                                (0 in a full image)
+             | pre_len | pre    counters, machine configuration and
+                                processor state
+             | mem_size
+             | npages | page*   page numbers ascending
+             | post             SDW tag population, injector,
+                                capability state, trace, system
+     page    = pageno | len | nnz | nnz × (offset | word)
+
+   A page record is its page's whole content: offsets ascend, words
+   are nonzero, and every word it does not list is zero.  A full image
+   lists each page that holds a nonzero word; a delta lists each page
+   dirtied since its predecessor, including pages that went back to
+   zero.
+
+   All integers are 8-byte big-endian (two's complement via Int64, so
+   OCaml's 63-bit negatives round-trip).  The checksum is FNV-1a 64
+   over the payload only, so a version bump is reported as
+   [Bad_version], not hidden behind [Checksum_mismatch].  Every
+   hashtable is dumped sorted by key and every list in a defined
+   order, so capturing the same state twice yields byte-identical
+   images — the property the restore self-check and the
+   kill-and-resume equivalence proof both lean on. *)
 
 type error =
   | Bad_magic
@@ -59,22 +83,22 @@ exception Fail of error
 let corrupt msg = raise (Fail (Corrupt msg))
 let shape msg = raise (Fail (Shape_mismatch msg))
 
+(* The two image kinds. *)
 let magic = "RINGSNAP"
-
-(* Incremental deltas carry a sibling magic: same header shape, same
-   version, but the payload encodes only the pages dirtied since the
-   predecessor image plus a checksummed reference to it. *)
 let delta_magic = "RINGDELT"
 
 (* v2: trace section gained the event sampler/high-water fields and the
    span sampler fields (events moved to the binary arena encoding).
    v3: trace section gained the independent instruction-stream sampling
-   interval. *)
-let version = 4
+   interval.  v4: machine section gained the capability tag store and
+   sealed-return stack.  v5: full images and deltas share one
+   page-wise payload. *)
+let version = 5
 let header_len = 8 + 8 + 8 + 8
 
-(* FNV-1a 64, truncated to OCaml's 63-bit int (writer and reader
-   truncate identically, so nothing is lost to the comparison).
+(* FNV-1a 64 over [len] bytes of [s] from [off], truncated to OCaml's
+   63-bit int (writer and reader truncate identically, so nothing is
+   lost to the comparison).
 
    Computed in two 32-bit native limbs instead of boxed [Int64]: the
    FNV prime is 2^40 + 0x1b3, so one step over h = hi·2^32 + lo is
@@ -87,10 +111,10 @@ let header_len = 8 + 8 + 8 + 8
    checksums every image it seals — and the limb form is
    allocation-free.  The final fold to a native int matches
    [Int64.to_int]'s low-63-bit truncation bit for bit. *)
-let checksum s =
+let checksum s off len =
   let mask32 = 0xFFFFFFFF in
   let lo = ref 0x84222325 and hi = ref 0xcbf29ce4 in
-  for i = 0 to String.length s - 1 do
+  for i = off to off + len - 1 do
     let l = !lo lxor Char.code (String.unsafe_get s i) in
     let h = !hi in
     let m = l * 0x1b3 in
@@ -101,8 +125,7 @@ let checksum s =
 
 (* {1 Writer primitives} *)
 
-(* Big-endian 8 bytes of the two's-complement value — what the old
-   byte-at-a-time loop produced, via the runtime's fast path. *)
+(* Big-endian 8 bytes of the two's-complement value. *)
 let w_int b n = Buffer.add_int64_be b (Int64.of_int n)
 
 let w_bool b v = w_int b (if v then 1 else 0)
@@ -121,9 +144,11 @@ let w_list f b xs =
   w_int b (List.length xs);
   List.iter (f b) xs
 
-let w_int_array b a =
+let w_array f b a =
   w_int b (Array.length a);
-  Array.iter (w_int b) a
+  Array.iter (f b) a
+
+let w_int_array b a = w_array w_int b a
 
 let w_pair f g b (x, y) =
   f b x;
@@ -133,19 +158,20 @@ let w_pair f g b (x, y) =
 
 type reader = { data : string; mutable pos : int }
 
-let need r n =
-  if n < 0 || r.pos + n > String.length r.data then raise (Fail Truncated)
-
 let r_int r =
-  need r 8;
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v :=
-      Int64.logor (Int64.shift_left !v 8)
-        (Int64.of_int (Char.code r.data.[r.pos]));
-    r.pos <- r.pos + 1
-  done;
-  Int64.to_int !v
+  if r.pos + 8 > String.length r.data then raise (Fail Truncated);
+  let v = Int64.to_int (String.get_int64_be r.data r.pos) in
+  r.pos <- r.pos + 8;
+  v
+
+(* A decoded count of items of at least [width] bytes each.  A count
+   the rest of the payload cannot hold is refused here, before any
+   allocation or loop is sized by it. *)
+let r_count ?(width = 8) r what =
+  let n = r_int r in
+  if n < 0 then corrupt ("negative " ^ what);
+  if n > (String.length r.data - r.pos) / width then raise (Fail Truncated);
+  n
 
 let r_bool r =
   match r_int r with
@@ -154,9 +180,7 @@ let r_bool r =
   | n -> corrupt (Printf.sprintf "bad boolean %d" n)
 
 let r_str r =
-  let n = r_int r in
-  if n < 0 then corrupt "negative string length";
-  need r n;
+  let n = r_count ~width:1 r "string length" in
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
@@ -168,14 +192,14 @@ let r_opt f r =
   | n -> corrupt (Printf.sprintf "bad option tag %d" n)
 
 (* Explicit recursion: List.init's application order is unspecified,
-   and the reader is stateful. *)
+   and the reader is stateful.  Every item is at least one word. *)
 let r_list f r =
-  let n = r_int r in
-  if n < 0 then corrupt "negative list length";
+  let n = r_count r "list length" in
   let rec go i acc = if i = 0 then List.rev acc else go (i - 1) (f r :: acc) in
   go n []
 
-let r_int_array r = Array.of_list (r_list r_int r)
+let r_array f r = Array.of_list (r_list f r)
+let r_int_array r = r_array r_int r
 
 let r_pair f g r =
   let x = f r in
@@ -226,8 +250,7 @@ let r_dbr r =
 let w_regs b (g : Hw.Registers.t) =
   w_dbr b g.Hw.Registers.dbr;
   w_ptr b g.Hw.Registers.ipr;
-  w_int b (Array.length g.Hw.Registers.prs);
-  Array.iter (w_ptr b) g.Hw.Registers.prs;
+  w_array w_ptr b g.Hw.Registers.prs;
   w_int b g.Hw.Registers.a;
   w_int b g.Hw.Registers.q;
   w_int_array b g.Hw.Registers.xs;
@@ -237,12 +260,9 @@ let w_regs b (g : Hw.Registers.t) =
 let r_regs r =
   let dbr = r_dbr r in
   let ipr = r_ptr r in
-  let nprs = r_int r in
-  if nprs <> Hw.Registers.pr_count then corrupt "wrong pointer-register count";
-  let prs = Array.make nprs ipr in
-  for i = 0 to nprs - 1 do
-    prs.(i) <- r_ptr r
-  done;
+  let prs = r_array r_ptr r in
+  if Array.length prs <> Hw.Registers.pr_count then
+    corrupt "wrong pointer-register count";
   let a = r_int r in
   let q = r_int r in
   let xs = r_int_array r in
@@ -267,7 +287,7 @@ let w_fault b (f : Rings.Fault.t) =
       w_ring b ring;
       w_ring b bottom;
       w_ring b top
-  | Gate_violation { wordno; gates } ->
+  | Gate_violation { wordno; gates } | Cap_seal_violation { wordno; gates } ->
       w_int b wordno;
       w_int b gates
   | Upward_call { from_ring; to_ring; segno; wordno } ->
@@ -282,7 +302,9 @@ let w_fault b (f : Rings.Fault.t) =
   | Downward_return { from_ring; to_ring } ->
       w_ring b from_ring;
       w_ring b to_ring
-  | Privileged_instruction { ring } | Halt_in_slave_ring { ring } ->
+  | Privileged_instruction { ring }
+  | Halt_in_slave_ring { ring }
+  | Cap_exec_violation { ring } ->
       w_ring b ring
   | Missing_segment { segno } -> w_int b segno
   | Missing_page { segno; pageno } ->
@@ -304,10 +326,6 @@ let w_fault b (f : Rings.Fault.t) =
       w_int b limit
   | Cap_load_violation { effective } | Cap_store_violation { effective } ->
       w_ring b effective
-  | Cap_exec_violation { ring } -> w_ring b ring
-  | Cap_seal_violation { wordno; gates } ->
-      w_int b wordno;
-      w_int b gates
   | Cap_attenuation_violation { effective; limit } ->
       w_ring b effective;
       w_ring b limit
@@ -732,23 +750,25 @@ let write_counters b (c : Trace.Counters.t) =
   w_list (w_pair w_str w_int) b
     (Trace.Counters.fields (Trace.Counters.snapshot c))
 
-(* The machine section is written in three pieces so the incremental
-   delta codec can reuse the exact writers around a different memory
-   encoding: [pre] (configuration + live processor state), the sparse
-   memory image, and [post] (SDW tag population + injector).  A full
-   image is always pre ++ memory ++ post — [flatten] leans on that. *)
+(* The machine section is written in two pieces around the memory
+   pages: [pre] (configuration + live processor state) and [post] (SDW
+   tag population, injector, capability state). *)
+let mode_tag (m : Isa.Machine.t) =
+  match m.Isa.Machine.mode with
+  | Isa.Machine.Ring_hardware -> 0
+  | Isa.Machine.Ring_software_645 -> 1
+  | Isa.Machine.Ring_capability -> 2
+
+let rule_tag (m : Isa.Machine.t) =
+  match m.Isa.Machine.stack_rule with
+  | Rings.Stack_rule.Segno_equals_ring -> 0
+  | Rings.Stack_rule.Dbr_stack_relative -> 1
+
 let write_machine_pre b (m : Isa.Machine.t) =
   (* Immutable configuration, serialized so restore can shape-check
      that the respawned machine was built the same way. *)
-  w_int b
-    (match m.Isa.Machine.mode with
-    | Isa.Machine.Ring_hardware -> 0
-    | Isa.Machine.Ring_software_645 -> 1
-    | Isa.Machine.Ring_capability -> 2);
-  w_int b
-    (match m.Isa.Machine.stack_rule with
-    | Rings.Stack_rule.Segno_equals_ring -> 0
-    | Rings.Stack_rule.Dbr_stack_relative -> 1);
+  w_int b (mode_tag m);
+  w_int b (rule_tag m);
   w_bool b m.Isa.Machine.gate_on_same_ring;
   w_bool b m.Isa.Machine.use_r1_in_indirection;
   (* Live processor state. *)
@@ -770,23 +790,6 @@ let write_machine_pre b (m : Isa.Machine.t) =
     b m.Isa.Machine.trap_config;
   w_bool b m.Isa.Machine.degraded;
   w_bool b m.Isa.Machine.io_fail_pending
-
-let write_memory b (mem : Hw.Memory.t) =
-  (* Memory, sparsely: (address, word) pairs ascending. *)
-  let size = Hw.Memory.size mem in
-  w_int b size;
-  let words = Buffer.create 65536 in
-  let count = ref 0 in
-  for a = 0 to size - 1 do
-    let w = Hw.Memory.read_silent mem a in
-    if w <> 0 then begin
-      incr count;
-      w_int words a;
-      w_int words w
-    end
-  done;
-  w_int b !count;
-  Buffer.add_buffer b words
 
 let write_machine_post b (m : Isa.Machine.t) =
   (* The modeled SDW tag-store population — keys only: quiesce demoted
@@ -811,11 +814,6 @@ let write_machine_post b (m : Isa.Machine.t) =
       w_int b sr.Cap.Capability.sr_wordno)
     b m.Isa.Machine.cap_stack
 
-let write_machine b (m : Isa.Machine.t) =
-  write_machine_pre b m;
-  write_memory b m.Isa.Machine.mem;
-  write_machine_post b m
-
 let write_trace b (m : Isa.Machine.t) =
   w_bool b (Trace.Event.enabled m.Isa.Machine.log);
   let d = Trace.Event.dump m.Isa.Machine.log in
@@ -837,8 +835,7 @@ let write_trace b (m : Isa.Machine.t) =
   w_int b d.Trace.Span.dump_sampled_out;
   w_int b d.Trace.Span.dump_sample_interval;
   w_int b d.Trace.Span.dump_sample_seed;
-  w_int b (Array.length d.Trace.Span.dump_hists);
-  Array.iter (w_hist b) d.Trace.Span.dump_hists;
+  w_array w_hist b d.Trace.Span.dump_hists;
   w_bool b (Trace.Profile.enabled m.Isa.Machine.profile);
   let ring_cycles, ring_instructions, segments, kernel_cycles =
     Trace.Profile.dump m.Isa.Machine.profile
@@ -855,8 +852,7 @@ let write_trace b (m : Isa.Machine.t) =
 
 let write_process b (p : Process.t) =
   w_str b p.Process.user;
-  w_int b (Array.length p.Process.descsegs);
-  Array.iter (w_dbr b) p.Process.descsegs;
+  w_array w_dbr b p.Process.descsegs;
   w_list (w_pair w_int w_access) b (sorted_bindings p.Process.ring_data);
   w_list (w_pair w_int w_placement) b (sorted_bindings p.Process.placement);
   w_list w_loaded b p.Process.loaded;
@@ -905,20 +901,99 @@ let write_system b sys =
   w_list w_str b (System.rotation sys);
   w_list write_entry b (System.entries sys)
 
-let encode sys =
-  let b = Buffer.create (1 lsl 16) in
-  let m = System.machine sys in
-  write_counters b m.Isa.Machine.counters;
-  write_machine b m;
-  write_trace b m;
-  write_system b sys;
+(* {1 The payload frame}
+
+   Everything after [base_sum].  A capture builds a frame from the live
+   system; [flatten] builds one from the frames it folds. *)
+
+(* A page of [words] words whose [nnz] (offset, word) pairs are bytes
+   [off, off + 16 * nnz) of [src]. *)
+type page = { pageno : int; words : int; nnz : int; src : string; off : int }
+
+type frame = { pre : string; mem_size : int; pages : page list; post : string }
+
+let w_frame b f =
+  w_str b f.pre;
+  w_int b f.mem_size;
+  w_list
+    (fun b p ->
+      w_int b p.pageno;
+      w_int b p.words;
+      w_int b p.nnz;
+      Buffer.add_substring b p.src p.off (16 * p.nnz))
+    b f.pages;
+  Buffer.add_string b f.post
+
+(* Header and payload; the payload checksum comes back with the
+   image, for the chain to link the next delta to. *)
+let seal ~kind ~base_sum f =
+  let b = Buffer.create (1 lsl 14) in
+  w_int b base_sum;
+  w_frame b f;
   let payload = Buffer.contents b in
+  let sum = checksum payload 0 (String.length payload) in
   let hdr = Buffer.create header_len in
-  Buffer.add_string hdr magic;
+  Buffer.add_string hdr kind;
   w_int hdr version;
   w_int hdr (String.length payload);
-  w_int hdr (checksum payload);
-  Buffer.contents hdr ^ payload
+  w_int hdr sum;
+  (sum, Buffer.contents hdr ^ payload)
+
+(* Page [p] of live memory as a record, or [None] when it holds only
+   zeros and [keep_zero] is off. *)
+let page_of_memory mem pairs ~keep_zero p =
+  let base_addr = p * Hw.Memory.page_words in
+  let words = min Hw.Memory.page_words (Hw.Memory.size mem - base_addr) in
+  Buffer.clear pairs;
+  let nnz = ref 0 in
+  for i = 0 to words - 1 do
+    let w = Hw.Memory.read_silent mem (base_addr + i) in
+    if w <> 0 then begin
+      incr nnz;
+      w_int pairs i;
+      w_int pairs w
+    end
+  done;
+  if !nnz = 0 && not keep_zero then None
+  else
+    Some { pageno = p; words; nnz = !nnz; src = Buffer.contents pairs; off = 0 }
+
+(* The one writer.  [prev] is the predecessor's payload checksum for a
+   delta, [None] for a full image.  Over the zero machine a page has
+   changed exactly when it holds a nonzero word; a delta cannot tell,
+   so it lists every dirty page — even one that went back to zero,
+   which the fold must still clear. *)
+let encode sys ~prev =
+  let m = System.machine sys in
+  let mem = m.Isa.Machine.mem in
+  let mem_size = Hw.Memory.size mem in
+  let pre = Buffer.create 4096 in
+  write_counters pre m.Isa.Machine.counters;
+  write_machine_pre pre m;
+  let kind, base_sum, candidates, keep_zero =
+    match prev with
+    | None ->
+        let npages =
+          (mem_size + Hw.Memory.page_words - 1) / Hw.Memory.page_words
+        in
+        (magic, 0, List.init npages Fun.id, false)
+    | Some sum -> (delta_magic, sum, Hw.Memory.dirty_pages mem, true)
+  in
+  let pairs = Buffer.create 4096 in
+  let pages =
+    List.filter_map (page_of_memory mem pairs ~keep_zero) candidates
+  in
+  let post = Buffer.create 16384 in
+  write_machine_post post m;
+  write_trace post m;
+  write_system post sys;
+  seal ~kind ~base_sum
+    {
+      pre = Buffer.contents pre;
+      mem_size;
+      pages;
+      post = Buffer.contents post;
+    }
 
 (* The count is bumped {e before} serializing, so the image already
    carries its own capture: an uninterrupted checkpointing run and a
@@ -933,24 +1008,91 @@ let with_capture_counted (c : Trace.Counters.t) f =
     Trace.Counters.restore c before;
     raise e
 
-let capture sys =
+(* Every public capture — full or delta — is a capture point: clearing
+   the dirty map moves its generation, so a delta chain straddling
+   this capture refuses its next [capture_delta] instead of emitting a
+   delta that silently misses these pages. *)
+let capture_point sys ~prev =
   let m = System.machine sys in
-  with_capture_counted m.Isa.Machine.counters (fun () ->
-      Isa.Machine.quiesce m;
-      let image = encode sys in
-      (* Every public capture is a capture point: clearing the dirty
-         map moves its generation, so a delta chain straddling this
-         capture refuses its next [capture_delta] instead of emitting
-         a delta that silently misses these pages. *)
-      Hw.Memory.clear_dirty m.Isa.Machine.mem;
-      image)
+  Isa.Machine.quiesce m;
+  let sealed = encode sys ~prev in
+  Hw.Memory.clear_dirty m.Isa.Machine.mem;
+  sealed
+
+let capture sys =
+  with_capture_counted (System.machine sys).Isa.Machine.counters (fun () ->
+      snd (capture_point sys ~prev:None))
 
 (* The restore self-check re-captures without bumping anything. *)
 let capture_silent sys =
   Isa.Machine.quiesce (System.machine sys);
-  encode sys
+  snd (encode sys ~prev:None)
 
-(* {1 Restore} *)
+(* {1 Reading} *)
+
+(* The one header parser.  [kind] is the magic the caller expects and
+   [prev] the payload checksum the image's [base_sum] must name (0 for
+   the zero machine); a wrong link is refused with [broken].  Returns
+   the verified payload checksum and a reader just past [base_sum]. *)
+let parse_header ~kind ~prev ~broken image =
+  let n = String.length image in
+  if n < String.length kind then raise (Fail Truncated);
+  if not (String.starts_with ~prefix:kind image) then raise (Fail Bad_magic);
+  if n < header_len then raise (Fail Truncated);
+  let r = { data = image; pos = String.length kind } in
+  let v = r_int r in
+  if v <> version then raise (Fail (Bad_version { expected = version; got = v }));
+  let len = r_int r in
+  let sum = r_int r in
+  if len < 0 then corrupt "negative payload length";
+  if n - header_len < len then raise (Fail Truncated);
+  if n - header_len > len then corrupt "trailing bytes after payload";
+  if checksum image header_len len <> sum then raise (Fail Checksum_mismatch);
+  if r_int r <> prev then raise (Fail broken);
+  (sum, r)
+
+let parse_full image =
+  parse_header ~kind:magic ~prev:0
+    ~broken:(Corrupt "full image names a predecessor")
+    image
+
+(* The one page reader, over [mem_size] words.  [word a w] sees every
+   listed word in ascending address order; the records come back for
+   folding. *)
+let r_pages r ~mem_size ~word =
+  let last = ref (-1) in
+  r_list
+    (fun r ->
+      let pageno = r_int r in
+      if pageno <= !last || pageno > (mem_size - 1) / Hw.Memory.page_words
+      then corrupt "pages not ascending or out of range";
+      last := pageno;
+      let base_addr = pageno * Hw.Memory.page_words in
+      let words = min Hw.Memory.page_words (mem_size - base_addr) in
+      if r_int r <> words then corrupt "wrong page length";
+      let nnz = r_count ~width:16 r "page word count" in
+      let off = r.pos in
+      let prev = ref (-1) in
+      for _ = 1 to nnz do
+        let o = r_int r in
+        let w = r_int r in
+        if o <= !prev || o >= words then corrupt "page words not ascending";
+        if w = 0 then corrupt "zero word in a sparse page";
+        word (base_addr + o) w;
+        prev := o
+      done;
+      { pageno; words; nnz; src = r.data; off })
+    r
+
+(* A frame read whole, nothing applied: what [flatten] folds and
+   [rebase] anchors on. *)
+let r_frame r =
+  let pre = r_str r in
+  let mem_size = r_int r in
+  if mem_size < 0 then corrupt "negative memory size";
+  let pages = r_pages r ~mem_size ~word:(fun _ _ -> ()) in
+  let post = String.sub r.data r.pos (String.length r.data - r.pos) in
+  { pre; mem_size; pages; post }
 
 let apply_counters r (c : Trace.Counters.t) =
   let fields = r_list (r_pair r_str r_int) r in
@@ -958,20 +1100,9 @@ let apply_counters r (c : Trace.Counters.t) =
   | Ok snap -> Trace.Counters.restore c snap
   | Error msg -> corrupt msg
 
-let apply_machine r (m : Isa.Machine.t) =
-  let mode_tag =
-    match m.Isa.Machine.mode with
-    | Isa.Machine.Ring_hardware -> 0
-    | Isa.Machine.Ring_software_645 -> 1
-    | Isa.Machine.Ring_capability -> 2
-  in
-  if r_int r <> mode_tag then shape "machine mode differs";
-  let rule_tag =
-    match m.Isa.Machine.stack_rule with
-    | Rings.Stack_rule.Segno_equals_ring -> 0
-    | Rings.Stack_rule.Dbr_stack_relative -> 1
-  in
-  if r_int r <> rule_tag then shape "stack rule differs";
+let apply_machine_pre r (m : Isa.Machine.t) =
+  if r_int r <> mode_tag m then shape "machine mode differs";
+  if r_int r <> rule_tag m then shape "stack rule differs";
   if r_bool r <> m.Isa.Machine.gate_on_same_ring then
     shape "gate-on-same-ring ablation differs";
   if r_bool r <> m.Isa.Machine.use_r1_in_indirection then
@@ -997,32 +1128,33 @@ let apply_machine r (m : Isa.Machine.t) =
         { Isa.Machine.vector_base; conditions_base })
       r;
   m.Isa.Machine.degraded <- r_bool r;
-  m.Isa.Machine.io_fail_pending <- r_bool r;
-  (* Memory: write the image's words, zero everything else.  Words are
-     only touched when they differ, so the common case (respawn
-     already rebuilt the same contents) is mostly reads. *)
-  let mem = m.Isa.Machine.mem in
-  let size = Hw.Memory.size mem in
-  if r_int r <> size then shape "memory size differs";
-  let count = r_int r in
-  if count < 0 then corrupt "negative memory pair count";
+  m.Isa.Machine.io_fail_pending <- r_bool r
+
+(* Memory, in one pass: the listed words, zero everywhere else.  Words
+   are only written when they differ, so the common case (the respawn
+   already rebuilt the same contents) is mostly reads, and the dirty
+   map, the tags and the write observers see only real changes. *)
+let apply_memory r mem =
+  let mem_size = Hw.Memory.size mem in
+  if r_int r <> mem_size then shape "memory size differs";
   let set a w =
     if Hw.Memory.read_silent mem a <> w then Hw.Memory.write_silent mem a w
   in
-  let prev = ref (-1) in
-  for _ = 1 to count do
-    let a = r_int r in
-    let w = r_int r in
-    if a <= !prev || a >= size then corrupt "memory pairs not ascending";
-    for z = !prev + 1 to a - 1 do
+  let next = ref 0 in
+  let zero_to a =
+    for z = !next to a - 1 do
       set z 0
-    done;
-    set a w;
-    prev := a
-  done;
-  for z = !prev + 1 to size - 1 do
-    set z 0
-  done;
+    done
+  in
+  let (_ : page list) =
+    r_pages r ~mem_size ~word:(fun a w ->
+        zero_to a;
+        set a w;
+        next := a + 1)
+  in
+  zero_to mem_size
+
+let apply_machine_post r (m : Isa.Machine.t) =
   (* SDW tag-store population: every key present, every value absent —
      exactly the state [quiesce] leaves behind. *)
   let keys = r_list r_int r in
@@ -1038,8 +1170,9 @@ let apply_machine r (m : Isa.Machine.t) =
   | Some _, None -> shape "image has a fault injector, this run does not"
   | None, Some _ -> shape "this run has a fault injector, the image does not");
   (* Capability state.  The tag re-application must come after the
-     memory loop above: restoring a word goes through [write_silent],
-     which clears its tag, so tags written earlier would be erased. *)
+     memory pass: restoring a word goes through [write_silent], which
+     clears its tag, so tags written earlier would be erased. *)
+  let mem = m.Isa.Machine.mem in
   if r_bool r <> Hw.Memory.tags_enabled mem then
     shape "capability tag store presence differs";
   let tagged = r_list r_int r in
@@ -1047,7 +1180,8 @@ let apply_machine r (m : Isa.Machine.t) =
     Hw.Memory.clear_tags mem;
     List.iter
       (fun a ->
-        if a < 0 || a >= size then corrupt "tag address out of range";
+        if a < 0 || a >= Hw.Memory.size mem then
+          corrupt "tag address out of range";
         Hw.Memory.set_tag mem a)
       tagged
   end
@@ -1071,19 +1205,17 @@ let apply_trace r (m : Isa.Machine.t) =
   let d_sample_interval = r_int r in
   let d_sample_seed = r_int r in
   let d_instr_interval = r_int r in
-  (try
-     Trace.Event.restore m.Isa.Machine.log
-       {
-         Trace.Event.d_entries;
-         d_next_seq;
-         d_dropped;
-         d_sampled_out;
-         d_high_water;
-         d_sample_interval;
-         d_sample_seed;
-         d_instr_interval;
-       }
-   with Invalid_argument msg -> corrupt msg);
+  Trace.Event.restore m.Isa.Machine.log
+    {
+      Trace.Event.d_entries;
+      d_next_seq;
+      d_dropped;
+      d_sampled_out;
+      d_high_water;
+      d_sample_interval;
+      d_sample_seed;
+      d_instr_interval;
+    };
   Trace.Span.set_enabled m.Isa.Machine.spans (r_bool r);
   let dump_stack = r_list r_open_span r in
   let dump_next_seq = r_int r in
@@ -1093,27 +1225,19 @@ let apply_trace r (m : Isa.Machine.t) =
   let dump_sampled_out = r_int r in
   let dump_sample_interval = r_int r in
   let dump_sample_seed = r_int r in
-  let nhists = r_int r in
-  if nhists < 0 then corrupt "negative histogram count";
-  let dump_hists = Array.make (max nhists 1) ([||], 0, 0, 0, 0) in
-  for i = 0 to nhists - 1 do
-    dump_hists.(i) <- r_hist r
-  done;
-  let dump_hists = Array.sub dump_hists 0 nhists in
-  (try
-     Trace.Span.restore m.Isa.Machine.spans
-       {
-         Trace.Span.dump_stack;
-         dump_next_seq;
-         dump_completed;
-         dump_dropped;
-         dump_unmatched;
-         dump_sampled_out;
-         dump_sample_interval;
-         dump_sample_seed;
-         dump_hists;
-       }
-   with Invalid_argument msg -> corrupt msg);
+  let dump_hists = r_array r_hist r in
+  Trace.Span.restore m.Isa.Machine.spans
+    {
+      Trace.Span.dump_stack;
+      dump_next_seq;
+      dump_completed;
+      dump_dropped;
+      dump_unmatched;
+      dump_sampled_out;
+      dump_sample_interval;
+      dump_sample_seed;
+      dump_hists;
+    };
   Trace.Profile.set_enabled m.Isa.Machine.profile (r_bool r);
   let ring_cycles = r_int_array r in
   let ring_instructions = r_int_array r in
@@ -1127,10 +1251,8 @@ let apply_trace r (m : Isa.Machine.t) =
       r
   in
   let kernel_cycles = r_int r in
-  try
-    Trace.Profile.restore m.Isa.Machine.profile
-      (ring_cycles, ring_instructions, segments, kernel_cycles)
-  with Invalid_argument msg -> corrupt msg
+  Trace.Profile.restore m.Isa.Machine.profile
+    (ring_cycles, ring_instructions, segments, kernel_cycles)
 
 let apply_process r (p : Process.t) =
   if not (String.equal (r_str r) p.Process.user) then shape "process user differs";
@@ -1207,23 +1329,29 @@ let apply_system r sys =
   if n <> List.length entries then shape "process count differs";
   List.iter (apply_entry r) entries
 
-let parse_header image =
-  if String.length image < String.length magic then raise (Fail Truncated);
-  if not (String.equal (String.sub image 0 (String.length magic)) magic) then
-    raise (Fail Bad_magic);
-  if String.length image < header_len then raise (Fail Truncated);
-  let hr = { data = image; pos = String.length magic } in
-  let v = r_int hr in
-  if v <> version then raise (Fail (Bad_version { expected = version; got = v }));
-  let len = r_int hr in
-  let sum = r_int hr in
-  if len < 0 then corrupt "negative payload length";
-  if String.length image - header_len < len then raise (Fail Truncated);
-  if String.length image - header_len > len then
-    corrupt "trailing bytes after payload";
-  if checksum (String.sub image header_len len) <> sum then
-    raise (Fail Checksum_mismatch);
-  { data = image; pos = header_len }
+(* The one apply, shared by [warm_boot] and [restore]: a full image
+   laid over the live system, in payload order. *)
+let apply sys image =
+  let m = System.machine sys in
+  let _, r = parse_full image in
+  (* Flush whatever host state the respawn replay (or the last run)
+     left behind; the apply rebuilds the exact quiesced state the
+     image was captured in. *)
+  Isa.Machine.quiesce m;
+  let pre = { data = r_str r; pos = 0 } in
+  apply_counters pre m.Isa.Machine.counters;
+  apply_machine_pre pre m;
+  if pre.pos <> String.length pre.data then corrupt "unconsumed pre section";
+  apply_memory r m.Isa.Machine.mem;
+  apply_machine_post r m;
+  apply_trace r m;
+  apply_system r sys;
+  if r.pos <> String.length r.data then corrupt "unconsumed payload"
+
+let decode f =
+  try Ok (f ()) with
+  | Fail e -> Error e
+  | Invalid_argument msg -> Error (Corrupt msg)
 
 (* Trusted fast path for images this very process captured: header and
    checksum are still verified (cheap), but the re-capture self-check
@@ -1234,41 +1362,11 @@ let parse_header image =
    its boot image between requests costs O(apply), and the restored
    counters are byte-for-byte the boot counters, so per-request deltas
    are comparable across shards and runs. *)
-let warm_boot sys image =
-  let m = System.machine sys in
-  try
-    let r = parse_header image in
-    Isa.Machine.quiesce m;
-    apply_counters r m.Isa.Machine.counters;
-    apply_machine r m;
-    apply_trace r m;
-    apply_system r sys;
-    if r.pos <> String.length r.data then corrupt "unconsumed payload";
-    Ok ()
-  with
-  | Fail e -> Error e
-  | Invalid_argument msg -> Error (Corrupt msg)
+let warm_boot sys image = decode (fun () -> apply sys image)
 
 let restore sys image =
   let m = System.machine sys in
-  let applied =
-    try
-      let r = parse_header image in
-      (* Flush whatever host state the respawn replay left behind; the
-         apply below rebuilds the exact quiesced state the image was
-         captured in. *)
-      Isa.Machine.quiesce m;
-      apply_counters r m.Isa.Machine.counters;
-      apply_machine r m;
-      apply_trace r m;
-      apply_system r sys;
-      if r.pos <> String.length r.data then corrupt "unconsumed payload";
-      Ok ()
-    with
-    | Fail e -> Error e
-    | Invalid_argument msg -> Error (Corrupt msg)
-  in
-  match applied with
+  match warm_boot sys image with
   | Error e -> Error e
   | Ok () ->
       (* Self-check: the restored state must re-capture to the very
@@ -1282,8 +1380,12 @@ let restore sys image =
         (* Audit: re-derive every SDW from the kernel's authoritative
            tables and walk the crossing stacks — the same invariants
            the chaos harness checks after fault campaigns.  A
-           tampered-but-well-checksummed image fails here. *)
-        match Chaos.check_invariants ~campaign:0 sys with
+           tampered-but-well-checksummed image fails here, and so does
+           one whose tables no longer derive an SDW at all. *)
+        match
+          try Chaos.check_invariants ~campaign:0 sys
+          with Invalid_argument msg -> [ "underivable SDW: " ^ msg ]
+        with
         | [] -> Ok ()
         | problems ->
             Trace.Counters.bump_restore_audit_rejections
@@ -1293,34 +1395,18 @@ let restore sys image =
 
 (* {1 Incremental capture}
 
-   A delta image records only the memory pages dirtied since its
-   predecessor (the dirty map in {!Hw.Memory} is cleared exactly at
-   chain capture points, so between captures it is a conservative
-   superset of the pages that changed) plus the complete non-memory
-   state, which is small.  Layout:
-
-     "RINGDELT" | version | payload length | checksum | payload
-     payload = base_sum            predecessor's payload checksum
-             | pre_len | pre       counters + machine-pre, same writers
-             | mem_size
-             | npages | (pageno | len | nnz | nnz (offset | word)
-               pairs, offsets ascending, words nonzero) ascending
-             | post                machine-post + trace + system
-
-   A dirty page is serialized sparsely — only its nonzero words — and
-   applied by zeroing the page before laying the pairs over it, so a
-   word that went to zero since the predecessor is still restored.
-   Sparseness keeps a delta proportional to live data, not to the page
-   size, which is what makes checkpointing every scheduler slice
-   affordable.
-
-   Because pre and post come from the very writers a full capture
-   uses, [flatten base deltas] — base memory with the delta pages laid
-   over it, re-encoded sparsely between the last delta's pre and post
-   bytes — is byte-for-byte the image [capture] would have produced at
-   that delta's capture point.  [base_sum] chains each image to its
-   predecessor by payload checksum, so a delta applied over the wrong
-   base ([Stale_base]) or a chain with a missing/reordered link
+   A delta lists only the pages dirtied since its predecessor (the
+   dirty map in {!Hw.Memory} is cleared exactly at capture points, so
+   between captures it is a conservative superset of the pages that
+   changed) plus the complete non-memory state, which is small.
+   Because a page record is the page's whole content, [flatten base
+   deltas] just lays each delta's pages over the page map folded so
+   far, keeps the last delta's pre and post, drops the pages that went
+   back to zero and seals the result over the zero machine — byte for
+   byte the image [capture] would have produced at that delta's
+   capture point.  [base_sum] chains each image to its predecessor by
+   payload checksum, so a delta applied over the wrong base
+   ([Stale_base]) or a chain with a missing/reordered link
    ([Broken_chain]) is refused before any state is touched. *)
 
 type chain = {
@@ -1330,26 +1416,15 @@ type chain = {
   mutable deltas_taken : int;
 }
 
-let payload_of image = String.sub image header_len (String.length image - header_len)
-
-let seal_image_sum ~magic:m ~sum payload =
-  let hdr = Buffer.create header_len in
-  Buffer.add_string hdr m;
-  w_int hdr version;
-  w_int hdr (String.length payload);
-  w_int hdr sum;
-  Buffer.contents hdr ^ payload
-
-let seal_image ~magic:m payload =
-  seal_image_sum ~magic:m ~sum:(checksum payload) payload
-
 let start_chain sys =
   let m = System.machine sys in
   let mem = m.Isa.Machine.mem in
-  let image = capture sys in
-  Hw.Memory.clear_dirty mem;
+  let sum, image =
+    with_capture_counted m.Isa.Machine.counters (fun () ->
+        capture_point sys ~prev:None)
+  in
   ( {
-      tail_sum = checksum (payload_of image);
+      tail_sum = sum;
       expected_gen = Hw.Memory.dirty_generation mem;
       chain_mem_size = Hw.Memory.size mem;
       deltas_taken = 0;
@@ -1370,212 +1445,40 @@ let capture_delta sys chain =
            (another capture point intervened)";
       if Hw.Memory.size mem <> chain.chain_mem_size then
         invalid_arg "Snapshot.capture_delta: memory size changed";
-      Isa.Machine.quiesce m;
-      let b = Buffer.create 4096 in
-      w_int b chain.tail_sum;
-      let pre = Buffer.create 4096 in
-      write_counters pre m.Isa.Machine.counters;
-      write_machine_pre pre m;
-      w_str b (Buffer.contents pre);
-      let size = Hw.Memory.size mem in
-      w_int b size;
-      let pages = Hw.Memory.dirty_pages mem in
-      w_int b (List.length pages);
-      let pairs = Buffer.create 4096 in
-      List.iter
-        (fun p ->
-          let base_addr = p * Hw.Memory.page_words in
-          let len = min Hw.Memory.page_words (size - base_addr) in
-          w_int b p;
-          w_int b len;
-          Buffer.clear pairs;
-          let nnz = ref 0 in
-          for i = 0 to len - 1 do
-            let w = Hw.Memory.read_silent mem (base_addr + i) in
-            if w <> 0 then begin
-              incr nnz;
-              w_int pairs i;
-              w_int pairs w
-            end
-          done;
-          w_int b !nnz;
-          Buffer.add_buffer b pairs)
-        pages;
-      write_machine_post b m;
-      write_trace b m;
-      write_system b sys;
-      let payload = Buffer.contents b in
-      let sum = checksum payload in
-      let image = seal_image_sum ~magic:delta_magic ~sum payload in
-      Hw.Memory.clear_dirty mem;
+      let sum, image = capture_point sys ~prev:(Some chain.tail_sum) in
       chain.expected_gen <- Hw.Memory.dirty_generation mem;
       chain.tail_sum <- sum;
       chain.deltas_taken <- chain.deltas_taken + 1;
       image)
 
-(* Skip readers: consume exactly the bytes the corresponding writers
-   produced, so [flatten] can locate the memory section inside a full
-   payload without a live system to apply it to. *)
-let skip_counters r = ignore (r_list (r_pair r_str r_int) r)
-
-let skip_machine_pre r =
-  ignore (r_int r);
-  ignore (r_int r);
-  ignore (r_bool r);
-  ignore (r_bool r);
-  ignore (r_regs r);
-  ignore (r_bool r);
-  ignore
-    (r_opt
-       (fun r ->
-         let (_ : Hw.Registers.t) = r_regs r in
-         let (_ : Rings.Fault.t) = r_fault r in
-         ())
-       r);
-  ignore (r_opt r_int r);
-  ignore (r_opt r_int r);
-  ignore (r_opt r_io_request r);
-  ignore (r_bool r);
-  ignore
-    (r_opt
-       (fun r ->
-         let (_ : Hw.Addr.t) = r_addr r in
-         let (_ : Hw.Addr.t) = r_addr r in
-         ())
-       r);
-  ignore (r_bool r);
-  ignore (r_bool r)
-
-(* Split a full payload into (pre bytes, memory words, post bytes). *)
-let split_full_payload payload =
-  let r = { data = payload; pos = 0 } in
-  skip_counters r;
-  skip_machine_pre r;
-  let pre_end = r.pos in
-  let size = r_int r in
-  if size < 0 then corrupt "negative memory size";
-  let count = r_int r in
-  if count < 0 then corrupt "negative memory pair count";
-  let words = Array.make size 0 in
-  let prev = ref (-1) in
-  for _ = 1 to count do
-    let a = r_int r in
-    let w = r_int r in
-    if a <= !prev || a >= size then corrupt "memory pairs not ascending";
-    words.(a) <- w;
-    prev := a
-  done;
-  let mem_end = r.pos in
-  ( String.sub payload 0 pre_end,
-    words,
-    String.sub payload mem_end (String.length payload - mem_end) )
-
-let parse_delta_header image =
-  if String.length image < String.length delta_magic then raise (Fail Truncated);
-  if
-    not
-      (String.equal (String.sub image 0 (String.length delta_magic)) delta_magic)
-  then raise (Fail Bad_magic);
-  if String.length image < header_len then raise (Fail Truncated);
-  let hr = { data = image; pos = String.length delta_magic } in
-  let v = r_int hr in
-  if v <> version then raise (Fail (Bad_version { expected = version; got = v }));
-  let len = r_int hr in
-  let sum = r_int hr in
-  if len < 0 then corrupt "negative payload length";
-  if String.length image - header_len < len then raise (Fail Truncated);
-  if String.length image - header_len > len then
-    corrupt "trailing bytes after payload";
-  if checksum (String.sub image header_len len) <> sum then
-    raise (Fail Checksum_mismatch);
-  { data = image; pos = header_len }
-
 let flatten ~base deltas =
-  try
-    (* Validate the base image (magic, version, checksum) and split it. *)
-    let (_ : reader) = parse_header base in
-    let words = ref [||] in
-    let pre = ref "" in
-    let post = ref "" in
-    let p, w, q = split_full_payload (payload_of base) in
-    pre := p;
-    words := w;
-    post := q;
-    let prev_sum = ref (checksum (payload_of base)) in
-    List.iteri
-      (fun i delta ->
-        let r = parse_delta_header delta in
-        let base_sum = r_int r in
-        if base_sum <> !prev_sum then
-          raise (Fail (if i = 0 then Stale_base else Broken_chain i));
-        let pre_bytes = r_str r in
-        let size = r_int r in
-        if size <> Array.length !words then
-          raise
-            (Fail
-               (Shape_mismatch
-                  (Printf.sprintf "delta %d memory size %d, base has %d" i size
-                     (Array.length !words))));
-        let npages = r_int r in
-        if npages < 0 then corrupt "negative page count";
-        let prev_page = ref (-1) in
-        for _ = 1 to npages do
-          let p = r_int r in
-          let len = r_int r in
-          let base_addr = p * Hw.Memory.page_words in
-          if p <= !prev_page then corrupt "delta pages not ascending";
-          if
-            base_addr < 0 || base_addr >= size
-            || len <> min Hw.Memory.page_words (size - base_addr)
-          then corrupt "delta page out of range";
-          (* Zero first: a sparse page is the page's whole contents,
-             so a word that dropped to zero must not survive from the
-             base. *)
-          Array.fill !words base_addr len 0;
-          let nnz = r_int r in
-          if nnz < 0 || nnz > len then corrupt "delta page pair count";
-          let prev_off = ref (-1) in
-          for _ = 1 to nnz do
-            let off = r_int r in
-            let w = r_int r in
-            if off <= !prev_off || off >= len then
-              corrupt "delta page pairs not ascending";
-            if w = 0 then corrupt "zero word in sparse delta page";
-            !words.(base_addr + off) <- w;
-            prev_off := off
-          done;
-          prev_page := p
-        done;
-        let post_bytes =
-          String.sub r.data r.pos (String.length r.data - r.pos)
-        in
-        pre := pre_bytes;
-        post := post_bytes;
-        prev_sum := checksum (payload_of delta))
-      deltas;
-    (* Re-encode: pre ++ sparse memory ++ post is exactly what a full
-       capture at the last delta's capture point serialized. *)
-    let b = Buffer.create (1 lsl 16) in
-    Buffer.add_string b !pre;
-    let size = Array.length !words in
-    w_int b size;
-    let pairs = Buffer.create 65536 in
-    let count = ref 0 in
-    for a = 0 to size - 1 do
-      let w = !words.(a) in
-      if w <> 0 then begin
-        incr count;
-        w_int pairs a;
-        w_int pairs w
-      end
-    done;
-    w_int b !count;
-    Buffer.add_buffer b pairs;
-    Buffer.add_string b !post;
-    Ok (seal_image ~magic (Buffer.contents b))
-  with
-  | Fail e -> Error e
-  | Invalid_argument msg -> Error (Corrupt msg)
+  decode (fun () ->
+      let sum, r = parse_full base in
+      let f = r_frame r in
+      let pages = Hashtbl.create 64 in
+      let lay (f : frame) =
+        List.iter (fun p -> Hashtbl.replace pages p.pageno p) f.pages
+      in
+      lay f;
+      let _, _, last =
+        List.fold_left
+          (fun (i, prev, _) delta ->
+            let broken = if i = 0 then Stale_base else Broken_chain i in
+            let sum, r = parse_header ~kind:delta_magic ~prev ~broken delta in
+            let d = r_frame r in
+            if d.mem_size <> f.mem_size then
+              shape
+                (Printf.sprintf "delta %d memory size %d, base has %d" i
+                   d.mem_size f.mem_size);
+            lay d;
+            (i + 1, sum, d))
+          (0, sum, f) deltas
+      in
+      (* Pages that went back to zero drop out, as in a capture. *)
+      let pages =
+        List.filter (fun p -> p.nnz > 0) (List.map snd (sorted_bindings pages))
+      in
+      snd (seal ~kind:magic ~base_sum:0 { last with pages }))
 
 let restore_chain sys ~base deltas =
   match flatten ~base deltas with
@@ -1590,18 +1493,12 @@ let restore_chain sys ~base deltas =
    memory size) before the chain is touched, so a failed rebase leaves
    the chain usable. *)
 let rebase chain ~base =
-  try
-    let (_ : reader) = parse_header base in
-    let _, words, _ = split_full_payload (payload_of base) in
-    if Array.length words <> chain.chain_mem_size then
-      raise
-        (Fail
-           (Shape_mismatch
-              (Printf.sprintf "rebase image memory size %d, chain has %d"
-                 (Array.length words) chain.chain_mem_size)));
-    chain.tail_sum <- checksum (payload_of base);
-    chain.deltas_taken <- 0;
-    Ok ()
-  with
-  | Fail e -> Error e
-  | Invalid_argument msg -> Error (Corrupt msg)
+  decode (fun () ->
+      let sum, r = parse_full base in
+      let f = r_frame r in
+      if f.mem_size <> chain.chain_mem_size then
+        shape
+          (Printf.sprintf "rebase image memory size %d, chain has %d"
+             f.mem_size chain.chain_mem_size);
+      chain.tail_sum <- sum;
+      chain.deltas_taken <- 0)

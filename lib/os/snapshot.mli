@@ -12,13 +12,29 @@
     run that wrote it continue from identical footing and export
     byte-identical counters, traces and device output.
 
-    Images are versioned ([magic "RINGSNAP"], format {!version}) and
-    checksummed (FNV-1a 64 over the payload).  {!restore} refuses
-    anything it cannot prove whole: bad magic, other versions,
-    truncation, checksum failure, structural corruption, an image that
-    does not match the respawned system's shape, an image whose
-    restored state fails the kernel-table audit, or one that does not
-    re-capture to the same bytes. *)
+    Images are versioned (format {!version}) and checksummed (FNV-1a
+    64 over the payload).  A full image (magic ["RINGSNAP"]) and a
+    delta (magic ["RINGDELT"]) share one payload layout — a full image
+    is a delta whose predecessor is the all-zero machine:
+
+    {v
+    payload = base_sum | pre_len | pre | mem_size | npages | page* | post
+    page    = pageno | len | nnz | nnz × (offset | word)
+    v}
+
+    where [base_sum] is the predecessor's payload checksum (0 in a
+    full image), [pre] carries the counters and processor state,
+    [post] the rest of the machine, the trace surface and the
+    scheduler, and a page record is its page's whole content.  A full
+    image lists every page holding a nonzero word, a delta every page
+    dirtied since its predecessor.
+
+    {!restore} refuses anything it cannot prove whole: bad magic,
+    other versions, truncation, checksum failure, structural
+    corruption (including a count or length the payload cannot hold),
+    an image that does not match the respawned system's shape, an
+    image whose restored state fails the kernel-table audit, or one
+    that does not re-capture to the same bytes. *)
 
 type error =
   | Bad_magic  (** Not a snapshot image at all. *)
@@ -67,14 +83,14 @@ val capture : System.t -> string
 
 (** {1 Incremental capture}
 
-    A chain is a full base image followed by deltas that serialize
-    only the memory pages dirtied since the previous image (via
+    A chain is a full base image followed by deltas that list only the
+    memory pages dirtied since the previous image (via
     {!Hw.Memory.dirty_pages}) plus the complete — and small —
     non-memory state.  Every image references its predecessor by
-    payload checksum, and {!flatten} folds a chain back into a full
-    image that is {e byte-identical} to what {!capture} would have
-    produced at the last delta's capture point, so restore semantics
-    are exactly full-capture semantics.  Every public capture — full
+    payload checksum, and {!flatten} folds the chain's page maps back
+    into a full image that is {e byte-identical} to what {!capture}
+    would have produced at the last delta's capture point, so restore
+    semantics are exactly full-capture semantics.  Every public capture — full
     or delta — is a capture point that clears the dirty map and moves
     its generation, so a chain straddling a full {!capture} (or
     another chain's captures) notices at its next {!capture_delta}

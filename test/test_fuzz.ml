@@ -248,6 +248,64 @@ let prop_checkpoint_restore_is_transparent =
               && Test_snapshot.memory_words straight
                  = Test_snapshot.memory_words resumed))
 
+(* Mutation fuzzing of real images: a full base image and a three-delta
+   chain, one image damaged per case — a flipped bit, a truncation, or
+   a payload word overwritten with a large or negative value under a
+   recomputed checksum, so the damage gets past the header check and
+   reaches the decoder.  Every entry point that takes an untrusted
+   image must answer [Ok] or a typed [Error] and never raise.  The
+   chain and the system restored onto are built once: a failed restore
+   leaves no state a later restore depends on. *)
+let real_chain =
+  lazy
+    (let _, chain, base, deltas = Test_snapshot.chain_of ~n:3 () in
+     (Test_snapshot.fresh_system (), chain, base, deltas))
+
+let inflated = [| max_int; min_int; -1; 1 lsl 50; 1 lsl 32; -(1 lsl 40) |]
+
+let prop_damaged_images_end_in_typed_errors =
+  QCheck.Test.make ~name:"damaged snapshot images end in typed errors"
+    ~count:60
+    QCheck.(
+      quad (int_bound 3) (int_bound 2) (int_bound 1_000_000)
+        (int_bound (Array.length inflated - 1)))
+    (fun (target, mutation, at, v) ->
+      let sys, chain, base, deltas = Lazy.force real_chain in
+      let images = Array.of_list (base :: deltas) in
+      let image = images.(target) in
+      let n = String.length image in
+      let damaged =
+        match mutation with
+        | 0 ->
+            let b = Bytes.of_string image in
+            let i = at mod (8 * n) in
+            Bytes.set b (i / 8)
+              (Char.chr (Char.code (Bytes.get b (i / 8)) lxor (1 lsl (i mod 8))));
+            Bytes.to_string b
+        | 1 -> String.sub image 0 (at mod n)
+        | _ ->
+            Test_snapshot.overwrite image
+              (32 + (8 * (at mod ((n - 32) / 8))))
+              inflated.(v)
+      in
+      images.(target) <- damaged;
+      (* The chain up to the damaged image, so a damaged delta is the
+         one whose pre and post the fold keeps. *)
+      let base = images.(0) in
+      let deltas = List.init target (fun i -> images.(i + 1)) in
+      let typed what f =
+        match f () with
+        | Ok _ | Error (_ : Os.Snapshot.error) -> true
+        | exception e ->
+            QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+      in
+      typed "restore" (fun () -> Os.Snapshot.restore sys damaged)
+      && typed "warm_boot" (fun () -> Os.Snapshot.warm_boot sys damaged)
+      && typed "flatten" (fun () -> Os.Snapshot.flatten ~base deltas)
+      && typed "rebase" (fun () -> Os.Snapshot.rebase chain ~base:damaged)
+      && typed "restore_chain" (fun () ->
+             Os.Snapshot.restore_chain sys ~base deltas))
+
 let suite =
   [
     ( "fuzz",
@@ -259,6 +317,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_system_survives_arbitrary_plans;
         QCheck_alcotest.to_alcotest prop_arena_never_leaks;
         QCheck_alcotest.to_alcotest prop_checkpoint_restore_is_transparent;
+        QCheck_alcotest.to_alcotest prop_damaged_images_end_in_typed_errors;
       ] );
   ]
 

@@ -152,7 +152,7 @@ let test_damaged_images_are_rejected () =
    (* Version is the second header word; the checksum covers only the
       payload, so this must surface as Bad_version, not checksum. *)
    Bytes.set b 15 '\x2a';
-   check_error "version bump" "snapshot format version 42, this build reads 4"
+   check_error "version bump" "snapshot format version 42, this build reads 5"
      (Bytes.to_string b));
   check_error "truncated header" "snapshot image is truncated"
     (String.sub image 0 20);
@@ -357,6 +357,42 @@ let attach_injector sys =
     (Os.System.entries sys);
   Isa.Machine.attach_injector (Os.System.machine sys) inj
 
+(* A system with a chain opened at its start and the first [n] slices
+   each captured as a delta; the run then finishes uncaptured. *)
+let chain_of ~n () =
+  let sys = fresh_system () in
+  let chain, base = Os.Snapshot.start_chain sys in
+  let deltas = ref [] in
+  let (_ : (string * Os.Kernel.exit) list) =
+    Os.System.run
+      ~on_slice:(fun () ->
+        if List.length !deltas < n then
+          deltas := Os.Snapshot.capture_delta sys chain :: !deltas)
+      sys
+  in
+  (sys, chain, base, List.rev !deltas)
+
+(* Recompute the header checksum (FNV-1a 64 over the payload, kept to
+   63 bits) so a crafted payload passes the header check and reaches
+   the decoder. *)
+let reseal image =
+  let b = Bytes.of_string image in
+  let h = ref 0xcbf29ce484222325L in
+  for i = 32 to Bytes.length b - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i))))
+        0x100000001b3L
+  done;
+  Bytes.set_int64_be b 24 (Int64.of_int (Int64.to_int !h));
+  Bytes.to_string b
+
+(* [image] with the 8-byte word at [at] set to [v], resealed. *)
+let overwrite image at v =
+  let b = Bytes.of_string image in
+  Bytes.set_int64_be b at (Int64.of_int v);
+  reseal (Bytes.to_string b)
+
 let test_dirty_pages_track_every_write_path () =
   let sys = fresh_system () in
   let mem = machine_mem sys in
@@ -417,11 +453,13 @@ let test_dirty_pages_track_every_write_path () =
    prefix of the chain must flatten to the bytes the full capture
    wrote at that boundary — poison-table writes, journal traffic and
    retried stores included, since any write the dirty map missed would
-   diverge the bytes. *)
+   diverge the bytes.  An uncaptured third twin pins the cost side:
+   checkpointing, full or incremental, is free in modeled cycles. *)
 let test_chain_flatten_matches_full_captures () =
-  let a = fresh_system () and b = fresh_system () in
+  let a = fresh_system () and b = fresh_system () and c = fresh_system () in
   attach_injector a;
   attach_injector b;
+  attach_injector c;
   let chain, base = Os.Snapshot.start_chain a in
   let full0 = Os.Snapshot.capture b in
   Alcotest.(check bool) "base equals the full capture at the same point" true
@@ -436,7 +474,14 @@ let test_chain_flatten_matches_full_captures () =
   let exits_b =
     Os.System.run ~on_slice:(fun () -> fulls := Os.Snapshot.capture b :: !fulls) b
   in
+  let exits_c = Os.System.run c in
   Alcotest.(check (list exit_pair)) "twin runs exit identically" exits_a exits_b;
+  Alcotest.(check (list exit_pair))
+    "the uncaptured twin exits identically" exits_c exits_b;
+  Alcotest.(check int) "full captures left the modeled cycles alone"
+    (cycles c) (cycles b);
+  Alcotest.(check int) "delta captures left the modeled cycles alone"
+    (cycles c) (cycles a);
   let deltas = List.rev !deltas and fulls = List.rev !fulls in
   Alcotest.(check int) "one delta per full capture" (List.length fulls)
     (List.length deltas);
@@ -475,18 +520,9 @@ let test_chain_flatten_matches_full_captures () =
     (memory_words resumed)
 
 let test_chain_rejections () =
-  let sys = fresh_system () in
-  let chain, base = Os.Snapshot.start_chain sys in
-  let deltas = ref [] in
-  let (_ : (string * Os.Kernel.exit) list) =
-    Os.System.run
-      ~on_slice:(fun () ->
-        if List.length !deltas < 3 then
-          deltas := Os.Snapshot.capture_delta sys chain :: !deltas)
-      sys
-  in
+  let _, _, base, deltas = chain_of ~n:3 () in
   let d1, d2, d3 =
-    match List.rev !deltas with
+    match deltas with
     | [ x; y; z ] -> (x, y, z)
     | l -> Alcotest.failf "expected 3 deltas, got %d" (List.length l)
   in
@@ -535,6 +571,57 @@ let test_chain_rejections () =
   | Error Os.Snapshot.Bad_magic -> ()
   | Error e -> Alcotest.failf "expected Bad_magic, got %a" Os.Snapshot.pp_error e
   | Ok _ -> Alcotest.fail "flatten accepted a delta as a base"
+
+(* Two crafted images that once escaped the typed-error contract with
+   [Out_of_memory]: one inflated field under a recomputed checksum, so
+   the header check passes and the field reaches the decoder.  The
+   fields are found by value, not by layout offset. *)
+let test_inflated_fields_are_refused () =
+  let sys, chain, base, deltas = chain_of ~n:2 () in
+  let word i =
+    if i + 8 > String.length base then min_int
+    else Int64.to_int (String.get_int64_be base i)
+  in
+  let find what matches =
+    match
+      List.filter matches (List.init (String.length base - 32) (( + ) 32))
+    with
+    | [ at ] -> at
+    | hits ->
+        Alcotest.failf "%s: %d candidate words, expected one" what
+          (List.length hits)
+  in
+  let big = 1 lsl 50 in
+  let mem_size = Hw.Memory.size (machine_mem sys) in
+  let huge_memory =
+    overwrite base (find "memory size" (fun i -> word i = mem_size)) big
+  in
+  (* The span-histogram count: four histograms follow it, each led by
+     its bucket count. *)
+  let buckets, _, _, _, _ = Trace.Histogram.dump (Trace.Histogram.create ()) in
+  let nb = Array.length buckets in
+  let many_hists =
+    overwrite base
+      (find "histogram count" (fun i ->
+           word i = 4
+           && List.for_all
+                (fun k -> word (i + 8 + (k * 8 * (nb + 5))) = nb)
+                [ 0; 1; 2; 3 ]))
+      big
+  in
+  let refused what = function
+    | Ok _ -> Alcotest.failf "%s accepted a crafted image" what
+    | Error (_ : Os.Snapshot.error) -> ()
+  in
+  let fresh = fresh_system () in
+  refused "flatten" (Os.Snapshot.flatten ~base:huge_memory deltas);
+  refused "rebase" (Os.Snapshot.rebase chain ~base:huge_memory);
+  refused "restore_chain"
+    (Os.Snapshot.restore_chain fresh ~base:huge_memory deltas);
+  refused "restore" (Os.Snapshot.restore fresh huge_memory);
+  refused "restore" (Os.Snapshot.restore fresh many_hists);
+  refused "warm_boot" (Os.Snapshot.warm_boot fresh many_hists);
+  refused "restore_chain" (Os.Snapshot.restore_chain fresh ~base:many_hists [])
 
 (* Garbage collection of a live chain: fold the deltas captured so far
    into a new base, delete them, re-anchor the chain on the fold, and
@@ -671,6 +758,8 @@ let suite =
           `Quick test_chain_flatten_matches_full_captures;
         Alcotest.test_case "broken chains are rejected with typed errors"
           `Quick test_chain_rejections;
+        Alcotest.test_case "inflated counts and sizes end in typed errors"
+          `Quick test_inflated_fields_are_refused;
         Alcotest.test_case "rebase folds and continues the chain" `Quick
           test_rebase_continues_the_chain;
         Alcotest.test_case "interlopers poison the chain, not the counter"
