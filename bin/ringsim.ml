@@ -813,7 +813,7 @@ let parse_migrate spec =
   | _ -> usage_error "--migrate must be WINDOW:FROM:TO (three integers)"
 
 let run_serve shards requests seed mix_name backend_name queue_cap
-    batch_window image_cap replicas imbalance pool steal_name snapshot inject
+    batch_window image_cap replicas imbalance pool snapshot inject
     watchdog report_json trace_out metrics_out sample sample_instr trace_cap
     migrate_spec rolling_restart autoscale =
   (* Every flag is validated up front: a nonsensical value is a usage
@@ -849,12 +849,6 @@ let run_serve shards requests seed mix_name backend_name queue_cap
   (match rolling_restart with
   | Some n when n < 1 -> usage_error "--rolling-restart must be positive"
   | _ -> ());
-  let steal =
-    match steal_name with
-    | "on" -> true
-    | "off" -> false
-    | s -> usage_error (Printf.sprintf "--steal must be on or off, not %S" s)
-  in
   let mix =
     match Serve.Workload.find_mix mix_name with
     | Ok m -> m
@@ -888,7 +882,6 @@ let run_serve shards requests seed mix_name backend_name queue_cap
       inject = plan;
       preload;
       pool;
-      steal;
       trace;
       migrate;
       restart_every = rolling_restart;
@@ -920,7 +913,11 @@ let run_serve shards requests seed mix_name backend_name queue_cap
   (match report_json with
   | None -> ()
   | Some path ->
-      let quote s = Printf.sprintf "\"%s\"" s in
+      let quote s =
+        let b = Buffer.create 16 in
+        Trace.Export.add_str b s;
+        Buffer.contents b
+      in
       let opt_int = function None -> "null" | Some n -> string_of_int n in
       let config =
         [
@@ -937,7 +934,6 @@ let run_serve shards requests seed mix_name backend_name queue_cap
           ("replicas", string_of_int replicas);
           ("imbalance", string_of_int imbalance);
           ("pool", opt_int pool);
-          ("steal", quote steal_name);
           ("watchdog", opt_int watchdog);
           ("inject", (match inject with None -> "null" | Some s -> quote s));
           ("sample", string_of_int sample);
@@ -967,13 +963,31 @@ open Cmdliner
 
 let file = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE")
 
+let backend_doc =
+  "Protection backend: $(b,hw) (hardware rings), $(b,645) (software \
+   rings, the GE-645 baseline) or $(b,cap) (the capability machine).  An \
+   unknown name is a usage error (exit 2)."
+
 let backend =
   Arg.(value & opt string "hw" & info [ "b"; "backend"; "m"; "mode" ]
-         ~docv:"BACKEND"
-         ~doc:"Protection backend: $(b,hw) (hardware rings), $(b,645) \
-               (software rings, the GE-645 baseline) or $(b,cap) (the \
-               capability machine).  An unknown name is a usage error \
-               (exit 2).")
+         ~docv:"BACKEND" ~doc:backend_doc)
+
+let fleet_backend =
+  Arg.(value & opt (some string) None
+       & info [ "b"; "backend" ] ~docv:"BACKEND"
+         ~doc:(backend_doc
+               ^ "  Forces every serving shard or arena wave onto that \
+                  backend; unset, each serving class keeps its own mode \
+                  and the arena runs hardware rings."))
+
+let report_json =
+  Arg.(value & opt (some string) None & info [ "report-json" ] ~docv:"FILE"
+         ~doc:"Write the run's report as JSON: the fleet report (config, \
+               fleet-wide counters, latency and ring attribution, \
+               dispatch statistics, per-shard summaries) for \
+               $(b,serve), the campaign report (parameters, verdicts, \
+               exits, auditor findings, per-tenant bills) for \
+               $(b,arena).  Byte-deterministic.")
 
 let start =
   Arg.(value & opt string "main" & info [ "start" ] ~docv:"SEG[$ENTRY]"
@@ -1131,14 +1145,6 @@ let serve_mix =
   Arg.(value & opt string "standard" & info [ "mix" ] ~docv:"NAME"
          ~doc:"Request mix: standard, crossing or uniform.")
 
-let serve_backend =
-  Arg.(value & opt (some string) None
-       & info [ "b"; "backend" ] ~docv:"BACKEND"
-         ~doc:"Force every shard onto one protection backend — $(b,hw), \
-               $(b,645) or $(b,cap) — overriding each catalog class's \
-               own mode.  Unset, classes keep their modes.  An unknown \
-               name is a usage error (exit 2).")
-
 let serve_queue_cap =
   Arg.(value & opt int 64 & info [ "queue-cap" ] ~docv:"N"
          ~doc:"Per-shard queue bound per dispatch window; requests that \
@@ -1169,12 +1175,6 @@ let serve_snapshot =
                images when present (restored with full validation), and \
                write the run's boot images back to the same files.")
 
-let serve_report_json =
-  Arg.(value & opt (some string) None & info [ "report-json" ] ~docv:"FILE"
-         ~doc:"Write the aggregated fleet report as JSON: config, \
-               fleet-wide counters/latency/ring attribution, dispatch \
-               statistics and per-shard summaries.  Byte-deterministic.")
-
 let serve_watchdog =
   Arg.(value & opt (some int) None & info [ "watchdog" ] ~docv:"N"
          ~doc:"Per-request watchdog: quarantine a shard whose request \
@@ -1183,17 +1183,10 @@ let serve_watchdog =
 
 let serve_pool =
   Arg.(value & opt (some int) None & info [ "pool" ] ~docv:"N"
-         ~doc:"Worker domains in the persistent execution pool; defaults \
-               to min(shards, host cores).  Affects host wall-clock \
-               only — the fleet report is identical for every pool \
-               size.")
-
-let serve_steal =
-  Arg.(value & opt string "on" & info [ "steal" ] ~docv:"on|off"
-         ~doc:"Work stealing: let an idle pool worker take requests \
-               from the tail of a sibling's deque.  Affects host \
-               wall-clock only — the fleet report is identical either \
-               way.")
+         ~doc:"Worker domains executing the requests (the calling \
+               domain counts as one); defaults to min(shards, host \
+               cores).  Affects host wall-clock only — the fleet report \
+               is identical for every pool size.")
 
 let serve_trace_out =
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
@@ -1222,12 +1215,9 @@ let serve_migrate =
                shard FROM — its queued requests are re-dispatched in \
                arrival order, never dropped — retire it from the \
                rotation, and route its service classes to shard TO.  \
-               After the campaign drains, the source worker's cached \
-               boot images move to the target through the \
-               incremental-snapshot handoff.  Outcomes are \
-               placement-independent, so the report's fleet section is \
-               byte-identical with or without the migration (as long \
-               as nothing is shed).")
+               Outcomes are placement-independent, so the report's \
+               fleet section is byte-identical with or without the \
+               migration (as long as nothing is shed).")
 
 let serve_rolling_restart =
   Arg.(value & opt (some int) None
@@ -1258,14 +1248,14 @@ let serve_cmd =
          implementations, same-ring gated calls, outward calls, \
          argument passing, demand paging), routes it over $(b,--shards) \
          worker machines — consistent hashing on the service class with \
-         a least-loaded override — and executes the stream on a \
-         persistent pool of $(b,--pool) OCaml domains with work \
-         stealing ($(b,--steal)).  Workers warm-boot each request from \
-         a cached checkpoint image, so steady-state serving never \
-         re-assembles a program.  Cross-shard counters, latency \
-         histograms and ring profiles are merged into one fleet report \
-         whose fleet section is independent of the shard count, pool \
-         size and steal setting (see docs/SCALING.md).";
+         a least-loaded override — and executes the stream on \
+         $(b,--pool) OCaml domains that each claim the next request \
+         in turn.  Workers warm-boot each request from a cached \
+         checkpoint image, so steady-state serving never re-assembles \
+         a program.  Cross-shard counters, latency histograms and ring \
+         profiles are merged into one fleet report whose fleet section \
+         is independent of the shard count and pool size (see \
+         docs/SCALING.md).";
       `S Manpage.s_exit_status;
       `P
         "$(tname) exits 0 when every request was served and exited \
@@ -1277,10 +1267,9 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const run_serve $ serve_shards $ serve_requests $ serve_seed
-      $ serve_mix $ serve_backend $ serve_queue_cap $ serve_batch_window
-      $ serve_image_cap
-      $ serve_replicas $ serve_imbalance $ serve_pool $ serve_steal
-      $ serve_snapshot $ inject $ serve_watchdog $ serve_report_json
+      $ serve_mix $ fleet_backend $ serve_queue_cap $ serve_batch_window
+      $ serve_image_cap $ serve_replicas $ serve_imbalance $ serve_pool
+      $ serve_snapshot $ inject $ serve_watchdog $ report_json
       $ serve_trace_out $ serve_metrics_out $ sample_arg $ sample_instr_arg
       $ serve_trace_cap $ serve_migrate $ serve_rolling_restart
       $ serve_autoscale)
@@ -1342,14 +1331,6 @@ let arena_profile =
                cache probes, quota spinners and memory hogs) or \
                $(b,cooperative) (honest kinds only).")
 
-let arena_backend =
-  Arg.(value & opt (some string) None
-       & info [ "b"; "backend" ] ~docv:"BACKEND"
-         ~doc:"Protection backend hosting the tenants — $(b,hw), \
-               $(b,645) or $(b,cap).  Unset, the arena's default \
-               (hardware rings) applies.  An unknown name is a usage \
-               error (exit 2).")
-
 let arena_quota_cycles =
   Arg.(value & opt int Os.Arena.default_quota.Os.Arena.cycles
        & info [ "quota-cycles" ] ~docv:"N"
@@ -1380,12 +1361,6 @@ let arena_shards =
          ~doc:"Domains to spread the campaign's waves over.  Affects \
                host wall-clock only: the report is byte-identical for \
                every shard count.")
-
-let arena_report_json =
-  Arg.(value & opt (some string) None & info [ "report-json" ] ~docv:"FILE"
-         ~doc:"Write the campaign report as JSON: parameters, verdict \
-               counts, exit histogram, auditor findings and the full \
-               per-tenant billing array.  Byte-deterministic.")
 
 let arena_cmd =
   let doc = "host untrusted tenant programs under quotas and audits" in
@@ -1418,9 +1393,9 @@ let arena_cmd =
   Cmd.v (Cmd.info "arena" ~doc ~man)
     Term.(
       const run_arena $ arena_tenants $ arena_seed $ arena_profile
-      $ arena_backend $ arena_quota_cycles $ arena_quota_mem
+      $ fleet_backend $ arena_quota_cycles $ arena_quota_mem
       $ arena_quota_faults $ arena_quota_io $ arena_shards $ inject
-      $ arena_report_json)
+      $ report_json)
 
 let run_term =
   Term.(

@@ -325,20 +325,6 @@ let run ?mode ?quantum ?inject ?(quota = default_quota) ~seed tenants =
 
 (* {1 Reporting} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let report_json r =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -355,33 +341,31 @@ let report_json r =
        \  \"audits\": %d,\n"
        r.tenants r.seed r.waves r.quota.cycles r.quota.mem r.quota.faults
        r.quota.io r.completed r.contained r.quarantined r.audits);
+  let str = Trace.Export.add_str in
   Buffer.add_string buf "  \"exits\": {";
   List.iteri
     (fun i (label, n) ->
       if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "%S: %d" (json_escape label) n))
+      Printf.bprintf buf "%a: %d" str label n)
     r.exits;
   Buffer.add_string buf "},\n  \"violations\": [";
   List.iteri
     (fun i v ->
       if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "%S" (json_escape v)))
+      str buf v)
     r.violations;
   Buffer.add_string buf "],\n  \"bills\": [\n";
   List.iteri
     (fun i b ->
       if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"tenant\": %d, \"name\": %S, \"kind\": %S, \
-            \"adversarial\": %b, \"ring\": %d, \"cycles\": %d, \
-            \"instructions\": %d, \"faults\": %d, \"io_ops\": %d, \
-            \"mem_words\": %d, \"exit\": %S, \"verdict\": %S}"
-           b.tenant (json_escape b.name) (json_escape b.kind) b.adversarial
-           b.ring b.usage.Trace.Counters.cycles
-           b.usage.Trace.Counters.instructions (billed_faults b.usage)
-           b.usage.Trace.Counters.channel_ops b.mem_words
-           (json_escape b.exit) (json_escape b.verdict)))
+      Printf.bprintf buf
+        "    {\"tenant\": %d, \"name\": %a, \"kind\": %a, \"adversarial\": \
+         %b, \"ring\": %d, \"cycles\": %d, \"instructions\": %d, \"faults\": \
+         %d, \"io_ops\": %d, \"mem_words\": %d, \"exit\": %a, \"verdict\": %a}"
+        b.tenant str b.name str b.kind b.adversarial b.ring
+        b.usage.Trace.Counters.cycles b.usage.Trace.Counters.instructions
+        (billed_faults b.usage) b.usage.Trace.Counters.channel_ops b.mem_words
+        str b.exit str b.verdict)
     r.bills;
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf

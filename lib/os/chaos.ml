@@ -506,18 +506,6 @@ let pp_report ppf r =
       r.violations
   end
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let report_json r =
   let buf = Buffer.create 1024 in
   let add = Buffer.add_string buf in
@@ -528,9 +516,7 @@ let report_json r =
   List.iteri
     (fun i (k, n) ->
       if i > 0 then add ", ";
-      add "\"";
-      json_escape buf k;
-      add (Printf.sprintf "\": %d" n))
+      Printf.bprintf buf "%a: %d" Trace.Export.add_str k n)
     r.exits;
   add "},\n";
   add
@@ -554,9 +540,8 @@ let report_json r =
   List.iteri
     (fun i v ->
       if i > 0 then add ", ";
-      add (Printf.sprintf "{\"campaign\": %d, \"detail\": \"" v.campaign);
-      json_escape buf v.detail;
-      add "\"}")
+      Printf.bprintf buf "{\"campaign\": %d, \"detail\": %a}" v.campaign
+        Trace.Export.add_str v.detail)
     r.violations;
   add "]\n}\n";
   Buffer.contents buf

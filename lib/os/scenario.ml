@@ -103,8 +103,8 @@ let build config ~sources ~start_segment ~start_ring =
 
 let acl_all access = [ { Acl.user = Acl.wildcard; access } ]
 
-let crossing ?(config = default_config) ?(caller_ring = 4) ?(callee_ring = 1)
-    ?callable_from ?(iterations = 1) ?(with_argument = false) () =
+let crossing_sources ~caller_ring ~callee_ring ?callable_from
+    ?(with_argument = false) iterations =
   let callable_from =
     match callable_from with
     | Some r -> r
@@ -128,17 +128,21 @@ let crossing ?(config = default_config) ?(caller_ring = 4) ?(callee_ring = 1)
          ())
   in
   let arg_symbol = if with_argument then Some "data$word0" else None in
-  let sources =
-    [
-      ( "caller",
-        caller_acl,
-        caller_source ?arg_symbol ~callee_link:"service$entry" ~iterations
-          () );
-      ("service", callee_acl, callee_source ~touch_argument:with_argument ());
-    ]
-    @ if with_argument then [ ("data", data_acl, data_source) ] else []
-  in
-  build config ~sources ~start_segment:"caller" ~start_ring:caller_ring
+  [
+    ( "caller",
+      caller_acl,
+      caller_source ?arg_symbol ~callee_link:"service$entry" ~iterations () );
+    ("service", callee_acl, callee_source ~touch_argument:with_argument ());
+  ]
+  @ if with_argument then [ ("data", data_acl, data_source) ] else []
+
+let crossing ?(config = default_config) ?(caller_ring = 4) ?(callee_ring = 1)
+    ?callable_from ?(iterations = 1) ?with_argument () =
+  build config
+    ~sources:
+      (crossing_sources ~caller_ring ~callee_ring ?callable_from
+         ?with_argument iterations)
+    ~start_segment:"caller" ~start_ring:caller_ring
 
 (* A caller whose argument list is assembled statically in a separate
    data segment, so any argument count fits regardless of frame

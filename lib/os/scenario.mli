@@ -42,6 +42,20 @@ val callee_source : ?touch_argument:bool -> unit -> string
     (and, with [touch_argument], adds one to its first argument
     through the argument list), standard epilogue. *)
 
+val crossing_sources :
+  caller_ring:int ->
+  callee_ring:int ->
+  ?callable_from:int ->
+  ?with_argument:bool ->
+  int ->
+  (string * Acl.entry list * string) list
+(** [crossing_sources ~caller_ring ~callee_ring iterations] is the
+    [(segment, acl, source)] list {!crossing} builds its process from:
+    ["caller"] and the gated ["service"], plus — [with_argument] — the
+    ["data"] segment holding the argument word.  Every ACL grants all
+    users.  Exposed so a caller that feeds its own store (a serving
+    shard) runs exactly these programs. *)
+
 val crossing :
   ?config:config ->
   ?caller_ring:int ->

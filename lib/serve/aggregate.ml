@@ -152,7 +152,7 @@ let build models outcomes dispatch =
 (* The merged Chrome trace: one "process" per traced request, pid =
    request id.  [outcomes] arrive sorted by request id and a request's
    trace is placement-independent, so the document is byte-stable
-   across shard counts, pool sizes and steal settings. *)
+   across shard counts and pool sizes. *)
 let chrome_trace outcomes =
   Trace.Export.chrome_trace_fleet
     (List.filter_map
@@ -178,20 +178,6 @@ let requests_per_modeled_sec t =
 
 (* ------------------------------------------------------------------ *)
 (* JSON *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let histogram_json b h =
   Buffer.add_string b
@@ -231,7 +217,7 @@ let report_json ?(config = []) t =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then add ", ";
-      add (Printf.sprintf "\"%s\": %s" (json_escape k) v))
+      Printf.bprintf b "%a: %s" Trace.Export.add_str k v)
     config;
   add "},\n";
   (* The fleet section is a function of the outcome set alone: nothing
@@ -245,13 +231,15 @@ let report_json ?(config = []) t =
   List.iteri
     (fun i (label, n) ->
       if i > 0 then add ", ";
-      add (Printf.sprintf "\"%s\": %d" (json_escape label) n))
+      Printf.bprintf b "%a: %d" Trace.Export.add_str label n)
     t.fleet.exits;
   add "},\n    \"per_class\": {";
   List.iteri
     (fun i ((p, iters), n) ->
       if i > 0 then add ", ";
-      add (Printf.sprintf "\"%s/%d\": %d" (json_escape p) iters n))
+      Printf.bprintf b "%a: %d" Trace.Export.add_str
+        (Printf.sprintf "%s/%d" p iters)
+        n)
     t.fleet.per_class;
   add "},\n    \"latency_cycles\": ";
   histogram_json b t.fleet.latency;

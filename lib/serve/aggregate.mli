@@ -62,7 +62,7 @@ val build :
 (** The per-shard summaries come from the dispatcher's {e modeled}
     fleet, not the pool workers that happened to execute the requests
     on the host — that is what keeps the report byte-identical across
-    pool sizes and steal settings. *)
+    pool sizes. *)
 
 val chrome_trace : Shard.outcome list -> string
 (** The merged fleet Chrome trace: one Chrome "process" per traced
@@ -70,8 +70,7 @@ val chrome_trace : Shard.outcome list -> string
     {!Dispatcher.result.outcomes}, which is already sorted), rings as
     threads inside each.  Untraced outcomes are skipped.  Because a
     request's trace is placement-independent, the document is
-    byte-identical across shard counts, pool sizes and steal
-    settings. *)
+    byte-identical across shard counts and pool sizes. *)
 
 val requests_per_modeled_sec : t -> float
 (** [completed * 1e6 / makespan] — one modeled cycle is one

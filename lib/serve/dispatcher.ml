@@ -1,17 +1,14 @@
-(* Routing and fleet execution.
-
-   Since PR 6 the two are fully decoupled.  Routing — windows,
+(* Routing and fleet execution, decoupled.  Routing — windows,
    consistent hashing, the least-loaded override, shedding, quarantine
    and redistribution — is a *pure simulation* over modeled state
    (class hashes, per-window queue depths, per-request outcome facts),
    so the (request, shard, outcome) relation is a function of
-   (workload, config) alone.  Execution happens on a persistent
-   {!Pool} of worker domains with per-deque work stealing and no
-   per-window barrier; it is free to run requests in any host order
+   (workload, config) alone.  Execution is one {!Pool.map} over the
+   requests; it is free to run them in any host order on any worker
    because a request's outcome is placement-independent (every boot
    rewinds the machine to the sealed class image).  The report is then
    rebuilt from the simulation plus the per-request outcome table, so
-   host scheduling and steal order cannot leak into it. *)
+   host scheduling cannot leak into it. *)
 
 module Route = struct
   type ring = { points : (int64 * int) array }
@@ -94,7 +91,6 @@ type config = {
   inject : Hw.Inject.plan option;
   preload : (Shard.klass * string) list;
   pool : int option;
-  steal : bool;
   trace : Shard.trace_cfg option;
   migrate : (int * int * int) option;
   restart_every : int option;
@@ -114,7 +110,6 @@ let default_config ~shards =
     inject = None;
     preload = [];
     pool = None;
-    steal = true;
     trace = None;
     migrate = None;
     restart_every = None;
@@ -146,19 +141,11 @@ type shard_model = {
   ms_quarantined : bool;
 }
 
-type host_stats = {
-  hs_workers : int;
-  hs_steal : bool;
-  hs_executed : int array;
-  hs_stolen : int array;
-}
-
 type result = {
   models : shard_model array;
   outcomes : Shard.outcome list;
   stats : stats;
   workers : Shard.t array;
-  host : host_stats;
 }
 
 let by_id (a : Shard.outcome) (b : Shard.outcome) =
@@ -514,50 +501,23 @@ let run cfg reqs =
         && not (Hashtbl.mem table r.Workload.id))
       reqs
   in
-  let hs_executed = Array.make nworkers 0 in
-  let hs_stolen = Array.make nworkers 0 in
-  (* Bulk round: place optimistically for image-cache affinity (a
-     class's home shard maps to a stable worker deque) and execute the
-     whole campaign on the pool — no window barriers, stealing evens
-     out hot shards, idle workers park. *)
-  let sim0 = simulate cfg ring ~fact reqs in
-  (match missing sim0 with
-  | [] -> ()
-  | need ->
-      let pool =
-        Pool.create ~workers:nworkers ~steal:cfg.steal
-          ~exec:(fun wid r -> Shard.exec workers.(wid) r)
-          ()
-      in
-      List.iter
-        (fun (r : Workload.request) ->
-          let home = Hashtbl.find sim0.sim_assign r.Workload.id in
-          Pool.submit pool ~worker:(home mod nworkers) r)
-        need;
-      let outs = Pool.drain pool in
-      List.iter
-        (fun (o : Shard.outcome) ->
-          Hashtbl.replace table o.Shard.request.Workload.id o)
-        outs;
-      Array.iteri (fun i n -> hs_executed.(i) <- hs_executed.(i) + n)
-        (Pool.executed pool);
-      Array.iteri (fun i n -> hs_stolen.(i) <- hs_stolen.(i) + n)
-        (Pool.steals pool));
-  (* Converge: trips discovered above can quarantine a shard and
-     reroute later windows, which may admit a request the optimistic
-     pass shed.  Each round executes only those stragglers (inline —
-     they are rare and the pool is drained), so the loop adds at least
-     one outcome per round and terminates. *)
+  (* Execute what a placement admits and has no outcome yet, in one
+     parallel map, each worker on its own shard state.  The first,
+     optimistic placement runs nearly the whole campaign.  Trips it
+     discovers can quarantine a shard and reroute later windows, which
+     may admit a request that placement shed, so re-simulate and run
+     the stragglers until nothing is missing.  Every round adds at
+     least one outcome, so the loop terminates. *)
   let rec converge sim =
     match missing sim with
     | [] -> sim
     | need ->
-        List.iter
-          (fun (r : Workload.request) ->
-            let o = Shard.exec workers.(0) r in
-            hs_executed.(0) <- hs_executed.(0) + 1;
+        List.iter2
+          (fun (r : Workload.request) o ->
             Hashtbl.replace table r.Workload.id o)
-          need;
+          need
+          (Pool.map ~workers:nworkers (fun w r -> Shard.exec workers.(w) r)
+             need);
         converge (simulate cfg ring ~fact reqs)
   in
   let sim = converge (simulate cfg ring ~fact reqs) in
@@ -583,22 +543,6 @@ let run cfg reqs =
   let quarantined =
     Array.fold_left (fun a q -> if q then a + 1 else a) 0 sim.sim_quarantined
   in
-  (* Host-side half of a migration: once the campaign has drained, the
-     source worker's cached classes move to the target worker through
-     the incremental-snapshot handoff (chain, delta, flatten, checked
-     restore, re-seal).  Under the bulk-pool execution model the host
-     transfer happens at drain — the mid-campaign rerouting lives in
-     the simulation above — and runs after every outcome is recorded,
-     so it can never affect the report. *)
-  (match cfg.migrate with
-  | Some (_, s_from, s_to) ->
-      let src = workers.(s_from mod nworkers)
-      and dst = workers.(s_to mod nworkers) in
-      if src != dst then
-        List.iter
-          (fun (k, _) -> Shard.handoff src k dst)
-          (List.sort compare (Shard.images src))
-  | None -> ());
   {
     models = model_of_sim cfg sim ~fact;
     outcomes;
@@ -618,11 +562,4 @@ let run cfg reqs =
         peak_active = sim.sim_peak_active;
       };
     workers;
-    host =
-      {
-        hs_workers = nworkers;
-        hs_steal = cfg.steal;
-        hs_executed;
-        hs_stolen;
-      };
   }

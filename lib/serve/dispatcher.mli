@@ -14,17 +14,13 @@
     makespan) and the per-shard summaries are therefore pure functions
     of (workload, config).
 
-    {b Execution is a persistent worker pool.}  Requests run on
-    [pool] long-lived domains (see {!Pool}): each worker pulls from
-    its own deque — filled by the simulated placement so a service
-    class keeps hitting the same worker's image cache — and steals
-    from the tails of sibling deques when its own runs dry.  There is
-    no per-window spawn/join barrier; workers park on a condition
-    variable when idle and are joined once, at drain.  Because a boot
-    rewinds the machine to the sealed class image, an outcome is the
-    same whichever worker serves it, so host scheduling and steal
-    order change only wall-clock time — never the report.  See
-    docs/SCALING.md.
+    {b Execution is one parallel map.}  The requests the simulation
+    placed run through {!Pool.map} on [pool] worker domains, each
+    worker serving on its own {!Shard.t} and claiming the next request
+    in id order.  Because a boot rewinds the machine to the sealed
+    class image, an outcome is the same whichever worker serves it, so
+    host scheduling changes only wall-clock time — never the report.
+    See docs/SCALING.md.
 
     Backpressure is loss, not blocking: window queues are bounded and
     a request that finds every live queue full is shed and counted. *)
@@ -71,9 +67,6 @@ type config = {
       (** Worker domains executing the campaign; [None] sizes the pool
           to [min shards (Domain.recommended_domain_count ())].  Pool
           size affects host time only, never the report. *)
-  steal : bool;
-      (** Allow idle workers to steal from sibling deque tails.
-          Affects host time only, never the report. *)
   trace : Shard.trace_cfg option;
       (** Per-request tracing on every shard; traces land in
           {!Shard.outcome.trace}.  Because the trace configuration is
@@ -84,9 +77,7 @@ type config = {
           ordinal) drain shard [from] — its routed queue rides the
           carry to the next window in arrival order, like a quarantine
           redistribution — and retire it from the rotation; from the
-          next window its classes route to shard [to].  After the
-          campaign drains, the source worker's cached boot images move
-          to the target worker through {!Shard.handoff}.  Because
+          next window its classes route to shard [to].  Because
           outcomes are placement-independent and the drain only moves
           (never drops) requests, a migration leaves the report's
           fleet section byte-identical as long as nothing is shed. *)
@@ -108,7 +99,7 @@ type config = {
 val default_config : shards:int -> config
 (** [queue_cap 64], [imbalance 4], [replicas 16], [batch_window 4096],
     [image_cap 8], no watchdog, no injection, no preload, pool sized
-    to the host, stealing on, no tracing, no migration, no rolling
+    to the host, no tracing, no migration, no rolling
     restarts, no autoscaling. *)
 
 type stats = {
@@ -150,16 +141,6 @@ type shard_model = {
     dedicated per-shard machine would have counted — independent of
     which pool worker actually ran each request on the host. *)
 
-type host_stats = {
-  hs_workers : int;  (** Resolved pool size. *)
-  hs_steal : bool;
-  hs_executed : int array;  (** Per-worker requests executed (host order). *)
-  hs_stolen : int array;  (** Per-worker requests stolen from siblings. *)
-}
-(** Host-side execution accounting.  Nondeterministic by nature (it
-    measures the host scheduler); kept out of the deterministic
-    report. *)
-
 type result = {
   models : shard_model array;
   outcomes : Shard.outcome list;
@@ -170,7 +151,6 @@ type result = {
       (** The pool workers' shard states, for image persistence
           ([--snapshot]); their counters are host-scheduling dependent
           — report from [models] instead. *)
-  host : host_stats;
 }
 
 val run : config -> Workload.request list -> result

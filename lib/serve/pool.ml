@@ -1,236 +1,38 @@
-(* The persistent worker pool.  Concurrency layout:
+(* The parallel map.  Items are claimed by index through one atomic
+   cursor and each result is written to its own slot, so workers share
+   nothing but the cursor and the failure cell.  A failure closes the
+   cursor (every later claim reads past the end), so the other workers
+   stop after their current item. *)
 
-   - Each deque's contents live behind that deque's own mutex (the
-     stripes): pushes and pops on different deques never contend on
-     the data.
-   - The coordination state — per-deque item counts, the
-     submitted/completed totals, parking and drain — lives behind one
-     [coord] mutex with two condition variables.  Every transition a
-     parked worker could be waiting on happens under [coord], so there
-     is no lost-wakeup window.  These critical sections are a few
-     machine words; executing a request costs milliseconds, so the
-     shared lock is never the bottleneck.
-
-   Reservation protocol: a worker picks a deque by decrementing its
-   [avail] count under [coord], then pops the item under the deque's
-   own mutex.  Items are pushed before [avail] is raised and only
-   popped by reservation holders, so a reserved deque always has an
-   item for its reserver. *)
-
-type 'a deque = {
-  dmu : Mutex.t;
-  (* Two stacks: [front] holds the head end, [back] the tail end.
-     Either side reverses the other when it runs dry — the classic
-     amortized-O(1) functional deque. *)
-  mutable front : 'a list;
-  mutable back : 'a list;
-}
-
-let deque_push_back d x =
-  Mutex.lock d.dmu;
-  d.back <- x :: d.back;
-  Mutex.unlock d.dmu
-
-let deque_pop_front d =
-  Mutex.lock d.dmu;
-  let x =
-    match d.front with
-    | x :: rest ->
-        d.front <- rest;
-        x
-    | [] -> (
-        match List.rev d.back with
-        | x :: rest ->
-            d.front <- rest;
-            d.back <- [];
-            x
-        | [] -> assert false (* reservation guarantees an item *))
+let map ~workers f items =
+  if workers < 1 then invalid_arg "Pool.map: workers < 1";
+  let items = Array.of_list items in
+  let n = Array.length items in
+  let results = Array.make n None in
+  let cursor = Atomic.make 0 in
+  let failure = Atomic.make None in
+  let fail e =
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+    Atomic.set cursor n
   in
-  Mutex.unlock d.dmu;
-  x
-
-let deque_pop_back d =
-  Mutex.lock d.dmu;
-  let x =
-    match d.back with
-    | x :: rest ->
-        d.back <- rest;
-        x
-    | [] -> (
-        match List.rev d.front with
-        | x :: rest ->
-            d.back <- rest;
-            d.front <- [];
-            x
-        | [] -> assert false)
+  let rec work w =
+    let i = Atomic.fetch_and_add cursor 1 in
+    if i < n then
+      match f w items.(i) with
+      | y ->
+          results.(i) <- Some y;
+          work w
+      | exception e -> fail e
   in
-  Mutex.unlock d.dmu;
-  x
-
-type ('a, 'b) t = {
-  workers : int;
-  steal : bool;
-  exec : int -> 'a -> 'b;
-  deques : 'a deque array;
-  coord : Mutex.t;
-  work_cv : Condition.t;  (* new work, or shutdown *)
-  done_cv : Condition.t;  (* completed caught up with submitted *)
-  avail : int array;  (* per-deque queued count; under [coord] *)
-  mutable submitted : int;
-  mutable completed : int;
-  mutable stopping : bool;
-  mutable live : int;
-  mutable failure : exn option;
-  results : 'b list ref array;  (* worker-local until the join *)
-  executed : int array;
-  steals : int array;
-  mutable domains : unit Domain.t array;
-  mutable drained : 'b list option;
-}
-
-(* Find a deque with queued work: own first, then — when stealing —
-   siblings in ring order.  Called under [coord]. *)
-let pick t wid =
-  if t.avail.(wid) > 0 then Some wid
-  else if not t.steal then None
-  else
-    let rec scan k =
-      if k = t.workers then None
-      else
-        let v = (wid + k) mod t.workers in
-        if t.avail.(v) > 0 then Some v else scan (k + 1)
-    in
-    scan 1
-
-(* Take the next item for worker [wid], parking when the pool is idle.
-   [None] means the pool is stopping and no grabbable work remains. *)
-let take t wid =
-  Mutex.lock t.coord;
-  let rec wait_for_work () =
-    match pick t wid with
-    | Some v ->
-        t.avail.(v) <- t.avail.(v) - 1;
-        Mutex.unlock t.coord;
-        let item =
-          if v = wid then deque_pop_front t.deques.(v)
-          else begin
-            t.steals.(wid) <- t.steals.(wid) + 1;
-            deque_pop_back t.deques.(v)
-          end
-        in
-        Some item
-    | None ->
-        if t.stopping then begin
-          Mutex.unlock t.coord;
-          None
-        end
-        else begin
-          Condition.wait t.work_cv t.coord;
-          wait_for_work ()
-        end
-  in
-  wait_for_work ()
-
-let worker_loop t wid () =
-  let record ?failed out =
-    (match out with
-    | Some o -> t.results.(wid) := o :: !(t.results.(wid))
-    | None -> ());
-    t.executed.(wid) <- t.executed.(wid) + 1;
-    Mutex.lock t.coord;
-    (match failed with
-    | Some e when t.failure = None -> t.failure <- Some e
-    | _ -> ());
-    t.completed <- t.completed + 1;
-    if t.completed = t.submitted then Condition.broadcast t.done_cv;
-    Mutex.unlock t.coord
-  in
-  let rec loop () =
-    match take t wid with
-    | None -> ()
-    | Some item ->
-        (match t.exec wid item with
-        | out -> record (Some out)
-        | exception e -> record ~failed:e None);
-        loop ()
-  in
-  loop ();
-  Mutex.lock t.coord;
-  t.live <- t.live - 1;
-  Mutex.unlock t.coord
-
-let create ~workers ~steal ~exec () =
-  if workers < 1 then invalid_arg "Pool.create: workers < 1";
-  let t =
-    {
-      workers;
-      steal;
-      exec;
-      deques =
-        Array.init workers (fun _ ->
-            { dmu = Mutex.create (); front = []; back = [] });
-      coord = Mutex.create ();
-      work_cv = Condition.create ();
-      done_cv = Condition.create ();
-      avail = Array.make workers 0;
-      submitted = 0;
-      completed = 0;
-      stopping = false;
-      live = workers;
-      failure = None;
-      results = Array.init workers (fun _ -> ref []);
-      executed = Array.make workers 0;
-      steals = Array.make workers 0;
-      domains = [||];
-      drained = None;
-    }
-  in
-  t.domains <- Array.init workers (fun wid -> Domain.spawn (worker_loop t wid));
-  t
-
-let submit t ~worker item =
-  if worker < 0 || worker >= t.workers then
-    invalid_arg "Pool.submit: worker out of range";
-  (* Push before raising [avail]: a reserver must always find its
-     item.  The deque mutex nests inside [coord]; nothing locks the
-     other way around. *)
-  Mutex.lock t.coord;
-  if t.stopping then begin
-    Mutex.unlock t.coord;
-    invalid_arg "Pool.submit: pool is draining"
-  end;
-  deque_push_back t.deques.(worker) item;
-  t.avail.(worker) <- t.avail.(worker) + 1;
-  t.submitted <- t.submitted + 1;
-  Condition.broadcast t.work_cv;
-  Mutex.unlock t.coord
-
-let drain t =
-  match t.drained with
-  | Some r -> r
-  | None ->
-      Mutex.lock t.coord;
-      t.stopping <- true;
-      (* Wake every parked worker: with no work left they exit; with
-         work left they keep serving until the deques run dry. *)
-      Condition.broadcast t.work_cv;
-      while t.completed < t.submitted do
-        Condition.wait t.done_cv t.coord
-      done;
-      Mutex.unlock t.coord;
-      Array.iter Domain.join t.domains;
-      (match t.failure with Some e -> raise e | None -> ());
-      let r =
-        Array.fold_left (fun acc l -> List.rev_append !l acc) [] t.results
-      in
-      t.drained <- Some r;
-      r
-
-let live_workers t =
-  Mutex.lock t.coord;
-  let n = t.live in
-  Mutex.unlock t.coord;
-  n
-
-let executed t = Array.copy t.executed
-let steals t = Array.copy t.steals
+  let spawned = ref [] in
+  (try
+     for w = 1 to min workers n - 1 do
+       spawned := Domain.spawn (fun () -> work w) :: !spawned
+     done
+   with e -> fail e);
+  work 0;
+  List.iter Domain.join !spawned;
+  match Atomic.get failure with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> Array.to_list (Array.map Option.get results)

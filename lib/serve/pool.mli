@@ -1,60 +1,19 @@
-(** A persistent pool of worker domains fed by per-worker deques.
+(** One parallel map over self-contained work items.
 
-    The pool replaces the dispatcher's old spawn-one-domain-per-window
-    execution: [workers] domains are spawned once at {!create}, live
-    for the whole campaign, and are joined once at {!drain}.  Work is
-    submitted to a per-worker deque (each deque has its own mutex —
-    the stripes), a worker pops from the {e head} of its own deque,
-    and — when stealing is on — an idle worker pops from the {e tail}
-    of the first sibling deque with work.  A worker that finds every
-    deque empty parks on a condition variable instead of spinning, so
-    an idle fleet costs nothing.
+    The serving dispatcher and the arena both fan out work whose result
+    does not depend on where it runs (a request rewinds its machine to
+    the sealed class image; an arena wave builds its own machine), so
+    all either needs from the host is "run these, in parallel, and give
+    the results back in order".  Which worker ran which item changes
+    wall-clock time only. *)
 
-    Each worker accumulates its results in a worker-local list —
-    nothing is shared while serving — and {!drain} merges the local
-    lists once, after every submitted item has completed and every
-    domain has been joined.
-
-    The pool is generic and knows nothing about determinism: the order
-    of the list returned by {!drain} depends on host scheduling.
-    Callers that need a deterministic product (the dispatcher) must
-    key results by something request-borne and re-derive any
-    order-sensitive state themselves — see {!Dispatcher} and
-    docs/SCALING.md. *)
-
-type ('a, 'b) t
-
-val create :
-  workers:int -> steal:bool -> exec:(int -> 'a -> 'b) -> unit -> ('a, 'b) t
-(** [create ~workers ~steal ~exec ()] spawns [workers] long-lived
-    domains.  Each submitted item ['a] is executed as [exec w item]
-    where [w] is the index of the worker that ran it (its deque of
-    origin when it was not stolen).  Raises [Invalid_argument] when
-    [workers < 1].  [exec] must not raise for flow control; an
-    exception from [exec] is caught, remembered, and re-raised by
-    {!drain} after the pool has shut down cleanly. *)
-
-val submit : ('a, 'b) t -> worker:int -> 'a -> unit
-(** Queue an item on worker [worker]'s deque and wake the pool.
-    Raises [Invalid_argument] when the worker index is out of range or
-    the pool has already begun draining. *)
-
-val drain : ('a, 'b) t -> 'b list
-(** Wait for every submitted item to complete, stop and join every
-    worker domain, and return the merged results (host order —
-    unspecified).  Draining is idempotent: a second [drain] returns
-    the memoized result without touching any domain.  Re-raises the
-    first exception any [exec] call threw, if one did. *)
-
-val live_workers : ('a, 'b) t -> int
-(** Worker domains currently running their loop.  [workers] while the
-    pool serves; 0 after {!drain} returns. *)
-
-val executed : ('a, 'b) t -> int array
-(** Per-worker count of items executed.  Stable only after {!drain};
-    host-scheduling dependent, so for observability — never for the
-    deterministic report. *)
-
-val steals : ('a, 'b) t -> int array
-(** Per-worker count of items stolen from a sibling's deque tail.
-    Same caveats as {!executed}. *)
+val map : workers:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
+(** [map ~workers f items] is [List.mapi]-shaped: it applies [f w x]
+    to every item exactly once and returns the results in input order.
+    [min workers (List.length items)] workers claim items through one
+    atomic cursor; worker [w] (in [\[0, workers)]) is the calling
+    domain for [w = 0] and a freshly spawned domain otherwise, so
+    [workers = 1] runs inline and [f] may keep per-worker state indexed
+    by [w].  If [f] raises, no further items are claimed, every spawned
+    domain is joined, and then the first exception is re-raised.
+    Raises [Invalid_argument] when [workers < 1]. *)

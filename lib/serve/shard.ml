@@ -48,42 +48,6 @@ type prog = {
 
 let acl_all access = [ { Os.Acl.user = Os.Acl.wildcard; access } ]
 
-(* The same caller/gated-service shape as Os.Scenario.crossing, spelt
-   out here because the shard needs the sources (to feed its own
-   Store), not a booted Process. *)
-let crossing_sources ~caller_ring ~callee_ring ?callable_from
-    ~with_argument iterations =
-  let callable_from =
-    match callable_from with
-    | Some r -> r
-    | None -> max caller_ring callee_ring
-  in
-  let arg_symbol = if with_argument then Some "data$word0" else None in
-  let r_data = max caller_ring callee_ring in
-  [
-    ( "caller",
-      acl_all
-        (Rings.Access.procedure_segment ~execute_in:caller_ring
-           ~callable_from:caller_ring ()),
-      Os.Scenario.caller_source ?arg_symbol ~callee_link:"service$entry"
-        ~iterations () );
-    ( "service",
-      acl_all
-        (Rings.Access.procedure_segment ~execute_in:callee_ring
-           ~callable_from ()),
-      Os.Scenario.callee_source ~touch_argument:with_argument () );
-  ]
-  @
-  if with_argument then
-    [
-      ( "data",
-        acl_all
-          (Rings.Access.data_segment ~writable_to:r_data ~readable_to:r_data
-             ()),
-        "word0:  .word 7\n" );
-    ]
-  else []
-
 (* A gateless compute loop: retires instructions without ever
    faulting, crossing or touching a channel, so it is exactly what the
    run watchdog quarantines.  Not part of any default mix; the
@@ -107,7 +71,7 @@ let catalog =
         p_ring = 4;
         p_start = "caller";
         p_sources =
-          crossing_sources ~caller_ring:4 ~callee_ring:1 ~with_argument:false;
+          Os.Scenario.crossing_sources ~caller_ring:4 ~callee_ring:1;
       } );
     ( "crossing-645",
       {
@@ -116,7 +80,7 @@ let catalog =
         p_ring = 4;
         p_start = "caller";
         p_sources =
-          crossing_sources ~caller_ring:4 ~callee_ring:1 ~with_argument:false;
+          Os.Scenario.crossing_sources ~caller_ring:4 ~callee_ring:1;
       } );
     ( "same-ring",
       {
@@ -125,8 +89,8 @@ let catalog =
         p_ring = 4;
         p_start = "caller";
         p_sources =
-          crossing_sources ~caller_ring:4 ~callee_ring:4 ~callable_from:4
-            ~with_argument:false;
+          Os.Scenario.crossing_sources ~caller_ring:4 ~callee_ring:4
+            ~callable_from:4;
       } );
     ( "outward",
       {
@@ -135,7 +99,7 @@ let catalog =
         p_ring = 1;
         p_start = "caller";
         p_sources =
-          crossing_sources ~caller_ring:1 ~callee_ring:3 ~with_argument:false;
+          Os.Scenario.crossing_sources ~caller_ring:1 ~callee_ring:3;
       } );
     ( "argcross",
       {
@@ -144,7 +108,8 @@ let catalog =
         p_ring = 4;
         p_start = "caller";
         p_sources =
-          crossing_sources ~caller_ring:4 ~callee_ring:1 ~with_argument:true;
+          Os.Scenario.crossing_sources ~caller_ring:4 ~callee_ring:1
+            ~with_argument:true;
       } );
     ( "paged",
       {
@@ -153,7 +118,8 @@ let catalog =
         p_ring = 4;
         p_start = "caller";
         p_sources =
-          crossing_sources ~caller_ring:4 ~callee_ring:1 ~with_argument:true;
+          Os.Scenario.crossing_sources ~caller_ring:4 ~callee_ring:1
+            ~with_argument:true;
       } );
     ( "spin",
       {
@@ -337,58 +303,6 @@ let boot t k =
       | Error e ->
           fail "shard %d: warm boot failed: %s" t.sid
             (Format.asprintf "%a" Os.Snapshot.pp_error e))
-
-(* ------------------------------------------------------------------ *)
-(* Handoff *)
-
-(* Move a class's boot slot to another shard over the incremental
-   snapshot transfer.  The source opens a chain at its machine's
-   current (post-serving) state, drains by rewinding to the class's
-   sealed boot image — every page that rewind rewrites lands in the
-   dirty map — and captures the rewind as a delta.  Base plus delta
-   flatten into a full image describing exactly the class boot state,
-   which the destination restores with full validation (checksum,
-   shape, self-check, kernel-table audit: a cross-shard image is
-   untrusted by definition) onto a freshly built system of the same
-   class, then re-seals for its own warm boots.  The source forgets
-   the class. *)
-let handoff src k dst =
-  let program, iterations = k in
-  let prog =
-    match List.assoc_opt program catalog with
-    | Some p -> p
-    | None -> fail "shard %d: handoff: unknown program %s" src.sid program
-  in
-  match Hw.Assoc.find src.cache k with
-  | None ->
-      fail "shard %d: handoff: class %s/%d not cached" src.sid program
-        iterations
-  | Some slot ->
-      let chain, base = Os.Snapshot.start_chain slot.sys in
-      (match Os.Snapshot.warm_boot slot.sys slot.image with
-      | Ok () -> ()
-      | Error e ->
-          fail "shard %d: handoff: rewind of %s/%d failed: %s" src.sid
-            program iterations
-            (Format.asprintf "%a" Os.Snapshot.pp_error e));
-      let delta = Os.Snapshot.capture_delta slot.sys chain in
-      let image =
-        match Os.Snapshot.flatten ~base [ delta ] with
-        | Ok img -> img
-        | Error e ->
-            fail "shard %d: handoff: flatten of %s/%d failed: %s" src.sid
-              program iterations
-              (Format.asprintf "%a" Os.Snapshot.pp_error e)
-      in
-      let sys = build_system dst prog ~iterations in
-      (match Os.Snapshot.restore sys image with
-      | Ok () -> ()
-      | Error e ->
-          fail "shard %d: handoff of %s/%d to shard %d rejected: %s" src.sid
-            program iterations dst.sid
-            (Format.asprintf "%a" Os.Snapshot.pp_error e));
-      ignore (Hw.Assoc.remove src.cache k);
-      ignore (Hw.Assoc.insert dst.cache k (seal_slot sys))
 
 (* ------------------------------------------------------------------ *)
 (* Serving *)

@@ -111,18 +111,6 @@ val image_stats : t -> Hw.Assoc.stats
 val images : t -> (klass * string) list
 (** Every boot image currently cached, for persistence ([--snapshot]). *)
 
-val handoff : t -> klass -> t -> unit
-(** [handoff src k dst] migrates class [k]'s boot slot from [src] to
-    [dst] over the incremental-snapshot transfer: open a chain at the
-    source machine's current state ({!Os.Snapshot.start_chain}), drain
-    by rewinding to the class's sealed boot image, capture the rewind's
-    dirty pages as a delta ({!Os.Snapshot.capture_delta}), flatten, and
-    restore the flattened image — full validation, since a cross-shard
-    image is untrusted — onto a freshly built same-class system on the
-    destination, which re-seals it for its own warm boots.  The source
-    drops the class.  Raises [Failure] on a catalog defect or a
-    rejected transfer. *)
-
 val programs : string list
 (** The program catalog's names, each a scenario in the style of
     [examples/programs]: ring crossings under both implementations,

@@ -23,16 +23,6 @@
    Each succeeds only at getting itself contained or quarantined; the
    arena's auditors check nothing leaked in the process. *)
 
-let mix_seed seed = (seed * 0x9e3779b9) lxor 0x2545f4914f6cdd1d lor 1
-
-let next st =
-  let x = !st in
-  let x = x lxor (x lsl 13) in
-  let x = x lxor (x lsr 7) in
-  let x = x lxor (x lsl 17) in
-  st := x;
-  x land max_int
-
 let acl_all access = [ { Os.Acl.user = Os.Acl.wildcard; access } ]
 
 let proc ring = Rings.Access.procedure_segment ~execute_in:ring ~callable_from:ring ()
@@ -144,11 +134,11 @@ let make_tenant ~id ~kind st =
   let main = p ^ "main" and svc = p ^ "svc" and dat = p ^ "dat" in
   match kind with
   | "compute" ->
-      let spins = 20 + (next st mod 100) in
+      let spins = 20 + (Workload.next st mod 100) in
       tenant ~id ~kind ~adversarial:false ~ring:4 ~start:(main, "start")
         [ (main, acl_all (proc 4), compute_source ~spins) ]
   | "crossing" ->
-      let iterations = 2 + (next st mod 8) in
+      let iterations = 2 + (Workload.next st mod 8) in
       tenant ~id ~kind ~adversarial:false ~ring:4 ~start:(main, "start")
         [
           ( main,
@@ -200,7 +190,7 @@ let make_tenant ~id ~kind st =
       tenant ~id ~kind ~adversarial:true ~ring:4 ~start:(main, "start")
         [ (main, acl_all (proc 4), stack_bracket_source) ]
   | "cache-probe" ->
-      let rounds = 4 + (next st mod 12) in
+      let rounds = 4 + (Workload.next st mod 12) in
       tenant ~id ~kind ~adversarial:true ~ring:4 ~start:(main, "start")
         [
           ( main,
@@ -220,7 +210,7 @@ let make_tenant ~id ~kind st =
       (* Honest channel traffic: keeps a transfer in flight most of
          the time, so injected channel errors and stalls land on this
          tenant's completions rather than only on the chaos reader. *)
-      let rounds = 4 + (next st mod 8) in
+      let rounds = 4 + (Workload.next st mod 8) in
       tenant ~id ~kind ~adversarial:false ~ring:0 ~start:(main, "start")
         [
           (main, acl_all (proc 0), io_heavy_source ~buf:dat ~rounds);
@@ -233,7 +223,7 @@ let make_tenant ~id ~kind st =
       (* Honest but memory-sprawling: demand-paged, sweeping a
          three-page data segment so its slices are dominated by page
          faults and frame traffic. *)
-      let rounds = 2 + (next st mod 6) in
+      let rounds = 2 + (Workload.next st mod 6) in
       tenant ~paged:true ~id ~kind ~adversarial:false ~ring:4
         ~start:(main, "start")
         [
@@ -280,9 +270,9 @@ let generate ?(profile = "standard") ~seed ~tenants () =
   in
   if tenants <= 0 then invalid_arg "Tenants.generate: tenants must be > 0";
   let total = List.fold_left (fun acc (_, w) -> acc + w) 0 kinds in
-  let st = ref (mix_seed seed) in
+  let st = ref (Workload.mix_seed seed) in
   let draw () =
-    let r = next st mod total in
+    let r = Workload.next st mod total in
     let rec pick acc = function
       | [ (k, _) ] -> k
       | (k, w) :: rest -> if r < acc + w then k else pick (acc + w) rest
@@ -314,33 +304,15 @@ let generate ?(profile = "standard") ~seed ~tenants () =
 (* {1 The arena over shards}
 
    Waves are self-contained (own store, machine, injector), so the
-   fleet treatment is embarrassingly parallel: deal wave indices
-   round-robin to [shards] domains, run, and merge by wave index.
-   {!Os.Arena.assemble} sorts, so the report is byte-identical to the
-   sequential run — the same determinism contract the serving fleet
-   keeps (docs/SCALING.md). *)
+   fleet treatment is one {!Pool.map} over them.  {!Os.Arena.assemble}
+   sorts, so the report is byte-identical to the sequential run — the
+   same determinism contract the serving fleet keeps
+   (docs/SCALING.md). *)
 
 let run_sharded ?mode ?quantum ?inject ?(quota = Os.Arena.default_quota)
     ~shards ~seed tenants =
   if shards <= 0 then invalid_arg "Tenants.run_sharded: shards must be > 0";
-  let waves = Os.Arena.waves tenants in
-  let results =
-    if shards = 1 then
-      List.map
-        (fun (wave, ts) ->
-          Os.Arena.run_wave ?mode ?quantum ?inject ~quota ~wave ts)
-        waves
-    else
-      List.init shards (fun d ->
-          Domain.spawn (fun () ->
-              List.filter_map
-                (fun (wave, ts) ->
-                  if wave mod shards = d then
-                    Some
-                      (Os.Arena.run_wave ?mode ?quantum ?inject ~quota ~wave
-                         ts)
-                  else None)
-                waves))
-      |> List.concat_map Domain.join
-  in
-  Os.Arena.assemble ~seed ~quota results
+  Os.Arena.waves tenants
+  |> Pool.map ~workers:shards (fun _ (wave, ts) ->
+         Os.Arena.run_wave ?mode ?quantum ?inject ~quota ~wave ts)
+  |> Os.Arena.assemble ~seed ~quota

@@ -42,7 +42,7 @@ val run_sharded :
   seed:int ->
   Os.Arena.tenant list ->
   Os.Arena.report
-(** Run the campaign's waves round-robin across [shards] domains
+(** Run the campaign's waves through {!Pool.map} on [shards] workers
     ([shards = 1] stays on the calling domain) and assemble.  Waves
     are self-contained, so the report is byte-identical to the
     sequential run regardless of [shards].  [mode] selects each

@@ -47,6 +47,15 @@ val generate : mix:mix -> seed:int -> requests:int -> request list
     Arrivals are strictly increasing.  Raises [Invalid_argument] on a
     mix with no entries or nonpositive weights. *)
 
+val mix_seed : int -> int
+(** The generator state for a seed: never zero, so the stream never
+    sticks. *)
+
+val next : int ref -> int
+(** Advance an xorshift64* state and return a nonnegative draw.  The
+    arena's tenant generator ({!Tenants}) draws from the same
+    stream. *)
+
 val classes : request list -> (string * int) list
 (** The distinct [(program, iterations)] service classes a stream
     touches, sorted — what a shard will need boot images for. *)

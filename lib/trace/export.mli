@@ -11,6 +11,14 @@
     file in {{:https://ui.perfetto.dev}Perfetto} or [chrome://tracing];
     1 µs of trace time = 1 modeled cycle. *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** Append a string's JSON escaping (quote, backslash and control
+    characters; every other byte, UTF-8 included, passes through). *)
+
+val add_str : Buffer.t -> string -> unit
+(** Append a string as a quoted JSON string literal.  The one JSON
+    string writer every report in the tree uses. *)
+
 val chrome_trace :
   ?backend:string ->
   ?events:Event.stamped list ->

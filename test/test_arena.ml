@@ -172,6 +172,36 @@ let test_with_injection () =
     (Os.Arena.report_json r)
     (Os.Arena.report_json again)
 
+(* A report carrying a violation is still valid JSON.  The
+   cross-tenant auditor's detail contains an em dash; quotes, a
+   backslash and a newline exercise the rest of the escaper.  Every
+   string comes back from the reader unchanged. *)
+let test_report_json_escapes () =
+  let r = run_spinner ~cycles:Os.Arena.default_quota.Os.Arena.cycles in
+  let detail =
+    "t0000: \"stack\" at [0,4) escapes its region [4,8) \xe2\x80\x94 \
+     reachable\\\nfrom a co-tenant's ring context"
+  in
+  let b = the_bill r in
+  let r =
+    {
+      r with
+      Os.Arena.violations = [ detail ];
+      bills = [ { b with Os.Arena.name = "t\"0\"" } ];
+    }
+  in
+  match Trace.Json.parse (Os.Arena.report_json r) with
+  | Error e -> Alcotest.failf "report does not parse: %s" e
+  | Ok j ->
+      Alcotest.(check bool) "violation round-trips" true
+        (Trace.Json.member "violations" j
+        = Some (Trace.Json.Array [ Trace.Json.String detail ]));
+      Alcotest.(check bool) "bill name round-trips" true
+        (match Trace.Json.member "bills" j with
+        | Some (Trace.Json.Array [ bill ]) ->
+            Trace.Json.member "name" bill = Some (Trace.Json.String "t\"0\"")
+        | _ -> false)
+
 let suite =
   [
     ( "arena",
@@ -190,5 +220,7 @@ let suite =
           `Quick test_generator;
         Alcotest.test_case "zero-leak gate holds under injection" `Quick
           test_with_injection;
+        Alcotest.test_case "report JSON escapes violations" `Quick
+          test_report_json_escapes;
       ] );
   ]

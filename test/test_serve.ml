@@ -164,16 +164,9 @@ let test_shard_cache_disabled () =
 (* ------------------------------------------------------------------ *)
 (* Dispatcher + Aggregate *)
 
-let run_fleet ?(shards = 2) ?(queue_cap = 256) ?watchdog ?pool ?(steal = true)
-    reqs =
+let run_fleet ?(shards = 2) ?(queue_cap = 256) ?watchdog ?pool reqs =
   let cfg =
-    {
-      (Serve.Dispatcher.default_config ~shards) with
-      queue_cap;
-      watchdog;
-      pool;
-      steal;
-    }
+    { (Serve.Dispatcher.default_config ~shards) with queue_cap; watchdog; pool }
   in
   let r = Serve.Dispatcher.run cfg reqs in
   ( Serve.Aggregate.build r.Serve.Dispatcher.models r.Serve.Dispatcher.outcomes
@@ -324,48 +317,79 @@ let test_aggregate_merges () =
 (* ------------------------------------------------------------------ *)
 (* Pool *)
 
-let test_pool_lifecycle () =
-  let pool =
-    Serve.Pool.create ~workers:3 ~steal:true ~exec:(fun _ x -> x * 2) ()
+(* Every item runs exactly once (a shared counter sees each index
+   once), results come back in input order, and the worker ids [f]
+   sees stay below the resolved worker count. *)
+let test_pool_map_order () =
+  let seen = Array.init 100 (fun _ -> Atomic.make 0) in
+  let out =
+    Serve.Pool.map ~workers:4
+      (fun w x ->
+        Atomic.incr seen.(x);
+        (w, x * 2))
+      (List.init 100 Fun.id)
   in
-  Alcotest.(check int) "workers live while serving" 3
-    (Serve.Pool.live_workers pool);
-  for i = 0 to 19 do
-    Serve.Pool.submit pool ~worker:(i mod 3) i
-  done;
-  let results = Serve.Pool.drain pool in
-  Alcotest.(check (list int))
-    "every item completed exactly once"
-    (List.init 20 (fun i -> i * 2))
-    (List.sort compare results);
-  Alcotest.(check int) "drain leaves no live domains" 0
-    (Serve.Pool.live_workers pool);
-  Alcotest.(check int) "double drain is safe and memoized" 20
-    (List.length (Serve.Pool.drain pool));
-  Alcotest.(check int) "per-worker executed counts add up" 20
-    (Array.fold_left ( + ) 0 (Serve.Pool.executed pool));
-  Alcotest.(check bool) "submit after drain is rejected" true
+  Alcotest.(check (list int)) "results in input order"
+    (List.init 100 (fun i -> i * 2))
+    (List.map snd out);
+  Alcotest.(check bool) "every item ran exactly once" true
+    (Array.for_all (fun c -> Atomic.get c = 1) seen);
+  Alcotest.(check bool) "worker ids in [0, 4)" true
+    (List.for_all (fun (w, _) -> w >= 0 && w < 4) out);
+  Alcotest.(check bool) "workers < 1 rejected" true
     (try
-       Serve.Pool.submit pool ~worker:0 99;
+       ignore (Serve.Pool.map ~workers:0 (fun _ x -> x) [ 1 ]);
        false
      with Invalid_argument _ -> true)
 
-let test_pool_failure () =
-  let pool =
-    Serve.Pool.create ~workers:2 ~steal:true
-      ~exec:(fun _ x -> if x = 3 then failwith "boom" else x)
-      ()
+let test_pool_inline () =
+  let caller = Domain.self () in
+  let out =
+    Serve.Pool.map ~workers:1
+      (fun w x -> (w, Domain.self () = caller, x))
+      [ 1; 2; 3 ]
   in
-  for i = 0 to 7 do
-    Serve.Pool.submit pool ~worker:(i mod 2) i
-  done;
-  Alcotest.(check bool) "drain re-raises the exec failure" true
+  Alcotest.(check bool) "one worker runs on the calling domain" true
+    (out = [ (0, true, 1); (0, true, 2); (0, true, 3) ])
+
+let test_pool_few_items () =
+  let out = Serve.Pool.map ~workers:8 (fun w x -> (w, x + 1)) [ 10; 20; 30 ] in
+  Alcotest.(check (list int)) "results in input order" [ 11; 21; 31 ]
+    (List.map snd out);
+  Alcotest.(check bool) "worker ids below the item count" true
+    (List.for_all (fun (w, _) -> w >= 0 && w < 3) out);
+  Alcotest.(check (list int)) "no items, no results" []
+    (Serve.Pool.map ~workers:8 (fun _ x -> x) [])
+
+(* A failing item must surface as its own exception, and only once
+   nothing is running any more: [live] counts the calls of [f] still
+   in flight, and must read zero when the exception arrives. *)
+let test_pool_failure () =
+  let live = Atomic.make 0 in
+  let f _ x =
+    Atomic.incr live;
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr live)
+      (fun () ->
+        if x = 3 then failwith "boom";
+        (* Keep the other workers busy while the failure lands. *)
+        let acc = ref 0 in
+        for i = 1 to 200_000 do
+          acc := !acc lxor i
+        done;
+        ignore (Sys.opaque_identity !acc);
+        x)
+  in
+  Alcotest.(check bool) "map re-raises the item's failure" true
     (try
-       ignore (Serve.Pool.drain pool);
+       ignore (Serve.Pool.map ~workers:3 f (List.init 40 Fun.id));
        false
      with Failure msg -> msg = "boom");
-  Alcotest.(check int) "domains joined despite the failure" 0
-    (Serve.Pool.live_workers pool)
+  Alcotest.(check int) "every call finished before the raise" 0
+    (Atomic.get live);
+  Alcotest.(check (list int)) "a later map still works"
+    (List.init 10 Fun.id)
+    (Serve.Pool.map ~workers:3 (fun _ x -> x) (List.init 10 Fun.id))
 
 let test_config_validation () =
   let bad cfg =
@@ -387,25 +411,22 @@ let test_config_validation () =
   Alcotest.(check bool) "replicas 0 rejected" true
     (bad { base with replicas = 0 })
 
-let test_steal_report_invariant () =
+let test_pool_report_invariant () =
   (* One service class and a prohibitive imbalance threshold: every
-     request routes to its hash-preferred shard, so one pool deque is
-     hot and the rest are idle — exactly the stealing scenario.  The
-     full report (not just the fleet section) must be byte-identical
-     whether the idle workers steal or sleep, and whatever the pool
-     size. *)
+     request routes to its hash-preferred shard, so one modeled shard
+     holds all the work.  The full report (not just the fleet section)
+     must be byte-identical whatever the pool size. *)
   let reqs =
     List.init 40 (fun i ->
         req ~id:i ~program:"crossing-hw" ~iterations:8 ~arrival:(1 + (i * 16)))
   in
-  let report ~pool ~steal =
+  let report ~pool =
     let cfg =
       {
         (Serve.Dispatcher.default_config ~shards:4) with
         queue_cap = 256;
         imbalance = 1000;
         pool;
-        steal;
       }
     in
     let r = Serve.Dispatcher.run cfg reqs in
@@ -418,22 +439,14 @@ let test_steal_report_invariant () =
       (Serve.Aggregate.build r.Serve.Dispatcher.models
          r.Serve.Dispatcher.outcomes stats)
   in
-  let reference = report ~pool:(Some 4) ~steal:true in
-  Alcotest.(check string) "steal on = steal off"
-    reference
-    (report ~pool:(Some 4) ~steal:false);
-  Alcotest.(check string) "pool 4 = pool 1"
-    reference
-    (report ~pool:(Some 1) ~steal:true);
-  Alcotest.(check string) "pool 4 = pool 3"
-    reference
-    (report ~pool:(Some 3) ~steal:true)
+  let reference = report ~pool:(Some 4) in
+  Alcotest.(check string) "pool 4 = pool 1" reference (report ~pool:(Some 1));
+  Alcotest.(check string) "pool 4 = pool 3" reference (report ~pool:(Some 3))
 
 let test_quarantine_under_pool () =
-  (* A tripping request under a multi-worker stealing pool: the
-     quarantined shard's queue must be redistributed in request order
-     and the whole report must byte-match the serial (one worker, no
-     steal) run. *)
+  (* A tripping request under a multi-worker pool: the quarantined
+     shard's queue must be redistributed in request order and the
+     whole report must byte-match the serial (one worker) run. *)
   let spin = req ~id:0 ~program:"spin" ~iterations:4000 ~arrival:1 in
   let rest =
     List.init 6 (fun i ->
@@ -442,9 +455,9 @@ let test_quarantine_under_pool () =
           ~iterations:6
           ~arrival:(2 + i))
   in
-  let run ~pool ~steal =
+  let run ~pool =
     let agg, outcomes, stats =
-      run_fleet ~shards:2 ~watchdog:500 ~pool ~steal (spin :: rest)
+      run_fleet ~shards:2 ~watchdog:500 ~pool (spin :: rest)
     in
     Alcotest.(check int) "one shard quarantined" 1
       stats.Serve.Dispatcher.quarantined;
@@ -459,9 +472,8 @@ let test_quarantine_under_pool () =
          outcomes);
     Serve.Aggregate.report_json agg
   in
-  Alcotest.(check string) "pooled run = serial run"
-    (run ~pool:4 ~steal:true)
-    (run ~pool:1 ~steal:false)
+  Alcotest.(check string) "pooled run = serial run" (run ~pool:4)
+    (run ~pool:1)
 
 (* ------------------------------------------------------------------ *)
 (* Traced serving *)
@@ -637,39 +649,6 @@ let test_elastic_config_validation () =
   Alcotest.(check bool) "restart_every 0 rejected" true
     (bad { base with restart_every = Some 0 })
 
-let test_shard_handoff () =
-  let src = Serve.Shard.create ~id:0 () in
-  let dst = Serve.Shard.create ~id:1 () in
-  let k = ("crossing-hw", 6) in
-  let baseline =
-    Serve.Shard.exec src (req ~id:0 ~program:"crossing-hw" ~iterations:6 ~arrival:1)
-  in
-  Serve.Shard.handoff src k dst;
-  Alcotest.(check bool) "source dropped the class" true
-    (not (List.mem_assoc k (Serve.Shard.images src)));
-  Alcotest.(check bool) "destination holds the class" true
-    (List.mem_assoc k (Serve.Shard.images dst));
-  let o =
-    Serve.Shard.exec dst (req ~id:1 ~program:"crossing-hw" ~iterations:6 ~arrival:2)
-  in
-  Alcotest.(check int) "migrated image warm-boots" 1 (Serve.Shard.warm_boots dst);
-  Alcotest.(check int) "no cold boot on the destination" 0
-    (Serve.Shard.cold_boots dst);
-  Alcotest.(check string) "same exit after migration"
-    baseline.Serve.Shard.exit_label o.Serve.Shard.exit_label;
-  Alcotest.(check int) "same latency after migration"
-    baseline.Serve.Shard.latency o.Serve.Shard.latency;
-  Alcotest.(check bool) "same counter delta after migration" true
-    (baseline.Serve.Shard.delta = o.Serve.Shard.delta);
-  Alcotest.(check bool) "same ring attribution after migration" true
-    (baseline.Serve.Shard.ring_cycles = o.Serve.Shard.ring_cycles);
-  (* A class the source never booted cannot be handed off. *)
-  Alcotest.(check bool) "uncached class refused" true
-    (try
-       Serve.Shard.handoff src ("same-ring", 4) dst;
-       false
-     with Failure _ -> true)
-
 let suite =
   [
     ( "serve",
@@ -697,14 +676,18 @@ let suite =
           test_quarantine_redistribution;
         Alcotest.test_case "aggregate: commutative merges" `Quick
           test_aggregate_merges;
-        Alcotest.test_case "pool: lifecycle and double drain" `Quick
-          test_pool_lifecycle;
-        Alcotest.test_case "pool: exec failure surfaces at drain" `Quick
+        Alcotest.test_case "pool: map order and coverage" `Quick
+          test_pool_map_order;
+        Alcotest.test_case "pool: one worker runs inline" `Quick
+          test_pool_inline;
+        Alcotest.test_case "pool: more workers than items" `Quick
+          test_pool_few_items;
+        Alcotest.test_case "pool: failure after join" `Quick
           test_pool_failure;
         Alcotest.test_case "dispatch: config validation" `Quick
           test_config_validation;
-        Alcotest.test_case "dispatch: steal and pool size invisible" `Quick
-          test_steal_report_invariant;
+        Alcotest.test_case "dispatch: pool size invisible" `Quick
+          test_pool_report_invariant;
         Alcotest.test_case "dispatch: quarantine under the pool" `Quick
           test_quarantine_under_pool;
         Alcotest.test_case "trace: fleet placement-invariant" `Quick
@@ -715,6 +698,5 @@ let suite =
           `Quick test_elastic_fleet_invariant;
         Alcotest.test_case "elastic: config validation" `Quick
           test_elastic_config_validation;
-        Alcotest.test_case "elastic: shard handoff" `Quick test_shard_handoff;
       ] );
   ]
