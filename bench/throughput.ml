@@ -175,22 +175,79 @@ let run_traced ~name ~max_instructions build =
         snapshot = Trace.Counters.snapshot c;
       }
 
+(* {1 Paired host-time gates}
+
+   A host-time gate holds the cost ratio of two configurations of one
+   workload to a budget.  On a shared host one ratio of two runs, or
+   of the best of a few runs per side taken back to back, swings past
+   any budget in both directions: at unchanged code the trace gate
+   read 1.52x-1.89x as best-of-3 ratios.  So a gate runs [gate_pairs]
+   pairs, alternating which side of a pair runs first so drift over
+   the gate lands on both sides alike, and holds the median of the
+   per-pair ratios to its budget.  The median and quartiles are
+   recorded in BENCH_throughput.json. *)
+let gate_pairs = 5
+
+type ('a, 'b) paired = {
+  pairs : ('a * 'b) list;  (* (base, variant), in run order *)
+  ratios : float array;  (* per-pair cost ratios, ascending *)
+  median_pair : 'a * 'b;  (* the pair whose ratio is the median *)
+}
+
+(* Linear interpolation between the closest ranks of [sorted]. *)
+let quantile sorted q =
+  let n = Array.length sorted in
+  let pos = q *. float_of_int (n - 1) in
+  let i = int_of_float pos in
+  if i >= n - 1 then sorted.(n - 1)
+  else sorted.(i) +. ((pos -. float_of_int i) *. (sorted.(i + 1) -. sorted.(i)))
+
+let run_pairs ~base ~variant ~ratio =
+  let pairs =
+    List.init gate_pairs (fun i ->
+        if i mod 2 = 0 then
+          let b = base () in
+          (b, variant ())
+        else
+          let v = variant () in
+          (base (), v))
+  in
+  let by_ratio =
+    List.sort
+      (fun (x, _) (y, _) -> Float.compare x y)
+      (List.map (fun (b, v) -> (ratio b v, (b, v))) pairs)
+  in
+  {
+    pairs;
+    ratios = Array.of_list (List.map fst by_ratio);
+    median_pair = snd (List.nth by_ratio (gate_pairs / 2));
+  }
+
+let median p = quantile p.ratios 0.5
+
+(* The gate: fail when the median ratio reaches [budget]. *)
+let gate ~what ~budget p =
+  if median p >= budget then
+    failwith
+      (Printf.sprintf "%s %.2fx (median of %d pairs) exceeds the %.1fx budget"
+         what (median p) gate_pairs budget)
+
+let json_of_gate ~budget p =
+  Printf.sprintf
+    "\"pairs\": %d, \"overhead_ratio\": %.3f, \"overhead_ratio_q1\": %.3f, \
+     \"overhead_ratio_q3\": %.3f, \"overhead_budget\": %.1f"
+    gate_pairs (median p) (quantile p.ratios 0.25) (quantile p.ratios 0.75)
+    budget
+
 (* Host-time budget for full tracing.  The event hot path is an
    integer-cell arena write (no variant, no string, no formatting —
    disassembly happens lazily at export); this is the regression gate
    the binary ring buffer bought, and [make bench] fails if it
    regresses toward the 8x of the variant-allocating log it replaced.
-   Both sides of the ratio are measured best-of-[trace_overhead_runs]:
-   host noise (VM steal time, GC placement, code layout) only ever
-   *inflates* a wall-clock sample, so the fastest of a few fresh runs
-   is the faithful cost of each configuration — single-shot ratios on
-   a jittery host swing far past any budget in both directions, and
-   the historical single-shot 1.44x was itself noise-deflated (an
-   inflated untraced denominator).  Honestly measured, full tracing
-   costs ~1.5x; the budget sits just above the point estimate so the
-   gate trips on regressions, not on measurement spread. *)
+   Full tracing costs ~1.5-1.6x on a 2-vCPU container, and the budget
+   sits at the top of that range: the paired median removes the
+   spread of single ratios, not the cost itself. *)
 let trace_overhead_budget = 1.6
-let trace_overhead_runs = 3
 
 (* The record hot path must not allocate.  [Gc.minor_words] deltas
    over 10k records: a per-event allocation would cost >= 20k words,
@@ -277,23 +334,22 @@ let run_idle_injector ~name ~max_instructions build =
    capture_delta), a rate at which full captures would be hopeless.
    The deltas serialize only the nonzero words of pages dirtied since
    the previous image, so the whole-run slowdown against an identical
-   plain run must stay under snap_incremental_budget; the chain must
-   restore onto a fresh system with full validation.  Both runs use
-   the same scheduler quantum so their modeled cycles are comparable
-   word for word. *)
+   plain run must stay under snap_incremental_budget (a paired gate);
+   the chain must restore onto a fresh system with full validation.
+   Both runs use the same scheduler quantum so their modeled cycles
+   are comparable word for word. *)
 type snap_inc_sample = {
-  si_workload : string;
-  si_quantum : int;
   si_deltas : int;
   si_base_bytes : int;
   si_delta_bytes_total : int;
   si_delta_bytes_max : int;
-  si_parity : bool;
   si_restore_ok : bool;
   si_capture_seconds : float;
-  si_plain_ips : float;
-  si_inc_ips : float;
+  si_ips : float;
+  si_cycles : int;
 }
+
+let snap_workload = "bump-pair"
 
 let snap_incremental_budget = 1.5
 
@@ -310,16 +366,16 @@ let snap_bump_source ~n =
      cell:   .its 0, counter$value\n"
     n
 
-let build_snapshot_system ~n1 ~n2 () =
+let build_snapshot_system () =
   let wildcard access = [ { Os.Acl.user = Os.Acl.wildcard; access } ] in
   let proc4 =
     Rings.Access.procedure_segment ~execute_in:4 ~callable_from:4 ()
   in
   let store = Os.Store.create () in
   Os.Store.add_source store ~name:"bump_a" ~acl:(wildcard proc4)
-    (snap_bump_source ~n:n1);
+    (snap_bump_source ~n:40_000);
   Os.Store.add_source store ~name:"bump_b" ~acl:(wildcard proc4)
-    (snap_bump_source ~n:n2);
+    (snap_bump_source ~n:30_000);
   Os.Store.add_source store ~name:"counter"
     ~acl:
       (wildcard (Rings.Access.data_segment ~writable_to:4 ~readable_to:4 ()))
@@ -342,24 +398,27 @@ let build_snapshot_system ~n1 ~n2 () =
   | Error e -> failwith e);
   sys
 
-let run_snapshot_incremental () =
-  let n1 = 40_000 and n2 = 30_000 in
-  let max_slices = 100_000 in
-  (* The default 50-instruction quantum would mean a checkpoint every
-     ~50 instructions — no checkpointing scheme amortizes that.  A
-     2500-instruction slice keeps the rate extreme (a checkpoint
-     every ~2.5k instructions) while staying a real scheduling
-     granularity. *)
-  let quantum = 2_500 in
-  let plain = build_snapshot_system ~n1 ~n2 () in
-  let pc = (Os.System.machine plain).Isa.Machine.counters in
+(* The default 50-instruction quantum would mean a checkpoint every
+   ~50 instructions — no checkpointing scheme amortizes that.  A
+   2500-instruction slice keeps the rate extreme (a checkpoint every
+   ~2.5k instructions) while staying a real scheduling granularity. *)
+let snap_quantum = 2_500
+
+(* One timed run to completion: instr/sec and modeled cycles. *)
+let run_snapshot_system ?on_slice sys =
+  let c = (Os.System.machine sys).Isa.Machine.counters in
   let t0 = Unix.gettimeofday () in
   let (_ : (string * Os.Kernel.exit) list) =
-    Os.System.run ~quantum ~max_slices plain
+    Os.System.run ~quantum:snap_quantum ~max_slices:100_000 ?on_slice sys
   in
-  let plain_dt = Unix.gettimeofday () -. t0 in
-  let inc = build_snapshot_system ~n1 ~n2 () in
-  let ic = (Os.System.machine inc).Isa.Machine.counters in
+  let dt = Unix.gettimeofday () -. t0 in
+  (float_of_int (Trace.Counters.instructions c) /. dt, Trace.Counters.cycles c)
+
+(* The plain side of the pair. *)
+let run_snapshot_plain () = run_snapshot_system (build_snapshot_system ())
+
+let run_snapshot_incremental () =
+  let inc = build_snapshot_system () in
   let chain, base = Os.Snapshot.start_chain inc in
   let deltas = ref [] in
   let delta_bytes = ref 0 in
@@ -374,34 +433,27 @@ let run_snapshot_incremental () =
     if len > !delta_max then delta_max := len;
     deltas := d :: !deltas
   in
-  let t0 = Unix.gettimeofday () in
-  let (_ : (string * Os.Kernel.exit) list) =
-    Os.System.run ~quantum ~max_slices ~on_slice inc
-  in
-  let dt = Unix.gettimeofday () -. t0 in
+  let ips, cycles = run_snapshot_system ~on_slice inc in
   if Os.Snapshot.chain_length chain = 0 then
     failwith "snapshot incremental: no deltas captured";
   (* Restore on a fresh system exercises the whole transfer path:
      flatten (Stale_base/Broken_chain detection), decode, layered
      validation, self-check and audit. *)
-  let fresh = build_snapshot_system ~n1 ~n2 () in
+  let fresh = build_snapshot_system () in
   let restore_ok =
     match Os.Snapshot.restore_chain fresh ~base (List.rev !deltas) with
     | Ok () -> true
     | Error _ -> false
   in
   {
-    si_workload = "bump-pair";
-    si_quantum = quantum;
     si_deltas = Os.Snapshot.chain_length chain;
     si_base_bytes = String.length base;
     si_delta_bytes_total = !delta_bytes;
     si_delta_bytes_max = !delta_max;
-    si_parity = Trace.Counters.cycles ic = Trace.Counters.cycles pc;
     si_restore_ok = restore_ok;
     si_capture_seconds = !capture_seconds;
-    si_plain_ips = float_of_int (Trace.Counters.instructions pc) /. plain_dt;
-    si_inc_ips = float_of_int (Trace.Counters.instructions ic) /. dt;
+    si_ips = ips;
+    si_cycles = cycles;
   }
 
 (* The serving fleet at 1, 2 and 4 shards on the same workload.
@@ -647,8 +699,9 @@ let backend_deterministic_fragment s =
        s.bk_violations);
   Buffer.contents buf
 
-let json_of_samples samples span_samples ~traced ~untraced ~idle
-    ~(chaos : Os.Chaos.report) ~snap_inc ~serving ~arena ~backends =
+let json_of_samples samples span_samples ~trace ~idle
+    ~(chaos : Os.Chaos.report) ~snap ~serving ~arena ~backends =
+  let untraced, traced = trace.median_pair in
   let buf = Buffer.create 1024 in
   (* Host self-description up front: every section below — not just
      serving — is a measurement on this core count and compiler. *)
@@ -695,8 +748,9 @@ let json_of_samples samples span_samples ~traced ~untraced ~idle
     (Printf.sprintf
        "\n  ],\n  \"trace_overhead\": {\"workload\": %S, \
         \"instructions_per_sec_untraced\": %.0f, \
-        \"instructions_per_sec_traced\": %.0f, \"overhead_ratio\": %.3f},\n"
-       untraced.name untraced.ips traced.ips (untraced.ips /. traced.ips));
+        \"instructions_per_sec_traced\": %.0f, %s},\n"
+       untraced.name untraced.ips traced.ips
+       (json_of_gate ~budget:trace_overhead_budget trace));
   let h = chaos.Os.Chaos.recovery_latency in
   Buffer.add_string buf
     (Printf.sprintf
@@ -720,23 +774,21 @@ let json_of_samples samples span_samples ~traced ~untraced ~idle
        (Trace.Histogram.percentile h 99.0)
        (if Trace.Histogram.count h = 0 then 0
         else Trace.Histogram.max_value h));
+  let (plain_ips, _), snap_inc = snap.median_pair in
   Buffer.add_string buf
     (Printf.sprintf
        "  \"snapshot_incremental\": {\"workload\": %S, \"quantum\": %d, \
         \"base_bytes\": %d, \"deltas\": %d, \"delta_bytes_total\": %d, \
         \"delta_bytes_max\": %d, \"capture_seconds_total\": %.6f, \
-        \"seconds_per_delta\": %.6f, \"modeled_cycles_identical\": %b, \
-        \"chain_restore_ok\": %b, \"instructions_per_sec_plain\": %.0f, \
-        \"instructions_per_sec_incremental\": %.0f, \"overhead_ratio\": \
-        %.3f, \"overhead_budget\": %.1f},\n"
-       snap_inc.si_workload snap_inc.si_quantum snap_inc.si_base_bytes
+        \"seconds_per_delta\": %.6f, \"modeled_cycles_identical\": true, \
+        \"chain_restore_ok\": true, \"instructions_per_sec_plain\": %.0f, \
+        \"instructions_per_sec_incremental\": %.0f, %s},\n"
+       snap_workload snap_quantum snap_inc.si_base_bytes
        snap_inc.si_deltas snap_inc.si_delta_bytes_total
        snap_inc.si_delta_bytes_max snap_inc.si_capture_seconds
        (snap_inc.si_capture_seconds /. float_of_int snap_inc.si_deltas)
-       snap_inc.si_parity snap_inc.si_restore_ok snap_inc.si_plain_ips
-       snap_inc.si_inc_ips
-       (snap_inc.si_plain_ips /. snap_inc.si_inc_ips)
-       snap_incremental_budget);
+       plain_ips snap_inc.si_ips
+       (json_of_gate ~budget:snap_incremental_budget snap));
   let base = List.find (fun s -> s.sv_shards = 1) serving in
   Buffer.add_string buf
     (Printf.sprintf
@@ -877,40 +929,31 @@ let throughput () =
   Trace.Tablefmt.print
     ~title:"Spans - crossing latency percentiles (modeled cycles)" t;
   print_newline ();
-  let best runs =
-    List.fold_left
-      (fun a b -> if b.ips > a.ips then b else a)
-      (List.hd runs) (List.tl runs)
+  let trace =
+    let name, max_instructions, build = List.hd workloads in
+    run_pairs
+      ~base:(fun () -> run_workload ~name ~max_instructions build)
+      ~variant:(fun () -> run_traced ~name ~max_instructions build)
+      ~ratio:(fun u t -> u.ips /. t.ips)
   in
-  let untraced =
-    let (name, max_instructions, build) = List.hd workloads in
-    best
-      (List.init trace_overhead_runs (fun _ ->
-           run_workload ~name ~max_instructions build))
-  in
-  let traced =
-    let (name, max_instructions, build) = List.hd workloads in
-    best
-      (List.init trace_overhead_runs (fun _ ->
-           run_traced ~name ~max_instructions build))
-  in
-  if traced.cycles <> untraced.cycles then
-    failwith
-      (Printf.sprintf
-         "tracing changed modeled cycles on %s: %d traced vs %d untraced"
-         traced.name traced.cycles untraced.cycles);
+  List.iter
+    (fun (untraced, traced) ->
+      if traced.cycles <> untraced.cycles then
+        failwith
+          (Printf.sprintf
+             "tracing changed modeled cycles on %s: %d traced vs %d untraced"
+             traced.name traced.cycles untraced.cycles))
+    trace.pairs;
+  let untraced, traced = trace.median_pair in
   Printf.printf
     "host time - trace overhead on %s: %.0f instr/sec untraced, %.0f \
-     traced (ratio %.2fx, budget %.1fx)\n"
-    untraced.name untraced.ips traced.ips
-    (untraced.ips /. traced.ips)
+     traced (median ratio %.2fx of %d pairs, quartiles %.2f-%.2f, budget \
+     %.1fx)\n"
+    untraced.name untraced.ips traced.ips (median trace) gate_pairs
+    (quantile trace.ratios 0.25) (quantile trace.ratios 0.75)
     trace_overhead_budget;
-  if untraced.ips /. traced.ips >= trace_overhead_budget then
-    failwith
-      (Printf.sprintf
-         "trace overhead %.2fx on %s exceeds the %.1fx budget"
-         (untraced.ips /. traced.ips)
-         untraced.name trace_overhead_budget);
+  gate ~what:("trace overhead on " ^ untraced.name)
+    ~budget:trace_overhead_budget trace;
   run_alloc_smoke ();
   print_newline ();
   let idle =
@@ -932,26 +975,30 @@ let throughput () =
       (Printf.sprintf "chaos campaigns reported %d protection violations"
          (List.length chaos.Os.Chaos.violations));
   Format.printf "robustness - %a@." Os.Chaos.pp_report chaos;
-  let snap_inc = run_snapshot_incremental () in
-  if not snap_inc.si_parity then
-    failwith "incremental checkpointing changed the modeled cycle count";
-  if not snap_inc.si_restore_ok then
-    failwith "snapshot delta chain failed to restore onto a fresh system";
-  let inc_ratio = snap_inc.si_plain_ips /. snap_inc.si_inc_ips in
+  let snap =
+    run_pairs ~base:run_snapshot_plain ~variant:run_snapshot_incremental
+      ~ratio:(fun (plain_ips, _) inc -> plain_ips /. inc.si_ips)
+  in
+  List.iter
+    (fun ((_, plain_cycles), inc) ->
+      if inc.si_cycles <> plain_cycles then
+        failwith "incremental checkpointing changed the modeled cycle count";
+      if not inc.si_restore_ok then
+        failwith "snapshot delta chain failed to restore onto a fresh system")
+    snap.pairs;
+  let _, snap_inc = snap.median_pair in
   Printf.printf
     "host time - incremental snapshots on %s: %d deltas, one per \
      %d-instruction slice (base %d bytes, %d delta bytes total, max %d), \
-     %.1f us/delta, run ratio %.2fx (budget %.1fx), chain restores clean\n"
-    snap_inc.si_workload snap_inc.si_deltas snap_inc.si_quantum
-    snap_inc.si_base_bytes snap_inc.si_delta_bytes_total
-    snap_inc.si_delta_bytes_max
+     %.1f us/delta, median run ratio %.2fx of %d pairs (quartiles \
+     %.2f-%.2f, budget %.1fx), chain restores clean\n"
+    snap_workload snap_inc.si_deltas snap_quantum snap_inc.si_base_bytes
+    snap_inc.si_delta_bytes_total snap_inc.si_delta_bytes_max
     (1e6 *. snap_inc.si_capture_seconds /. float_of_int snap_inc.si_deltas)
-    inc_ratio snap_incremental_budget;
-  if inc_ratio >= snap_incremental_budget then
-    failwith
-      (Printf.sprintf
-         "incremental snapshot overhead %.2fx on %s exceeds the %.1fx budget"
-         inc_ratio snap_inc.si_workload snap_incremental_budget);
+    (median snap) gate_pairs (quantile snap.ratios 0.25)
+    (quantile snap.ratios 0.75) snap_incremental_budget;
+  gate ~what:("incremental snapshot overhead on " ^ snap_workload)
+    ~budget:snap_incremental_budget snap;
   let serving = List.map (fun shards -> run_serving_fleet ~shards) [ 1; 2; 4 ] in
   let sv_base = List.find (fun s -> s.sv_shards = 1) serving in
   let speedup s =
@@ -1171,7 +1218,7 @@ let throughput () =
   print_newline ();
   let oc = open_out "BENCH_throughput.json" in
   output_string oc
-    (json_of_samples samples span_samples ~traced ~untraced ~idle ~chaos
-       ~snap_inc ~serving ~arena ~backends);
+    (json_of_samples samples span_samples ~trace ~idle ~chaos ~snap ~serving
+       ~arena ~backends);
   close_out oc;
   Printf.printf "wrote BENCH_throughput.json\n"

@@ -2,12 +2,20 @@ type t = {
   words : int array;
   counters : Trace.Counters.t;
   mutable on_write : int -> unit;
-  (* Dirty-page map: one flag per [page_words]-word page, set on every
-     store and cleared only by [clear_dirty] (the snapshot layer calls
-     it at capture points).  The flag store rides the existing write
-     path — one array store, no branch on the hot path. *)
-  dirty : bool array;
-  mutable dirty_generation : int;
+  (* Page stamps: for each [page_words]-word page, the dirty
+     generation of its last store, or -1 if nothing was ever stored
+     there (the page is still all zero from [create]).  A page is
+     dirty when its stamp is the current generation and written when
+     its stamp is >= 0, so [clear_dirty] is a generation bump.  The
+     stamp store rides the write path — one array store, no branch. *)
+  stamps : int array;
+  mutable generation : int;
+  (* The anchor: memory equalled the image with payload checksum
+     [anchor_sum] when the anchor was set in generation [anchor_gen],
+     and every page stored to since is stamped with that generation.
+     [anchor_gen = -1] means no anchor. *)
+  mutable anchor_sum : int;
+  mutable anchor_gen : int;
   (* Validity tags, one byte per word — the capability backend's tag
      store.  Zero-length (and therefore branch-free to test) unless
      [enable_tags] ran: the hardware and 645 machines never allocate
@@ -30,8 +38,10 @@ let create ?(size = default_size) counters =
     words = Array.make size 0;
     counters;
     on_write = ignore_write;
-    dirty = Array.make ((size + page_words - 1) lsr page_shift) false;
-    dirty_generation = 0;
+    stamps = Array.make ((size + page_words - 1) lsr page_shift) (-1);
+    generation = 0;
+    anchor_sum = 0;
+    anchor_gen = -1;
     tags = Bytes.empty;
   }
 
@@ -50,7 +60,7 @@ let read_silent t addr =
 let write_silent t addr w =
   check t addr;
   t.words.(addr) <- Word.of_int w;
-  t.dirty.(addr lsr page_shift) <- true;
+  t.stamps.(addr lsr page_shift) <- t.generation;
   if Bytes.length t.tags <> 0 then Bytes.unsafe_set t.tags addr '\000';
   t.on_write addr
 
@@ -68,17 +78,28 @@ let blit_silent t addr words =
   Array.iteri (fun i w -> write_silent t (addr + i) w) words
 
 let dirty_pages t =
+  let gen = t.generation in
   let acc = ref [] in
-  for p = Array.length t.dirty - 1 downto 0 do
-    if t.dirty.(p) then acc := p :: !acc
+  for p = Array.length t.stamps - 1 downto 0 do
+    if t.stamps.(p) = gen then acc := p :: !acc
   done;
   !acc
 
-let clear_dirty t =
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
-  t.dirty_generation <- t.dirty_generation + 1
+let written_pages t =
+  let acc = ref [] in
+  for p = Array.length t.stamps - 1 downto 0 do
+    if t.stamps.(p) >= 0 then acc := p :: !acc
+  done;
+  !acc
 
-let dirty_generation t = t.dirty_generation
+let clear_dirty t = t.generation <- t.generation + 1
+let dirty_generation t = t.generation
+
+let set_anchor t sum =
+  t.anchor_sum <- sum;
+  t.anchor_gen <- t.generation
+
+let anchored t sum = t.anchor_gen = t.generation && t.anchor_sum = sum
 
 (* {1 Validity tags} *)
 

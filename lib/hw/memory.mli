@@ -39,14 +39,25 @@ val blit_silent : t -> int -> Word.t array -> unit
 
 (** {1 Dirty-page tracking}
 
-    Every store — {!write}, {!write_silent}, {!blit_silent}, and
-    everything layered on them (the injector's poison writes, fault
-    frames, journal replay, snapshot application) — marks the written
-    page dirty.  The snapshot layer clears the map at capture points,
-    so between two captures the dirty set is a conservative superset
-    of the pages whose contents changed: incremental captures need
-    only serialize those.  Nothing in the simulated machine reads the
-    map; it cannot affect modeled cycles. *)
+    Each page carries a stamp: the dirty generation of its last store,
+    or none if nothing was ever stored there.  Every store — {!write},
+    {!write_silent}, {!blit_silent}, and everything layered on them
+    (the injector's poison writes, fault frames, journal replay,
+    snapshot application) — stamps the written page with the current
+    generation, in one array store.  Two page sets follow:
+
+    - a page is {e dirty} when its stamp is the current generation.
+      The snapshot layer moves the generation at capture points, so
+      between two captures the dirty set is a conservative superset
+      of the pages whose contents changed: incremental captures need
+      only serialize those;
+    - a page is {e written} when it has a stamp at all.  A page outside
+      the written set is still all zero from {!create}, so a full
+      capture and an apply over a foreign image need only visit the
+      written pages.  No operation ever shrinks the written set.
+
+    Nothing in the simulated machine reads the stamps; they cannot
+    affect modeled cycles. *)
 
 val page_words : int
 (** Words per dirty-tracking page (a power of two). *)
@@ -56,14 +67,39 @@ val dirty_pages : t -> int list
     ascending order.  Page [p] covers absolute addresses
     [p * page_words .. min ((p+1) * page_words, size) - 1]. *)
 
+val written_pages : t -> int list
+(** Page numbers stored to at least once since {!create}, in ascending
+    order — a superset of the pages holding a nonzero word, and of
+    {!dirty_pages}.  {!clear_dirty} leaves it alone. *)
+
 val clear_dirty : t -> unit
-(** Reset the dirty map and advance {!dirty_generation}.  Only capture
-    points may call this: clearing anywhere else breaks the superset
-    invariant the incremental snapshot relies on. *)
+(** Advance {!dirty_generation}, which empties the dirty set in O(1).
+    Only capture points may call this: clearing anywhere else breaks
+    the superset invariant the incremental snapshot relies on. *)
 
 val dirty_generation : t -> int
 (** Number of {!clear_dirty} calls so far — stamps which capture epoch
     a dirty set belongs to. *)
+
+(** {2 The anchor}
+
+    One (payload checksum, generation) pair, kept for the snapshot
+    layer.  It states: memory equalled the image with that checksum
+    when the anchor was set, and every page changed since then is
+    dirty.  Because every store stamps its page, the second half keeps
+    holding by itself until the next {!clear_dirty}; that call ends
+    the anchor.  While the anchor holds, rewinding memory to its image
+    needs to touch only the dirty pages. *)
+
+val set_anchor : t -> int -> unit
+(** [set_anchor t sum] records that memory equals, right now, the
+    image whose payload checksum is [sum].  Callers set it at capture
+    points (after {!clear_dirty}) and after an apply whose memory pass
+    completed. *)
+
+val anchored : t -> int -> bool
+(** [anchored t sum] is [true] when the anchor names [sum] and no
+    {!clear_dirty} has run since it was set. *)
 
 (** {1 Validity tags}
 

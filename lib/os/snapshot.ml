@@ -960,9 +960,9 @@ let page_of_memory mem pairs ~keep_zero p =
 
 (* The one writer.  [prev] is the predecessor's payload checksum for a
    delta, [None] for a full image.  Over the zero machine a page has
-   changed exactly when it holds a nonzero word; a delta cannot tell,
-   so it lists every dirty page — even one that went back to zero,
-   which the fold must still clear. *)
+   changed exactly when it holds a nonzero word, and only a written
+   page can; a delta cannot tell, so it lists every dirty page — even
+   one that went back to zero, which the fold must still clear. *)
 let encode sys ~prev =
   let m = System.machine sys in
   let mem = m.Isa.Machine.mem in
@@ -972,11 +972,7 @@ let encode sys ~prev =
   write_machine_pre pre m;
   let kind, base_sum, candidates, keep_zero =
     match prev with
-    | None ->
-        let npages =
-          (mem_size + Hw.Memory.page_words - 1) / Hw.Memory.page_words
-        in
-        (magic, 0, List.init npages Fun.id, false)
+    | None -> (magic, 0, Hw.Memory.written_pages mem, false)
     | Some sum -> (delta_magic, sum, Hw.Memory.dirty_pages mem, true)
   in
   let pairs = Buffer.create 4096 in
@@ -1011,12 +1007,16 @@ let with_capture_counted (c : Trace.Counters.t) f =
 (* Every public capture — full or delta — is a capture point: clearing
    the dirty map moves its generation, so a delta chain straddling
    this capture refuses its next [capture_delta] instead of emitting a
-   delta that silently misses these pages. *)
+   delta that silently misses these pages.  Memory now equals the
+   image just sealed and no page is dirty: the anchor a later rewind
+   to this image starts from. *)
 let capture_point sys ~prev =
   let m = System.machine sys in
+  let mem = m.Isa.Machine.mem in
   Isa.Machine.quiesce m;
-  let sealed = encode sys ~prev in
-  Hw.Memory.clear_dirty m.Isa.Machine.mem;
+  let ((sum, _) as sealed) = encode sys ~prev in
+  Hw.Memory.clear_dirty mem;
+  Hw.Memory.set_anchor mem sum;
   sealed
 
 let capture sys =
@@ -1130,21 +1130,41 @@ let apply_machine_pre r (m : Isa.Machine.t) =
   m.Isa.Machine.degraded <- r_bool r;
   m.Isa.Machine.io_fail_pending <- r_bool r
 
-(* Memory, in one pass: the listed words, zero everywhere else.  Words
-   are only written when they differ, so the common case (the respawn
-   already rebuilt the same contents) is mostly reads, and the dirty
-   map, the tags and the write observers see only real changes. *)
-let apply_memory r mem =
+(* Memory, in one pass: every listed word is read and set, and the
+   unlisted words are zeroed only in the pages that can hold something
+   else.  A page never written is still zero from [create].  While the
+   image is the anchored one, a page that is not dirty still holds what
+   the image lists, so only the dirty pages are stale; for any other
+   image every written page is.  Words are only written when they
+   differ, so the dirty map, the tags and the write observers see only
+   real changes.  Once the pass completes, memory equals the image:
+   that is the new anchor. *)
+let apply_memory r mem ~sum =
   let mem_size = Hw.Memory.size mem in
   if r_int r <> mem_size then shape "memory size differs";
+  let stale =
+    ref
+      (if Hw.Memory.anchored mem sum then Hw.Memory.dirty_pages mem
+       else Hw.Memory.written_pages mem)
+  in
   let set a w =
     if Hw.Memory.read_silent mem a <> w then Hw.Memory.write_silent mem a w
   in
+  (* Zero the stale pages' words in [!next, a): [next] is the first
+     address no listed word has settled yet. *)
   let next = ref 0 in
-  let zero_to a =
-    for z = !next to a - 1 do
-      set z 0
-    done
+  let rec zero_to a =
+    match !stale with
+    | p :: rest when p * Hw.Memory.page_words < a ->
+        let page_end = min mem_size ((p + 1) * Hw.Memory.page_words) in
+        for z = max !next (p * Hw.Memory.page_words) to min a page_end - 1 do
+          set z 0
+        done;
+        if page_end <= a then begin
+          stale := rest;
+          zero_to a
+        end
+    | _ -> ()
   in
   let (_ : page list) =
     r_pages r ~mem_size ~word:(fun a w ->
@@ -1152,7 +1172,8 @@ let apply_memory r mem =
         set a w;
         next := a + 1)
   in
-  zero_to mem_size
+  zero_to mem_size;
+  Hw.Memory.set_anchor mem sum
 
 let apply_machine_post r (m : Isa.Machine.t) =
   (* SDW tag-store population: every key present, every value absent —
@@ -1333,7 +1354,7 @@ let apply_system r sys =
    laid over the live system, in payload order. *)
 let apply sys image =
   let m = System.machine sys in
-  let _, r = parse_full image in
+  let sum, r = parse_full image in
   (* Flush whatever host state the respawn replay (or the last run)
      left behind; the apply rebuilds the exact quiesced state the
      image was captured in. *)
@@ -1342,7 +1363,7 @@ let apply sys image =
   apply_counters pre m.Isa.Machine.counters;
   apply_machine_pre pre m;
   if pre.pos <> String.length pre.data then corrupt "unconsumed pre section";
-  apply_memory r m.Isa.Machine.mem;
+  apply_memory r m.Isa.Machine.mem ~sum;
   apply_machine_post r m;
   apply_trace r m;
   apply_system r sys;
@@ -1359,9 +1380,11 @@ let decode f =
    exist to catch on-disk damage and tampering — are skipped, and the
    [restores] counter is left exactly as the image recorded it.  This
    is the serving fleet's warm-boot: rewinding a shard's machine to
-   its boot image between requests costs O(apply), and the restored
-   counters are byte-for-byte the boot counters, so per-request deltas
-   are comparable across shards and runs. *)
+   its boot image between requests reads the image and, in memory,
+   touches only the pages the requests since the boot dirtied (the
+   machine stays anchored to the image it was last rewound to), and
+   the restored counters are byte-for-byte the boot counters, so
+   per-request deltas are comparable across shards and runs. *)
 let warm_boot sys image = decode (fun () -> apply sys image)
 
 let restore sys image =

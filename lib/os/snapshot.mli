@@ -29,6 +29,11 @@
     image lists every page holding a nonzero word, a delta every page
     dirtied since its predecessor.
 
+    Neither direction walks the whole memory: a full capture reads
+    only the pages ever written ({!Hw.Memory.written_pages}), a delta
+    only the dirty ones, and an apply zeroes only the pages that can
+    differ from the image (see {!warm_boot}).
+
     {!restore} refuses anything it cannot prove whole: bad magic,
     other versions, truncation, checksum failure, structural
     corruption (including a count or length the payload cannot hold),
@@ -150,7 +155,17 @@ val warm_boot : System.t -> string -> (unit, error) result
     counter is left exactly as the image recorded it, so a rewound
     machine's counters are byte-identical to the boot state and
     per-request deltas compare cleanly.  Never pass an image from
-    outside this process here — use {!restore} for those. *)
+    outside this process here — use {!restore} for those.
+
+    The memory pass reads and sets every word the image lists, and
+    zeroes the other words only where memory can hold something else.
+    When the machine was last captured at, or rewound to, this very
+    image and the dirty set has not been cleared since (its
+    {!Hw.Memory} anchor holds), those are the pages dirtied since;
+    otherwise they are the pages ever written.  Rewinding
+    the same image request after request therefore costs the image's
+    listed words plus the pages the requests dirtied, not the machine's
+    memory size. *)
 
 val restore : System.t -> string -> (unit, error) result
 (** Overwrite a freshly respawned system — same program file, same

@@ -6,7 +6,9 @@
     and running it to completion.  The first request of a class pays
     the cold boot (assemble the program, spawn the process, capture an
     {!Os.Snapshot} image); every later request of that class pays only
-    {!Os.Snapshot.warm_boot}, which is O(restore), not O(assemble).
+    {!Os.Snapshot.warm_boot}, whose cost is the image's listed words
+    plus the pages earlier requests dirtied — not O(assemble), and not
+    O(memory size).
     Boot images live in a bounded {!Hw.Assoc} LRU keyed by class, so a
     shard's memory stays bounded however many classes pass through it
     (capacity 0 disables caching: every request cold-boots).

@@ -393,6 +393,22 @@ let overwrite image at v =
   Bytes.set_int64_be b at (Int64.of_int v);
   reseal (Bytes.to_string b)
 
+(* A full capture of the current state that does not count itself: the
+   image being compared against already carries its own capture in
+   [snapshots_written], which [capture] bumps before it serializes. *)
+let recapture sys =
+  let c = counters sys in
+  let fields =
+    List.map
+      (fun (name, v) ->
+        if name = "snapshots_written" then (name, v - 1) else (name, v))
+      (Trace.Counters.fields (Trace.Counters.snapshot c))
+  in
+  (match Trace.Counters.of_fields fields with
+  | Ok snap -> Trace.Counters.restore c snap
+  | Error msg -> Alcotest.fail msg);
+  Os.Snapshot.capture sys
+
 let test_dirty_pages_track_every_write_path () =
   let sys = fresh_system () in
   let mem = machine_mem sys in
@@ -416,6 +432,31 @@ let test_dirty_pages_track_every_write_path () =
     (Hw.Memory.dirty_pages mem);
   Alcotest.(check bool) "clear advances the generation" true
     (Hw.Memory.dirty_generation mem > gen);
+  (* The written set is every page ever stored to.  A clear leaves it
+     alone, and a page zeroed again stays in it — but a full capture,
+     which lists only the pages holding a nonzero word, skips it. *)
+  let written = Hw.Memory.written_pages mem in
+  Alcotest.(check bool) "stored pages are written" true
+    (List.mem 5 written && List.mem 9 written);
+  Hw.Memory.clear_dirty mem;
+  Alcotest.(check (list int)) "clear leaves the written set alone" written
+    (Hw.Memory.written_pages mem);
+  let last_addr = Hw.Memory.size mem - 1 in
+  let last = last_addr / Hw.Memory.page_words in
+  Alcotest.(check bool) "last page never written" false (List.mem last written);
+  let image = Os.Snapshot.capture sys in
+  Hw.Memory.write_silent mem last_addr 7;
+  Hw.Memory.write_silent mem last_addr 0;
+  Alcotest.(check (list int)) "a zeroed page stays written"
+    (written @ [ last ]) (Hw.Memory.written_pages mem);
+  Alcotest.(check (list int)) "and is dirty until the next clear" [ last ]
+    (Hw.Memory.dirty_pages mem);
+  Alcotest.(check bool) "a full capture does not list the zeroed page" true
+    (String.equal image (recapture sys));
+  Alcotest.(check (list int)) "the capture cleared the dirty set only" []
+    (Hw.Memory.dirty_pages mem);
+  Alcotest.(check bool) "the zeroed page is still written" true
+    (List.mem last (Hw.Memory.written_pages mem));
   (* A descriptor rewrite (the kernel-table write path) lands in the
      dirty map like any other store. *)
   let e = List.hd (Os.System.entries sys) in
@@ -730,6 +771,198 @@ let test_journal_line_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "short line accepted"
 
+(* {1 Rewind equivalence}
+
+   A rewind skips the pages that cannot differ from its image: the
+   pages never written, and — while memory is still anchored to that
+   image — the pages not dirtied since.  So it is checked here against
+   the plain definition.  After any interleaving of scheduler slices,
+   stray stores, full and incremental captures and foreign dirty-map
+   clears, a warm boot or restore to {e any} earlier image must leave
+   every word of memory as it was when that image was captured, and
+   re-capture to the image's bytes. *)
+
+type rewind_op =
+  | Run of int  (** this many scheduler slices *)
+  | Poke of int * int  (** store a nonzero word at an address *)
+  | Unpoke of int  (** zero the [i]th most recent poke, emptying its page *)
+  | Capture
+  | Delta  (** open a chain, or extend the open one and flatten it *)
+  | Foreign_clear  (** a clear_dirty no capture made *)
+  | Rewind of { image : int; restore : bool; recapture : bool }
+
+let pp_rewind_op = function
+  | Run k -> Printf.sprintf "Run %d" k
+  | Poke (a, v) -> Printf.sprintf "Poke (%d, %d)" a v
+  | Unpoke i -> Printf.sprintf "Unpoke %d" i
+  | Capture -> "Capture"
+  | Delta -> "Delta"
+  | Foreign_clear -> "Foreign_clear"
+  | Rewind { image; restore; recapture } ->
+      Printf.sprintf "Rewind {image=%d; restore=%b; recapture=%b}" image
+        restore recapture
+
+(* The bump pair fills the first two 2^18-word regions; the 64 pages
+   above them belong to no process, so stray stores there change
+   memory without changing what the programs do. *)
+let rewind_free_base = 2 * (1 lsl 18)
+let rewind_mem_size = rewind_free_base + (64 * Hw.Memory.page_words)
+
+exception Pause
+
+(* Replays [ops] on a bump pair under [mode] and checks every rewind;
+   the first mismatch fails with the op that exposed it. *)
+let check_rewinds (name, mode) ~quantum ops =
+  let sys =
+    Os.System.create ~mode ~mem_size:rewind_mem_size
+      ~store:(build_store ~n1:40 ~n2:25 ())
+      ()
+  in
+  spawn_pair sys;
+  let mem = machine_mem sys in
+  (* Every image taken, oldest first, with the nonzero words memory
+     held when it was taken — read word by word, not from the image. *)
+  let images = ref [||] in
+  let record image =
+    images := Array.append !images [| (image, memory_words sys) |]
+  in
+  record (Os.Snapshot.capture sys);
+  let chain = ref None in
+  let poked = ref [] in
+  let step = function
+    | Run k ->
+        let left = ref k in
+        let on_slice () =
+          decr left;
+          if !left = 0 then raise Pause
+        in
+        (try ignore (Os.System.run ~quantum ~on_slice sys : _ list)
+         with Pause -> ())
+    | Poke (a, v) ->
+        Hw.Memory.write_silent mem a v;
+        poked := a :: !poked
+    | Unpoke i -> (
+        match List.nth_opt !poked i with
+        | Some a -> Hw.Memory.write_silent mem a 0
+        | None -> ())
+    | Capture -> record (Os.Snapshot.capture sys)
+    | Delta -> (
+        match !chain with
+        | None ->
+            let c, base = Os.Snapshot.start_chain sys in
+            chain := Some (c, base, []);
+            record base
+        | Some (c, base, deltas) -> (
+            match Os.Snapshot.capture_delta sys c with
+            | exception Invalid_argument _ ->
+                (* Another capture point or a foreign clear intervened:
+                   the chain refuses, as it must. *)
+                chain := None
+            | d -> (
+                let deltas = deltas @ [ d ] in
+                chain := Some (c, base, deltas);
+                match Os.Snapshot.flatten ~base deltas with
+                | Ok image -> record image
+                | Error e ->
+                    Alcotest.failf "flatten: %a" Os.Snapshot.pp_error e)))
+    | Foreign_clear -> Hw.Memory.clear_dirty mem
+    | Rewind { image; restore; recapture = again } ->
+        let img, words = !images.(image mod Array.length !images) in
+        let result =
+          if restore then Os.Snapshot.restore sys img
+          else Os.Snapshot.warm_boot sys img
+        in
+        (match result with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "rewind: %a" Os.Snapshot.pp_error e);
+        if memory_words sys <> words then
+          Alcotest.fail "memory differs from the image's capture";
+        (* [restore] already re-captured the image in its self-check. *)
+        if again && (not restore) && not (String.equal img (recapture sys))
+        then Alcotest.fail "does not re-capture to the image's bytes"
+  in
+  List.iteri
+    (fun i op ->
+      try step op
+      with e ->
+        Alcotest.failf "%s: op %d of [%s]: %s" name i
+          (String.concat "; " (List.map pp_rewind_op ops))
+          (Printexc.to_string e))
+    ops
+
+let modes =
+  [
+    ("hw", Isa.Machine.Ring_hardware);
+    ("645", Isa.Machine.Ring_software_645);
+    ("cap", Isa.Machine.Ring_capability);
+  ]
+
+let warm image = Rewind { image; restore = false; recapture = true }
+
+(* The two rewinds a dirty-pages-only apply gets wrong, and the
+   rewinds that may trust the dirty set.  A page poked into the free
+   area and then orphaned by a foreign clear, or by a newer capture, is
+   no longer dirty, yet differs from the first image. *)
+let test_rewinds_the_dirty_set_alone_misses () =
+  let page n = rewind_free_base + (n * Hw.Memory.page_words) + 3 in
+  List.iter
+    (fun mode ->
+      check_rewinds mode ~quantum:20
+        [
+          Run 3; Poke (page 1, 9); Foreign_clear; Run 2; Poke (page 2, 4);
+          warm 0;
+        ];
+      check_rewinds mode ~quantum:20
+        [ Run 2; Poke (page 1, 7); Capture; Run 2; Poke (page 2, 5); warm 0 ];
+      check_rewinds mode ~quantum:20
+        [
+          Run 3; Poke (page 1, 6); warm 0; Poke (page 2, 8); Run 2; warm 0;
+          Capture; Unpoke 0; Run 1; warm 1;
+        ])
+    modes
+
+let gen_rewind_op =
+  let open QCheck.Gen in
+  let last_page = rewind_mem_size - Hw.Memory.page_words in
+  frequency
+    [
+      (4, map (fun k -> Run k) (int_range 1 6));
+      ( 3,
+        map2
+          (fun a v -> Poke (a, v))
+          (int_range rewind_free_base (rewind_mem_size - 1))
+          (int_range 1 1_000_000) );
+      ( 1,
+        map2
+          (fun a v -> Poke (a, v))
+          (int_range last_page (rewind_mem_size - 1))
+          (int_range 1 1_000_000) );
+      (2, map (fun i -> Unpoke i) (int_bound 5));
+      (2, return Capture);
+      (2, return Delta);
+      (1, return Foreign_clear);
+      ( 4,
+        map3
+          (fun image restore again ->
+            Rewind { image; restore; recapture = again })
+          (int_bound 15)
+          (frequency [ (1, return true); (3, return false) ])
+          bool );
+    ]
+
+let prop_rewind_equivalence ((name, _) as mode) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "rewind equivalence (%s)" name)
+    ~count:25
+    QCheck.(
+      pair (int_range 5 40)
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map pp_rewind_op ops))
+           Gen.(list_size (int_range 1 30) gen_rewind_op)))
+    (fun (quantum, ops) ->
+      check_rewinds mode ~quantum ops;
+      true)
+
 let suite =
   [
     ( "snapshot",
@@ -764,5 +997,10 @@ let suite =
           test_rebase_continues_the_chain;
         Alcotest.test_case "interlopers poison the chain, not the counter"
           `Quick test_chain_interlopers_and_counter_rollback;
-      ] );
+        Alcotest.test_case "rewinds the dirty set alone gets wrong" `Quick
+          test_rewinds_the_dirty_set_alone_misses;
+      ]
+      @ List.map
+          (fun m -> QCheck_alcotest.to_alcotest (prop_rewind_equivalence m))
+          modes );
   ]
