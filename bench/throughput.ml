@@ -298,15 +298,10 @@ let run_idle_injector ~name ~max_instructions build =
   | Error e -> failwith (Printf.sprintf "%s: build failed: %s" name e)
   | Ok p ->
       let m = p.Os.Process.machine in
-      let inj =
-        Hw.Inject.create
-          { (Hw.Inject.default_plan ~seed:0) with Hw.Inject.rules = [] }
-      in
-      List.iter
-        (fun (base, len) ->
-          Hw.Inject.register_descriptor_range inj ~base ~len)
-        (Os.Process.descriptor_ranges p);
-      Isa.Machine.attach_injector m inj;
+      ignore
+        (Os.Process.attach_injector m
+           { (Hw.Inject.default_plan ~seed:0) with Hw.Inject.rules = [] }
+           [ p ]);
       let c = m.Isa.Machine.counters in
       let i0 = Trace.Counters.instructions c in
       let t0 = Unix.gettimeofday () in

@@ -1,349 +1,17 @@
-(* ringsim: assemble and run a multi-segment program under either ring
-   implementation.
+(* ringsim: assemble and run a multi-segment program file (see
+   Os.Program and docs/ASSEMBLY.md for the format) under any of the
+   three protection backends, or drive the serving fleet and the tenant
+   arena over the same machines.
 
-   A program file contains one or more segments, each introduced by a
-   header line:
-
-     %segment NAME proc execute=N callable=M [readable=no]
-     %segment NAME data write=N read=M
-
-   followed by assembly source (see lib/asm).  Example:
-
-     %segment main proc execute=4 callable=4
-     start: mme =2
-
-   Run with:
-     dune exec bin/ringsim.exe -- run prog.rng --start main --ring 4
+     dune exec bin/ringsim.exe -- prog.rng --start main --ring 4
+     dune exec bin/ringsim.exe -- serve --shards 4
+     dune exec bin/ringsim.exe -- arena --tenants 64
 *)
-
-type header = {
-  h_name : string;
-  h_access : Rings.Access.t;
-}
-
-(* %process NAME user=U start=seg$entry ring=N [quantum-shared segments:
-   shared=seg:owner[,seg:owner...]] [paged] *)
-type process_decl = {
-  d_name : string;
-  d_user : string;
-  d_start : string;
-  d_ring : int;
-  d_shared : (string * string) list;
-  d_paged : bool;
-}
-
-let parse_process_decl line lineno =
-  let parts =
-    String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-  in
-  match parts with
-  | "%process" :: name :: rest ->
-      let find key default =
-        let prefix = key ^ "=" in
-        List.fold_left
-          (fun acc p ->
-            if
-              String.length p > String.length prefix
-              && String.sub p 0 (String.length prefix) = prefix
-            then
-              String.sub p (String.length prefix)
-                (String.length p - String.length prefix)
-            else acc)
-          default rest
-      in
-      let shared =
-        match find "shared" "" with
-        | "" -> []
-        | spec ->
-            String.split_on_char ',' spec
-            |> List.filter_map (fun pair ->
-                   match String.split_on_char ':' pair with
-                   | [ seg; owner ] -> Some (seg, owner)
-                   | _ -> None)
-      in
-      Ok
-        {
-          d_name = name;
-          d_user = find "user" "operator";
-          d_start = find "start" "main$start";
-          d_ring = int_of_string_opt (find "ring" "4") |> Option.value ~default:4;
-          d_shared = shared;
-          d_paged = List.mem "paged" rest;
-        }
-  | _ -> Error (Printf.sprintf "line %d: bad %%process header" lineno)
-
-let parse_header line lineno =
-  let parts =
-    String.split_on_char ' ' line
-    |> List.filter (fun s -> s <> "")
-  in
-  let kv key default =
-    let prefix = key ^ "=" in
-    List.fold_left
-      (fun acc p ->
-        if String.length p > String.length prefix
-           && String.sub p 0 (String.length prefix) = prefix
-        then
-          int_of_string_opt
-            (String.sub p (String.length prefix)
-               (String.length p - String.length prefix))
-        else acc)
-      default parts
-  in
-  let flag key =
-    List.mem (key ^ "=no") parts |> not
-  in
-  match parts with
-  | "%segment" :: name :: kind :: _ -> (
-      match kind with
-      | "proc" ->
-          let execute = Option.value ~default:4 (kv "execute" None) in
-          let callable = Option.value ~default:execute (kv "callable" None) in
-          Ok
-            {
-              h_name = name;
-              h_access =
-                Rings.Access.procedure_segment ~readable:(flag "readable")
-                  ~execute_in:execute ~callable_from:callable ();
-            }
-      | "data" ->
-          let write = Option.value ~default:4 (kv "write" None) in
-          let read = Option.value ~default:write (kv "read" None) in
-          Ok
-            {
-              h_name = name;
-              h_access =
-                Rings.Access.data_segment ~writable_to:write
-                  ~readable_to:read ();
-            }
-      | k -> Error (Printf.sprintf "line %d: unknown segment kind %s" lineno k))
-  | _ -> Error (Printf.sprintf "line %d: bad %%segment header" lineno)
-
-let parse_program text =
-  let lines = String.split_on_char '\n' text in
-  let rec go current acc procs lineno = function
-    | [] -> (
-        match current with
-        | None -> Ok (List.rev acc, List.rev procs)
-        | Some (h, body) ->
-            Ok
-              ( List.rev ((h, String.concat "\n" (List.rev body)) :: acc),
-                List.rev procs ))
-    | line :: rest ->
-        if String.length line >= 8 && String.sub line 0 8 = "%segment" then
-          match parse_header line lineno with
-          | Error e -> Error e
-          | Ok h ->
-              let acc =
-                match current with
-                | None -> acc
-                | Some (h', body) ->
-                    (h', String.concat "\n" (List.rev body)) :: acc
-              in
-              go (Some (h, [])) acc procs (lineno + 1) rest
-        else if String.length line >= 8 && String.sub line 0 8 = "%process"
-        then
-          match parse_process_decl line lineno with
-          | Error e -> Error e
-          | Ok d ->
-              let acc =
-                match current with
-                | None -> acc
-                | Some (h', body) ->
-                    (h', String.concat "\n" (List.rev body)) :: acc
-              in
-              go None acc (d :: procs) (lineno + 1) rest
-        else (
-          match current with
-          | None ->
-              let t = String.trim line in
-              if t = "" || t.[0] = ';' then go current acc procs (lineno + 1) rest
-              else
-                Error
-                  (Printf.sprintf "line %d: text before first %%segment"
-                     lineno)
-          | Some (h, body) ->
-              go (Some (h, line :: body)) acc procs (lineno + 1) rest)
-  in
-  go None [] [] 1 lines
-
-(* Observability outputs: which exporters to run after the program
-   finishes, and whether to print the profile tables. *)
-type obs = {
-  trace_out : string option;  (** Chrome trace-event JSON. *)
-  events_out : string option;  (** JSONL raw event dump. *)
-  metrics_out : string option;  (** JSON metrics snapshot. *)
-  metrics_prom : string option;  (** Prometheus text metrics. *)
-  profile : bool;  (** Print per-ring/per-segment tables. *)
-  sample : int;  (** Keep 1 in N events/spans (deterministic). *)
-  sample_instr : int;
-      (** Separate 1-in-N rate for the instruction stream; 0 follows
-          [sample]. *)
-  trace_cap : int option;  (** Event ring-buffer capacity override. *)
-}
-
-let obs_active o =
-  o.trace_out <> None || o.events_out <> None || o.metrics_out <> None
-  || o.metrics_prom <> None || o.profile
-
-(* Spans and the profile are cheap (no per-instruction event
-   formatting or allocation), so any observability request turns them
-   on; the full event log only when an event-consuming exporter asked
-   for it.  Capacity and sampling are configured before enabling so
-   the first recorded event already obeys them. *)
-let enable_obs o (m : Isa.Machine.t) =
-  (match o.trace_cap with
-  | Some n -> Trace.Event.set_capacity m.Isa.Machine.log n
-  | None -> ());
-  if o.sample > 1 then begin
-    Trace.Event.set_sampling m.Isa.Machine.log ~interval:o.sample ~seed:0;
-    Trace.Span.set_sampling m.Isa.Machine.spans ~interval:o.sample ~seed:0
-  end;
-  if o.sample_instr > 0 then
-    Trace.Event.set_instr_sampling m.Isa.Machine.log ~interval:o.sample_instr;
-  if o.trace_out <> None || o.events_out <> None then
-    Trace.Event.set_enabled m.Isa.Machine.log true;
-  if obs_active o then begin
-    Trace.Span.set_enabled m.Isa.Machine.spans true;
-    Trace.Profile.set_enabled m.Isa.Machine.profile true
-  end
 
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
   close_out oc
-
-(* The on-disk delta files of a checkpoint chain: BASE.d0001,
-   BASE.d0002, ... — lexicographic order is capture order. *)
-let delta_files base =
-  let dir = Filename.dirname base in
-  let prefix = Filename.basename base ^ ".d" in
-  (try Array.to_list (Sys.readdir dir) with Sys_error _ -> [])
-  |> List.filter (fun f ->
-         String.length f = String.length prefix + 4
-         && String.sub f 0 (String.length prefix) = prefix
-         && String.for_all
-              (fun c -> c >= '0' && c <= '9')
-              (String.sub f (String.length prefix) 4))
-  |> List.sort compare
-  |> List.map (Filename.concat dir)
-
-let print_profile (m : Isa.Machine.t) ~segment_names =
-  let profile = m.Isa.Machine.profile in
-  let t =
-    Trace.Tablefmt.create
-      ~columns:
-        [
-          ("ring", Trace.Tablefmt.Left);
-          ("cycles", Trace.Tablefmt.Right);
-          ("instructions", Trace.Tablefmt.Right);
-        ]
-  in
-  List.iter
-    (fun (ring, cycles, instructions) ->
-      Trace.Tablefmt.add_row t
-        [
-          Printf.sprintf "r%d" ring;
-          string_of_int cycles;
-          string_of_int instructions;
-        ])
-    (Trace.Profile.per_ring profile);
-  Trace.Tablefmt.add_row t
-    [
-      "gatekeeper";
-      string_of_int (Trace.Profile.kernel_cycles profile);
-      "-";
-    ];
-  Trace.Tablefmt.print ~title:"Profile - modeled cycles by ring" t;
-  print_newline ();
-  let t =
-    Trace.Tablefmt.create
-      ~columns:
-        [
-          ("segment", Trace.Tablefmt.Left);
-          ("cycles", Trace.Tablefmt.Right);
-          ("instructions", Trace.Tablefmt.Right);
-        ]
-  in
-  List.iter
-    (fun (segno, cycles, instructions) ->
-      let name =
-        match List.assoc_opt segno segment_names with
-        | Some n -> Printf.sprintf "%d (%s)" segno n
-        | None -> string_of_int segno
-      in
-      Trace.Tablefmt.add_row t
-        [ name; string_of_int cycles; string_of_int instructions ])
-    (Trace.Profile.per_segment profile);
-  Trace.Tablefmt.print ~title:"Profile - modeled cycles by segment" t;
-  print_newline ();
-  let spans = m.Isa.Machine.spans in
-  let t =
-    Trace.Tablefmt.create
-      ~columns:
-        [
-          ("crossing", Trace.Tablefmt.Left);
-          ("count", Trace.Tablefmt.Right);
-          ("p50", Trace.Tablefmt.Right);
-          ("p90", Trace.Tablefmt.Right);
-          ("p99", Trace.Tablefmt.Right);
-          ("max", Trace.Tablefmt.Right);
-        ]
-  in
-  List.iter
-    (fun kind ->
-      let h = Trace.Span.histogram spans kind in
-      Trace.Tablefmt.add_row t
-        [
-          Trace.Event.crossing_to_string kind;
-          string_of_int (Trace.Histogram.count h);
-          string_of_int (Trace.Histogram.percentile h 50.0);
-          string_of_int (Trace.Histogram.percentile h 90.0);
-          string_of_int (Trace.Histogram.percentile h 99.0);
-          string_of_int (Trace.Histogram.max_value h);
-        ])
-    [ Trace.Event.Same_ring; Trace.Event.Downward; Trace.Event.Upward ];
-  Trace.Tablefmt.print
-    ~title:"Profile - span latency percentiles (modeled cycles)" t;
-  print_newline ()
-
-let finish_obs o (m : Isa.Machine.t) ~segment_names =
-  if obs_active o then begin
-    (* Close anything a fault or budget exhaustion left open so every
-       exported span has an end. *)
-    Trace.Span.drain m.Isa.Machine.spans
-      ~cycles:(Trace.Counters.cycles m.Isa.Machine.counters);
-    let counters = Trace.Counters.snapshot m.Isa.Machine.counters in
-    (match o.trace_out with
-    | Some path ->
-        write_file path
-          (Trace.Export.chrome_trace
-             ~events:(Trace.Event.stamped_events m.Isa.Machine.log)
-             ~spans:(Trace.Span.completed m.Isa.Machine.spans)
-             ())
-    | None -> ());
-    (match o.events_out with
-    | Some path ->
-        write_file path
-          (Trace.Export.events_jsonl
-             (Trace.Event.stamped_events m.Isa.Machine.log))
-    | None -> ());
-    (match o.metrics_out with
-    | Some path ->
-        write_file path
-          (Trace.Export.metrics_json ~counters ~events:m.Isa.Machine.log
-             ~spans:m.Isa.Machine.spans ~profile:m.Isa.Machine.profile
-             ~segment_names ())
-    | None -> ());
-    (match o.metrics_prom with
-    | Some path ->
-        write_file path
-          (Trace.Export.metrics_prometheus ~counters
-             ~events:m.Isa.Machine.log ~spans:m.Isa.Machine.spans
-             ~profile:m.Isa.Machine.profile ~segment_names ())
-    | None -> ());
-    if o.profile then print_profile m ~segment_names
-  end
 
 let read_file path =
   let ic = open_in path in
@@ -357,6 +25,8 @@ let read_file path =
 let usage_error msg =
   Printf.eprintf "ringsim: %s\n" msg;
   exit 2
+
+let or_usage = function Ok x -> x | Error e -> usage_error e
 
 (* --backend NAME: resolved through the one validator every subcommand
    shares (Rings.Backend.of_string), before any file is read or store
@@ -383,17 +53,128 @@ let resolve_plan spec =
       | Ok p -> p
       | Error e -> usage_error (Printf.sprintf "%s: %s" spec e))
 
-let inject_into_machine plan m processes =
-  let inj = Hw.Inject.create plan in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun (base, len) -> Hw.Inject.register_descriptor_range inj ~base ~len)
-        (Os.Process.descriptor_ranges p))
-    processes;
-  Isa.Machine.attach_injector m inj
+(* The flags run and serve share.  [trace] carries seed 0; serve
+   reseeds it from the workload seed. *)
+type shared = {
+  trace_out : string option;
+  metrics_out : string option;
+  trace : Serve.Shard.trace_cfg;
+  watchdog : int option;
+}
 
-let run_campaigns ~mode inject campaigns obs =
+let check_shared s =
+  or_usage (Serve.Shard.validate ?watchdog:s.watchdog ~trace:s.trace ())
+
+(* Observability outputs of a program run: which exporters to run after
+   the program finishes, and whether to print the profile tables. *)
+type obs = {
+  shared : shared;
+  events_out : string option;  (** JSONL raw event dump. *)
+  metrics_prom : string option;  (** Prometheus text metrics. *)
+  profile : bool;  (** Print per-ring/per-segment tables. *)
+}
+
+let obs_active o =
+  o.shared.trace_out <> None || o.events_out <> None
+  || o.shared.metrics_out <> None || o.metrics_prom <> None || o.profile
+
+(* Spans and the profile are cheap (no per-instruction event
+   formatting or allocation), so any observability request turns them
+   on; the full event log only when an event-consuming exporter asked
+   for it.  Capacity and sampling are configured before enabling so
+   the first recorded event already obeys them. *)
+let enable_obs o (m : Isa.Machine.t) =
+  Isa.Machine.set_sampling m o.shared.trace;
+  if o.shared.trace_out <> None || o.events_out <> None then
+    Trace.Event.set_enabled m.Isa.Machine.log true;
+  if obs_active o then begin
+    Trace.Span.set_enabled m.Isa.Machine.spans true;
+    Trace.Profile.set_enabled m.Isa.Machine.profile true
+  end
+
+(* The on-disk delta files of a checkpoint chain: BASE.d0001,
+   BASE.d0002, ... — lexicographic order is capture order. *)
+let delta_files base =
+  let dir = Filename.dirname base in
+  let prefix = Filename.basename base ^ ".d" in
+  (try Array.to_list (Sys.readdir dir) with Sys_error _ -> [])
+  |> List.filter (fun f ->
+         String.length f = String.length prefix + 4
+         && String.starts_with ~prefix f
+         && String.for_all
+              (fun c -> c >= '0' && c <= '9')
+              (String.sub f (String.length prefix) 4))
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
+let print_table ~title columns rows =
+  let t = Trace.Tablefmt.create ~columns in
+  List.iter (Trace.Tablefmt.add_row t) rows;
+  Trace.Tablefmt.print ~title t;
+  print_newline ()
+
+let print_profile (m : Isa.Machine.t) ~segment_names =
+  let open Trace.Tablefmt in
+  let profile = m.Isa.Machine.profile in
+  let by what = [ (what, Left); ("cycles", Right); ("instructions", Right) ] in
+  let row name (_, cycles, instructions) =
+    [ name; string_of_int cycles; string_of_int instructions ]
+  in
+  print_table ~title:"Profile - modeled cycles by ring" (by "ring")
+    (List.map
+       (fun ((ring, _, _) as r) -> row (Printf.sprintf "r%d" ring) r)
+       (Trace.Profile.per_ring profile)
+    @ [ [ "gatekeeper"; string_of_int (Trace.Profile.kernel_cycles profile); "-" ] ]);
+  print_table ~title:"Profile - modeled cycles by segment" (by "segment")
+    (List.map
+       (fun ((segno, _, _) as r) ->
+         match List.assoc_opt segno segment_names with
+         | Some n -> row (Printf.sprintf "%d (%s)" segno n) r
+         | None -> row (string_of_int segno) r)
+       (Trace.Profile.per_segment profile));
+  print_table ~title:"Profile - span latency percentiles (modeled cycles)"
+    (("crossing", Left)
+    :: List.map (fun c -> (c, Right)) [ "count"; "p50"; "p90"; "p99"; "max" ])
+    (List.map
+       (fun kind ->
+         let h = Trace.Span.histogram m.Isa.Machine.spans kind in
+         Trace.Event.crossing_to_string kind
+         :: List.map string_of_int
+              [
+                Trace.Histogram.count h;
+                Trace.Histogram.percentile h 50.0;
+                Trace.Histogram.percentile h 90.0;
+                Trace.Histogram.percentile h 99.0;
+                Trace.Histogram.max_value h;
+              ])
+       [ Trace.Event.Same_ring; Trace.Event.Downward; Trace.Event.Upward ])
+
+let finish_obs o (m : Isa.Machine.t) ~segment_names =
+  if obs_active o then begin
+    (* Close anything a fault or budget exhaustion left open so every
+       exported span has an end. *)
+    Trace.Span.drain m.Isa.Machine.spans
+      ~cycles:(Trace.Counters.cycles m.Isa.Machine.counters);
+    let counters = Trace.Counters.snapshot m.Isa.Machine.counters in
+    let events () = Trace.Event.stamped_events m.Isa.Machine.log in
+    let export path render = Option.iter (fun p -> write_file p (render ())) path in
+    export o.shared.trace_out (fun () ->
+        Trace.Export.chrome_trace ~events:(events ())
+          ~spans:(Trace.Span.completed m.Isa.Machine.spans)
+          ());
+    export o.events_out (fun () -> Trace.Export.events_jsonl (events ()));
+    export o.shared.metrics_out (fun () ->
+        Trace.Export.metrics_json ~counters ~events:m.Isa.Machine.log
+          ~spans:m.Isa.Machine.spans ~profile:m.Isa.Machine.profile
+          ~segment_names ());
+    export o.metrics_prom (fun () ->
+        Trace.Export.metrics_prometheus ~counters ~events:m.Isa.Machine.log
+          ~spans:m.Isa.Machine.spans ~profile:m.Isa.Machine.profile
+          ~segment_names ());
+    if o.profile then print_profile m ~segment_names
+  end
+
+let run_campaigns ~mode inject obs campaigns =
   let plan =
     match inject with
     | Some spec -> resolve_plan spec
@@ -401,352 +182,285 @@ let run_campaigns ~mode inject campaigns obs =
   in
   let r = Os.Chaos.run_campaigns ~mode ~campaigns plan in
   Format.printf "%a" Os.Chaos.pp_report r;
-  (match obs.metrics_out with
-  | Some path -> write_file path (Os.Chaos.report_json r)
-  | None -> ());
+  Option.iter
+    (fun path -> write_file path (Os.Chaos.report_json r))
+    obs.shared.metrics_out;
   exit (if r.Os.Chaos.violations = [] then 0 else 1)
+
+(* ------------------------------------------------------------------ *)
+(* The program run *)
+
+let load_program file =
+  let file =
+    match file with
+    | Some f -> f
+    | None -> usage_error "a program FILE is required (unless running --campaigns)"
+  in
+  let text = try read_file file with Sys_error e -> usage_error e in
+  match Os.Program.parse text with
+  | Error e -> usage_error (Printf.sprintf "%s: %s" file e)
+  | Ok prog -> prog
+
+let run_single ~mode (prog : Os.Program.t) ~start ~ring ~trace ~listing
+    ~dump ~show_map ~typed ~max_instructions ~inject obs =
+  if listing then
+    List.iter
+      (fun (s : Os.Program.segment) ->
+        match Asm.Assemble.assemble s.source with
+        | Ok asm ->
+            Printf.printf "--- %s ---\n%s\n" s.name
+              (Asm.Assemble.listing s.source asm)
+        | Error _ ->
+            (* Cross-segment externals resolve only at load time;
+               the full assembly below will report real errors. *)
+            Printf.printf "--- %s (externals unresolved) ---\n" s.name)
+      prog.segments;
+  let p =
+    Os.Process.create ~mode ~store:(Os.Program.store prog) ~user:"operator" ()
+  in
+  let m = p.Os.Process.machine in
+  or_usage (Os.Program.load p prog ~start ~ring);
+  if show_map then Format.printf "%a@." Os.Process.pp_layout p;
+  Option.iter
+    (fun spec -> ignore (Os.Process.attach_injector m (resolve_plan spec) [ p ]))
+    inject;
+  if trace then Trace.Event.set_enabled m.Isa.Machine.log true;
+  enable_obs obs m;
+  Option.iter (Os.Device.feed p.Os.Process.typewriter) typed;
+  let exit_state = Os.Kernel.run ~max_instructions p in
+  if trace then Format.printf "%a@." Trace.Event.pp_log m.Isa.Machine.log;
+  Format.printf "exit: %a@." Os.Kernel.pp_exit exit_state;
+  Format.printf "A = %d, Q = %d@." m.Isa.Machine.regs.Hw.Registers.a
+    m.Isa.Machine.regs.Hw.Registers.q;
+  (let printed = Os.Device.output_text p.Os.Process.typewriter in
+   if printed <> "" then Format.printf "typewriter output: %S@." printed);
+  Format.printf "%a@." Trace.Counters.pp_snapshot
+    (Trace.Counters.snapshot m.Isa.Machine.counters);
+  finish_obs obs m
+    ~segment_names:
+      (List.map
+         (fun (l : Os.Process.loaded) -> (l.Os.Process.segno, l.Os.Process.name))
+         p.Os.Process.loaded);
+  if dump then
+    List.iter
+      (fun (l : Os.Process.loaded) ->
+        let words =
+          Array.init l.Os.Process.bound (fun wordno ->
+              match
+                Os.Process.kread p (Hw.Addr.v ~segno:l.Os.Process.segno ~wordno)
+              with
+              | Ok w -> w
+              | Error _ -> 0)
+        in
+        print_string
+          (Asm.Disasm.segment ~symbols:l.Os.Process.symbols
+             ~base_label:l.Os.Process.name words))
+      (List.rev p.Os.Process.loaded)
+
+(* --restore BASE: overwrite the freshly spawned system with the
+   checkpoint chain a dead run left — BASE plus the delta files
+   captured since BASE was last folded, oldest first.  Must run under
+   the same program file and flags; any mixed, reordered or damaged
+   link is refused before state is touched. *)
+let restore_chain t base =
+  let read what path =
+    try read_file path
+    with Sys_error e -> usage_error (Printf.sprintf "cannot read %s: %s" what e)
+  in
+  let image = read "snapshot" base in
+  let deltas = List.map (read "snapshot delta") (delta_files base) in
+  match Os.Snapshot.restore_chain t ~base:image deltas with
+  | Ok () -> ()
+  | Error err ->
+      usage_error
+        (Format.asprintf "restore %s: %a" base Os.Snapshot.pp_error err)
+
+(* The write-ahead device journal lives next to the snapshot:
+   BASE.journal.  On resume it is preloaded as the replay table (output
+   the dead run already emitted is verified, not re-emitted) and then
+   appended to. *)
+let open_journal t ~resume base =
+  let jpath = base ^ ".journal" in
+  let journal (e : Os.System.entry) =
+    Os.Device.journal e.Os.System.process.Os.Process.typewriter
+  in
+  if resume && Sys.file_exists jpath then
+    List.iter
+      (fun line ->
+        if String.trim line <> "" then
+          match Hw.Journal.of_line line with
+          | Ok (pname, record) -> (
+              match Os.System.find t pname with
+              | Some e -> Hw.Journal.preload (journal e) record
+              | None ->
+                  usage_error
+                    (Printf.sprintf "journal %s names unknown process %s" jpath
+                       pname))
+          | Error e -> usage_error (Printf.sprintf "journal %s: %s" jpath e))
+      (String.split_on_char '\n' (read_file jpath));
+  let oc =
+    open_out_gen
+      (if resume then [ Open_append; Open_creat; Open_wronly ]
+       else [ Open_trunc; Open_creat; Open_wronly ])
+      0o644 jpath
+  in
+  at_exit (fun () -> try close_out oc with Sys_error _ -> ());
+  List.iter
+    (fun (e : Os.System.entry) ->
+      Hw.Journal.set_sink (journal e) (fun record ->
+          output_string oc (Hw.Journal.to_line ~pname:e.Os.System.pname record);
+          output_char oc '\n';
+          flush oc))
+    (Os.System.entries t)
+
+(* Checkpoints persist as an on-disk delta chain: the first due point
+   writes the full BASE and opens a chain; each later one appends only
+   the pages dirtied since (BASE.d0001, BASE.d0002, ...).  Every
+   [gc_every] deltas the chain is folded: BASE is rewritten as the
+   flatten of itself plus its deltas — byte-identical to a full capture
+   at that point — the folded delta files are deleted, and the live
+   chain is re-anchored on the new BASE.  The next due point is derived
+   from the current cycle count by the same formula live and resumed,
+   so both runs quiesce and capture at identical boundaries.  Returns
+   the per-slice hook. *)
+let checkpoint_chain t ~every base =
+  let gc_every = 8 in
+  let cycles () =
+    Trace.Counters.cycles (Os.System.machine t).Isa.Machine.counters
+  in
+  let due () = ((cycles () / every) + 1) * every in
+  let next_due = ref (due ()) in
+  let chain = ref None in
+  let gc_error err =
+    usage_error (Format.asprintf "checkpoint gc: %a" Os.Snapshot.pp_error err)
+  in
+  let checkpoint () =
+    match !chain with
+    | None ->
+        let c, image = Os.Snapshot.start_chain t in
+        write_file base image;
+        List.iter Sys.remove (delta_files base);
+        chain := Some c
+    | Some c ->
+        write_file
+          (Printf.sprintf "%s.d%04d" base (Os.Snapshot.chain_length c))
+          (Os.Snapshot.capture_delta t c);
+        if Os.Snapshot.chain_length c >= gc_every then begin
+          let files = delta_files base in
+          match
+            Os.Snapshot.flatten ~base:(read_file base) (List.map read_file files)
+          with
+          | Error err -> gc_error err
+          | Ok folded ->
+              write_file base folded;
+              List.iter Sys.remove files;
+              Result.iter_error gc_error (Os.Snapshot.rebase c ~base:folded)
+        end
+  in
+  fun () ->
+    if cycles () >= !next_due then begin
+      checkpoint ();
+      next_due := due ()
+    end
+
+let run_multi ~mode (prog : Os.Program.t) ~typed ~inject ~checkpoint_every
+    ~checkpoint_to ~restore_from ~kill_after obs =
+  let t = Os.System.create ~mode ~store:(Os.Program.store prog) () in
+  let machine = Os.System.machine t in
+  enable_obs obs machine;
+  or_usage (Os.Program.spawn t prog);
+  (* --type feeds the first declared process. *)
+  (match (typed, Os.System.entries t) with
+  | Some text, e :: _ ->
+      Os.Device.feed e.Os.System.process.Os.Process.typewriter text
+  | _ -> ());
+  Option.iter
+    (fun spec ->
+      ignore
+        (Os.Process.attach_injector machine (resolve_plan spec)
+           (List.map
+              (fun (e : Os.System.entry) -> e.Os.System.process)
+              (Os.System.entries t))))
+    inject;
+  Option.iter (restore_chain t) restore_from;
+  (match (checkpoint_to, restore_from) with
+  | Some base, _ | None, Some base ->
+      open_journal t ~resume:(restore_from <> None) base
+  | None, None -> ());
+  let checkpoint =
+    match (checkpoint_every, checkpoint_to) with
+    | Some every, Some base -> checkpoint_chain t ~every base
+    | _ -> ignore
+  in
+  let cycles () = Trace.Counters.cycles machine.Isa.Machine.counters in
+  let on_slice () =
+    checkpoint ();
+    match kill_after with
+    | Some c when cycles () >= c ->
+        Printf.eprintf "ringsim: killed at %d modeled cycles\n" (cycles ());
+        exit 0
+    | _ -> ()
+  in
+  let (_ : (string * Os.Kernel.exit) list) =
+    Os.System.run ?watchdog:obs.shared.watchdog ~on_slice t
+  in
+  (* The cumulative completion log, not this call's exits: a resumed
+     run reports the exits the dead run observed before the checkpoint
+     too, keeping stdout byte-identical. *)
+  List.iter
+    (fun (name, exit) -> Format.printf "%-10s %a@." name Os.Kernel.pp_exit exit)
+    (Os.System.finished_log t);
+  Format.printf "%a@." Trace.Counters.pp_snapshot
+    (Trace.Counters.snapshot machine.Isa.Machine.counters);
+  (* Segment numbering is per process in multi-process mode, so the
+     shared exports use bare segment numbers. *)
+  finish_obs obs machine ~segment_names:[];
+  let diverged =
+    List.filter
+      (fun (e : Os.System.entry) ->
+        match
+          Hw.Journal.divergence
+            (Os.Device.journal e.Os.System.process.Os.Process.typewriter)
+        with
+        | Some msg ->
+            Printf.eprintf "ringsim: %s: %s\n" e.Os.System.pname msg;
+            true
+        | None -> false)
+      (Os.System.entries t)
+  in
+  exit (if diverged = [] then 0 else 1)
 
 let run_program file backend start ring trace listing dump show_map typed
     max_instructions inject campaigns checkpoint_every checkpoint_to
-    restore_from kill_after watchdog obs =
+    restore_from kill_after obs =
   (* The backend name is validated before anything is read or built:
      an unknown one must exit 2 however the rest of the line looks. *)
   let mode = resolve_backend backend in
-  if obs.sample < 1 then usage_error "--sample must be positive";
-  if obs.sample_instr < 0 then
-    usage_error "--sample-instr must be nonnegative";
-  (match obs.trace_cap with
-  | Some n when n < 1 -> usage_error "--trace-cap must be positive"
-  | _ -> ());
-  (match campaigns with
-  | Some n -> run_campaigns ~mode inject n obs
-  | None -> ());
+  check_shared obs.shared;
+  Option.iter (run_campaigns ~mode inject obs) campaigns;
   (match checkpoint_every with
   | Some n when n <= 0 -> usage_error "--checkpoint-every must be positive"
   | _ -> ());
   (match (checkpoint_every, checkpoint_to) with
   | Some _, None -> usage_error "--checkpoint-every requires --checkpoint-to"
   | _ -> ());
-  let file =
-    match file with
-    | Some f -> f
-    | None ->
-        usage_error "a program FILE is required (unless running --campaigns)"
-  in
-  let text = try read_file file with Sys_error e -> usage_error e in
-  match parse_program text with
-  | Error e -> usage_error (Printf.sprintf "%s: %s" file e)
-  | Ok (segments, procs) ->
-      let store = Os.Store.create () in
-      List.iter
-        (fun (h, src) ->
-          Os.Store.add_source store ~name:h.h_name
-            ~acl:[ { Os.Acl.user = Os.Acl.wildcard; access = h.h_access } ]
-            src)
-        segments;
-      if procs <> [] then begin
-        (* Multi-process mode: spawn each declaration and multiplex. *)
-        let t = Os.System.create ~mode ~store () in
-        enable_obs obs (Os.System.machine t);
-        let seg_names = List.map (fun (h, _) -> h.h_name) segments in
-        let first = ref true in
-        List.iter
-          (fun d ->
-            let start_segment, start_entry =
-              match String.index_opt d.d_start '$' with
-              | Some i ->
-                  ( String.sub d.d_start 0 i,
-                    String.sub d.d_start (i + 1)
-                      (String.length d.d_start - i - 1) )
-              | None -> (d.d_start, "start")
-            in
-            let own =
-              List.filter
-                (fun n -> not (List.mem_assoc n d.d_shared))
-                seg_names
-            in
-            match
-              Os.System.spawn ~shared:d.d_shared ~paged:d.d_paged t
-                ~pname:d.d_name ~user:d.d_user ~segments:own
-                ~start:(start_segment, start_entry) ~ring:d.d_ring
-            with
-            | Ok e ->
-                (* --type feeds the first declared process. *)
-                (match typed with
-                | Some text when !first ->
-                    Os.Device.feed e.Os.System.process.Os.Process.typewriter
-                      text
-                | _ -> ());
-                first := false
-            | Error e -> usage_error (Printf.sprintf "spawn %s: %s" d.d_name e))
-          procs;
-        (match inject with
-        | Some spec ->
-            inject_into_machine (resolve_plan spec) (Os.System.machine t)
-              (List.map
-                 (fun (e : Os.System.entry) -> e.Os.System.process)
-                 (Os.System.entries t))
-        | None -> ());
-        let machine = Os.System.machine t in
-        let cycles () = Trace.Counters.cycles machine.Isa.Machine.counters in
-        (* --restore: overwrite the freshly spawned system with the
-           checkpoint image.  Must run under the same program file and
-           flags; anything the image cannot prove whole is refused. *)
-        (match restore_from with
-        | Some base -> (
-            let image =
-              try read_file base
-              with Sys_error e -> usage_error ("cannot read snapshot: " ^ e)
-            in
-            (* A checkpointed run leaves BASE plus the delta files
-               captured since BASE was last folded; restore applies
-               the whole chain, oldest delta first.  Any mixed,
-               reordered or damaged link is refused before state is
-               touched. *)
-            let deltas =
-              List.map
-                (fun p ->
-                  try read_file p
-                  with Sys_error e ->
-                    usage_error ("cannot read snapshot delta: " ^ e))
-                (delta_files base)
-            in
-            match Os.Snapshot.restore_chain t ~base:image deltas with
-            | Ok () -> ()
-            | Error err ->
-                usage_error
-                  (Format.asprintf "restore %s: %a" base Os.Snapshot.pp_error
-                     err))
-        | None -> ());
-        (* The write-ahead device journal lives next to the snapshot:
-           BASE.journal.  On restore it is preloaded as the replay
-           table (output the dead run already emitted is verified, not
-           re-emitted) and then appended to. *)
-        let journal_base =
-          match (checkpoint_to, restore_from) with
-          | Some b, _ | None, Some b -> Some b
-          | None, None -> None
-        in
-        (match journal_base with
-        | Some base ->
-            let jpath = base ^ ".journal" in
-            let journal_of pname =
-              List.find_opt
-                (fun (e : Os.System.entry) ->
-                  String.equal e.Os.System.pname pname)
-                (Os.System.entries t)
-              |> Option.map (fun (e : Os.System.entry) ->
-                     Os.Device.journal
-                       e.Os.System.process.Os.Process.typewriter)
-            in
-            if restore_from <> None && Sys.file_exists jpath then
-              List.iter
-                (fun line ->
-                  if String.trim line <> "" then
-                    match Hw.Journal.of_line line with
-                    | Ok (pname, record) -> (
-                        match journal_of pname with
-                        | Some j -> Hw.Journal.preload j record
-                        | None ->
-                            usage_error
-                              (Printf.sprintf
-                                 "journal %s names unknown process %s" jpath
-                                 pname))
-                    | Error e ->
-                        usage_error (Printf.sprintf "journal %s: %s" jpath e))
-                (String.split_on_char '\n' (read_file jpath));
-            let oc =
-              open_out_gen
-                (if restore_from <> None then
-                   [ Open_append; Open_creat; Open_wronly ]
-                 else [ Open_trunc; Open_creat; Open_wronly ])
-                0o644 jpath
-            in
-            at_exit (fun () -> try close_out oc with Sys_error _ -> ());
-            List.iter
-              (fun (e : Os.System.entry) ->
-                Hw.Journal.set_sink
-                  (Os.Device.journal e.Os.System.process.Os.Process.typewriter)
-                  (fun record ->
-                    output_string oc
-                      (Hw.Journal.to_line ~pname:e.Os.System.pname record);
-                    output_char oc '\n';
-                    flush oc))
-              (Os.System.entries t)
-        | None -> ());
-        (* Checkpoint cadence: the next due point is derived from the
-           current cycle count by the same formula live and resumed,
-           so both runs quiesce and capture at identical boundaries. *)
-        let next_due = ref max_int in
-        (match checkpoint_every with
-        | Some n -> next_due := ((cycles () / n) + 1) * n
-        | None -> ());
-        (* Checkpoints persist as an on-disk delta chain: the first
-           due point writes the full BASE and opens a chain; each
-           later one appends only the pages dirtied since
-           (BASE.d0001, BASE.d0002, ...).  Every [gc_every] deltas the
-           chain is folded: BASE is rewritten as the flatten of
-           itself plus its deltas — byte-identical to a full capture
-           at that point — the folded delta files are deleted, and
-           the live chain is re-anchored on the new BASE. *)
-        let gc_every = 8 in
-        let chain = ref None in
-        let checkpoint base =
-          match !chain with
-          | None ->
-              let c, image = Os.Snapshot.start_chain t in
-              write_file base image;
-              List.iter Sys.remove (delta_files base);
-              chain := Some c
-          | Some c ->
-              let delta = Os.Snapshot.capture_delta t c in
-              write_file
-                (Printf.sprintf "%s.d%04d" base (Os.Snapshot.chain_length c))
-                delta;
-              if Os.Snapshot.chain_length c >= gc_every then begin
-                let files = delta_files base in
-                match
-                  Os.Snapshot.flatten ~base:(read_file base)
-                    (List.map read_file files)
-                with
-                | Error err ->
-                    Printf.eprintf
-                      "ringsim: checkpoint gc: %s\n"
-                      (Format.asprintf "%a" Os.Snapshot.pp_error err);
-                    exit 2
-                | Ok folded -> (
-                    write_file base folded;
-                    List.iter Sys.remove files;
-                    match Os.Snapshot.rebase c ~base:folded with
-                    | Ok () -> ()
-                    | Error err ->
-                        Printf.eprintf
-                          "ringsim: checkpoint gc: %s\n"
-                          (Format.asprintf "%a" Os.Snapshot.pp_error err);
-                        exit 2)
-              end
-        in
-        let on_slice () =
-          (match (checkpoint_every, checkpoint_to) with
-          | Some n, Some base when cycles () >= !next_due ->
-              checkpoint base;
-              next_due := ((cycles () / n) + 1) * n
-          | _ -> ());
-          match kill_after with
-          | Some c when cycles () >= c ->
-              Printf.eprintf "ringsim: killed at %d modeled cycles\n"
-                (cycles ());
-              exit 0
-          | _ -> ()
-        in
-        let (_ : (string * Os.Kernel.exit) list) =
-          Os.System.run ?watchdog ~on_slice t
-        in
-        (* The cumulative completion log, not this call's exits: a
-           resumed run reports the exits the dead run observed before
-           the checkpoint too, keeping stdout byte-identical. *)
-        List.iter
-          (fun (name, exit) ->
-            Format.printf "%-10s %a@." name Os.Kernel.pp_exit exit)
-          (Os.System.finished_log t);
-        Format.printf "%a@." Trace.Counters.pp_snapshot
-          (Trace.Counters.snapshot machine.Isa.Machine.counters);
-        (* Segment numbering is per process in multi-process mode, so
-           the shared exports use bare segment numbers. *)
-        finish_obs obs machine ~segment_names:[];
-        let diverged = ref false in
-        List.iter
-          (fun (e : Os.System.entry) ->
-            match
-              Hw.Journal.divergence
-                (Os.Device.journal e.Os.System.process.Os.Process.typewriter)
-            with
-            | Some msg ->
-                Printf.eprintf "ringsim: %s: %s\n" e.Os.System.pname msg;
-                diverged := true
-            | None -> ())
-          (Os.System.entries t);
-        exit (if !diverged then 1 else 0)
-      end;
-      (match (checkpoint_every, checkpoint_to, restore_from, kill_after,
-              watchdog)
-       with
-      | None, None, None, None, None -> ()
-      | _ ->
-          usage_error
-            "--checkpoint-every/--checkpoint-to/--restore/--kill-after/\
-             --watchdog require %process declarations");
-      if listing then
-        List.iter
-          (fun (h, src) ->
-            match Asm.Assemble.assemble src with
-            | Ok prog ->
-                Printf.printf "--- %s ---\n%s\n" h.h_name
-                  (Asm.Assemble.listing src prog)
-            | Error _ ->
-                (* Cross-segment externals resolve only at load time;
-                   the full assembly below will report real errors. *)
-                Printf.printf "--- %s (externals unresolved) ---\n" h.h_name)
-          segments;
-      let p = Os.Process.create ~mode ~store ~user:"operator" () in
-      (match
-         Os.Process.add_segments p (List.map (fun (h, _) -> h.h_name) segments)
-       with
-      | Ok () -> ()
-      | Error e -> usage_error (Printf.sprintf "load: %s" e));
-      let start_segment, start_entry =
-        match String.index_opt start '$' with
-        | Some i ->
-            ( String.sub start 0 i,
-              String.sub start (i + 1) (String.length start - i - 1) )
-        | None -> (start, "start")
-      in
-      (match Os.Process.start p ~segment:start_segment ~entry:start_entry ~ring with
-      | Ok () -> ()
-      | Error e -> usage_error (Printf.sprintf "start: %s" e));
-      if show_map then Format.printf "%a@." Os.Process.pp_layout p;
-      (match inject with
-      | Some spec ->
-          inject_into_machine (resolve_plan spec) p.Os.Process.machine [ p ]
-      | None -> ());
-      if trace then Trace.Event.set_enabled p.Os.Process.machine.Isa.Machine.log true;
-      enable_obs obs p.Os.Process.machine;
-      (match typed with
-      | Some text -> Os.Device.feed p.Os.Process.typewriter text
-      | None -> ());
-      let exit_state = Os.Kernel.run ~max_instructions p in
-      if trace then
-        Format.printf "%a@." Trace.Event.pp_log p.Os.Process.machine.Isa.Machine.log;
-      Format.printf "exit: %a@." Os.Kernel.pp_exit exit_state;
-      Format.printf "A = %d, Q = %d@."
-        p.Os.Process.machine.Isa.Machine.regs.Hw.Registers.a
-        p.Os.Process.machine.Isa.Machine.regs.Hw.Registers.q;
-      (let printed = Os.Device.output_text p.Os.Process.typewriter in
-       if printed <> "" then Format.printf "typewriter output: %S@." printed);
-      Format.printf "%a@." Trace.Counters.pp_snapshot
-        (Trace.Counters.snapshot p.Os.Process.machine.Isa.Machine.counters);
-      finish_obs obs p.Os.Process.machine
-        ~segment_names:
-          (List.map
-             (fun (l : Os.Process.loaded) ->
-               (l.Os.Process.segno, l.Os.Process.name))
-             p.Os.Process.loaded);
-      if dump then
-        List.iter
-          (fun (l : Os.Process.loaded) ->
-            let words =
-              Array.init l.Os.Process.bound (fun wordno ->
-                  match
-                    Os.Process.kread p
-                      (Hw.Addr.v ~segno:l.Os.Process.segno ~wordno)
-                  with
-                  | Ok w -> w
-                  | Error _ -> 0)
-            in
-            print_string
-              (Asm.Disasm.segment ~symbols:l.Os.Process.symbols
-                 ~base_label:l.Os.Process.name words))
-          (List.rev p.Os.Process.loaded)
+  let prog = load_program file in
+  if prog.processes <> [] then
+    run_multi ~mode prog ~typed ~inject ~checkpoint_every ~checkpoint_to
+      ~restore_from ~kill_after obs
+  else begin
+    (match
+       (checkpoint_every, checkpoint_to, restore_from, kill_after,
+        obs.shared.watchdog)
+     with
+    | None, None, None, None, None -> ()
+    | _ ->
+        usage_error
+          "--checkpoint-every/--checkpoint-to/--restore/--kill-after/\
+           --watchdog require %process declarations");
+    run_single ~mode prog ~start ~ring ~trace ~listing ~dump ~show_map ~typed
+      ~max_instructions ~inject obs
+  end
 
 (* ------------------------------------------------------------------ *)
 (* serve: the sharded multi-domain serving fleet (lib/serve). *)
@@ -766,7 +480,7 @@ let load_preload base =
     |> List.filter_map (fun f ->
            if
              String.length f > String.length prefix + 5
-             && String.sub f 0 (String.length prefix) = prefix
+             && String.starts_with ~prefix f
              && Filename.check_suffix f ".snap"
            then
              let mid =
@@ -803,72 +517,57 @@ let save_images base fleet =
 (* --migrate WINDOW:FROM:TO — drain shard FROM at dispatch window
    WINDOW and move its classes to shard TO. *)
 let parse_migrate spec =
-  match String.split_on_char ':' spec with
-  | [ w; f; t ] -> (
-      match
-        (int_of_string_opt w, int_of_string_opt f, int_of_string_opt t)
-      with
-      | Some w, Some f, Some t -> (w, f, t)
-      | _ -> usage_error "--migrate must be WINDOW:FROM:TO (three integers)")
+  match List.map int_of_string_opt (String.split_on_char ':' spec) with
+  | [ Some w; Some f; Some t ] -> (w, f, t)
   | _ -> usage_error "--migrate must be WINDOW:FROM:TO (three integers)"
+
+(* The fleet report's [config] block: every flag as given. *)
+let serve_config_json (cfg : Serve.Dispatcher.config) ~requests ~seed ~mix
+    ~backend ~inject ~migrate (tc : Serve.Shard.trace_cfg) =
+  let quote s =
+    let b = Buffer.create 16 in
+    Trace.Export.add_str b s;
+    Buffer.contents b
+  in
+  let opt f = function None -> "null" | Some x -> f x in
+  let int = string_of_int in
+  [
+    ("mode", quote "serve");
+    ("shards", int cfg.shards);
+    ("requests", int requests);
+    ("seed", int seed);
+    ("mix", quote mix);
+    ("backend", opt quote backend);
+    ("queue_cap", int cfg.queue_cap);
+    ("batch_window", int cfg.batch_window);
+    ("image_cap", int cfg.image_cap);
+    ("replicas", int cfg.replicas);
+    ("imbalance", int cfg.imbalance);
+    ("pool", opt int cfg.pool);
+    ("watchdog", opt int cfg.watchdog);
+    ("inject", opt quote inject);
+    ("sample", int tc.sample);
+    ("sample_instr", int tc.instr);
+    ("trace_cap", int tc.capacity);
+    ("traced", string_of_bool (cfg.trace <> None));
+    ("migrate", opt quote migrate);
+    ("rolling_restart", opt int cfg.restart_every);
+    ("autoscale", string_of_bool cfg.autoscale);
+  ]
 
 let run_serve shards requests seed mix_name backend_name queue_cap
     batch_window image_cap replicas imbalance pool snapshot inject
-    watchdog report_json trace_out metrics_out sample sample_instr trace_cap
-    migrate_spec rolling_restart autoscale =
+    report_json (s : shared) migrate_spec rolling_restart autoscale =
   (* Every flag is validated up front: a nonsensical value is a usage
      error (exit 2 with a message naming the flag), never a deep
      runtime failure. *)
   let backend = Option.map resolve_backend backend_name in
-  if shards < 1 then usage_error "--shards must be at least 1";
   if requests < 0 then usage_error "--requests must be nonnegative";
-  if queue_cap < 1 then usage_error "--queue-cap must be positive";
-  if batch_window < 1 then usage_error "--batch-window must be positive";
-  if image_cap < 0 then usage_error "--image-cap must be nonnegative";
-  if replicas < 1 then usage_error "--replicas must be positive";
-  if imbalance < 0 then usage_error "--imbalance must be nonnegative";
-  (match pool with
-  | Some p when p < 1 -> usage_error "--pool must be positive"
-  | _ -> ());
-  (match watchdog with
-  | Some n when n < 1 -> usage_error "--watchdog must be positive"
-  | _ -> ());
-  if sample < 1 then usage_error "--sample must be positive";
-  if sample_instr < 0 then usage_error "--sample-instr must be nonnegative";
-  if trace_cap < 1 then usage_error "--trace-cap must be positive";
-  let migrate = Option.map parse_migrate migrate_spec in
-  (match migrate with
-  | Some (w, f, t) ->
-      if w < 0 then usage_error "--migrate window must be nonnegative";
-      if f < 0 || f >= shards then
-        usage_error "--migrate source shard out of range";
-      if t < 0 || t >= shards then
-        usage_error "--migrate target shard out of range";
-      if f = t then usage_error "--migrate source and target must differ"
-  | None -> ());
-  (match rolling_restart with
-  | Some n when n < 1 -> usage_error "--rolling-restart must be positive"
-  | _ -> ());
-  let mix =
-    match Serve.Workload.find_mix mix_name with
-    | Ok m -> m
-    | Error e -> usage_error e
-  in
-  let plan = Option.map resolve_plan inject in
-  let preload =
-    match snapshot with None -> [] | Some base -> load_preload base
-  in
+  check_shared s;
   (* Tracing is on whenever a trace-consuming output was requested.
      The sampler is seeded from the workload seed, so a traced run is
      a deterministic function of the same inputs as an untraced one. *)
-  let trace =
-    if trace_out = None && metrics_out = None then None
-    else
-      Some
-        { Serve.Shard.sample; seed; capacity = trace_cap;
-          instr = sample_instr }
-  in
-  let reqs = Serve.Workload.generate ~mix ~seed ~requests in
+  let traced = s.trace_out <> None || s.metrics_out <> None in
   let cfg =
     {
       Serve.Dispatcher.shards;
@@ -878,80 +577,58 @@ let run_serve shards requests seed mix_name backend_name queue_cap
       batch_window;
       image_cap;
       backend;
-      watchdog;
-      inject = plan;
-      preload;
+      watchdog = s.watchdog;
+      inject = None;
+      preload = [];
       pool;
-      trace;
-      migrate;
+      trace = (if traced then Some { s.trace with seed } else None);
+      migrate = Option.map parse_migrate migrate_spec;
       restart_every = rolling_restart;
       autoscale;
     }
   in
-  let r = Serve.Dispatcher.run cfg reqs in
-  let agg = Serve.Aggregate.build r.Serve.Dispatcher.models
-      r.Serve.Dispatcher.outcomes r.Serve.Dispatcher.stats
+  or_usage (Serve.Dispatcher.validate cfg);
+  let mix = or_usage (Serve.Workload.find_mix mix_name) in
+  let cfg =
+    {
+      cfg with
+      inject = Option.map resolve_plan inject;
+      preload = Option.fold ~none:[] ~some:load_preload snapshot;
+    }
   in
-  let stats = r.Serve.Dispatcher.stats in
+  let r = Serve.Dispatcher.run cfg (Serve.Workload.generate ~mix ~seed ~requests) in
+  let agg =
+    Serve.Aggregate.build r.Serve.Dispatcher.models r.Serve.Dispatcher.outcomes
+      r.Serve.Dispatcher.stats
+  in
   Format.printf "%a@." Serve.Aggregate.pp agg;
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-      write_file path
-        (Serve.Aggregate.chrome_trace r.Serve.Dispatcher.outcomes));
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-      (* The fleet-wide counter sum in the single-run metrics format,
-         so the same scrapers work on fleet and single-machine runs. *)
+  Option.iter
+    (fun path ->
+      write_file path (Serve.Aggregate.chrome_trace r.Serve.Dispatcher.outcomes))
+    s.trace_out;
+  (* The fleet-wide counter sum in the single-run metrics format, so
+     the same scrapers work on fleet and single-machine runs. *)
+  Option.iter
+    (fun path ->
       let counters =
         match agg.Serve.Aggregate.fleet.Serve.Aggregate.counters with
         | Some c -> c
         | None -> Trace.Counters.snapshot (Trace.Counters.create ())
       in
-      write_file path (Trace.Export.metrics_json ~counters ()));
-  (match report_json with
-  | None -> ()
-  | Some path ->
-      let quote s =
-        let b = Buffer.create 16 in
-        Trace.Export.add_str b s;
-        Buffer.contents b
-      in
-      let opt_int = function None -> "null" | Some n -> string_of_int n in
+      write_file path (Trace.Export.metrics_json ~counters ()))
+    s.metrics_out;
+  Option.iter
+    (fun path ->
       let config =
-        [
-          ("mode", quote "serve");
-          ("shards", string_of_int shards);
-          ("requests", string_of_int requests);
-          ("seed", string_of_int seed);
-          ("mix", quote mix_name);
-          ( "backend",
-            match backend_name with None -> "null" | Some b -> quote b );
-          ("queue_cap", string_of_int queue_cap);
-          ("batch_window", string_of_int batch_window);
-          ("image_cap", string_of_int image_cap);
-          ("replicas", string_of_int replicas);
-          ("imbalance", string_of_int imbalance);
-          ("pool", opt_int pool);
-          ("watchdog", opt_int watchdog);
-          ("inject", (match inject with None -> "null" | Some s -> quote s));
-          ("sample", string_of_int sample);
-          ("sample_instr", string_of_int sample_instr);
-          ("trace_cap", string_of_int trace_cap);
-          ("traced", string_of_bool (trace <> None));
-          ( "migrate",
-            match migrate_spec with None -> "null" | Some s -> quote s );
-          ("rolling_restart", opt_int rolling_restart);
-          ("autoscale", string_of_bool autoscale);
-        ]
+        serve_config_json cfg ~requests ~seed ~mix:mix_name
+          ~backend:backend_name ~inject ~migrate:migrate_spec s.trace
       in
-      write_file path (Serve.Aggregate.report_json ~config agg));
-  (match snapshot with
-  | None -> ()
-  | Some base -> save_images base r.Serve.Dispatcher.workers);
+      write_file path (Serve.Aggregate.report_json ~config agg))
+    report_json;
+  Option.iter (fun base -> save_images base r.Serve.Dispatcher.workers) snapshot;
   (* Exit 1 when the run executed but degraded: a request failed, was
      shed, or a shard had to be quarantined. *)
+  let stats = r.Serve.Dispatcher.stats in
   let clean =
     stats.Serve.Dispatcher.ok = stats.Serve.Dispatcher.completed
     && stats.Serve.Dispatcher.shed = 0
@@ -1020,20 +697,10 @@ let budget =
   Arg.(value & opt int 1_000_000 & info [ "budget" ] ~docv:"N"
          ~doc:"Instruction budget.")
 
-let trace_out =
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
-         ~doc:"Write a Chrome trace-event JSON file (load in Perfetto \
-               or chrome://tracing; 1us = 1 modeled cycle).")
-
 let events_out =
   Arg.(value & opt (some string) None & info [ "events-out" ] ~docv:"FILE"
          ~doc:"Write the raw event log as JSON Lines, one stamped event \
                per line.")
-
-let metrics_out =
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
-         ~doc:"Write a JSON metrics snapshot: every counter, span latency \
-               histograms, and the cycle profile.")
 
 let metrics_prom =
   Arg.(value & opt (some string) None & info [ "metrics-prom" ] ~docv:"FILE"
@@ -1043,28 +710,6 @@ let profile =
   Arg.(value & flag & info [ "profile" ]
          ~doc:"Print per-ring and per-segment modeled-cycle tables and \
                span latency percentiles after the run.")
-
-let sample_arg =
-  Arg.(value & opt int 1 & info [ "sample" ] ~docv:"N"
-         ~doc:"Deterministic 1-in-N trace sampling: events and spans are \
-               kept when a seeded hash of their sequence number selects \
-               them, so the same workload samples the same records every \
-               run.  1 (the default) keeps everything; discards are \
-               counted and exported.")
-
-let sample_instr_arg =
-  Arg.(value & opt int 0 & info [ "sample-instr" ] ~docv:"N"
-         ~doc:"Sample the instruction stream at its own deterministic \
-               1-in-N rate, independent of $(b,--sample)'s rate for \
-               calls, returns, traps and other control-flow events \
-               (same seeded predicate, same sequence numbers — only \
-               the interval differs).  0 (the default) follows \
-               $(b,--sample).")
-
-let trace_cap_arg =
-  Arg.(value & opt (some int) None & info [ "trace-cap" ] ~docv:"N"
-         ~doc:"Event ring-buffer capacity in events; when full, the \
-               oldest events are overwritten and counted as dropped.")
 
 let inject =
   Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SEED|SPEC"
@@ -1109,21 +754,76 @@ let kill_after =
                CYCLES modeled cycles (deterministic kill point for \
                checkpoint/restore testing).")
 
+(* Flags shared by the program run and serve: one term each. *)
+
+let trace_out =
+  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
+         ~doc:"Write a Chrome trace-event JSON file (load in Perfetto or \
+               chrome://tracing; 1us = 1 modeled cycle).  Under \
+               $(b,serve), every request is traced and the file merges \
+               the fleet: one Chrome process per request (pid = request \
+               id), rings as threads, byte-deterministic for a given \
+               (mix, seed, requests, $(b,--sample)).")
+
+let metrics_out =
+  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
+         ~doc:"Write a JSON metrics snapshot: every counter, span latency \
+               histograms and the cycle profile.  Under $(b,serve), \
+               every request is traced and the file holds the \
+               fleet-wide counter sum in the same format; with \
+               $(b,--campaigns), the campaign report.")
+
+let sample =
+  Arg.(value & opt int 1 & info [ "sample" ] ~docv:"N"
+         ~doc:"Deterministic 1-in-N trace sampling: events and spans are \
+               kept when a seeded hash of their sequence number selects \
+               them, so the same workload samples the same records every \
+               run.  1 (the default) keeps everything; discards are \
+               counted and exported.")
+
+let sample_instr =
+  Arg.(value & opt int 0 & info [ "sample-instr" ] ~docv:"N"
+         ~doc:"Sample the instruction stream at its own deterministic \
+               1-in-N rate, independent of $(b,--sample)'s rate for \
+               calls, returns, traps and other control-flow events \
+               (same seeded predicate, same sequence numbers — only \
+               the interval differs).  0 (the default) follows \
+               $(b,--sample).")
+
+let trace_cap default =
+  Arg.(value & opt int default & info [ "trace-cap" ] ~docv:"N"
+         ~doc:"Event ring-buffer capacity in events (per request under \
+               $(b,serve)); when full, the oldest events are overwritten \
+               and counted as dropped.")
+
 let watchdog =
   Arg.(value & opt (some int) None & info [ "watchdog" ] ~docv:"N"
          ~doc:"Quarantine a process that retires N instructions without \
-               a fault, ring crossing or channel activity \
-               (multi-process mode only).")
+               a fault, ring crossing or channel activity (multi-process \
+               programs only).  Under $(b,serve), the request's shard is \
+               quarantined and its queue redistributed.")
 
-let obs =
-  let mk trace_out events_out metrics_out metrics_prom profile sample
-      sample_instr trace_cap =
-    { trace_out; events_out; metrics_out; metrics_prom; profile; sample;
-      sample_instr; trace_cap }
+let shared ~trace_cap:default =
+  let mk trace_out metrics_out sample instr capacity watchdog =
+    {
+      trace_out;
+      metrics_out;
+      trace = { Serve.Shard.sample; seed = 0; capacity; instr };
+      watchdog;
+    }
   in
   Term.(
-    const mk $ trace_out $ events_out $ metrics_out $ metrics_prom $ profile
-    $ sample_arg $ sample_instr_arg $ trace_cap_arg)
+    const mk $ trace_out $ metrics_out $ sample $ sample_instr
+    $ trace_cap default $ watchdog)
+
+let obs =
+  let mk shared events_out metrics_prom profile =
+    { shared; events_out; metrics_prom; profile }
+  in
+  Term.(
+    const mk
+    $ shared ~trace_cap:Trace.Event.default_capacity
+    $ events_out $ metrics_prom $ profile)
 
 (* serve flags *)
 
@@ -1175,38 +875,12 @@ let serve_snapshot =
                images when present (restored with full validation), and \
                write the run's boot images back to the same files.")
 
-let serve_watchdog =
-  Arg.(value & opt (some int) None & info [ "watchdog" ] ~docv:"N"
-         ~doc:"Per-request watchdog: quarantine a shard whose request \
-               retires N instructions without a fault, ring crossing or \
-               channel activity, redistributing its queue.")
-
 let serve_pool =
   Arg.(value & opt (some int) None & info [ "pool" ] ~docv:"N"
          ~doc:"Worker domains executing the requests (the calling \
                domain counts as one); defaults to min(shards, host \
                cores).  Affects host wall-clock only — the fleet report \
                is identical for every pool size.")
-
-let serve_trace_out =
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
-         ~doc:"Trace every request and write the merged fleet Chrome \
-               trace: one Chrome process per request (pid = request \
-               id), rings as threads, 1us = 1 modeled cycle.  \
-               Byte-deterministic for a given (mix, seed, requests, \
-               --sample).")
-
-let serve_metrics_out =
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
-         ~doc:"Trace every request and write the fleet-wide counter sum \
-               as a JSON metrics snapshot (the single-run format, so \
-               the same scrapers apply).")
-
-let serve_trace_cap =
-  Arg.(value & opt int Serve.Shard.default_trace_capacity
-       & info [ "trace-cap" ] ~docv:"N"
-         ~doc:"Per-request event ring-buffer capacity; when full, the \
-               oldest events are overwritten and counted as dropped.")
 
 let serve_migrate =
   Arg.(value & opt (some string) None
@@ -1269,10 +943,9 @@ let serve_cmd =
       const run_serve $ serve_shards $ serve_requests $ serve_seed
       $ serve_mix $ fleet_backend $ serve_queue_cap $ serve_batch_window
       $ serve_image_cap $ serve_replicas $ serve_imbalance $ serve_pool
-      $ serve_snapshot $ inject $ serve_watchdog $ report_json
-      $ serve_trace_out $ serve_metrics_out $ sample_arg $ sample_instr_arg
-      $ serve_trace_cap $ serve_migrate $ serve_rolling_restart
-      $ serve_autoscale)
+      $ serve_snapshot $ inject $ report_json
+      $ shared ~trace_cap:Serve.Shard.default_trace_capacity
+      $ serve_migrate $ serve_rolling_restart $ serve_autoscale)
 
 (* {2 The arena subcommand} *)
 
@@ -1281,17 +954,7 @@ let run_arena tenants arena_seed profile backend_name quota_cycles quota_mem
   (* Every flag validated up front: a nonsensical value is a usage
      error (exit 2, message naming the flag), never a deep failure. *)
   let mode = Option.map resolve_backend backend_name in
-  if tenants < 1 then usage_error "--tenants must be at least 1";
   if arena_seed < 0 then usage_error "--arena-seed must be nonnegative";
-  if quota_cycles < 1 then usage_error "--quota-cycles must be positive";
-  if quota_mem < 1 then usage_error "--quota-mem must be positive";
-  if quota_faults < 0 then usage_error "--quota-faults must be nonnegative";
-  if quota_io < 0 then usage_error "--quota-io must be nonnegative";
-  if shards < 1 then usage_error "--shards must be at least 1";
-  (match Serve.Tenants.kinds_of_profile profile with
-  | Ok _ -> ()
-  | Error e -> usage_error ("--profile: " ^ e));
-  let plan = Option.map resolve_plan inject in
   let quota =
     {
       Os.Arena.cycles = quota_cycles;
@@ -1300,6 +963,8 @@ let run_arena tenants arena_seed profile backend_name quota_cycles quota_mem
       io = quota_io;
     }
   in
+  or_usage (Serve.Tenants.validate ~profile ~tenants ~shards ~quota ());
+  let plan = Option.map resolve_plan inject in
   let population =
     Serve.Tenants.generate ~profile ~seed:arena_seed ~tenants ()
   in
@@ -1401,8 +1066,7 @@ let run_term =
   Term.(
     const run_program $ file $ backend $ start $ ring $ trace $ listing
     $ dump $ show_map $ typed $ budget $ inject $ campaigns
-    $ checkpoint_every $ checkpoint_to $ restore_from $ kill_after
-    $ watchdog $ obs)
+    $ checkpoint_every $ checkpoint_to $ restore_from $ kill_after $ obs)
 
 let ringsim_doc = "simulate the Schroeder-Saltzer protection-ring processor"
 
@@ -1442,15 +1106,11 @@ let legacy_cmd =
    page lists COMMANDS); everything else is the classic
    single-command CLI, positionals and all. *)
 let () =
-  let starts_with prefix s =
-    String.length s >= String.length prefix
-    && String.sub s 0 (String.length prefix) = prefix
-  in
   let grouped =
     Array.length Sys.argv <= 1
     ||
     match Sys.argv.(1) with
     | "serve" | "arena" | "--version" -> true
-    | s -> starts_with "--help" s
+    | s -> String.starts_with ~prefix:"--help" s
   in
   exit (Cmd.eval (if grouped then group_cmd else legacy_cmd))

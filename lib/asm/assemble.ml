@@ -24,6 +24,12 @@ let stmt_size (stmt : Statement.stmt) =
       | Statement.Its _ -> Some 1
       | Statement.Gate _ -> Some 1)
 
+(* A segment's words must fit one SDW bound.  Pass 1 refuses a count
+   that would pass it, so pass 2 never allocates by an unchecked
+   size. *)
+let max_words = 1 lsl 18
+let too_big = "segment exceeds 2^18 words"
+
 let pass1 lines =
   let errors = ref [] in
   let err line message = errors := { line; message } :: !errors in
@@ -42,7 +48,9 @@ let pass1 lines =
       | None -> ());
       (match l.stmt with
       | Some (Statement.Directive (Statement.Org (Statement.Num n))) ->
-          if n < 0 then err l.number ".org: negative address" else lc := n
+          if n < 0 then err l.number ".org: negative address"
+          else if n > max_words then err l.number too_big
+          else lc := n
       | Some
           (Statement.Directive
             (Statement.Org (Statement.Sym _ | Statement.Sym_offset _))) ->
@@ -55,6 +63,8 @@ let pass1 lines =
       | Some stmt -> (
           gates_done := true;
           match stmt_size stmt with
+          | Some n when n < 0 -> err l.number ".zero: negative count"
+          | Some n when n > max_words - !lc -> err l.number too_big
           | Some n -> lc := !lc + n
           | None -> err l.number "size must be a literal number")
       | None -> ());

@@ -853,3 +853,13 @@ let poll_injection t =
               | Some k -> t.io_countdown <- Some (k + n)
               | None -> ());
               None))
+
+(* {1 Trace volume} *)
+
+type sampling = { sample : int; seed : int; capacity : int; instr : int }
+
+let set_sampling t s =
+  Trace.Event.set_capacity t.log s.capacity;
+  Trace.Event.set_sampling t.log ~interval:s.sample ~seed:s.seed;
+  Trace.Event.set_instr_sampling t.log ~interval:s.instr;
+  Trace.Span.set_sampling t.spans ~interval:s.sample ~seed:s.seed

@@ -242,6 +242,18 @@ val create :
 (** Defaults: hardware rings, [Segno_equals_ring], both ablation
     switches on (the paper's rules). *)
 
+type sampling = { sample : int; seed : int; capacity : int; instr : int }
+(** Trace volume: keep 1 in [sample] events and spans (seeded by
+    [seed], deterministic — see {!Trace.Event.set_sampling}) in an
+    event arena of [capacity] cells, and sample the instruction stream
+    at its own 1-in-[instr] rate ([0] follows [sample]). *)
+
+val set_sampling : t -> sampling -> unit
+(** Apply [s] to the event log and the span recorder.  Call it before
+    anything is recorded: setting the capacity empties the log.
+    Raises [Invalid_argument] on a [sample] or [capacity] below 1 or a
+    negative [instr]. *)
+
 val ring : t -> Rings.Ring.t
 (** Current ring of execution (IPR.RING). *)
 

@@ -158,20 +158,10 @@ let run_wave ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
   (match inject with
   | None -> ()
   | Some plan ->
-      let inj =
-        Hw.Inject.create { plan with Hw.Inject.seed = plan.Hw.Inject.seed + (wave * 7919) }
-      in
-      List.iter
-        (fun (_, e) ->
-          match e with
-          | Some e ->
-              List.iter
-                (fun (base, len) ->
-                  Hw.Inject.register_descriptor_range inj ~base ~len)
-                (Process.descriptor_ranges e.System.process)
-          | None -> ())
-        spawned;
-      Isa.Machine.attach_injector m inj;
+      ignore
+        (Process.attach_injector m
+           { plan with Hw.Inject.seed = plan.Hw.Inject.seed + (wave * 7919) }
+           (List.map (fun e -> e.System.process) (System.entries sys)));
       (* Audit after every kernel recovery decision, exactly as the
          chaos campaigns do, with the cross-tenant check added. *)
       m.Isa.Machine.on_recovery <-

@@ -371,15 +371,11 @@ let run_one ?mode ~campaign plan ~quantum ~exits ~violations
       (* Attach the injector only after the processes are built, so
          plan cycle offsets count from the start of execution proper
          and every descriptor region exists to be registered. *)
-      let inj = Hw.Inject.create plan in
-      List.iter
-        (fun (e : System.entry) ->
-          List.iter
-            (fun (base, len) ->
-              Hw.Inject.register_descriptor_range inj ~base ~len)
-            (Process.descriptor_ranges e.System.process))
-        (System.entries sys);
-      Isa.Machine.attach_injector m inj;
+      let inj =
+        Process.attach_injector m plan
+          (List.map (fun (e : System.entry) -> e.System.process)
+             (System.entries sys))
+      in
       let check () =
         List.iter
           (fun detail -> violations := { campaign; detail } :: !violations)

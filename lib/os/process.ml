@@ -112,8 +112,12 @@ let reinstall_sdw t ~segno =
       true
   | _ -> false
 
+(* Memory taken by a region of [words]: whole 16-word blocks, one at
+   least. *)
+let footprint words = Hw.Sdw.round_bound (max words 16)
+
 let alloc t words =
-  let bound = Hw.Sdw.round_bound (max words 16) in
+  let bound = footprint words in
   let base = t.next_free in
   t.next_free <- t.next_free + bound;
   if t.next_free > Hw.Memory.size t.machine.Isa.Machine.mem then
@@ -306,6 +310,22 @@ let add_segments t names =
       (Ok []) names
   in
   let pendings = List.rev pendings in
+  (* A batch that cannot fit is refused before any state changes:
+     program files are untrusted. *)
+  let* () =
+    let words p =
+      match t.paging with
+      | None -> footprint p.p_size
+      | Some _ -> footprint (Hw.Paging.pages_of_bound (footprint p.p_size))
+    in
+    if t.next_segno + List.length pendings > max_segments then
+      Error (Printf.sprintf "more than %d segment numbers" max_segments)
+    else if
+      List.fold_left (fun n p -> n + words p) t.next_free pendings
+      > Hw.Memory.size t.machine.Isa.Machine.mem
+    then Error "segments exceed simulated memory"
+    else Ok ()
+  in
   let pendings =
     List.map
       (fun p ->
@@ -372,7 +392,7 @@ let add_segments t names =
           (* Demand paging: the segment's contents go to the backing
              store; memory holds only the page table, all PTWs
              absent (the zeroed words decode as not-present). *)
-          let bound = Hw.Sdw.round_bound (max p.p_size 16) in
+          let bound = footprint p.p_size in
           let pages = Hw.Paging.pages_of_bound bound in
           let pt_base, _ = alloc t pages in
           let contents = Array.make bound 0 in
@@ -623,6 +643,17 @@ let descriptor_ranges t =
     |> List.sort compare
   in
   descs @ page_tables
+
+let attach_injector m plan processes =
+  let inj = Hw.Inject.create plan in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (base, len) -> Hw.Inject.register_descriptor_range inj ~base ~len)
+        (descriptor_ranges p))
+    processes;
+  Isa.Machine.attach_injector m inj;
+  inj
 
 let handle_page_fault t ~segno ~pageno =
   let mem = t.machine.Isa.Machine.mem in

@@ -197,8 +197,15 @@ val pp_layout : Format.formatter -> t -> unit
 val descriptor_ranges : t -> (int * int) list
 (** [(base, length)] of every absolute region whose words address
     translation trusts: the descriptor segment(s), then every page
-    table.  The chaos harness registers these with the fault injector
+    table.  {!attach_injector} registers these with the fault injector
     so descriptor corruption aims where it can do protection damage. *)
+
+val attach_injector : Isa.Machine.t -> Hw.Inject.plan -> t list -> Hw.Inject.t
+(** A fresh injector for [plan] with every listed process's
+    {!descriptor_ranges} registered, attached to [m] — the machine the
+    processes share.  Attach once the processes are built, so every
+    descriptor region exists and plan cycle offsets count from the
+    start of execution. *)
 
 val handle_page_fault :
   t -> segno:int -> pageno:int -> (unit, string) result

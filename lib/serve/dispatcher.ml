@@ -442,37 +442,35 @@ let model_of_sim cfg sim ~fact =
 (* ------------------------------------------------------------------ *)
 (* Execution *)
 
+let validate cfg =
+  let positive flag n = if n < 1 then Error (flag ^ " must be positive") else Ok () in
+  let nonneg flag n = if n < 0 then Error (flag ^ " must be nonnegative") else Ok () in
+  let opt check = function Some n -> check n | None -> Ok () in
+  let ( let* ) = Result.bind in
+  let* () =
+    if cfg.shards < 1 then Error "--shards must be at least 1" else Ok ()
+  in
+  let* () = positive "--queue-cap" cfg.queue_cap in
+  let* () = positive "--batch-window" cfg.batch_window in
+  let* () = nonneg "--image-cap" cfg.image_cap in
+  let* () = positive "--replicas" cfg.replicas in
+  let* () = nonneg "--imbalance" cfg.imbalance in
+  let* () = opt (positive "--pool") cfg.pool in
+  let* () = Shard.validate ?watchdog:cfg.watchdog ?trace:cfg.trace () in
+  let* () =
+    match cfg.migrate with
+    | Some (w, _, _) when w < 0 -> Error "--migrate window must be nonnegative"
+    | Some (_, f, _) when f < 0 || f >= cfg.shards ->
+        Error "--migrate source shard out of range"
+    | Some (_, _, t) when t < 0 || t >= cfg.shards ->
+        Error "--migrate target shard out of range"
+    | Some (_, f, t) when f = t -> Error "--migrate source and target must differ"
+    | _ -> Ok ()
+  in
+  opt (positive "--rolling-restart") cfg.restart_every
+
 let run cfg reqs =
-  if cfg.shards < 1 then invalid_arg "Dispatcher.run: shards < 1";
-  if cfg.queue_cap < 1 then invalid_arg "Dispatcher.run: queue_cap < 1";
-  if cfg.batch_window < 1 then invalid_arg "Dispatcher.run: batch_window < 1";
-  if cfg.image_cap < 0 then invalid_arg "Dispatcher.run: image_cap < 0";
-  if cfg.imbalance < 0 then invalid_arg "Dispatcher.run: imbalance < 0";
-  if cfg.replicas < 1 then invalid_arg "Dispatcher.run: replicas < 1";
-  (match cfg.pool with
-  | Some p when p < 1 -> invalid_arg "Dispatcher.run: pool < 1"
-  | _ -> ());
-  (match cfg.trace with
-  | Some t when t.Shard.sample < 1 ->
-      invalid_arg "Dispatcher.run: trace sample < 1"
-  | Some t when t.Shard.capacity < 1 ->
-      invalid_arg "Dispatcher.run: trace capacity < 1"
-  | Some t when t.Shard.instr < 0 ->
-      invalid_arg "Dispatcher.run: trace instr < 0"
-  | _ -> ());
-  (match cfg.migrate with
-  | Some (w, s_from, s_to) ->
-      if w < 0 then invalid_arg "Dispatcher.run: migrate window < 0";
-      if s_from < 0 || s_from >= cfg.shards then
-        invalid_arg "Dispatcher.run: migrate source out of range";
-      if s_to < 0 || s_to >= cfg.shards then
-        invalid_arg "Dispatcher.run: migrate target out of range";
-      if s_from = s_to then
-        invalid_arg "Dispatcher.run: migrate source equals target"
-  | None -> ());
-  (match cfg.restart_every with
-  | Some n when n < 1 -> invalid_arg "Dispatcher.run: restart_every < 1"
-  | _ -> ());
+  Result.iter_error invalid_arg (validate cfg);
   let nworkers =
     match cfg.pool with
     | Some p -> p

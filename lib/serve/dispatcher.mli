@@ -153,10 +153,16 @@ type result = {
           — report from [models] instead. *)
 }
 
+val validate : config -> (unit, string) Stdlib.result
+(** Every check on a config, in one place: [shards < 1],
+    [queue_cap < 1], [batch_window < 1], [image_cap < 0],
+    [replicas < 1], [imbalance < 0], [pool] some value [< 1],
+    {!Shard.validate} on [watchdog] and [trace], a [migrate] triple out
+    of range or with source equal to target, [restart_every] below 1.
+    The error is the message [ringsim serve] prints for the flag
+    (["--shards must be at least 1"]). *)
+
 val run : config -> Workload.request list -> result
-(** Execute the whole workload.  Raises [Invalid_argument] on a bad
-    config ([shards < 1], [queue_cap < 1], [batch_window < 1],
-    [image_cap < 0], [imbalance < 0], [replicas < 1], [pool] some
-    value [< 1], a [migrate] triple out of range or with source equal
-    to target, [restart_every] below 1) and [Failure] on a
+(** Execute the whole workload.  Raises [Invalid_argument] with
+    {!validate}'s message on a bad config and [Failure] on a
     catalog/assembly defect (unknown program, bad image). *)

@@ -8,9 +8,24 @@
 
 type klass = string * int
 
-type trace_cfg = { sample : int; seed : int; capacity : int; instr : int }
+type trace_cfg = Isa.Machine.sampling = {
+  sample : int;
+  seed : int;
+  capacity : int;
+  instr : int;
+}
 
 let default_trace_capacity = 4096
+
+(* The one place these checks are written: the CLI prints the message
+   and exits 2, [create] and {!Dispatcher.run} raise it. *)
+let validate ?watchdog ?trace () =
+  match (watchdog, trace) with
+  | Some n, _ when n < 1 -> Error "--watchdog must be positive"
+  | _, Some c when c.sample < 1 -> Error "--sample must be positive"
+  | _, Some c when c.instr < 0 -> Error "--sample-instr must be nonnegative"
+  | _, Some c when c.capacity < 1 -> Error "--trace-cap must be positive"
+  | _ -> Ok ()
 
 type request_trace = {
   t_events : Trace.Event.stamped list;
@@ -153,21 +168,13 @@ type t = {
   watchdog : int option;
   trace_cfg : trace_cfg option;
   mutable preload : (klass * string) list;
-  mutable is_quarantined : bool;
-  mutable n_executed : int;
-  mutable busy : int;
   mutable cold : int;
   mutable warm : int;
 }
 
 let create ~id ?(image_cap = 8) ?backend ?inject ?watchdog ?trace
     ?(preload = []) () =
-  (match trace with
-  | Some c when c.sample < 1 -> invalid_arg "Shard.create: trace sample < 1"
-  | Some c when c.capacity < 1 ->
-      invalid_arg "Shard.create: trace capacity < 1"
-  | Some c when c.instr < 0 -> invalid_arg "Shard.create: trace instr < 0"
-  | _ -> ());
+  Result.iter_error invalid_arg (validate ?watchdog ?trace ());
   {
     sid = id;
     cache = Hw.Assoc.create ~capacity:image_cap ();
@@ -176,18 +183,10 @@ let create ~id ?(image_cap = 8) ?backend ?inject ?watchdog ?trace
     watchdog;
     trace_cfg = trace;
     preload;
-    is_quarantined = false;
-    n_executed = 0;
-    busy = 0;
     cold = 0;
     warm = 0;
   }
 
-let id t = t.sid
-let quarantined t = t.is_quarantined
-let set_quarantined t q = t.is_quarantined <- q
-let executed t = t.n_executed
-let busy_cycles t = t.busy
 let cold_boots t = t.cold
 let warm_boots t = t.warm
 let image_stats t = Hw.Assoc.stats t.cache
@@ -223,44 +222,32 @@ let build_system t prog ~iterations =
   with
   | Error e -> fail "shard %d: cannot spawn %s: %s" t.sid prog.p_start e
   | Ok entry ->
-      (match t.inject with
-      | None -> ()
-      | Some plan ->
-          let inj = Hw.Inject.create plan in
-          List.iter
-            (fun (base, len) ->
-              Hw.Inject.register_descriptor_range inj ~base ~len)
-            (Os.Process.descriptor_ranges entry.Os.System.process);
-          Isa.Machine.attach_injector (Os.System.machine sys) inj);
       let m = Os.System.machine sys in
+      Option.iter
+        (fun plan ->
+          ignore
+            (Os.Process.attach_injector m plan [ entry.Os.System.process ]))
+        t.inject;
       Trace.Profile.set_enabled m.Isa.Machine.profile true;
       (* Tracing is configured BEFORE the slot image is captured, so
          the enabled/sampling/capacity state — and the empty buffers —
          are part of the boot image.  Every warm boot rewinds to that
          state, which makes a request's trace a deterministic function
          of its class alone, independent of shard and service order. *)
-      (match t.trace_cfg with
-      | None -> ()
-      | Some c ->
-          Trace.Event.set_capacity m.Isa.Machine.log c.capacity;
-          Trace.Event.set_sampling m.Isa.Machine.log ~interval:c.sample
-            ~seed:c.seed;
-          if c.instr > 0 then
-            Trace.Event.set_instr_sampling m.Isa.Machine.log ~interval:c.instr;
+      Option.iter
+        (fun c ->
+          Isa.Machine.set_sampling m c;
           Trace.Event.set_enabled m.Isa.Machine.log true;
-          Trace.Span.set_sampling m.Isa.Machine.spans ~interval:c.sample
-            ~seed:c.seed;
-          Trace.Span.set_enabled m.Isa.Machine.spans true);
+          Trace.Span.set_enabled m.Isa.Machine.spans true)
+        t.trace_cfg;
       sys
 
-let seal_slot sys =
-  (* Capture AFTER enabling the profile and attaching the injector, so
-     both rewind with the machine.  The boot snapshot is read after the
-     capture: Snapshot.capture bumps [snapshots_written] before
-     serializing, so the live counters now equal the image's — warm
-     boot restores exactly this state and per-request deltas compare
+let seal_slot sys image =
+  (* The image is captured AFTER enabling the profile and attaching
+     the injector, so both rewind with the machine.  The boot snapshot
+     is read once the live counters equal the image's — warm boot
+     restores exactly this state and per-request deltas compare
      against it cleanly. *)
-  let image = Os.Snapshot.capture sys in
   let m = Os.System.machine sys in
   {
     sys;
@@ -277,19 +264,31 @@ let cold_boot t ((program, iterations) as k) =
     | None -> fail "shard %d: unknown program %s" t.sid program
   in
   let sys = build_system t prog ~iterations in
-  (match List.assoc_opt k t.preload with
-  | None -> ()
-  | Some image -> (
-      (* A disk image is untrusted: full checked restore, then re-seal
-         with our own capture so later warm boots stay in-process. *)
-      t.preload <- List.remove_assoc k t.preload;
-      match Os.Snapshot.restore sys image with
-      | Ok () -> ()
-      | Error e ->
+  let image =
+    match List.assoc_opt k t.preload with
+    | None ->
+        (* Snapshot.capture bumps [snapshots_written] before
+           serializing, so the live counters equal the image's. *)
+        Os.Snapshot.capture sys
+    | Some image -> (
+        (* A disk image is untrusted: full checked restore.  Its bytes
+           are then verified, so they seal the slot as they are — a
+           warm boot to them rewinds the restore's own [restores] bump,
+           and a preloading run writes back exactly what it loaded. *)
+        t.preload <- List.remove_assoc k t.preload;
+        let rejected e =
           fail "shard %d: preloaded image for %s/%d rejected: %s" t.sid
             program iterations
-            (Format.asprintf "%a" Os.Snapshot.pp_error e)));
-  let slot = seal_slot sys in
+            (Format.asprintf "%a" Os.Snapshot.pp_error e)
+        in
+        match Os.Snapshot.restore sys image with
+        | Error e -> rejected e
+        | Ok () -> (
+            match Os.Snapshot.warm_boot sys image with
+            | Ok () -> image
+            | Error e -> rejected e))
+  in
+  let slot = seal_slot sys image in
   t.cold <- t.cold + 1;
   ignore (Hw.Assoc.insert t.cache k slot);
   slot
@@ -345,8 +344,6 @@ let exec t (req : Workload.request) =
     (match exit with Os.Kernel.Quarantined _ -> true | _ -> false)
     || delta.Trace.Counters.watchdog_tripped > 0
   in
-  t.n_executed <- t.n_executed + 1;
-  t.busy <- t.busy + delta.Trace.Counters.cycles;
   let trace =
     match t.trace_cfg with
     | None -> None

@@ -23,17 +23,24 @@
 type klass = string * int
 (** A service class: [(program, iterations)]. *)
 
-type trace_cfg = { sample : int; seed : int; capacity : int; instr : int }
-(** Per-shard tracing: keep 1 in [sample] events and spans (seeded,
-    deterministic — see {!Trace.Event.set_sampling}) in an event
-    arena of [capacity] cells.  [instr] samples the instruction
-    stream at its own 1-in-[instr] rate ({!Trace.Event.set_instr_sampling});
-    [0] means "follow [sample]".  The configuration is applied before a
-    class's boot image is sealed, so it rewinds with every warm boot
+type trace_cfg = Isa.Machine.sampling = {
+  sample : int;
+  seed : int;
+  capacity : int;
+  instr : int;
+}
+(** Per-shard tracing, applied with {!Isa.Machine.set_sampling} before
+    a class's boot image is sealed, so it rewinds with every warm boot
     and a request's trace is placement-independent. *)
 
 val default_trace_capacity : int
 (** Event-arena capacity the serving layer defaults to (4096). *)
+
+val validate : ?watchdog:int -> ?trace:trace_cfg -> unit -> (unit, string) result
+(** The checks shared by every command that runs a machine: a
+    [watchdog] below 1, a [trace] whose [sample] or [capacity] is below
+    1 or whose [instr] is negative.  The error is the command line's
+    message, naming the flag (["--sample must be positive"]). *)
 
 type request_trace = {
   t_events : Trace.Event.stamped list;
@@ -86,23 +93,14 @@ val create :
     injector to every machine the shard boots, before its image is
     captured, so injection state rewinds with the machine.  [watchdog]
     is passed to {!Os.System.run} for every request.  [trace] enables
-    per-request tracing (captured into {!outcome.trace}); raises
-    [Invalid_argument] if its sample or capacity is below 1.
+    per-request tracing (captured into {!outcome.trace}).  Raises
+    [Invalid_argument] with {!validate}'s message on a bad [watchdog]
+    or [trace].
     [preload] seeds the image cache from externally captured images;
     these are applied with the fully checked {!Os.Snapshot.restore} on
-    first use (disk images are untrusted), then reused via warm
-    boot. *)
-
-val id : t -> int
-val quarantined : t -> bool
-val set_quarantined : t -> bool -> unit
-
-val executed : t -> int
-(** Requests this shard has served (including a tripping one). *)
-
-val busy_cycles : t -> int
-(** Sum of served requests' modeled-cycle latencies — the shard's
-    virtual busy time, from which fleet makespan is computed. *)
+    first use (disk images are untrusted), and the verified bytes then
+    seal the class's slot unchanged, so {!images} returns exactly what
+    was loaded. *)
 
 val cold_boots : t -> int
 val warm_boots : t -> int

@@ -262,13 +262,36 @@ let kinds_of_profile = function
         (Printf.sprintf "unknown profile %s (expected %s)" p
            (String.concat " or " profiles))
 
-let generate ?(profile = "standard") ~seed ~tenants () =
-  let kinds =
-    match kinds_of_profile profile with
-    | Ok k -> k
-    | Error e -> invalid_arg ("Tenants.generate: " ^ e)
+(* The one place the arena's checks are written: the CLI prints the
+   message and exits 2, [generate] and [run_sharded] raise it. *)
+let validate ?profile ?tenants ?shards ?quota () =
+  let ( let* ) = Result.bind in
+  let at_least_1 flag = function
+    | Some n when n < 1 -> Error (flag ^ " must be at least 1")
+    | _ -> Ok ()
   in
-  if tenants <= 0 then invalid_arg "Tenants.generate: tenants must be > 0";
+  let positive flag n = if n < 1 then Error (flag ^ " must be positive") else Ok () in
+  let nonneg flag n = if n < 0 then Error (flag ^ " must be nonnegative") else Ok () in
+  let* () = at_least_1 "--tenants" tenants in
+  let* () =
+    match quota with
+    | None -> Ok ()
+    | Some (q : Os.Arena.quota) ->
+        let* () = positive "--quota-cycles" q.cycles in
+        let* () = positive "--quota-mem" q.mem in
+        let* () = nonneg "--quota-faults" q.faults in
+        nonneg "--quota-io" q.io
+  in
+  let* () = at_least_1 "--shards" shards in
+  match profile with
+  | None -> Ok ()
+  | Some p ->
+      Result.map ignore (kinds_of_profile p)
+      |> Result.map_error (( ^ ) "--profile: ")
+
+let generate ?(profile = "standard") ~seed ~tenants () =
+  Result.iter_error invalid_arg (validate ~profile ~tenants ());
+  let kinds = Result.get_ok (kinds_of_profile profile) in
   let total = List.fold_left (fun acc (_, w) -> acc + w) 0 kinds in
   let st = ref (Workload.mix_seed seed) in
   let draw () =
@@ -311,7 +334,7 @@ let generate ?(profile = "standard") ~seed ~tenants () =
 
 let run_sharded ?mode ?quantum ?inject ?(quota = Os.Arena.default_quota)
     ~shards ~seed tenants =
-  if shards <= 0 then invalid_arg "Tenants.run_sharded: shards must be > 0";
+  Result.iter_error invalid_arg (validate ~shards ~quota ());
   Os.Arena.waves tenants
   |> Pool.map ~workers:shards (fun _ (wave, ts) ->
          Os.Arena.run_wave ?mode ?quantum ?inject ~quota ~wave ts)

@@ -17,9 +17,18 @@
 val profiles : string list
 (** [["standard"; "cooperative"]]. *)
 
-val kinds_of_profile : string -> ((string * int) list, string) result
-(** The [(kind, weight)] table a profile draws from; the error names
-    the valid profiles. *)
+val validate :
+  ?profile:string ->
+  ?tenants:int ->
+  ?shards:int ->
+  ?quota:Os.Arena.quota ->
+  unit ->
+  (unit, string) result
+(** The arena's checks on whichever arguments are given: an unknown
+    [profile], [tenants] or [shards] below 1, a quota whose cycles or
+    memory are below 1 or whose faults or channel operations are
+    negative.  The error is the message [ringsim arena] prints for the
+    flag (["--tenants must be at least 1"]). *)
 
 val generate :
   ?profile:string ->
@@ -30,8 +39,8 @@ val generate :
 (** Deterministic population with ids [0 .. tenants-1].  A [standard]
     draw that happens to contain no quota spinner has its last tenant
     drafted as one, so every standard campaign exercises the
-    quarantine path.  Raises [Invalid_argument] on an unknown profile
-    or a nonpositive count. *)
+    quarantine path.  Raises [Invalid_argument] with {!validate}'s
+    message on an unknown profile or a nonpositive count. *)
 
 val run_sharded :
   ?mode:Isa.Machine.mode ->
@@ -46,4 +55,6 @@ val run_sharded :
     ([shards = 1] stays on the calling domain) and assemble.  Waves
     are self-contained, so the report is byte-identical to the
     sequential run regardless of [shards].  [mode] selects each
-    wave's protection backend ({!Os.Arena.run_wave}). *)
+    wave's protection backend ({!Os.Arena.run_wave}).  Raises
+    [Invalid_argument] with {!validate}'s message on a bad [shards] or
+    [quota]. *)

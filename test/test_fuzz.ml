@@ -306,6 +306,153 @@ let prop_damaged_images_end_in_typed_errors =
       && typed "restore_chain" (fun () ->
              Os.Snapshot.restore_chain sys ~base deltas))
 
+(* {1 Untrusted text}
+
+   Program files and injection plans come from outside: mutated texts
+   must end in [Ok] or [Error], never in an exception.  The mutations
+   aim where the loaders once fell over — header rings and brackets,
+   duplicate names, word counts — plus blind byte flips and cuts. *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Read when the property first runs; the test runs in _build/default/test. *)
+let example_programs =
+  lazy
+    (let dir = "../examples/programs" in
+     Sys.readdir dir |> Array.to_list |> List.sort compare
+     |> List.filter (fun f -> Filename.check_suffix f ".rng")
+     |> List.map (fun f -> read_file (Filename.concat dir f))
+     |> Array.of_list)
+
+let odd_numbers = [| -1; 8; 1 lsl 40 |]
+
+(* What a mutation may touch in one kind of text: its header lines
+   (whose numbers are rewritten and which are duplicated), and an extra
+   line to insert, built from a selector and one of [odd_numbers]. *)
+type shape = { header : string -> bool; extra : int -> int -> string }
+
+let rng_shape =
+  {
+    header = (fun l -> String.length l > 0 && l.[0] = '%');
+    extra =
+      (fun a _ ->
+        let v = [| -1; (1 lsl 18) + 1; 1 lsl 40 |].(a mod 3) in
+        Printf.sprintf "        %s %d" (if a land 4 = 0 then ".zero" else ".org") v);
+  }
+
+let plan_shape =
+  {
+    header = (fun l -> String.trim l <> "");
+    extra =
+      (fun a v ->
+        if a land 1 = 0 then Printf.sprintf "rule io_stall start=%d cycles=%d" v v
+        else Printf.sprintf "seed %d" v);
+  }
+
+(* Replace one number of [line]: a [key=N] value or a bare [N]. *)
+let renumber line pick v =
+  let words = String.split_on_char ' ' line in
+  let key w = Option.map (fun i -> String.sub w 0 (i + 1)) (String.index_opt w '=') in
+  let value w =
+    let k = Option.fold ~none:0 ~some:String.length (key w) in
+    int_of_string_opt (String.sub w k (String.length w - k))
+  in
+  match List.filter (fun w -> value w <> None) words with
+  | [] -> line
+  | numeric ->
+      let target = List.nth numeric (pick mod List.length numeric) in
+      List.map
+        (fun w ->
+          if w == target then Option.value (key w) ~default:"" ^ string_of_int v
+          else w)
+        words
+      |> String.concat " "
+
+(* One mutation of [text], chosen by [kind] and placed by [a], [b]. *)
+let mutate shape text (kind, a, b) =
+  let len = String.length text in
+  let lines = String.split_on_char '\n' text in
+  let n = List.length lines in
+  let headers = List.filter shape.header lines in
+  let insert at line =
+    List.concat (List.mapi (fun i l -> if i = at then [ line; l ] else [ l ]) lines)
+    @ if at >= n then [ line ] else []
+  in
+  let v = odd_numbers.(b mod Array.length odd_numbers) in
+  match kind with
+  | 0 when len > 0 ->
+      String.mapi (fun i c -> if i = a mod len then Char.chr (b land 255) else c) text
+  | 1 -> String.sub text 0 (a mod (len + 1))
+  | 2 when headers <> [] ->
+      let h = List.nth headers (a mod List.length headers) in
+      String.concat "\n" (List.map (fun l -> if l == h then renumber l b v else l) lines)
+  | 3 when headers <> [] ->
+      String.concat "\n"
+        (insert (b mod (n + 1)) (List.nth headers (a mod List.length headers)))
+  | _ -> String.concat "\n" (insert (b mod (n + 1)) (shape.extra a v))
+
+(* A base text and one to three mutations, printed as the mutated text. *)
+let mutated shape bases =
+  let apply (i, ms) =
+    let bases = Lazy.force bases in
+    List.fold_left (mutate shape) bases.(i mod Array.length bases) ms
+  in
+  ( apply,
+    QCheck.make ~print:apply
+      QCheck.Gen.(
+        pair (int_bound 1_000)
+          (list_size (int_range 1 3)
+             (triple (int_bound 4) (int_bound 1_000_000) (int_bound 1_000_000))))
+  )
+
+let never_raises what f =
+  match f () with
+  | () -> true
+  | exception e ->
+      QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+
+(* The whole load path ringsim takes: parse, the listing's standalone
+   assembly, the store, then spawn (with %process lines) or load and
+   start (without). *)
+let load_program text =
+  match Os.Program.parse text with
+  | Error _ -> ()
+  | Ok prog ->
+      List.iter
+        (fun (s : Os.Program.segment) -> ignore (Asm.Assemble.assemble s.source))
+        prog.segments;
+      let store = Os.Program.store prog in
+      if prog.processes = [] then
+        let p = Os.Process.create ~store ~user:"operator" () in
+        ignore (Os.Program.load p prog ~start:"main" ~ring:4)
+      else ignore (Os.Program.spawn (Os.System.create ~store ()) prog)
+
+let prop_program_files_end_in_typed_errors =
+  let apply, arb = mutated rng_shape example_programs in
+  QCheck.Test.make ~name:"mutated .rng files end in typed errors" ~count:300 arb
+    (fun input -> never_raises "program load" (fun () -> load_program (apply input)))
+
+let example_plans =
+  Lazy.from_val @@ Array.map
+    (fun p -> Format.asprintf "%a" Hw.Inject.pp_plan p)
+    [|
+      Hw.Inject.default_plan ~seed:1;
+      {
+        (Hw.Inject.default_plan ~seed:2) with
+        Hw.Inject.rules =
+          List.map
+            (fun action -> { Hw.Inject.start = 10; every = Some 7; count = 3; action })
+            Hw.Inject.[ Flip_bit; Corrupt_descriptor; Transient_fault; Io_error; Io_stall 9 ];
+      };
+    |]
+
+let prop_plans_end_in_typed_errors =
+  let apply, arb = mutated plan_shape example_plans in
+  QCheck.Test.make ~name:"mutated injection plans end in typed errors"
+    ~count:500 arb (fun input ->
+      never_raises "parse_plan" (fun () ->
+          ignore (Hw.Inject.parse_plan (apply input))))
+
 let suite =
   [
     ( "fuzz",
@@ -318,6 +465,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_arena_never_leaks;
         QCheck_alcotest.to_alcotest prop_checkpoint_restore_is_transparent;
         QCheck_alcotest.to_alcotest prop_damaged_images_end_in_typed_errors;
+        QCheck_alcotest.to_alcotest prop_program_files_end_in_typed_errors;
+        QCheck_alcotest.to_alcotest prop_plans_end_in_typed_errors;
       ] );
   ]
 

@@ -293,13 +293,7 @@ let test_ring6_calls_user_gate () =
 
 (* {1 Recovery from injected faults} *)
 
-let attach plan p =
-  let inj = Hw.Inject.create plan in
-  List.iter
-    (fun (base, len) -> Hw.Inject.register_descriptor_range inj ~base ~len)
-    (Os.Process.descriptor_ranges p);
-  Isa.Machine.attach_injector p.Os.Process.machine inj;
-  inj
+let attach plan p = Os.Process.attach_injector p.Os.Process.machine plan [ p ]
 
 let counting_worker =
   ( "worker",

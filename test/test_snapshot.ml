@@ -348,14 +348,12 @@ let machine_mem sys = (Os.System.machine sys).Isa.Machine.mem
    retried instructions exercise the dirty-page tracking on the same
    write path ordinary stores use. *)
 let attach_injector sys =
-  let inj = Hw.Inject.create (Hw.Inject.default_plan ~seed:3) in
-  List.iter
-    (fun (e : Os.System.entry) ->
-      List.iter
-        (fun (base, len) -> Hw.Inject.register_descriptor_range inj ~base ~len)
-        (Os.Process.descriptor_ranges e.Os.System.process))
-    (Os.System.entries sys);
-  Isa.Machine.attach_injector (Os.System.machine sys) inj
+  ignore
+    (Os.Process.attach_injector (Os.System.machine sys)
+       (Hw.Inject.default_plan ~seed:3)
+       (List.map
+          (fun (e : Os.System.entry) -> e.Os.System.process)
+          (Os.System.entries sys)))
 
 (* A system with a chain opened at its start and the first [n] slices
    each captured as a delta; the run then finishes uncaptured. *)
