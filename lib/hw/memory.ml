@@ -133,3 +133,19 @@ let tagged_addrs t =
 let clear_tags t =
   if Bytes.length t.tags <> 0 then
     Bytes.fill t.tags 0 (Bytes.length t.tags) '\000'
+
+(* Only a written page can hold a nonzero word, so zeroing those alone
+   brings every word back to [create]'s zero. *)
+let reset t =
+  let size = Array.length t.words in
+  for p = 0 to Array.length t.stamps - 1 do
+    if t.stamps.(p) >= 0 then begin
+      let base = p lsl page_shift in
+      Array.fill t.words base (min page_words (size - base)) 0;
+      t.stamps.(p) <- -1
+    end
+  done;
+  t.generation <- 0;
+  t.anchor_sum <- 0;
+  t.anchor_gen <- -1;
+  clear_tags t

@@ -52,9 +52,10 @@ val blit_silent : t -> int -> Word.t array -> unit
       of the pages whose contents changed: incremental captures need
       only serialize those;
     - a page is {e written} when it has a stamp at all.  A page outside
-      the written set is still all zero from {!create}, so a full
-      capture and an apply over a foreign image need only visit the
-      written pages.  No operation ever shrinks the written set.
+      the written set is still all zero from {!create} (or {!reset}),
+      so a full capture and an apply over a foreign image need only
+      visit the written pages.  Only {!reset}, which zeroes them,
+      shrinks the written set.
 
     Nothing in the simulated machine reads the stamps; they cannot
     affect modeled cycles. *)
@@ -68,9 +69,10 @@ val dirty_pages : t -> int list
     [p * page_words .. min ((p+1) * page_words, size) - 1]. *)
 
 val written_pages : t -> int list
-(** Page numbers stored to at least once since {!create}, in ascending
-    order — a superset of the pages holding a nonzero word, and of
-    {!dirty_pages}.  {!clear_dirty} leaves it alone. *)
+(** Page numbers stored to at least once since {!create} or the last
+    {!reset}, in ascending order — a superset of the pages holding a
+    nonzero word, and of {!dirty_pages}.  {!clear_dirty} leaves it
+    alone. *)
 
 val clear_dirty : t -> unit
 (** Advance {!dirty_generation}, which empties the dirty set in O(1).
@@ -80,6 +82,15 @@ val clear_dirty : t -> unit
 val dirty_generation : t -> int
 (** Number of {!clear_dirty} calls so far — stamps which capture epoch
     a dirty set belongs to. *)
+
+val reset : t -> unit
+(** Return [t] to its state at {!create}: zero every written page and
+    unstamp it, set the generation back to 0, drop the anchor and untag
+    every word (an enabled tag store stays allocated).  Costs one pass
+    over the page stamps plus the written pages — not the whole
+    memory.  Counters and the write observer are left alone, and the
+    observer does not run for the zeroed words: the machine that owns
+    caches over this memory resets them itself. *)
 
 (** {2 The anchor}
 

@@ -863,3 +863,50 @@ let set_sampling t s =
   Trace.Event.set_sampling t.log ~interval:s.sample ~seed:s.seed;
   Trace.Event.set_instr_sampling t.log ~interval:s.instr;
   Trace.Span.set_sampling t.spans ~interval:s.sample ~seed:s.seed
+
+(* Back to what [create] built, in place, so one machine can host
+   run after run without allocating its memory again.  Memory zeroes
+   only the pages ever written; everything else — registers, counters,
+   trace state, every host cache, memo, watch table and watched byte —
+   is refilled or emptied here.  Kept apart from [create] so a fresh
+   machine never pays for refilling arrays it has just allocated.  The
+   configuration (mode, stack rule, ablations) and the wiring [create]
+   installed (write observer, trace clock, resolver, stats) stay. *)
+let reset t =
+  Hw.Memory.reset t.mem;
+  Hw.Registers.restore t.regs ~from:(Hw.Registers.create ());
+  Trace.Counters.reset t.counters;
+  Trace.Event.reset t.log;
+  Trace.Span.reset t.spans;
+  Trace.Profile.reset t.profile;
+  t.halted <- false;
+  t.saved <- None;
+  t.timer <- None;
+  t.io_countdown <- None;
+  t.io_request <- None;
+  t.inhibit <- false;
+  t.trap_config <- None;
+  Hashtbl.reset t.sdw_tags;
+  Hw.Assoc.clear t.sdw_cache;
+  Hw.Assoc.reset_stats t.sdw_cache;
+  Hw.Assoc.clear t.ptw_tlb;
+  Hw.Assoc.reset_stats t.ptw_tlb;
+  Hw.Assoc.clear t.icache;
+  Hw.Assoc.reset_stats t.icache;
+  Hashtbl.reset t.sdw_watch;
+  Hashtbl.reset t.ptw_watch;
+  Array.fill t.fetch_slots 0 fetch_cache_slots (-1);
+  Array.fill t.fetch_entries 0 fetch_cache_slots dummy_fetch_entry;
+  Hashtbl.reset t.fetch_watch;
+  Array.fill t.resolve_slots 0 resolve_cache_slots (-1);
+  Array.fill t.resolve_entries 0 resolve_cache_slots dummy_resolve_entry;
+  t.fetch_gen <- 0;
+  Bytes.fill t.watched 0 (Bytes.length t.watched) '\000';
+  t.sdw_cache_base <- -1;
+  t.resident_bases <- [];
+  t.injector <- None;
+  t.degraded <- false;
+  t.io_fail_pending <- false;
+  t.on_recovery <- (fun _ -> ());
+  t.cycle_limit <- None;
+  t.cap_stack <- []

@@ -354,6 +354,18 @@ val quiesce : t -> unit
     and export byte-identical counters.  Unlike {!degrade} the caches
     refill on subsequent references. *)
 
+val reset : t -> unit
+(** Return [t], in place, to the state {!create} built it in: memory
+    zeroed ({!Hw.Memory.reset}, which touches only the pages ever
+    written), registers, counters, event log, spans and profile as
+    new, no timer, channel, trap, halt or degraded state, no injector,
+    recovery hook or cycle limit, an empty capability stack, and every
+    host cache, memo, watch table and watched byte empty.  Mode, stack
+    rule and ablation switches are kept.  A run on the reset machine is
+    indistinguishable from the same run on a fresh one — counters,
+    exits and snapshot bytes alike — and skips allocating the 2^21-word
+    memory again. *)
+
 val poll_injection : t -> Rings.Fault.t option
 (** Fire at most one due injection rule.  A returned fault is a parity
     error the CPU must deliver between instructions (corruption, if

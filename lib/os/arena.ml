@@ -9,11 +9,12 @@
 
    One machine hosts at most [wave_capacity] processes (memory holds
    eight process regions), so a campaign runs in waves: tenants
-   [0..7] on one fresh machine, [8..15] on the next, and so on.  Wave
+   [0..7] in one wave, [8..15] in the next, and so on.  Wave
    composition is a pure function of the tenant list, and every wave
-   gets its own store, machine and injector — so waves can run
-   sequentially or spread over domains and the assembled report is
-   byte-identical either way. *)
+   gets its own store and injector and starts on a machine in its
+   freshly created state — a new one, or one reset after an earlier
+   wave — so waves can run sequentially or spread over domains and the
+   assembled report is byte-identical either way. *)
 
 type quota = { cycles : int; mem : int; faults : int; io : int }
 
@@ -90,7 +91,7 @@ let verdict_of_exit (e : Kernel.exit) =
   | Kernel.Out_of_budget -> "over budget"
   | Kernel.Preempted | Kernel.Blocked | Kernel.Gatekeeper_error _ -> "stuck"
 
-let run_wave ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
+let run_wave ?sys ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
   let tenants = List.sort (fun a b -> compare a.id b.id) tenants in
   if List.length tenants > wave_capacity then
     invalid_arg "Arena.run_wave: more tenants than machine regions";
@@ -101,7 +102,17 @@ let run_wave ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
         (fun (name, acl, src) -> Store.add_source store ~name ~acl src)
         t.segments)
     tenants;
-  let sys = System.create ?mode ~store () in
+  let sys =
+    match sys with
+    | None -> System.create ?mode ~store ()
+    | Some sys ->
+        (match mode with
+        | Some m when m <> (System.machine sys).Isa.Machine.mode ->
+            invalid_arg "Arena.run_wave: mode differs from the system's"
+        | _ -> ());
+        System.reset sys ~store;
+        sys
+  in
   let m = System.machine sys in
   let counters = m.Isa.Machine.counters in
   let violations = ref [] in
@@ -306,9 +317,11 @@ let assemble ~seed ~quota results =
   }
 
 let run ?mode ?quantum ?inject ?(quota = default_quota) ~seed tenants =
+  let sys = lazy (System.create ?mode ~store:(Store.create ()) ()) in
   let results =
     List.map
-      (fun (wave, ts) -> run_wave ?mode ?quantum ?inject ~quota ~wave ts)
+      (fun (wave, ts) ->
+        run_wave ~sys:(Lazy.force sys) ?quantum ?inject ~quota ~wave ts)
       (waves tenants)
   in
   assemble ~seed ~quota results

@@ -20,10 +20,13 @@
 
     A machine's memory holds {!wave_capacity} process regions, so a
     campaign runs in waves of at most that many tenants, each wave on
-    a fresh store and machine.  Wave composition is a pure function of
-    the tenant list and each wave is self-contained, so waves may run
-    sequentially or spread across domains ({!Serve.Tenants} does the
-    latter) and the assembled report is byte-identical either way. *)
+    its own store and a machine in its freshly created state: a worker
+    builds one wave system and {!System.reset}s it between waves
+    instead of allocating a 2^21-word machine per wave.  Wave
+    composition is a pure function of the tenant list and each wave is
+    self-contained, so waves may run sequentially or spread across
+    domains ({!Serve.Tenants} does the latter) and the assembled report
+    is byte-identical either way. *)
 
 type quota = {
   cycles : int;
@@ -90,6 +93,7 @@ type wave_result = {
 }
 
 val run_wave :
+  ?sys:System.t ->
   ?mode:Isa.Machine.mode ->
   ?quantum:int ->
   ?inject:Hw.Inject.plan ->
@@ -97,11 +101,16 @@ val run_wave :
   wave:int ->
   tenant list ->
   wave_result
-(** Run one wave (at most {!wave_capacity} tenants) on a fresh store
-    and machine under protection backend [mode] (default
+(** Run one wave (at most {!wave_capacity} tenants) on a fresh store.
+    With [sys] the wave runs on that system, {!System.reset} onto the
+    new store first, so a caller running many waves reuses one
+    machine; without it a new system is created.  Both start from the
+    same state, so the result is the same.  [mode] selects the
+    protection backend of a created system (default
     {!Isa.Machine.Ring_hardware}; under {!Isa.Machine.Ring_capability}
     the cross-tenant auditor additionally re-checks isolation in
-    capability terms).  Admission checks the memory quota before the first
+    capability terms); raises [Invalid_argument] if it differs from
+    [sys]'s.  Admission checks the memory quota before the first
     slice; {!System.run}'s [before_slice] hook arms the machine's
     cycle ceiling at the tenant's remaining allowance and
     [after_slice] bills the slice and resolves breaches.  With
@@ -136,7 +145,8 @@ val run :
   seed:int ->
   tenant list ->
   report
-(** Sequential campaign: every wave in order, then {!assemble}. *)
+(** Sequential campaign: every wave in order on one reused system,
+    then {!assemble}. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One summary line plus one line per violation. *)

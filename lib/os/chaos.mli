@@ -63,9 +63,10 @@ val check_cross_tenant : System.t -> string list
     capability backend the same claim is re-checked in capability
     terms: every {e tagged} (still-live) descriptor word is re-derived
     into the capability it decodes to, whose [base, base+bound) region
-    must stay inside the tenant's own.  Meaningful only for systems
-    spawned without [?shared] mappings — the arena; the standard chaos
-    workload shares segments deliberately. *)
+    must stay inside the tenant's own.  Segments mapped in from their
+    owner ({!Process.t.mapped}: a [?shared] spawn or {!System.share})
+    name the owner's words by design and are exempt; arena tenants
+    never share. *)
 
 val run_campaigns :
   ?mode:Isa.Machine.mode ->

@@ -38,11 +38,13 @@ type t = {
   mutable loaded : loaded list;
   mutable next_segno : int;
   mutable next_free : int;
+  region_end : int;
   comm_segno : int;
   retgate_segno : int;
   typewriter : Device.t;
   mutable search_rules : (Directory.t * string list) option;
   mutable crossings : crossing list;
+  mutable mapped : int list;
   mutable fault_count : int;
   mutable io_attempts : int;
 }
@@ -120,8 +122,8 @@ let alloc t words =
   let bound = footprint words in
   let base = t.next_free in
   t.next_free <- t.next_free + bound;
-  if t.next_free > Hw.Memory.size t.machine.Isa.Machine.mem then
-    invalid_arg "Process: out of simulated memory";
+  if t.next_free > t.region_end then
+    invalid_arg "Process: out of its memory region";
   (base, bound)
 
 let stack_segno_for t ring =
@@ -133,7 +135,7 @@ let stack_segno_for t ring =
 
 let create ?(mode = Isa.Machine.Ring_hardware)
     ?(stack_rule = Rings.Stack_rule.Segno_equals_ring) ?gate_on_same_ring
-    ?use_r1_in_indirection ?mem_size ?machine ?(region_base = 0)
+    ?use_r1_in_indirection ?mem_size ?machine ?(region_base = 0) ?region_end
     ?(paged = false) ?(frame_pool = 64) ~store ~user () =
   let machine =
     match machine with
@@ -173,6 +175,9 @@ let create ?(mode = Isa.Machine.Ring_hardware)
       loaded = [];
       next_segno = first_user_segno;
       next_free = region_base + (ndesc * descseg_words);
+      region_end =
+        Option.value region_end
+          ~default:(Hw.Memory.size machine.Isa.Machine.mem);
       comm_segno = comm_segno_const;
       retgate_segno = retgate_segno_const;
       typewriter =
@@ -184,6 +189,7 @@ let create ?(mode = Isa.Machine.Ring_hardware)
          d);
       search_rules = None;
       crossings = [];
+      mapped = [];
       fault_count = 0;
       io_attempts = 0;
     }
@@ -322,8 +328,14 @@ let add_segments t names =
       Error (Printf.sprintf "more than %d segment numbers" max_segments)
     else if
       List.fold_left (fun n p -> n + words p) t.next_free pendings
-      > Hw.Memory.size t.machine.Isa.Machine.mem
-    then Error "segments exceed simulated memory"
+      > t.region_end
+    then
+      Error
+        (if t.region_end = Hw.Memory.size t.machine.Isa.Machine.mem then
+           "segments exceed simulated memory"
+         else
+           Printf.sprintf "segments exceed the memory region ending at %d"
+             t.region_end)
     else Ok ()
   in
   let pendings =
@@ -423,6 +435,7 @@ let map_segment t ~name ~base ~bound ~access ~symbols =
     t.next_segno <- t.next_segno + 1;
     install_sdw t ~segno ~base ~bound access;
     t.loaded <- { name; segno; base; bound; access; symbols } :: t.loaded;
+    t.mapped <- segno :: t.mapped;
     Ok segno
   end
 

@@ -75,6 +75,9 @@ type t = {
   mutable loaded : loaded list;
   mutable next_segno : int;
   mutable next_free : int;
+  region_end : int;
+      (** End (exclusive) of the absolute memory this process may
+          allocate from; [next_free] never passes it. *)
   comm_segno : int;
   retgate_segno : int;
   typewriter : Device.t;
@@ -84,6 +87,10 @@ type t = {
           names through these directories in order ({!Directory.search})
           — per-process search rules, as on Multics. *)
   mutable crossings : crossing list;
+  mutable mapped : int list;
+      (** Segment numbers {!map_segment} installed: another process's
+          words, shared on purpose.  The cross-tenant auditor exempts
+          them. *)
   mutable fault_count : int;
       (** Injected faults this process has absorbed; past the
           injection plan's fault budget the kernel quarantines it. *)
@@ -100,6 +107,7 @@ val create :
   ?mem_size:int ->
   ?machine:Isa.Machine.t ->
   ?region_base:int ->
+  ?region_end:int ->
   ?paged:bool ->
   ?frame_pool:int ->
   store:Store.t ->
@@ -110,13 +118,16 @@ val create :
     memory — the multiprogramming case ({!System}) — and the mode and
     ablation options are the machine's; [region_base] (default 0) is
     the absolute address where this process's private storage
-    (descriptor segments, stacks, segments) begins. *)
+    (descriptor segments, stacks, segments) begins and [region_end]
+    (default the end of memory) where it must stop. *)
 
 val add_segments : t -> string list -> (unit, string) result
 (** Add the named store segments to the virtual memory, as a batch so
     they may reference one another with [seg$sym] externals.  Fails —
     without loading anything — if any name is unknown, any ACL denies
-    the process's user, or any source fails to assemble. *)
+    the process's user, any source fails to assemble, or the batch
+    needs more than 256 segment numbers or more words than are left
+    before [region_end]. *)
 
 val add_segment : t -> string -> (unit, string) result
 

@@ -34,15 +34,28 @@ let value words key =
       else acc)
     None words
 
+let err lineno fmt =
+  Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lineno m)) fmt
+
+(* The number after [key=], if the key is given at all: a value that
+   does not parse, or none at all, is an error, never the default. *)
+let number words key lineno =
+  match value words key with
+  | None when List.mem (key ^ "=") words -> err lineno "%s=: not a number" key
+  | None -> Ok None
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n -> Ok (Some n)
+      | None -> err lineno "%s=%s: not a number" key v)
+
 let parse_segment words lineno =
-  let err fmt =
-    Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lineno m)) fmt
-  in
+  let err fmt = err lineno fmt in
   let ring key default =
-    match Option.bind (value words key) int_of_string_opt with
-    | None -> Ok default
-    | Some r when r >= 0 && r < Rings.Ring.count -> Ok r
-    | Some r -> err "%s=%d: rings are 0 to 7" key r
+    match number words key lineno with
+    | Error _ as e -> e
+    | Ok None -> Ok default
+    | Ok (Some r) when r >= 0 && r < Rings.Ring.count -> Ok r
+    | Ok (Some r) -> err "%s=%d: rings are 0 to 7" key r
   in
   (* [lo] and [hi] bound one bracket; [hi] may not fall below [lo]. *)
   let bracket lo_key lo_default hi_key =
@@ -74,26 +87,31 @@ let parse_process words lineno =
   match words with
   | "%process" :: pname :: rest ->
       let find key default = Option.value (value rest key) ~default in
-      let shared =
-        match find "shared" "" with
-        | "" -> []
-        | spec ->
-            String.split_on_char ',' spec
-            |> List.filter_map (fun pair ->
-                   match String.split_on_char ':' pair with
-                   | [ seg; owner ] -> Some (seg, owner)
-                   | _ -> None)
+      let* ring = number rest "ring" lineno in
+      let* shared =
+        match value rest "shared" with
+        | None -> Ok []
+        | Some spec ->
+            List.fold_right
+              (fun pair acc ->
+                let* acc = acc in
+                match String.split_on_char ':' pair with
+                | [ seg; owner ] when seg <> "" && owner <> "" ->
+                    Ok ((seg, owner) :: acc)
+                | _ -> err lineno "shared=%s: expected SEGMENT:OWNER pairs" spec)
+              (String.split_on_char ',' spec)
+              (Ok [])
       in
       Ok
         {
           pname;
           user = find "user" "operator";
           start = entry (find "start" "main$start");
-          ring = Option.value (int_of_string_opt (find "ring" "4")) ~default:4;
+          ring = Option.value ring ~default:4;
           shared;
           paged = List.mem "paged" rest;
         }
-  | _ -> Error (Printf.sprintf "line %d: bad %%process header" lineno)
+  | _ -> err lineno "bad %%process header"
 
 let parse text =
   let words line = String.split_on_char ' ' line |> List.filter (( <> ) "") in

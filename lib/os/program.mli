@@ -31,11 +31,12 @@ type process = {
 type t = { segments : segment list; processes : process list }
 
 val parse : string -> (t, string) result
-(** Errors read ["line N: ..."]: a malformed header, a header ring
-    outside 0-7, a gate bracket below the execute bracket or a read
-    bracket below the write bracket, a segment name used twice, or
-    text before the first header.  Assembly errors surface later, from
-    the loaders. *)
+(** Errors read ["line N: ..."]: a malformed header, a header number
+    that does not parse ([execute=x], [ring=x]), a header ring outside
+    0-7, a gate bracket below the execute bracket or a read bracket
+    below the write bracket, a [shared=] entry that is not
+    [SEGMENT:OWNER], a segment name used twice, or text before the
+    first header.  Assembly errors surface later, from the loaders. *)
 
 val entry : string -> string * string
 (** ["seg$entry"] to [(seg, entry)]; a bare ["seg"] enters at

@@ -16,7 +16,7 @@ type entry = {
 }
 
 type t = {
-  store : Store.t;
+  mutable store : Store.t;
   machine : Isa.Machine.t;
   region_words : int;
   mutable entries : entry list; (* in spawn order *)
@@ -127,8 +127,9 @@ let spawn ?(shared = []) ?(paged = false) t ~pname ~user ~segments
   in
   t.next_region <- t.next_region + 1;
   let process =
-    Process.create ~machine:t.machine ~region_base ~paged ~store:t.store
-      ~user ()
+    Process.create ~machine:t.machine ~region_base
+      ~region_end:(region_base + t.region_words) ~paged ~store:t.store ~user
+      ()
   in
   let* () =
     List.fold_left
@@ -340,3 +341,13 @@ let run ?(quantum = 50) ?(max_slices = 10_000) ?watchdog ?before_slice
   in
   loop ();
   List.rev !finished
+
+(* The machine stays; everything a run left on it or on [t] goes. *)
+let reset t ~store =
+  Isa.Machine.reset t.machine;
+  t.store <- store;
+  t.entries <- [];
+  t.next_region <- 0;
+  t.slices <- 0;
+  t.finished_log <- [];
+  t.rotation <- []

@@ -47,6 +47,15 @@ val create :
 (** One machine; default memory 2^21 words, giving eight process
     regions of 2^18 words each. *)
 
+val reset : t -> store:Store.t -> unit
+(** Make [t] what [create ~store ()] would build under the same mode,
+    stack rule and memory size, reusing its machine
+    ({!Isa.Machine.reset}): no entries, regions, slices, completion
+    log or rotation, and [store] as its on-line storage.  What runs on
+    it next runs exactly as on a fresh system; the arena resets one
+    system per worker between waves instead of allocating a 2^21-word
+    machine for each. *)
+
 val machine : t -> Isa.Machine.t
 
 val region_words : t -> int

@@ -2,10 +2,11 @@
 
     The serving dispatcher and the arena both fan out work whose result
     does not depend on where it runs (a request rewinds its machine to
-    the sealed class image; an arena wave builds its own machine), so
-    all either needs from the host is "run these, in parallel, and give
-    the results back in order".  Which worker ran which item changes
-    wall-clock time only. *)
+    the sealed class image; an arena wave starts on its worker's wave
+    system, reset to its freshly created state), so all either needs
+    from the host is "run these, in parallel, and give the results
+    back in order".  Which worker ran which item changes wall-clock
+    time only. *)
 
 val map : workers:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
 (** [map ~workers f items] is [List.mapi]-shaped: it applies [f w x]

@@ -326,8 +326,9 @@ let generate ?(profile = "standard") ~seed ~tenants () =
 
 (* {1 The arena over shards}
 
-   Waves are self-contained (own store, machine, injector), so the
-   fleet treatment is one {!Pool.map} over them.  {!Os.Arena.assemble}
+   Waves are self-contained (own store and injector, a machine in its
+   created state), so the fleet treatment is one {!Pool.map} over
+   them.  {!Os.Arena.assemble}
    sorts, so the report is byte-identical to the sequential run — the
    same determinism contract the serving fleet keeps
    (docs/SCALING.md). *)
@@ -335,7 +336,18 @@ let generate ?(profile = "standard") ~seed ~tenants () =
 let run_sharded ?mode ?quantum ?inject ?(quota = Os.Arena.default_quota)
     ~shards ~seed tenants =
   Result.iter_error invalid_arg (validate ~shards ~quota ());
+  (* One wave system per worker, built for its first wave and reset for
+     each later one; slot [w] is only touched by worker [w]. *)
+  let systems = Array.make shards None in
+  let system w =
+    match systems.(w) with
+    | Some sys -> sys
+    | None ->
+        let sys = Os.System.create ?mode ~store:(Os.Store.create ()) () in
+        systems.(w) <- Some sys;
+        sys
+  in
   Os.Arena.waves tenants
-  |> Pool.map ~workers:shards (fun _ (wave, ts) ->
-         Os.Arena.run_wave ?mode ?quantum ?inject ~quota ~wave ts)
+  |> Pool.map ~workers:shards (fun w (wave, ts) ->
+         Os.Arena.run_wave ~sys:(system w) ?quantum ?inject ~quota ~wave ts)
   |> Os.Arena.assemble ~seed ~quota

@@ -52,9 +52,12 @@ val run_sharded :
   Os.Arena.tenant list ->
   Os.Arena.report
 (** Run the campaign's waves through {!Pool.map} on [shards] workers
-    ([shards = 1] stays on the calling domain) and assemble.  Waves
-    are self-contained, so the report is byte-identical to the
-    sequential run regardless of [shards].  [mode] selects each
-    wave's protection backend ({!Os.Arena.run_wave}).  Raises
+    ([shards = 1] stays on the calling domain) and assemble.  Each
+    worker builds one wave system on its first wave and resets it
+    ({!Os.System.reset}) for every later one; the systems live only
+    for this call.  Waves are self-contained, so the report is
+    byte-identical to the sequential run regardless of [shards].
+    [mode] selects each wave's protection backend
+    ({!Os.Arena.run_wave}).  Raises
     [Invalid_argument] with {!validate}'s message on a bad [shards] or
     [quota]. *)

@@ -520,3 +520,13 @@ let pp ppf = function
 
 let pp_log ppf log =
   List.iter (fun e -> Format.fprintf ppf "%a@." pp e) (events log)
+
+let reset log =
+  set_capacity log default_capacity;
+  log.enabled <- false;
+  log.sample_interval <- 1;
+  log.sample_seed <- 0;
+  log.instr_interval <- 0;
+  log.strings <- [||];
+  log.nstrings <- 0;
+  Hashtbl.reset log.string_ids

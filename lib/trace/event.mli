@@ -203,6 +203,11 @@ val clear : log -> unit
 (** Drop all events and reset the sequence and discard counters
     (sampling configuration and interned strings persist). *)
 
+val reset : log -> unit
+(** Return [log] to what [create_log ()] builds: disabled, empty,
+    unsampled, {!default_capacity}, no interned strings.  The clock,
+    text resolver and stats sink stay wired. *)
+
 (** {1 Checkpoint support} *)
 
 type dump = {

@@ -7,13 +7,22 @@
 
 type cell = { mutable cycles : int; mutable instructions : int }
 
+(* [last_segno]/[last_cell] remember the segment the previous
+   attribution went to, so the common step — one more instruction in
+   the same segment — does no hash, probe or allocation.  The cell is
+   the one in [segments] (only [clear] drops cells, and it forgets the
+   pair too); [no_segno] matches no segment number. *)
 type t = {
   mutable enabled : bool;
   ring_cycles : int array;
   ring_instructions : int array;
   segments : (int, cell) Hashtbl.t;
   mutable kernel_cycles : int;
+  mutable last_segno : int;
+  mutable last_cell : cell;
 }
+
+let no_segno = -1
 
 let create ~rings () =
   if rings < 1 then invalid_arg "Profile.create: rings < 1";
@@ -23,6 +32,8 @@ let create ~rings () =
     ring_instructions = Array.make rings 0;
     segments = Hashtbl.create 32;
     kernel_cycles = 0;
+    last_segno = no_segno;
+    last_cell = { cycles = 0; instructions = 0 };
   }
 
 let enabled t = t.enabled
@@ -32,19 +43,33 @@ let clear t =
   Array.fill t.ring_cycles 0 (Array.length t.ring_cycles) 0;
   Array.fill t.ring_instructions 0 (Array.length t.ring_instructions) 0;
   Hashtbl.reset t.segments;
-  t.kernel_cycles <- 0
+  t.kernel_cycles <- 0;
+  t.last_segno <- no_segno
+
+let reset t =
+  clear t;
+  t.enabled <- false
+
+let segment_cell t segno =
+  if segno = t.last_segno then t.last_cell
+  else begin
+    let c =
+      match Hashtbl.find t.segments segno with
+      | c -> c
+      | exception Not_found ->
+          let c = { cycles = 0; instructions = 0 } in
+          Hashtbl.add t.segments segno c;
+          c
+    in
+    t.last_segno <- segno;
+    t.last_cell <- c;
+    c
+  end
 
 let attribute t ~ring ~segno ~cycles ~instructions =
   t.ring_cycles.(ring) <- t.ring_cycles.(ring) + cycles;
   t.ring_instructions.(ring) <- t.ring_instructions.(ring) + instructions;
-  let cell =
-    match Hashtbl.find_opt t.segments segno with
-    | Some c -> c
-    | None ->
-        let c = { cycles = 0; instructions = 0 } in
-        Hashtbl.add t.segments segno c;
-        c
-  in
+  let cell = segment_cell t segno in
   cell.cycles <- cell.cycles + cycles;
   cell.instructions <- cell.instructions + instructions
 

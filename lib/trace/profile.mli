@@ -41,6 +41,9 @@ val total_cycles : t -> int
 
 val clear : t -> unit
 
+val reset : t -> unit
+(** {!clear}, and disable: the profile {!create} builds. *)
+
 val merge_into : dst:t -> t -> unit
 (** [merge_into ~dst src] adds [src]'s ring, segment and kernel
     buckets into [dst] pointwise (aggregating per-shard profiles into

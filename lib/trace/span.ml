@@ -290,3 +290,11 @@ let restore t d =
   Histogram.restore t.hist_down d.dump_hists.(1);
   Histogram.restore t.hist_up d.dump_hists.(2);
   Histogram.restore t.hist_recovery d.dump_hists.(3)
+
+let reset t =
+  clear t;
+  t.enabled <- false;
+  t.capacity <- default_capacity;
+  t.buf <- [||];
+  t.sample_interval <- 1;
+  t.sample_seed <- 0

@@ -119,6 +119,11 @@ val unmatched_returns : tracker -> int
 
 val clear : tracker -> unit
 
+val reset : tracker -> unit
+(** Return the tracker to what [create ()] builds: disabled, empty,
+    unsampled, {!default_capacity}.  The backend label and stats sink
+    stay. *)
+
 (** {1 Checkpoint support} *)
 
 type dump = {

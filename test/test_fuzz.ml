@@ -311,7 +311,8 @@ let prop_damaged_images_end_in_typed_errors =
    Program files and injection plans come from outside: mutated texts
    must end in [Ok] or [Error], never in an exception.  The mutations
    aim where the loaders once fell over — header rings and brackets,
-   duplicate names, word counts — plus blind byte flips and cuts. *)
+   values that are not numbers, duplicate names, word counts — plus
+   blind byte flips and cuts. *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -326,17 +327,24 @@ let example_programs =
 
 let odd_numbers = [| -1; 8; 1 lsl 40 |]
 
+(* What a header number may be rewritten to: the odd numbers, text
+   that is no number at all, and nothing. *)
+let odd_values = Array.append (Array.map string_of_int odd_numbers) [| "x"; "" |]
+
 (* What a mutation may touch in one kind of text: its header lines
    (whose numbers are rewritten and which are duplicated), and an extra
    line to insert, built from a selector and one of [odd_numbers]. *)
 type shape = { header : string -> bool; extra : int -> int -> string }
 
+(* Word counts: negative, past the 2^18-word segment limit, far past
+   it, and just under it — a segment that fits the 2^18 limit but not
+   what is left of its process's 2^18-word region. *)
 let rng_shape =
   {
     header = (fun l -> String.length l > 0 && l.[0] = '%');
     extra =
       (fun a _ ->
-        let v = [| -1; (1 lsl 18) + 1; 1 lsl 40 |].(a mod 3) in
+        let v = [| -1; (1 lsl 18) + 1; 1 lsl 40; 262_000 |].(a mod 4) in
         Printf.sprintf "        %s %d" (if a land 4 = 0 then ".zero" else ".org") v);
   }
 
@@ -362,9 +370,7 @@ let renumber line pick v =
   | numeric ->
       let target = List.nth numeric (pick mod List.length numeric) in
       List.map
-        (fun w ->
-          if w == target then Option.value (key w) ~default:"" ^ string_of_int v
-          else w)
+        (fun w -> if w == target then Option.value (key w) ~default:"" ^ v else w)
         words
       |> String.concat " "
 
@@ -385,7 +391,8 @@ let mutate shape text (kind, a, b) =
   | 1 -> String.sub text 0 (a mod (len + 1))
   | 2 when headers <> [] ->
       let h = List.nth headers (a mod List.length headers) in
-      String.concat "\n" (List.map (fun l -> if l == h then renumber l b v else l) lines)
+      let v = odd_values.(b mod Array.length odd_values) in
+      String.concat "\n" (List.map (fun l -> if l == h then renumber l (b / 7) v else l) lines)
   | 3 when headers <> [] ->
       String.concat "\n"
         (insert (b mod (n + 1)) (List.nth headers (a mod List.length headers)))
@@ -413,24 +420,37 @@ let never_raises what f =
 
 (* The whole load path ringsim takes: parse, the listing's standalone
    assembly, the store, then spawn (with %process lines) or load and
-   start (without). *)
+   start (without).  A spawn that succeeds must have kept every
+   process inside its own region: the cross-tenant auditor's findings
+   come back, and must be none. *)
 let load_program text =
   match Os.Program.parse text with
-  | Error _ -> ()
+  | Error _ -> []
   | Ok prog ->
       List.iter
         (fun (s : Os.Program.segment) -> ignore (Asm.Assemble.assemble s.source))
         prog.segments;
       let store = Os.Program.store prog in
-      if prog.processes = [] then
+      if prog.processes = [] then begin
         let p = Os.Process.create ~store ~user:"operator" () in
-        ignore (Os.Program.load p prog ~start:"main" ~ring:4)
-      else ignore (Os.Program.spawn (Os.System.create ~store ()) prog)
+        ignore (Os.Program.load p prog ~start:"main" ~ring:4);
+        []
+      end
+      else
+        let sys = Os.System.create ~store () in
+        match Os.Program.spawn sys prog with
+        | Error _ -> []
+        | Ok () -> Os.Chaos.check_cross_tenant sys
 
 let prop_program_files_end_in_typed_errors =
   let apply, arb = mutated rng_shape example_programs in
-  QCheck.Test.make ~name:"mutated .rng files end in typed errors" ~count:300 arb
-    (fun input -> never_raises "program load" (fun () -> load_program (apply input)))
+  QCheck.Test.make ~name:"mutated .rng files end in typed errors" ~count:600 arb
+    (fun input ->
+      let found = ref [] in
+      never_raises "program load" (fun () -> found := load_program (apply input))
+      && (!found = []
+         || QCheck.Test.fail_reportf "spawned across regions: %s"
+              (String.concat "; " !found)))
 
 let example_plans =
   Lazy.from_val @@ Array.map

@@ -788,6 +788,13 @@ type rewind_op =
   | Delta  (** open a chain, or extend the open one and flatten it *)
   | Foreign_clear  (** a clear_dirty no capture made *)
   | Rewind of { image : int; restore : bool; recapture : bool }
+  (* The ops below only leave state behind for a reset to clear. *)
+  | Quarantine of int  (** quarantine the [i mod n]th entry *)
+  | Inject of int  (** the default plan under this seed, with a hook *)
+  | Tag of int  (** tag a word (capability machine only) *)
+  | Trace of int  (** events, spans and profile on, 1-in-[n] sampling *)
+  | Limit of int  (** arm the cycle ceiling this many cycles ahead *)
+  | Degrade
 
 let pp_rewind_op = function
   | Run k -> Printf.sprintf "Run %d" k
@@ -799,6 +806,14 @@ let pp_rewind_op = function
   | Rewind { image; restore; recapture } ->
       Printf.sprintf "Rewind {image=%d; restore=%b; recapture=%b}" image
         restore recapture
+  | Quarantine i -> Printf.sprintf "Quarantine %d" i
+  | Inject seed -> Printf.sprintf "Inject %d" seed
+  | Tag a -> Printf.sprintf "Tag %d" a
+  | Trace n -> Printf.sprintf "Trace %d" n
+  | Limit k -> Printf.sprintf "Limit %d" k
+  | Degrade -> "Degrade"
+
+let pp_ops ops = String.concat "; " (List.map pp_rewind_op ops)
 
 (* The bump pair fills the first two 2^18-word regions; the 64 pages
    above them belong to no process, so stray stores there change
@@ -808,15 +823,11 @@ let rewind_mem_size = rewind_free_base + (64 * Hw.Memory.page_words)
 
 exception Pause
 
-(* Replays [ops] on a bump pair under [mode] and checks every rewind;
-   the first mismatch fails with the op that exposed it. *)
-let check_rewinds (name, mode) ~quantum ops =
-  let sys =
-    Os.System.create ~mode ~mem_size:rewind_mem_size
-      ~store:(build_store ~n1:40 ~n2:25 ())
-      ()
-  in
-  spawn_pair sys;
+(* Replays [ops] on [sys] and checks every rewind (a [Rewind] needs an
+   image taken before it); the first mismatch fails with the op that
+   exposed it. *)
+let replay name sys ~quantum ops =
+  let m = Os.System.machine sys in
   let mem = machine_mem sys in
   (* Every image taken, oldest first, with the nonzero words memory
      held when it was taken — read word by word, not from the image. *)
@@ -824,7 +835,6 @@ let check_rewinds (name, mode) ~quantum ops =
   let record image =
     images := Array.append !images [| (image, memory_words sys) |]
   in
-  record (Os.Snapshot.capture sys);
   let chain = ref None in
   let poked = ref [] in
   let step = function
@@ -878,15 +888,51 @@ let check_rewinds (name, mode) ~quantum ops =
         (* [restore] already re-captured the image in its self-check. *)
         if again && (not restore) && not (String.equal img (recapture sys))
         then Alcotest.fail "does not re-capture to the image's bytes"
+    | Quarantine i -> (
+        match Os.System.entries sys with
+        | [] -> ()
+        | es ->
+            Os.System.quarantine sys
+              (List.nth es (i mod List.length es))
+              (Rings.Fault.Watchdog_timeout { budget = i }))
+    | Inject seed ->
+        ignore
+          (Os.Process.attach_injector m
+             (Hw.Inject.default_plan ~seed)
+             (List.map
+                (fun (e : Os.System.entry) -> e.Os.System.process)
+                (Os.System.entries sys)));
+        m.Isa.Machine.on_recovery <-
+          (fun _ -> Trace.Counters.bump_degraded m.Isa.Machine.counters)
+    | Tag a -> if Hw.Memory.tags_enabled mem then Hw.Memory.set_tag mem a
+    | Trace n ->
+        Isa.Machine.set_sampling m
+          { Isa.Machine.sample = n; seed = n; capacity = 512; instr = 0 };
+        Trace.Event.set_enabled m.Isa.Machine.log true;
+        Trace.Span.set_enabled m.Isa.Machine.spans true;
+        Trace.Profile.set_enabled m.Isa.Machine.profile true
+    | Limit k ->
+        m.Isa.Machine.cycle_limit <-
+          Some (Trace.Counters.cycles m.Isa.Machine.counters + k)
+    | Degrade -> Isa.Machine.degrade m
   in
   List.iteri
     (fun i op ->
       try step op
       with e ->
-        Alcotest.failf "%s: op %d of [%s]: %s" name i
-          (String.concat "; " (List.map pp_rewind_op ops))
+        Alcotest.failf "%s: op %d of [%s]: %s" name i (pp_ops ops)
           (Printexc.to_string e))
     ops
+
+(* Replays [ops] on a bump pair under [mode], from a first image. *)
+let check_rewinds (name, mode) ~quantum ops =
+  let sys =
+    Os.System.create ~mode ~mem_size:rewind_mem_size
+      ~store:(build_store ~n1:40 ~n2:25 ())
+      ()
+  in
+  spawn_pair sys;
+  replay name sys ~quantum (Capture :: ops)
 
 let modes =
   [
@@ -919,34 +965,42 @@ let test_rewinds_the_dirty_set_alone_misses () =
         ])
     modes
 
+(* Stray stores into the free pages above [free_base], some into the
+   very last page of a [mem_size]-word memory. *)
+let gen_stray_ops ~free_base ~mem_size =
+  let open QCheck.Gen in
+  let last_page = mem_size - Hw.Memory.page_words in
+  [
+    ( 3,
+      map2
+        (fun a v -> Poke (a, v))
+        (int_range free_base (mem_size - 1))
+        (int_range 1 1_000_000) );
+    ( 1,
+      map2
+        (fun a v -> Poke (a, v))
+        (int_range last_page (mem_size - 1))
+        (int_range 1 1_000_000) );
+    (2, map (fun i -> Unpoke i) (int_bound 5));
+  ]
+
 let gen_rewind_op =
   let open QCheck.Gen in
-  let last_page = rewind_mem_size - Hw.Memory.page_words in
   frequency
-    [
-      (4, map (fun k -> Run k) (int_range 1 6));
-      ( 3,
-        map2
-          (fun a v -> Poke (a, v))
-          (int_range rewind_free_base (rewind_mem_size - 1))
-          (int_range 1 1_000_000) );
-      ( 1,
-        map2
-          (fun a v -> Poke (a, v))
-          (int_range last_page (rewind_mem_size - 1))
-          (int_range 1 1_000_000) );
-      (2, map (fun i -> Unpoke i) (int_bound 5));
-      (2, return Capture);
-      (2, return Delta);
-      (1, return Foreign_clear);
-      ( 4,
-        map3
-          (fun image restore again ->
-            Rewind { image; restore; recapture = again })
-          (int_bound 15)
-          (frequency [ (1, return true); (3, return false) ])
-          bool );
-    ]
+    ([ (4, map (fun k -> Run k) (int_range 1 6)) ]
+    @ gen_stray_ops ~free_base:rewind_free_base ~mem_size:rewind_mem_size
+    @ [
+        (2, return Capture);
+        (2, return Delta);
+        (1, return Foreign_clear);
+        ( 4,
+          map3
+            (fun image restore again ->
+              Rewind { image; restore; recapture = again })
+            (int_bound 15)
+            (frequency [ (1, return true); (3, return false) ])
+            bool );
+      ])
 
 let prop_rewind_equivalence ((name, _) as mode) =
   QCheck.Test.make
@@ -954,11 +1008,136 @@ let prop_rewind_equivalence ((name, _) as mode) =
     ~count:25
     QCheck.(
       pair (int_range 5 40)
-        (make
-           ~print:(fun ops -> String.concat "; " (List.map pp_rewind_op ops))
-           Gen.(list_size (int_range 1 30) gen_rewind_op)))
+        (make ~print:pp_ops Gen.(list_size (int_range 1 30) gen_rewind_op)))
     (fun (quantum, ops) ->
       check_rewinds mode ~quantum ops;
+      true)
+
+(* {2 Reset equivalence}
+
+   The arena runs wave after wave on one machine per worker, reset in
+   between instead of built again.  A reset zeroes only the pages ever
+   written and empties every cache by hand, so it is checked against
+   the plain definition: after any program A — slices, stray stores
+   into never-written pages and the last page, captures and chains, a
+   quarantine, an injector with rules and a recovery hook, capability
+   tags, a cycle ceiling, tracing and profiling, degraded caches, and a
+   tenant storing into its own code — a program B run on the reset
+   system at the same addresses must export the same counters, exits
+   and full image, byte for byte, as B on a fresh system. *)
+
+(* The arena's cache-probe tenant: it stores each round's next
+   instruction over [patch] and executes it. *)
+let probe_source ~rounds =
+  Printf.sprintf
+    "start:  lda =%d\n\
+    \        sta cnt\n\
+     loop:   lda jmpw\n\
+    \        sta patch\n\
+     patch:  .word 0\n\
+     next:   lda cnt\n\
+    \        sba =1\n\
+    \        sta cnt\n\
+    \        tnz loop\n\
+    \        mme =2\n\
+     jmpw:   tra next\n\
+     cnt:    .word 0\n"
+    rounds
+
+(* The bump pair in the first two regions, a cache probe in the third,
+   and 64 free pages above. *)
+let reset_free_base = 3 * (1 lsl 18)
+let reset_mem_size = reset_free_base + (64 * Hw.Memory.page_words)
+
+type trio = { n1 : int; n2 : int; rounds : int }
+
+let pp_trio t = Printf.sprintf "{n1=%d; n2=%d; rounds=%d}" t.n1 t.n2 t.rounds
+
+let spawn_trio mode t =
+  let store = build_store ~n1:t.n1 ~n2:t.n2 () in
+  Os.Store.add_source store ~name:"probe"
+    ~acl:
+      (wildcard
+         (Rings.Access.v ~read:true ~write:true ~execute:true
+            (Rings.Brackets.of_ints 4 4 4)))
+    (probe_source ~rounds:t.rounds);
+  let spawn sys =
+    spawn_pair sys;
+    match
+      Os.System.spawn sys ~pname:"pc" ~user:"carol" ~segments:[ "probe" ]
+        ~start:("probe", "start") ~ring:4
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "spawn pc: %s" e
+  in
+  match mode with
+  | `Fresh m ->
+      let sys = Os.System.create ~mode:m ~mem_size:reset_mem_size ~store () in
+      spawn sys;
+      sys
+  | `Reset sys ->
+      Os.System.reset sys ~store;
+      spawn sys;
+      sys
+
+(* B to the end: its exits, its counters, then its full image. *)
+let run_to_end sys ~quantum =
+  let exits = Os.System.run ~quantum sys in
+  let fields = Trace.Counters.fields (Trace.Counters.snapshot (counters sys)) in
+  (exits, Os.System.finished_log sys, fields, Os.Snapshot.capture sys)
+
+let check_reset (name, mode) ~quantum ~a ~b ops =
+  let sys = spawn_trio (`Fresh mode) a in
+  replay name sys ~quantum ops;
+  let reused = run_to_end (spawn_trio (`Reset sys) b) ~quantum in
+  let fresh = run_to_end (spawn_trio (`Fresh mode) b) ~quantum in
+  let exits, log, fields, image = fresh
+  and exits', log', fields', image' = reused in
+  let fail what =
+    Alcotest.failf "%s: B=%s after A=%s [%s]: %s differ" name (pp_trio b)
+      (pp_trio a) (pp_ops ops) what
+  in
+  if exits <> exits' then fail "exits";
+  if log <> log' then fail "completion logs";
+  if fields <> fields' then fail "counters";
+  if not (String.equal image image') then fail "images"
+
+let gen_trio =
+  QCheck.Gen.(
+    map3
+      (fun n1 n2 rounds -> { n1; n2; rounds })
+      (int_range 5 40) (int_range 5 40) (int_range 2 12))
+
+let gen_reset_op =
+  let open QCheck.Gen in
+  frequency
+    ([ (5, map (fun k -> Run k) (int_range 1 6)) ]
+    @ gen_stray_ops ~free_base:reset_free_base ~mem_size:reset_mem_size
+    @ [
+        (2, return Capture);
+        (1, return Delta);
+        (1, return Foreign_clear);
+        (1, map (fun i -> Quarantine i) (int_bound 2));
+        (1, map (fun seed -> Inject seed) (int_range 1 1_000));
+        ( 1,
+          map (fun a -> Tag a) (int_range reset_free_base (reset_mem_size - 1))
+        );
+        (1, map (fun n -> Trace n) (int_range 1 3));
+        (1, map (fun k -> Limit k) (int_range 50 2_000));
+        (1, return Degrade);
+      ])
+
+let prop_reset_equivalence ((name, _) as mode) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "reset equals fresh (%s)" name)
+    ~count:20
+    QCheck.(
+      quad (int_range 5 40)
+        (make ~print:pp_trio gen_trio)
+        (make ~print:pp_trio gen_trio)
+        (make ~print:pp_ops Gen.(list_size (int_range 1 25) gen_reset_op)))
+    (fun (quantum, a, b, ops) ->
+      check_reset mode ~quantum ~a ~b ops;
       true)
 
 let suite =
@@ -1000,5 +1179,8 @@ let suite =
       ]
       @ List.map
           (fun m -> QCheck_alcotest.to_alcotest (prop_rewind_equivalence m))
+          modes
+      @ List.map
+          (fun m -> QCheck_alcotest.to_alcotest (prop_reset_equivalence m))
           modes );
   ]

@@ -473,6 +473,50 @@ let test_profile_merge_into () =
     Alcotest.fail "ring-count mismatch accepted"
   with Invalid_argument _ -> ()
 
+(* Attribution remembers the last segment's cell; [clear], [restore],
+   [merge_into] and [reset] must leave that memory pointing at the
+   table's live cell, or later cycles would land in a dropped one. *)
+let test_profile_segment_cache () =
+  let p = Trace.Profile.create ~rings:8 () in
+  let attr segno cycles =
+    Trace.Profile.attribute p ~ring:1 ~segno ~cycles ~instructions:1
+  in
+  let check what expected =
+    Alcotest.(check (list (triple int int int)))
+      what expected
+      (Trace.Profile.per_segment p)
+  in
+  attr 10 5;
+  attr 10 5;
+  attr 12 1;
+  attr 10 2;
+  check "alternating segments" [ (10, 12, 3); (12, 1, 1) ];
+  Trace.Profile.clear p;
+  attr 10 3;
+  check "after clear" [ (10, 3, 1) ];
+  let other = Trace.Profile.create ~rings:8 () in
+  Trace.Profile.attribute other ~ring:1 ~segno:10 ~cycles:100 ~instructions:7;
+  Trace.Profile.attribute other ~ring:1 ~segno:11 ~cycles:4 ~instructions:1;
+  Trace.Profile.restore p (Trace.Profile.dump other);
+  attr 10 1;
+  check "after restore" [ (10, 101, 8); (11, 4, 1) ];
+  Trace.Profile.merge_into ~dst:p other;
+  attr 10 1;
+  attr 11 1;
+  check "after merge_into" [ (10, 202, 16); (11, 9, 3) ];
+  Trace.Profile.merge_into ~dst:other p;
+  Trace.Profile.attribute other ~ring:1 ~segno:11 ~cycles:1 ~instructions:1;
+  Alcotest.(check (list (triple int int int)))
+    "merge source keeps attributing"
+    [ (10, 302, 23); (11, 14, 5) ]
+    (Trace.Profile.per_segment other);
+  Trace.Profile.set_enabled p true;
+  Trace.Profile.reset p;
+  Alcotest.(check bool) "reset disables" false (Trace.Profile.enabled p);
+  check "reset empties" [];
+  attr 11 2;
+  check "after reset" [ (11, 2, 1) ]
+
 let suite =
   [
     ( "trace",
@@ -506,6 +550,8 @@ let suite =
         Alcotest.test_case "counters of_fields" `Quick
           test_counters_of_fields;
         Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
+        Alcotest.test_case "profile segment cache" `Quick
+          test_profile_segment_cache;
         Alcotest.test_case "profile merge_into" `Quick
           test_profile_merge_into;
       ] );
