@@ -64,6 +64,251 @@ let prop_cpu_never_escapes =
       in
       run 100)
 
+(* {1 The fast path against the uncached machine}
+
+   Every host cache and memo (SDW LRU, PTW TLB, decoded-instruction
+   cache, fetch and translation memos) must be invisible to the model.
+   [Isa.Machine.degrade] turns them all off, which makes a degraded
+   machine the reference: run one random program on a fresh machine
+   and on a degraded one, and every step outcome, fault, register,
+   memory word and modeled counter must agree.  Only [degraded] (which
+   [degrade] bumps) and the nine host-cache counters may differ.
+
+   Four kinds of program share one layout: arbitrary words (the
+   generator above), decodable instructions with PR-relative, indexed
+   and indirect operands over a segment of indirect words, the same
+   with code and data in paged segments, and code that stores into its
+   own segment and loops back over what it stored. *)
+
+let host_cache_counters =
+  [
+    "degraded";
+    "sdw_cache_hits";
+    "sdw_cache_misses";
+    "sdw_cache_evictions";
+    "ptw_tlb_hits";
+    "ptw_tlb_misses";
+    "ptw_tlb_evictions";
+    "icache_hits";
+    "icache_misses";
+    "icache_evictions";
+  ]
+
+let diff_modes =
+  Isa.Machine.[ Ring_hardware; Ring_software_645; Ring_capability ]
+
+type program_kind = Arbitrary | Operands | Paged | Self_modifying
+
+let program_kinds = [| Arbitrary; Operands; Paged; Self_modifying |]
+
+let code_segno = 1
+let data_segno = 9
+let paged_segno = 12
+
+(* Segments an operand may aim at: code, the indirect-word segment,
+   the paged segment and the eight per-ring stacks. *)
+let operand_segnos = [| code_segno; data_segno; paged_segno; 20; 21; 24; 27 |]
+
+let pick next a = a.(next () mod Array.length a)
+
+let operand_opcodes =
+  Isa.Opcode.
+    [|
+      LDA; STA; LDQ; STQ; LDX; STX; ADA; SBA; MPA; DVA; ANA; ORA; XRA; CMPA;
+      AOS; STZ; ALS; ARS; TRA; TZE; TNZ; TMI; TPL; TSX; EAP; SPR; EAA; CALL;
+      RETN; NOP; LDA; STA; AOS; LDA;
+    |]
+
+(* A word number that lands near a page boundary of the paged segment
+   (page 1 is absent) or anywhere in a small segment. *)
+let operand_wordno next segno =
+  if segno = paged_segno then
+    ((next () mod 3) * Hw.Paging.page_size) + (next () mod 24)
+  else next () mod 40
+
+let random_instruction next kind =
+  let base =
+    match next () mod 8 with
+    | 0 -> Isa.Instr.Immediate
+    | 1 | 2 -> Isa.Instr.Ipr_relative
+    | _ -> Isa.Instr.Pr (next () mod 8)
+  in
+  let op =
+    if kind = Self_modifying && next () mod 3 = 0 then
+      pick next Isa.Opcode.[| STA; STQ; AOS; STZ; SPR |]
+    else pick next operand_opcodes
+  in
+  let offset =
+    match base with
+    | Isa.Instr.Ipr_relative -> next () mod 64
+    | Isa.Instr.Immediate -> next () land ((1 lsl 18) - 1)
+    | Isa.Instr.Pr _ ->
+        if kind = Paged && next () mod 2 = 0 then
+          operand_wordno next paged_segno
+        else next () mod 24
+  in
+  Isa.Instr.encode
+    (Isa.Instr.v ~base
+       ~indirect:(next () mod 3 = 0)
+       ~indexed:(next () mod 4 = 0)
+       ~xr:(next () mod 8) ~offset op)
+
+let indirect_word next =
+  let segno = pick next operand_segnos in
+  Isa.Indword.encode
+    (Isa.Indword.v
+       ~indirect:(next () mod 4 = 0)
+       ~ring:(next () land 7) ~segno
+       ~wordno:(operand_wordno next segno)
+       ())
+
+(* One machine per (mode, seed, kind).  Code is segment 1, indirect
+   words segment 9, the three-page data segment 12 is paged with page
+   1 absent, and segments 20-27 are per-ring data.  Under [Paged] the
+   code segment is paged too; under [Self_modifying] it is writable
+   from ring 4, where it runs, and ends in a transfer back to word 0. *)
+let build_diff_machine mode seed kind =
+  let next = xorshift seed in
+  let m = Isa.Machine.create ~mode ~mem_size:(1 lsl 18) () in
+  let mem = m.Isa.Machine.mem in
+  let dbr = { Hw.Registers.base = 0; bound = 64; stack_base = 0 } in
+  m.Isa.Machine.regs.Hw.Registers.dbr <- dbr;
+  let code =
+    Array.init 64 (fun i ->
+        match kind with
+        | Arbitrary -> next ()
+        | Self_modifying when i = 63 ->
+            Isa.Instr.encode (Isa.Instr.v Isa.Opcode.TRA)
+        | _ -> random_instruction next kind)
+  in
+  let data =
+    Array.init 64 (fun _ ->
+        match kind with
+        | Arbitrary -> next ()
+        | Self_modifying when next () mod 2 = 0 -> random_instruction next kind
+        | _ -> if next () mod 4 = 0 then next () else indirect_word next)
+  in
+  let code_access =
+    match kind with
+    | Self_modifying ->
+        Rings.Access.v ~read:true ~write:true ~execute:true
+          (Rings.Brackets.of_ints 4 7 7)
+    | _ ->
+        Rings.Access.v ~read:true ~execute:true (Rings.Brackets.of_ints 0 7 7)
+  in
+  let next_free = ref 1024 in
+  let alloc words =
+    let base = !next_free in
+    next_free := !next_free + words;
+    base
+  in
+  let unpaged segno words access =
+    let bound = Hw.Sdw.round_bound (max (Array.length words) 16) in
+    let base = alloc bound in
+    Hw.Descriptor.store_sdw mem dbr ~segno (Hw.Sdw.v ~base ~bound access);
+    Hw.Memory.blit_silent mem base words
+  in
+  (* A paged segment: one frame per present page, a page table word
+     per page; [absent] pages have no frame. *)
+  let paged segno words ~pages ~absent access =
+    let pt = alloc 16 in
+    next_free := (!next_free + Hw.Paging.page_size - 1) land lnot (Hw.Paging.page_size - 1);
+    for page = 0 to pages - 1 do
+      let ptw =
+        if List.mem page absent then Hw.Paging.absent_ptw
+        else begin
+          let frame = alloc Hw.Paging.page_size in
+          let first = page * Hw.Paging.page_size in
+          if first < Array.length words then
+            Hw.Memory.blit_silent mem frame
+              (Array.sub words first
+                 (min Hw.Paging.page_size (Array.length words - first)));
+          { Hw.Paging.present = true; frame_base = frame }
+        end
+      in
+      Hw.Memory.write_silent mem (pt + page) (Hw.Paging.encode_ptw ptw)
+    done;
+    Hw.Descriptor.store_sdw mem dbr ~segno
+      (Hw.Sdw.v ~paged:true ~base:pt ~bound:(pages * Hw.Paging.page_size)
+         access)
+  in
+  if kind = Paged then paged code_segno code ~pages:2 ~absent:[ 1 ] code_access
+  else unpaged code_segno code code_access;
+  unpaged data_segno data (Fixtures.data_ring 5);
+  paged paged_segno
+    (Array.init (3 * Hw.Paging.page_size) (fun _ ->
+         if next () mod 2 = 0 then indirect_word next else next ()))
+    ~pages:3 ~absent:[ 1 ] (Fixtures.data_ring 6);
+  for r = 0 to 7 do
+    unpaged (20 + r) (Array.init 16 (fun _ -> indirect_word next))
+      (Fixtures.data_ring r)
+  done;
+  let ring = if kind = Self_modifying then 4 else seed land 7 in
+  Fixtures.set_ipr m ~ring ~segno:code_segno ~wordno:0;
+  for n = 0 to 7 do
+    let segno = pick next operand_segnos in
+    Hw.Registers.set_pr m.Isa.Machine.regs n
+      (Hw.Registers.ptr ~ring:(next () land 7) ~segno
+         ~wordno:(operand_wordno next segno))
+  done;
+  m.Isa.Machine.timer <- Some (5 + (next () mod 60));
+  m
+
+(* Step [steps] times.  A fault is recorded, then the run resumes one
+   word past the faulting instruction, uninhibited, so one program
+   reaches many faults.  Returns the outcomes, most recent first. *)
+let diff_run m ~steps =
+  let rec go n acc =
+    if n = 0 then acc
+    else
+      match Isa.Cpu.step m with
+      | Isa.Cpu.Halted -> `Step Isa.Cpu.Halted :: acc
+      | Isa.Cpu.Running -> go (n - 1) (`Step Isa.Cpu.Running :: acc)
+      | Isa.Cpu.Faulted _ as o ->
+          (match m.Isa.Machine.saved with
+          | Some { Isa.Machine.regs = saved; _ } ->
+              let at = saved.Hw.Registers.ipr in
+              m.Isa.Machine.regs.Hw.Registers.ipr <-
+                { at with Hw.Registers.addr = Hw.Addr.offset at.Hw.Registers.addr 1 }
+          | None -> ());
+          m.Isa.Machine.saved <- None;
+          m.Isa.Machine.inhibit <- false;
+          go (n - 1) (`Step o :: acc)
+      | exception Isa.Eff_addr.Runaway_indirection a -> `Runaway a :: acc
+  in
+  go steps []
+
+let modeled_counters m =
+  Trace.Counters.fields (Trace.Counters.snapshot m.Isa.Machine.counters)
+  |> List.filter (fun (name, _) -> not (List.mem name host_cache_counters))
+
+let memory_image m =
+  let mem = m.Isa.Machine.mem in
+  Array.init (Hw.Memory.size mem) (Hw.Memory.read_silent mem)
+
+let prop_fast_path_matches_uncached =
+  QCheck.Test.make ~name:"fast path matches the degraded machine" ~count:120
+    QCheck.(pair (int_range 1 1_000_000) (int_bound 3))
+    (fun (seed, k) ->
+      let kind = program_kinds.(k) in
+      List.for_all
+        (fun mode ->
+          let fast = build_diff_machine mode seed kind in
+          let slow = build_diff_machine mode seed kind in
+          Isa.Machine.degrade slow;
+          let fast_trace = diff_run fast ~steps:300 in
+          let slow_trace = diff_run slow ~steps:300 in
+          let name = Rings.Backend.to_string (Isa.Machine.backend_of_mode mode) in
+          let agree what ok =
+            ok || QCheck.Test.fail_reportf "%s: %s differ" name what
+          in
+          agree "step outcomes" (fast_trace = slow_trace)
+          && agree "registers" (fast.Isa.Machine.regs = slow.Isa.Machine.regs)
+          && agree "modeled counters"
+               (modeled_counters fast = modeled_counters slow)
+          && agree "memory words" (memory_image fast = memory_image slow))
+        diff_modes)
+
 (* The same property under the kernel with a full process environment:
    random code in a user segment, kernel servicing traps. *)
 let prop_kernel_never_escapes =
@@ -478,6 +723,7 @@ let suite =
     ( "fuzz",
       [
         QCheck_alcotest.to_alcotest prop_cpu_never_escapes;
+        QCheck_alcotest.to_alcotest prop_fast_path_matches_uncached;
         QCheck_alcotest.to_alcotest prop_kernel_never_escapes;
         QCheck_alcotest.to_alcotest prop_kernel_never_escapes_paged;
         QCheck_alcotest.to_alcotest prop_system_survives_default_plan_injection;
