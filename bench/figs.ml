@@ -240,7 +240,7 @@ let fig4 () =
        (Rings.Access.v ~execute:true (Rings.Brackets.of_ints 4 4 4)));
   Hw.Memory.write_silent m.Isa.Machine.mem 1024
     (Isa.Instr.encode (Isa.Instr.v ~offset:0 Isa.Opcode.TRA));
-  m.Isa.Machine.regs.Hw.Registers.ipr <-
+  Hw.Registers.set_ipr m.Isa.Machine.regs
     { Hw.Registers.ring = r 4; addr = Hw.Addr.v ~segno:1 ~wordno:0 };
   Bench_util.print_table ~title:"Fig. 4 - simulated instruction cycle (host time)"
     (Bench_util.measure
@@ -285,7 +285,7 @@ let fig5 () =
         next := !next + bound)
       ((1, [||], Rings.Access.v ~execute:true (Rings.Brackets.of_ints 1 1 1))
       :: chain_segments ~use_r1);
-    m.Isa.Machine.regs.Hw.Registers.ipr <-
+    Hw.Registers.set_ipr m.Isa.Machine.regs
       { Hw.Registers.ring = r 1; addr = Hw.Addr.v ~segno:1 ~wordno:0 };
     (* Start the chain at segment (10 + depth_max - depth): following
        exactly [depth] hops. *)
@@ -438,7 +438,7 @@ let fig7 () =
   Hw.Descriptor.store_sdw m.Isa.Machine.mem dbr ~segno:1
     (Hw.Sdw.v ~base:1024 ~bound:16
        (Rings.Access.v ~execute:true (Rings.Brackets.of_ints 2 2 2)));
-  m.Isa.Machine.regs.Hw.Registers.ipr <-
+  Hw.Registers.set_ipr m.Isa.Machine.regs
     { Hw.Registers.ring = r 2; addr = Hw.Addr.v ~segno:1 ~wordno:0 };
   Hw.Registers.set_pr m.Isa.Machine.regs 3
     (Hw.Registers.ptr ~ring:6 ~segno:1 ~wordno:4);

@@ -409,6 +409,55 @@ let run_snapshot_system ?on_slice sys =
   let dt = Unix.gettimeofday () -. t0 in
   (float_of_int (Trace.Counters.instructions c) /. dt, Trace.Counters.cycles c)
 
+(* The untraced instruction cycle must not allocate.  A step once took
+   ~50 minor words (a closure per [let*] bind, a fresh IPR and operand
+   record, a [Some] per timer tick); what is left per instruction is
+   the occasional pointer register or address a CALL, RETURN or EAP
+   builds, and the scheduler's per-slice bookkeeping.  The gate reads
+   [Gc.minor_words] over whole deterministic runs — crossing-hw under
+   the kernel, and the snapshot gate's bump pair under [System.run],
+   whose interval timer ticks every instruction — so the figure is
+   exact and the gate cannot flake. *)
+let step_alloc_budget_words = 5.0
+
+let minor_words_per_instruction counters run =
+  let i0 = Trace.Counters.instructions counters in
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. w0 in
+  words /. float_of_int (Trace.Counters.instructions counters - i0)
+
+let run_step_alloc_gate () =
+  let name, max_instructions, build = List.hd workloads in
+  let crossing =
+    match build () with
+    | Error e -> failwith (Printf.sprintf "%s: build failed: %s" name e)
+    | Ok p ->
+        minor_words_per_instruction p.Os.Process.machine.Isa.Machine.counters
+          (fun () -> ignore (Os.Kernel.run ~max_instructions p))
+  in
+  let sys = build_snapshot_system () in
+  let scheduled =
+    minor_words_per_instruction
+      (Os.System.machine sys).Isa.Machine.counters (fun () ->
+        ignore (Os.System.run sys : (string * Os.Kernel.exit) list))
+  in
+  let scheduled_name = "bump-pair under System.run" in
+  List.iter
+    (fun (what, words) ->
+      if words > step_alloc_budget_words then
+        failwith
+          (Printf.sprintf
+             "untraced step allocates %.2f minor words per instruction on %s \
+              (budget %.0f)"
+             words what step_alloc_budget_words))
+    [ (name, crossing); (scheduled_name, scheduled) ];
+  Printf.printf
+    "alloc gate - untraced step: %.2f minor words/instr on %s, %.2f on %s \
+     (budget %.0f)\n"
+    crossing name scheduled scheduled_name step_alloc_budget_words;
+  (crossing, scheduled)
+
 (* The plain side of the pair. *)
 let run_snapshot_plain () = run_snapshot_system (build_snapshot_system ())
 
@@ -694,7 +743,7 @@ let backend_deterministic_fragment s =
        s.bk_violations);
   Buffer.contents buf
 
-let json_of_samples samples span_samples ~trace ~idle
+let json_of_samples samples span_samples ~trace ~step_alloc ~idle
     ~(chaos : Os.Chaos.report) ~snap ~serving ~arena ~backends =
   let untraced, traced = trace.median_pair in
   let buf = Buffer.create 1024 in
@@ -746,6 +795,12 @@ let json_of_samples samples span_samples ~trace ~idle
         \"instructions_per_sec_traced\": %.0f, %s},\n"
        untraced.name untraced.ips traced.ips
        (json_of_gate ~budget:trace_overhead_budget trace));
+  let crossing_words, scheduled_words = step_alloc in
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"step_alloc\": {\"minor_words_per_instr\": {%S: %.3f, \
+        \"bump-pair-scheduled\": %.3f}, \"budget\": %.1f},\n"
+       untraced.name crossing_words scheduled_words step_alloc_budget_words);
   let h = chaos.Os.Chaos.recovery_latency in
   Buffer.add_string buf
     (Printf.sprintf
@@ -950,6 +1005,7 @@ let throughput () =
   gate ~what:("trace overhead on " ^ untraced.name)
     ~budget:trace_overhead_budget trace;
   run_alloc_smoke ();
+  let step_alloc = run_step_alloc_gate () in
   print_newline ();
   let idle =
     let (name, max_instructions, build) = List.hd workloads in
@@ -1213,7 +1269,7 @@ let throughput () =
   print_newline ();
   let oc = open_out "BENCH_throughput.json" in
   output_string oc
-    (json_of_samples samples span_samples ~trace ~idle ~chaos ~snap ~serving
-       ~arena ~backends);
+    (json_of_samples samples span_samples ~trace ~step_alloc ~idle ~chaos
+       ~snap ~serving ~arena ~backends);
   close_out oc;
   Printf.printf "wrote BENCH_throughput.json\n"

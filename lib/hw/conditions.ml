@@ -22,7 +22,7 @@ let store (regs : Registers.t) ~fault_code =
     |> Word.set_field ~pos:14 ~width:21 regs.Registers.dbr.Registers.base
     |> Word.set_field ~pos:0 ~width:14 regs.Registers.dbr.Registers.bound);
   a.(1) <- regs.Registers.dbr.Registers.stack_base;
-  a.(2) <- encode_ptr regs.Registers.ipr;
+  a.(2) <- encode_ptr (Registers.ipr regs);
   for n = 0 to Registers.pr_count - 1 do
     a.(3 + n) <- encode_ptr (Registers.get_pr regs n)
   done;
@@ -45,7 +45,7 @@ let load (regs : Registers.t) (a : Word.t array) =
       bound = Word.field ~pos:0 ~width:14 a.(0);
       stack_base = Word.field ~pos:0 ~width:14 a.(1);
     };
-  regs.Registers.ipr <- decode_ptr a.(2);
+  Registers.set_ipr regs (decode_ptr a.(2));
   for n = 0 to Registers.pr_count - 1 do
     Registers.set_pr regs n (decode_ptr a.(3 + n))
   done;

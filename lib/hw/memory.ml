@@ -74,6 +74,17 @@ let write t addr w =
   Trace.Counters.charge t.counters Costs.memory_access;
   write_silent t addr w
 
+let iter_nonzero t ~addr ~len f =
+  if len > 0 then begin
+    check t addr;
+    check t (addr + len - 1)
+  end;
+  let words = t.words in
+  for i = 0 to len - 1 do
+    let w = Array.unsafe_get words (addr + i) in
+    if w <> 0 then f i w
+  done
+
 let blit_silent t addr words =
   Array.iteri (fun i w -> write_silent t (addr + i) w) words
 

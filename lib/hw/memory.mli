@@ -37,6 +37,11 @@ val blit_silent : t -> int -> Word.t array -> unit
 (** [blit_silent mem addr words] copies [words] to consecutive
     absolute addresses starting at [addr]. *)
 
+val iter_nonzero : t -> addr:int -> len:int -> (int -> Word.t -> unit) -> unit
+(** [iter_nonzero t ~addr ~len f] calls [f i w] for each nonzero word
+    [w] at [addr + i], [0 <= i < len], in address order — silently,
+    like {!read_silent}.  The snapshot writer's page scan. *)
+
 (** {1 Dirty-page tracking}
 
     Each page carries a stamp: the dirty generation of its last store,

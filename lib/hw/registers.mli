@@ -4,7 +4,9 @@
       descriptor segment, its bound (number of SDWs), and the footnote's
       STACK field naming the process's eight standard stack segments.
     - IPR: instruction pointer — current ring of execution plus the
-      two-part address of the next instruction.
+      two-part address of the next instruction.  Held as three mutable
+      fields, so the processor advances it in place; {!ipr} and
+      {!set_ipr} read and write it as a {!ptr}.
     - PR0..PR7: program-accessible pointer registers, each a two-part
       address plus a ring number used as a validation level.  PR
       assignments by software convention: PR0 is the stack base pointer
@@ -31,7 +33,9 @@ type dbr = {
 
 type t = {
   mutable dbr : dbr;
-  mutable ipr : ptr;
+  mutable ipr_ring : Rings.Ring.t;  (** IPR: the ring of execution. *)
+  mutable ipr_segno : int;  (** IPR: segment of the next instruction. *)
+  mutable ipr_wordno : int;  (** IPR: its word number. *)
   prs : ptr array;
   mutable a : Word.t;
   mutable q : Word.t;
@@ -55,8 +59,23 @@ val create : unit -> t
 
 val ptr : ring:int -> segno:int -> wordno:int -> ptr
 
+val ipr : t -> ptr
+(** The IPR as a fresh {!ptr}. *)
+
+val set_ipr : t -> ptr -> unit
+
+val set_ipr_at : t -> ring:Rings.Ring.t -> segno:int -> wordno:int -> unit
+(** [set_ipr] from the parts, allocating nothing. *)
+
+val advance_ipr : t -> unit
+(** Step the IPR to the next word of its segment (word numbers wrap
+    at 2^18), in place. *)
+
 val get_pr : t -> int -> ptr
 val set_pr : t -> int -> ptr -> unit
+
+val set_pr_at : t -> int -> ring:Rings.Ring.t -> segno:int -> wordno:int -> unit
+(** [set_pr] from the parts; allocates only when the value changes. *)
 
 val maximize_pr_rings : t -> Rings.Ring.t -> unit
 (** Raise the RING field of every PR to at least the given ring — the

@@ -1,9 +1,6 @@
 let set_stack_base_pr m ~new_ring ~stack_segno =
-  Hw.Registers.set_pr m.Machine.regs 0
-    {
-      Hw.Registers.ring = new_ring;
-      addr = Hw.Addr.v ~segno:stack_segno ~wordno:0;
-    }
+  Hw.Registers.set_pr_at m.Machine.regs 0 ~ring:new_ring ~segno:stack_segno
+    ~wordno:0
 
 (* Event construction is gated so the disabled path allocates
    nothing — CALL/RETURN are the crossing workloads' hot path. *)
@@ -30,27 +27,30 @@ let record_return m ~crossing ~from_ring ~to_ring (addr : Hw.Addr.t) =
     (* A same-ring return undoes a same-ring call; an upward return
        undoes a downward call.  Closing by expected kind keeps the
        intermediate upward return of the outward-return mechanism from
-       ending the enclosing outward span. *)
-    let expected =
-      match crossing with
-      | Trace.Event.Same_ring -> Trace.Event.Same_ring
-      | Trace.Event.Upward | Trace.Event.Downward -> Trace.Event.Downward
-      (* Recovery spans are opened and closed by the kernel's fault
-         path, never by a RETURN instruction. *)
-      | Trace.Event.Recovery -> Trace.Event.Recovery
-    in
-    Trace.Span.close_span ~kind:expected m.Machine.spans
-      ~cycles:(Trace.Counters.cycles m.Machine.counters)
+       ending the enclosing outward span.  Each branch passes a
+       constant kind, so the optional argument allocates nothing. *)
+    let cycles = Trace.Counters.cycles m.Machine.counters in
+    match crossing with
+    | Trace.Event.Same_ring ->
+        Trace.Span.close_span ~kind:Trace.Event.Same_ring m.Machine.spans
+          ~cycles
+    | Trace.Event.Upward | Trace.Event.Downward ->
+        Trace.Span.close_span ~kind:Trace.Event.Downward m.Machine.spans
+          ~cycles
+    (* Recovery spans are opened and closed by the kernel's fault
+       path, never by a RETURN instruction. *)
+    | Trace.Event.Recovery ->
+        Trace.Span.close_span ~kind:Trace.Event.Recovery m.Machine.spans
+          ~cycles
 
 let hardware_call m ~effective ~(addr : Hw.Addr.t) =
   let regs = m.Machine.regs in
-  let ipr = regs.Hw.Registers.ipr in
-  let exec = ipr.Hw.Registers.ring in
+  let exec = regs.Hw.Registers.ipr_ring in
   match Machine.fetch_sdw m ~segno:addr.Hw.Addr.segno with
   | Error _ as e -> e
   | Ok sdw -> (
       let same_segment =
-        addr.Hw.Addr.segno = ipr.Hw.Registers.addr.Hw.Addr.segno
+        addr.Hw.Addr.segno = regs.Hw.Registers.ipr_segno
       in
       match
         Rings.Call.validate ~gate_on_same_ring:m.Machine.gate_on_same_ring
@@ -88,12 +88,13 @@ let hardware_call m ~effective ~(addr : Hw.Addr.t) =
                   Trace.Counters.bump_calls_downward m.Machine.counters;
                   record_call m ~crossing:Trace.Event.Downward
                     ~from_ring:exec ~to_ring:new_ring addr);
-              regs.Hw.Registers.ipr <- { Hw.Registers.ring = new_ring; addr };
+              Hw.Registers.set_ipr_at regs ~ring:new_ring ~segno:addr.Hw.Addr.segno
+                ~wordno:addr.Hw.Addr.wordno;
               Ok ()))
 
 let hardware_retn m ~effective ~(addr : Hw.Addr.t) =
   let regs = m.Machine.regs in
-  let exec = regs.Hw.Registers.ipr.Hw.Registers.ring in
+  let exec = regs.Hw.Registers.ipr_ring in
   match Machine.fetch_sdw m ~segno:addr.Hw.Addr.segno with
   | Error _ as e -> e
   | Ok sdw -> (
@@ -116,7 +117,8 @@ let hardware_retn m ~effective ~(addr : Hw.Addr.t) =
                   Trace.Counters.bump_returns_upward m.Machine.counters;
                   record_return m ~crossing:Trace.Event.Upward
                     ~from_ring:exec ~to_ring:new_ring addr);
-              regs.Hw.Registers.ipr <- { Hw.Registers.ring = new_ring; addr };
+              Hw.Registers.set_ipr_at regs ~ring:new_ring ~segno:addr.Hw.Addr.segno
+                ~wordno:addr.Hw.Addr.wordno;
               Ok ()))
 
 (* Capability mode: the same domain switch the hardware performs —
@@ -135,13 +137,12 @@ let hardware_retn m ~effective ~(addr : Hw.Addr.t) =
    unchanged. *)
 let capability_call m ~effective ~(addr : Hw.Addr.t) =
   let regs = m.Machine.regs in
-  let ipr = regs.Hw.Registers.ipr in
-  let exec = ipr.Hw.Registers.ring in
+  let exec = regs.Hw.Registers.ipr_ring in
   match Machine.fetch_sdw m ~segno:addr.Hw.Addr.segno with
   | Error _ as e -> e
   | Ok sdw -> (
       let same_segment =
-        addr.Hw.Addr.segno = ipr.Hw.Registers.addr.Hw.Addr.segno
+        addr.Hw.Addr.segno = regs.Hw.Registers.ipr_segno
       in
       match
         Rings.Call.validate ~gate_on_same_ring:m.Machine.gate_on_same_ring
@@ -183,18 +184,19 @@ let capability_call m ~effective ~(addr : Hw.Addr.t) =
                   m.Machine.cap_stack <-
                     Cap.Capability.seal_return
                       ~otype:(Rings.Ring.to_int exec)
-                      ~segno:ipr.Hw.Registers.addr.Hw.Addr.segno
-                      ~wordno:ipr.Hw.Registers.addr.Hw.Addr.wordno
+                      ~segno:regs.Hw.Registers.ipr_segno
+                      ~wordno:regs.Hw.Registers.ipr_wordno
                     :: m.Machine.cap_stack;
                   Trace.Counters.bump_calls_downward m.Machine.counters;
                   record_call m ~crossing:Trace.Event.Downward
                     ~from_ring:exec ~to_ring:new_ring addr);
-              regs.Hw.Registers.ipr <- { Hw.Registers.ring = new_ring; addr };
+              Hw.Registers.set_ipr_at regs ~ring:new_ring ~segno:addr.Hw.Addr.segno
+                ~wordno:addr.Hw.Addr.wordno;
               Ok ()))
 
 let capability_retn m ~effective ~(addr : Hw.Addr.t) =
   let regs = m.Machine.regs in
-  let exec = regs.Hw.Registers.ipr.Hw.Registers.ring in
+  let exec = regs.Hw.Registers.ipr_ring in
   match Machine.fetch_sdw m ~segno:addr.Hw.Addr.segno with
   | Error _ as e -> e
   | Ok sdw -> (
@@ -230,7 +232,8 @@ let capability_retn m ~effective ~(addr : Hw.Addr.t) =
                   Trace.Counters.bump_returns_upward m.Machine.counters;
                   record_return m ~crossing:Trace.Event.Upward
                     ~from_ring:exec ~to_ring:new_ring addr);
-              regs.Hw.Registers.ipr <- { Hw.Registers.ring = new_ring; addr };
+              Hw.Registers.set_ipr_at regs ~ring:new_ring ~segno:addr.Hw.Addr.segno
+                ~wordno:addr.Hw.Addr.wordno;
               Ok ()))
 
 (* 645 mode: CALL/RETURN are plain transfers; a target that is not
@@ -238,7 +241,7 @@ let capability_retn m ~effective ~(addr : Hw.Addr.t) =
    software gatekeeper, which implements the ring switch. *)
 let software_transfer m ~is_call ~(addr : Hw.Addr.t) =
   let regs = m.Machine.regs in
-  let ring = regs.Hw.Registers.ipr.Hw.Registers.ring in
+  let ring = regs.Hw.Registers.ipr_ring in
   match Machine.resolve m addr with
   | Error (Rings.Fault.Missing_segment _) | Error (Rings.Fault.Bound_violation _)
     ->
@@ -272,7 +275,8 @@ let software_transfer m ~is_call ~(addr : Hw.Addr.t) =
             record_return m ~crossing:Trace.Event.Same_ring ~from_ring:ring
               ~to_ring:ring addr
           end;
-          regs.Hw.Registers.ipr <- { Hw.Registers.ring = ring; addr };
+          Hw.Registers.set_ipr_at regs ~ring:ring ~segno:addr.Hw.Addr.segno
+                ~wordno:addr.Hw.Addr.wordno;
           Ok ())
 
 let call m ~effective ~addr =

@@ -29,4 +29,13 @@ exception Runaway_indirection of Hw.Addr.t
 (** Raised after 64 levels of indirection: the program built an
     indirect loop, which would hang the real processor. *)
 
+val form : Machine.t -> Instr.t -> (unit, Rings.Fault.t) result
+(** Form the operand into the machine's scratch fields
+    ([Machine.op_kind] and the other [op_] fields): the instruction
+    cycle's path, which allocates nothing unless it faults. *)
+
+val operand : Machine.t -> operand
+(** The operand the last {!form} left in the scratch fields. *)
+
 val compute : Machine.t -> Instr.t -> (operand, Rings.Fault.t) result
+(** {!form}, then {!operand}. *)

@@ -1,34 +1,57 @@
 type action = Continue | Halt
 
-let ( let* ) = Result.bind
+let ok = Ok Continue
 
 let illegal (instr : Instr.t) =
   Error (Rings.Fault.Illegal_opcode { word = Instr.encode instr })
 
-(* Fig. 6, left side: validate then read the operand. *)
-let read_operand m instr operand =
-  match operand with
-  | Eff_addr.Immediate w -> Ok w
-  | Eff_addr.Absent -> illegal instr
-  | Eff_addr.Memory { effective; addr } ->
-      let* sdw, abs = Machine.resolve m addr in
-      let* () = Machine.validate_read m sdw ~effective in
-      Ok (Hw.Memory.read m.Machine.mem abs)
+(* The operand is whatever {!Eff_addr.form} left in the machine's
+   scratch fields.  Every path below matches directly on results — a
+   [let*] would allocate a closure per bind on this compiler — and
+   allocates only when it faults. *)
+
+(* Fig. 6, left side: validate then read the operand into [op_value]. *)
+let read_operand m instr =
+  match m.Machine.op_kind with
+  | Machine.Immediate_operand -> Ok ()
+  | Machine.No_operand -> illegal instr
+  | Machine.Memory_operand -> (
+      match
+        Machine.resolve_at m ~segno:m.Machine.op_segno
+          ~wordno:m.Machine.op_wordno
+      with
+      | Error fault -> Error fault
+      | Ok (sdw, abs) -> (
+          match Machine.validate_read m sdw ~effective:m.Machine.op_effective with
+          | Error _ as e -> e
+          | Ok () ->
+              m.Machine.op_value <- Hw.Memory.read m.Machine.mem abs;
+              Ok ()))
 
 (* Fig. 6, right side: validate then write the operand. *)
-let write_operand m instr operand w =
-  match operand with
-  | Eff_addr.Immediate _ | Eff_addr.Absent -> illegal instr
-  | Eff_addr.Memory { effective; addr } ->
-      let* sdw, abs = Machine.resolve m addr in
-      let* () = Machine.validate_write m sdw ~effective in
-      Hw.Memory.write m.Machine.mem abs w;
-      Ok ()
+let write_operand m instr w =
+  match m.Machine.op_kind with
+  | Machine.Immediate_operand | Machine.No_operand -> illegal instr
+  | Machine.Memory_operand -> (
+      match
+        Machine.resolve_at m ~segno:m.Machine.op_segno
+          ~wordno:m.Machine.op_wordno
+      with
+      | Error fault -> Error fault
+      | Ok (sdw, abs) -> (
+          match
+            Machine.validate_write m sdw ~effective:m.Machine.op_effective
+          with
+          | Error _ as e -> e
+          | Ok () ->
+              Hw.Memory.write m.Machine.mem abs w;
+              Ok ()))
 
-let memory_operand instr operand =
-  match operand with
-  | Eff_addr.Memory { effective; addr } -> Ok (effective, addr)
-  | Eff_addr.Immediate _ | Eff_addr.Absent -> illegal instr
+let continue_after = function Ok () -> ok | Error fault -> Error fault
+
+(* The operand's address, for the instructions that use it without
+   referencing the word. *)
+let address m = Hw.Addr.v ~segno:m.Machine.op_segno ~wordno:m.Machine.op_wordno
 
 let set_a m w =
   let regs = m.Machine.regs in
@@ -41,151 +64,181 @@ let set_q m w =
   Hw.Registers.set_indicators regs w
 
 (* Fig. 7: advance check and performance of ordinary transfers. *)
-let transfer m instr operand =
-  let* effective, addr = memory_operand instr operand in
+let transfer m instr =
+  match m.Machine.op_kind with
+  | Machine.Immediate_operand | Machine.No_operand -> illegal instr
+  | Machine.Memory_operand -> (
+      let regs = m.Machine.regs in
+      let segno = m.Machine.op_segno and wordno = m.Machine.op_wordno in
+      match Machine.resolve_at m ~segno ~wordno with
+      | Error fault -> Error fault
+      | Ok (sdw, _abs) -> (
+          match
+            Machine.validate_transfer m sdw ~exec:regs.Hw.Registers.ipr_ring
+              ~effective:m.Machine.op_effective
+          with
+          | Error fault -> Error fault
+          | Ok () ->
+              regs.Hw.Registers.ipr_segno <- segno;
+              regs.Hw.Registers.ipr_wordno <- wordno;
+              ok))
+
+let conditional_transfer m instr condition =
+  if condition then transfer m instr else ok
+
+let binop_a m instr f =
+  match read_operand m instr with
+  | Error fault -> Error fault
+  | Ok () ->
+      set_a m (f m.Machine.regs.Hw.Registers.a m.Machine.op_value);
+      ok
+
+let binop_q m instr f =
+  match read_operand m instr with
+  | Error fault -> Error fault
+  | Ok () ->
+      set_q m (f m.Machine.regs.Hw.Registers.q m.Machine.op_value);
+      ok
+
+let execute m (instr : Instr.t) =
   let regs = m.Machine.regs in
-  let exec = regs.Hw.Registers.ipr.Hw.Registers.ring in
-  let* sdw, _abs = Machine.resolve m addr in
-  let* () = Machine.validate_transfer m sdw ~exec ~effective in
-  regs.Hw.Registers.ipr <- { Hw.Registers.ring = exec; addr };
-  Ok Continue
-
-let conditional_transfer m instr operand condition =
-  if condition then transfer m instr operand else Ok Continue
-
-let binop_a m instr operand f =
-  let* w = read_operand m instr operand in
-  set_a m (f m.Machine.regs.Hw.Registers.a w);
-  Ok Continue
-
-let binop_q m instr operand f =
-  let* w = read_operand m instr operand in
-  set_q m (f m.Machine.regs.Hw.Registers.q w);
-  Ok Continue
-
-let perform m (instr : Instr.t) operand =
-  let regs = m.Machine.regs in
-  let* () =
-    if Opcode.privileged instr.opcode then
-      Rings.Policy.validate_privileged
-        ~ring:regs.Hw.Registers.ipr.Hw.Registers.ring
-    else Ok ()
-  in
   match instr.opcode with
-  | Opcode.NOP -> Ok Continue
+  | Opcode.NOP -> ok
   | Opcode.HALT -> Ok Halt
-  | Opcode.LDA ->
-      let* w = read_operand m instr operand in
-      set_a m w;
-      Ok Continue
-  | Opcode.STA ->
-      let* () = write_operand m instr operand regs.Hw.Registers.a in
-      Ok Continue
-  | Opcode.LDQ ->
-      let* w = read_operand m instr operand in
-      set_q m w;
-      Ok Continue
-  | Opcode.STQ ->
-      let* () = write_operand m instr operand regs.Hw.Registers.q in
-      Ok Continue
-  | Opcode.LDX ->
-      let* w = read_operand m instr operand in
-      regs.Hw.Registers.xs.(instr.xr) <- w land ((1 lsl 18) - 1);
-      Ok Continue
+  | Opcode.LDA -> (
+      match read_operand m instr with
+      | Error fault -> Error fault
+      | Ok () ->
+          set_a m m.Machine.op_value;
+          ok)
+  | Opcode.STA -> continue_after (write_operand m instr regs.Hw.Registers.a)
+  | Opcode.LDQ -> (
+      match read_operand m instr with
+      | Error fault -> Error fault
+      | Ok () ->
+          set_q m m.Machine.op_value;
+          ok)
+  | Opcode.STQ -> continue_after (write_operand m instr regs.Hw.Registers.q)
+  | Opcode.LDX -> (
+      match read_operand m instr with
+      | Error fault -> Error fault
+      | Ok () ->
+          regs.Hw.Registers.xs.(instr.xr) <-
+            m.Machine.op_value land ((1 lsl 18) - 1);
+          ok)
   | Opcode.STX ->
-      let* () =
-        write_operand m instr operand regs.Hw.Registers.xs.(instr.xr)
-      in
-      Ok Continue
-  | Opcode.ADA -> binop_a m instr operand Hw.Word.add
-  | Opcode.SBA -> binop_a m instr operand Hw.Word.sub
-  | Opcode.MPA -> binop_a m instr operand Hw.Word.mul
-  | Opcode.DVA ->
-      let* w = read_operand m instr operand in
-      (match Hw.Word.div regs.Hw.Registers.a w with
-      | None -> Error Rings.Fault.Divide_by_zero
-      | Some q ->
-          set_a m q;
-          Ok Continue)
-  | Opcode.ADQ -> binop_q m instr operand Hw.Word.add
-  | Opcode.SBQ -> binop_q m instr operand Hw.Word.sub
-  | Opcode.ANA -> binop_a m instr operand Hw.Word.logand
-  | Opcode.ORA -> binop_a m instr operand Hw.Word.logor
-  | Opcode.XRA -> binop_a m instr operand Hw.Word.logxor
-  | Opcode.CMPA ->
-      let* w = read_operand m instr operand in
-      Hw.Registers.set_indicators regs
-        (Hw.Word.sub regs.Hw.Registers.a w);
-      Ok Continue
+      continue_after
+        (write_operand m instr regs.Hw.Registers.xs.(instr.xr))
+  | Opcode.ADA -> binop_a m instr Hw.Word.add
+  | Opcode.SBA -> binop_a m instr Hw.Word.sub
+  | Opcode.MPA -> binop_a m instr Hw.Word.mul
+  | Opcode.DVA -> (
+      match read_operand m instr with
+      | Error fault -> Error fault
+      | Ok () -> (
+          match Hw.Word.div regs.Hw.Registers.a m.Machine.op_value with
+          | None -> Error Rings.Fault.Divide_by_zero
+          | Some q ->
+              set_a m q;
+              ok))
+  | Opcode.ADQ -> binop_q m instr Hw.Word.add
+  | Opcode.SBQ -> binop_q m instr Hw.Word.sub
+  | Opcode.ANA -> binop_a m instr Hw.Word.logand
+  | Opcode.ORA -> binop_a m instr Hw.Word.logor
+  | Opcode.XRA -> binop_a m instr Hw.Word.logxor
+  | Opcode.CMPA -> (
+      match read_operand m instr with
+      | Error fault -> Error fault
+      | Ok () ->
+          Hw.Registers.set_indicators regs
+            (Hw.Word.sub regs.Hw.Registers.a m.Machine.op_value);
+          ok)
   | Opcode.AOS -> (
       (* Read-modify-write: both Fig. 6 checks apply. *)
-      match operand with
-      | Eff_addr.Immediate _ | Eff_addr.Absent -> illegal instr
-      | Eff_addr.Memory { effective; addr } ->
-          let* sdw, abs = Machine.resolve m addr in
-          let* () = Machine.validate_read m sdw ~effective in
-          let* () = Machine.validate_write m sdw ~effective in
-          let w = Hw.Word.add (Hw.Memory.read m.Machine.mem abs) 1 in
-          Hw.Memory.write m.Machine.mem abs w;
-          Hw.Registers.set_indicators regs w;
-          Ok Continue)
-  | Opcode.STZ ->
-      let* () = write_operand m instr operand 0 in
-      Ok Continue
+      match m.Machine.op_kind with
+      | Machine.Immediate_operand | Machine.No_operand -> illegal instr
+      | Machine.Memory_operand -> (
+          let effective = m.Machine.op_effective in
+          match
+            Machine.resolve_at m ~segno:m.Machine.op_segno
+              ~wordno:m.Machine.op_wordno
+          with
+          | Error fault -> Error fault
+          | Ok (sdw, abs) -> (
+              match Machine.validate_read m sdw ~effective with
+              | Error fault -> Error fault
+              | Ok () -> (
+                  match Machine.validate_write m sdw ~effective with
+                  | Error fault -> Error fault
+                  | Ok () ->
+                      let w = Hw.Word.add (Hw.Memory.read m.Machine.mem abs) 1 in
+                      Hw.Memory.write m.Machine.mem abs w;
+                      Hw.Registers.set_indicators regs w;
+                      ok))))
+  | Opcode.STZ -> continue_after (write_operand m instr 0)
   | Opcode.ALS ->
-      let* _effective, addr = memory_operand instr operand in
-      set_a m
-        (Hw.Word.of_int
-           (regs.Hw.Registers.a lsl min addr.Hw.Addr.wordno Hw.Word.bits));
-      Ok Continue
+      if m.Machine.op_kind <> Machine.Memory_operand then illegal instr
+      else begin
+        set_a m
+          (Hw.Word.of_int
+             (regs.Hw.Registers.a lsl min m.Machine.op_wordno Hw.Word.bits));
+        ok
+      end
   | Opcode.ARS ->
-      let* _effective, addr = memory_operand instr operand in
-      set_a m
-        (Hw.Word.of_signed
-           (Hw.Word.to_signed regs.Hw.Registers.a
-           asr min addr.Hw.Addr.wordno Hw.Word.bits));
-      Ok Continue
-  | Opcode.TRA -> transfer m instr operand
-  | Opcode.TZE ->
-      conditional_transfer m instr operand regs.Hw.Registers.ind_zero
+      if m.Machine.op_kind <> Machine.Memory_operand then illegal instr
+      else begin
+        set_a m
+          (Hw.Word.of_signed
+             (Hw.Word.to_signed regs.Hw.Registers.a
+             asr min m.Machine.op_wordno Hw.Word.bits));
+        ok
+      end
+  | Opcode.TRA -> transfer m instr
+  | Opcode.TZE -> conditional_transfer m instr regs.Hw.Registers.ind_zero
   | Opcode.TNZ ->
-      conditional_transfer m instr operand
-        (not regs.Hw.Registers.ind_zero)
-  | Opcode.TMI ->
-      conditional_transfer m instr operand regs.Hw.Registers.ind_negative
+      conditional_transfer m instr (not regs.Hw.Registers.ind_zero)
+  | Opcode.TMI -> conditional_transfer m instr regs.Hw.Registers.ind_negative
   | Opcode.TPL ->
-      conditional_transfer m instr operand
-        (not regs.Hw.Registers.ind_negative)
+      conditional_transfer m instr (not regs.Hw.Registers.ind_negative)
   | Opcode.TSX ->
       (* IPR is already advanced: it holds the return address. *)
-      regs.Hw.Registers.xs.(instr.xr) <-
-        regs.Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.wordno;
-      transfer m instr operand
+      regs.Hw.Registers.xs.(instr.xr) <- regs.Hw.Registers.ipr_wordno;
+      transfer m instr
   | Opcode.EAP ->
       (* Fig. 7: loads PRn from TPR; the operand is not referenced and
          no access validation is required. *)
-      let* effective, addr = memory_operand instr operand in
-      Hw.Registers.set_pr regs instr.xr
-        { Hw.Registers.ring = Rings.Effective_ring.ring effective; addr };
-      Ok Continue
+      if m.Machine.op_kind <> Machine.Memory_operand then illegal instr
+      else begin
+        Hw.Registers.set_pr_at regs instr.xr
+          ~ring:(Rings.Effective_ring.ring m.Machine.op_effective)
+          ~segno:m.Machine.op_segno ~wordno:m.Machine.op_wordno;
+        ok
+      end
   | Opcode.SPR ->
       let p = Hw.Registers.get_pr regs instr.xr in
-      let* () =
-        write_operand m instr operand (Indword.encode (Indword.of_ptr p))
-      in
-      Ok Continue
+      continue_after
+        (write_operand m instr
+           (Indword.encode_parts ~ring:p.Hw.Registers.ring ~indirect:false
+              ~segno:p.Hw.Registers.addr.Hw.Addr.segno
+              ~wordno:p.Hw.Registers.addr.Hw.Addr.wordno))
   | Opcode.EAA ->
-      let* _effective, addr = memory_operand instr operand in
-      set_a m addr.Hw.Addr.wordno;
-      Ok Continue
+      if m.Machine.op_kind <> Machine.Memory_operand then illegal instr
+      else begin
+        set_a m m.Machine.op_wordno;
+        ok
+      end
   | Opcode.CALL ->
-      let* effective, addr = memory_operand instr operand in
-      let* () = Call_return.call m ~effective ~addr in
-      Ok Continue
+      if m.Machine.op_kind <> Machine.Memory_operand then illegal instr
+      else
+        continue_after
+          (Call_return.call m ~effective:m.Machine.op_effective
+             ~addr:(address m))
   | Opcode.RETN ->
-      let* effective, addr = memory_operand instr operand in
-      let* () = Call_return.retn m ~effective ~addr in
-      Ok Continue
+      if m.Machine.op_kind <> Machine.Memory_operand then illegal instr
+      else
+        continue_after
+          (Call_return.retn m ~effective:m.Machine.op_effective
+             ~addr:(address m))
   | Opcode.LDBR ->
       regs.Hw.Registers.dbr <-
         {
@@ -193,7 +246,7 @@ let perform m (instr : Instr.t) operand =
           bound = Hw.Word.field ~pos:0 ~width:14 regs.Hw.Registers.a;
           stack_base = Hw.Word.field ~pos:0 ~width:14 regs.Hw.Registers.q;
         };
-      Ok Continue
+      ok
   | Opcode.SIOC ->
       (* Start an I/O channel operation: the channel runs for a fixed
          number of instruction times and then raises the completion
@@ -201,25 +254,33 @@ let perform m (instr : Instr.t) operand =
          ring-0-only and that completions are one of the trap
          sources. *)
       Trace.Counters.bump_channel_ops m.Machine.counters;
-      m.Machine.io_countdown <- Some 20;
-      Ok Continue
-  | Opcode.SIOT ->
+      m.Machine.io_countdown <- 20;
+      ok
+  | Opcode.SIOT -> (
       (* Read the channel control word pair and arm the channel; the
          supervisor performs the transfer at completion time. *)
-      let* _effective, addr = memory_operand instr operand in
-      let* _, abs0 = Machine.resolve m addr in
-      let w0 = Hw.Memory.read m.Machine.mem abs0 in
-      let* _, abs1 = Machine.resolve m (Hw.Addr.offset addr 1) in
-      let w1 = Hw.Memory.read m.Machine.mem abs1 in
-      let buffer = (Indword.decode w0).Indword.addr in
-      let direction =
-        if Hw.Word.field ~pos:17 ~width:1 w1 = 0 then `Read else `Write
-      in
-      let count = Hw.Word.field ~pos:0 ~width:17 w1 in
-      Trace.Counters.bump_channel_ops m.Machine.counters;
-      m.Machine.io_request <- Some { Machine.ccw = addr; buffer; direction; count };
-      m.Machine.io_countdown <- Some (20 + (2 * count));
-      Ok Continue
+      if m.Machine.op_kind <> Machine.Memory_operand then illegal instr
+      else
+        let addr = address m in
+        match Machine.resolve m addr with
+        | Error fault -> Error fault
+        | Ok (_, abs0) -> (
+            let w0 = Hw.Memory.read m.Machine.mem abs0 in
+            match Machine.resolve m (Hw.Addr.offset addr 1) with
+            | Error fault -> Error fault
+            | Ok (_, abs1) ->
+                let w1 = Hw.Memory.read m.Machine.mem abs1 in
+                let buffer = (Indword.decode w0).Indword.addr in
+                let direction =
+                  if Hw.Word.field ~pos:17 ~width:1 w1 = 0 then `Read
+                  else `Write
+                in
+                let count = Hw.Word.field ~pos:0 ~width:17 w1 in
+                Trace.Counters.bump_channel_ops m.Machine.counters;
+                m.Machine.io_request <-
+                  Some { Machine.ccw = addr; buffer; direction; count };
+                m.Machine.io_countdown <- 20 + (2 * count);
+                ok))
   | Opcode.RTRAP ->
       (* Restoring with nothing saved is a program error, not a
          simulator crash. *)
@@ -227,8 +288,18 @@ let perform m (instr : Instr.t) operand =
         illegal instr
       else begin
         Machine.restore_saved m;
-        Ok Continue
+        ok
       end
   | Opcode.MME ->
       (* A deliberate trap: the supervisor dispatches on the code. *)
       Error (Rings.Fault.Service_call { code = instr.offset })
+
+let perform m (instr : Instr.t) =
+  if Opcode.privileged instr.opcode then
+    match
+      Rings.Policy.validate_privileged
+        ~ring:m.Machine.regs.Hw.Registers.ipr_ring
+    with
+    | Error fault -> Error fault
+    | Ok () -> execute m instr
+  else execute m instr

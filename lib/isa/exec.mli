@@ -12,5 +12,7 @@ type action =
   | Continue
   | Halt  (** The (privileged) HALT instruction was executed. *)
 
-val perform :
-  Machine.t -> Instr.t -> Eff_addr.operand -> (action, Rings.Fault.t) result
+val perform : Machine.t -> Instr.t -> (action, Rings.Fault.t) result
+(** Perform [instr] on the operand {!Eff_addr.form} left in the
+    machine's scratch fields.  Allocates nothing unless it faults (or
+    builds an address for CALL, RETURN, EAP or SIOT). *)

@@ -8,21 +8,27 @@ let of_ptr ?(indirect = false) (p : Hw.Registers.ptr) =
 
 let to_ptr t : Hw.Registers.ptr = { ring = t.ring; addr = t.addr }
 
-let encode t =
+let encode_parts ~ring ~indirect ~segno ~wordno =
   0
-  |> Hw.Word.set_field ~pos:33 ~width:3 (Rings.Ring.to_int t.ring)
-  |> Hw.Word.set_field ~pos:32 ~width:1 (if t.indirect then 1 else 0)
-  |> Hw.Word.set_field ~pos:18 ~width:14 t.addr.Hw.Addr.segno
-  |> Hw.Word.set_field ~pos:0 ~width:18 t.addr.Hw.Addr.wordno
+  |> Hw.Word.set_field ~pos:33 ~width:3 (Rings.Ring.to_int ring)
+  |> Hw.Word.set_field ~pos:32 ~width:1 (if indirect then 1 else 0)
+  |> Hw.Word.set_field ~pos:18 ~width:14 segno
+  |> Hw.Word.set_field ~pos:0 ~width:18 wordno
+
+let encode t =
+  encode_parts ~ring:t.ring ~indirect:t.indirect ~segno:t.addr.Hw.Addr.segno
+    ~wordno:t.addr.Hw.Addr.wordno
+
+let ring_field w = Rings.Ring.v (Hw.Word.field ~pos:33 ~width:3 w)
+let indirect_field w = Hw.Word.field ~pos:32 ~width:1 w = 1
+let segno_field w = Hw.Word.field ~pos:18 ~width:14 w
+let wordno_field w = Hw.Word.field ~pos:0 ~width:18 w
 
 let decode w =
   {
-    ring = Rings.Ring.v (Hw.Word.field ~pos:33 ~width:3 w);
-    indirect = Hw.Word.field ~pos:32 ~width:1 w = 1;
-    addr =
-      Hw.Addr.v
-        ~segno:(Hw.Word.field ~pos:18 ~width:14 w)
-        ~wordno:(Hw.Word.field ~pos:0 ~width:18 w);
+    ring = ring_field w;
+    indirect = indirect_field w;
+    addr = Hw.Addr.v ~segno:(segno_field w) ~wordno:(wordno_field w);
   }
 
 let equal a b = a = b

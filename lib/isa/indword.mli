@@ -27,5 +27,18 @@ val encode : t -> Hw.Word.t
 val decode : Hw.Word.t -> t
 (** Total: every 36-bit word decodes to some indirect word. *)
 
+(** {1 Without the record}
+
+    [encode] and [decode] field by field, for the instruction cycle,
+    which must not allocate. *)
+
+val encode_parts :
+  ring:Rings.Ring.t -> indirect:bool -> segno:int -> wordno:int -> Hw.Word.t
+
+val ring_field : Hw.Word.t -> Rings.Ring.t
+val indirect_field : Hw.Word.t -> bool
+val segno_field : Hw.Word.t -> int
+val wordno_field : Hw.Word.t -> int
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -123,6 +123,14 @@ let bit_ptw = 2
 let bit_icache = 4
 let bit_fetch = 8
 
+(* The countdown sentinel: no timer or channel operation running. *)
+let disarmed = min_int
+
+let countdown_of_option = function Some n -> n | None -> disarmed
+let option_of_countdown n = if n = disarmed then None else Some n
+
+type operand_kind = No_operand | Immediate_operand | Memory_operand
+
 type t = {
   mem : Hw.Memory.t;
   regs : Hw.Registers.t;
@@ -139,8 +147,8 @@ type t = {
   use_r1_in_indirection : bool;
   mutable halted : bool;
   mutable saved : saved_state option;
-  mutable timer : int option;
-  mutable io_countdown : int option;
+  mutable timer : int;
+  mutable io_countdown : int;
   mutable io_request : io_request option;
   mutable inhibit : bool;
   mutable trap_config : trap_config option;
@@ -165,6 +173,11 @@ type t = {
   mutable on_recovery : Rings.Fault.t -> unit;
   mutable cycle_limit : int option;
   mutable cap_stack : Cap.Capability.sealed_return list;
+  mutable op_kind : operand_kind;
+  mutable op_effective : Rings.Effective_ring.t;
+  mutable op_segno : int;
+  mutable op_wordno : int;
+  mutable op_value : Hw.Word.t;
 }
 
 let cache_capacity = 64
@@ -288,8 +301,6 @@ let create ?(mode = Ring_hardware)
   let counters = Trace.Counters.create () in
   let mem = Hw.Memory.create ?size:mem_size counters in
   let log = Trace.Event.create_log () in
-  (* Events are stamped with the modeled cycle count at record time. *)
-  Trace.Event.set_clock log (fun () -> Trace.Counters.cycles counters);
   let t =
     {
       mem;
@@ -305,8 +316,8 @@ let create ?(mode = Ring_hardware)
       use_r1_in_indirection;
       halted = false;
       saved = None;
-      timer = None;
-      io_countdown = None;
+      timer = disarmed;
+      io_countdown = disarmed;
       io_request = None;
       inhibit = false;
       trap_config = None;
@@ -331,6 +342,11 @@ let create ?(mode = Ring_hardware)
       on_recovery = (fun _ -> ());
       cycle_limit = None;
       cap_stack = [];
+      op_kind = No_operand;
+      op_effective = Rings.Effective_ring.start Rings.Ring.r0;
+      op_segno = 0;
+      op_wordno = 0;
+      op_value = 0;
     }
   in
   (* The capability machine carries validity tags on memory words;
@@ -343,14 +359,15 @@ let create ?(mode = Ring_hardware)
   (* Instruction events defer their disassembly to export time; the
      log resolves it by silently re-decoding the segment image.  Both
      trace sinks mirror their discard statistics into the machine's
-     counters so drops and sampling ride the ordinary counter surface. *)
+     counters so drops and sampling ride the ordinary counter surface;
+     the same counters stamp each event with the modeled cycle count. *)
   Trace.Event.set_text_resolver t.log (fun ~segno ~wordno ->
       disassemble_at t ~segno ~wordno);
   Trace.Event.set_stats t.log counters;
   Trace.Span.set_stats t.spans counters;
   t
 
-let ring t = t.regs.Hw.Registers.ipr.Hw.Registers.ring
+let ring t = t.regs.Hw.Registers.ipr_ring
 
 (* The modeled associative memory: same replacement behaviour as the
    original simulated hardware — [cache_capacity] entries, flushed
@@ -552,22 +569,18 @@ let translate_paged_cached t (sdw : Hw.Sdw.t) ~segno ~wordno =
         else Error (Rings.Fault.Missing_page { segno; pageno })
   end
 
-let resolve_uncached t (addr : Hw.Addr.t) =
-  match fetch_sdw t ~segno:addr.Hw.Addr.segno with
+let resolve_uncached t ~segno ~wordno =
+  match fetch_sdw t ~segno with
   | Error _ as e -> e
   | Ok sdw -> (
       let translated =
-        if sdw.Hw.Sdw.paged then
-          translate_paged_cached t sdw ~segno:addr.Hw.Addr.segno
-            ~wordno:addr.Hw.Addr.wordno
-        else
-          Hw.Descriptor.translate sdw ~segno:addr.Hw.Addr.segno
-            ~wordno:addr.Hw.Addr.wordno
+        if sdw.Hw.Sdw.paged then translate_paged_cached t sdw ~segno ~wordno
+        else Hw.Descriptor.translate sdw ~segno ~wordno
       in
       match translated with Error _ as e -> e | Ok abs -> Ok (sdw, abs))
 
-let resolve_slow t (addr : Hw.Addr.t) key =
-  let res = resolve_uncached t addr in
+let resolve_slow t ~segno ~wordno key =
+  let res = resolve_uncached t ~segno ~wordno in
   (match res with
   | Ok (sdw, _) when not t.degraded ->
       let i = resolve_index key in
@@ -580,12 +593,10 @@ let resolve_slow t (addr : Hw.Addr.t) key =
 (* Replay the filling walk's modeled activity: a free SDW fetch from
    the modeled associative memory, plus — through a page table — the
    PTW retrieval's counted, charged core read. *)
-let resolve t (addr : Hw.Addr.t) =
+let resolve_at t ~segno ~wordno =
   let base = t.regs.Hw.Registers.dbr.Hw.Registers.base in
   if base <> t.sdw_cache_base then sync_dbr_base t base;
-  let key =
-    resolve_key ~base ~segno:addr.Hw.Addr.segno ~wordno:addr.Hw.Addr.wordno
-  in
+  let key = resolve_key ~base ~segno ~wordno in
   let i = resolve_index key in
   if (not t.degraded) && Array.unsafe_get t.resolve_slots i = key then begin
     let e = Array.unsafe_get t.resolve_entries i in
@@ -601,9 +612,12 @@ let resolve t (addr : Hw.Addr.t) =
       end;
       e.r_res
     end
-    else resolve_slow t addr key
+    else resolve_slow t ~segno ~wordno key
   end
-  else resolve_slow t addr key
+  else resolve_slow t ~segno ~wordno key
+
+let resolve t (addr : Hw.Addr.t) =
+  resolve_at t ~segno:addr.Hw.Addr.segno ~wordno:addr.Hw.Addr.wordno
 
 (* Instruction retrieval with a decoded-instruction cache keyed by
    absolute address.  The modeled activity on either path is the one
@@ -645,12 +659,11 @@ let validate_fetch t (sdw : Hw.Sdw.t) ~ring =
    a store into a descriptor segment, an SDW invalidation, a flush
    of the modeled tag store — advances [fetch_gen]; a store over the
    cached word drops the entry itself via [fetch_watch]. *)
-let fetch_instr_slow t (ipr : Hw.Registers.ptr) key =
-  let addr = ipr.Hw.Registers.addr in
-  match resolve t addr with
+let fetch_instr_slow t ~ring ~segno ~wordno key =
+  match resolve_at t ~segno ~wordno with
   | Error _ as e -> e
   | Ok (sdw, abs) -> (
-      match validate_fetch t sdw ~ring:ipr.Hw.Registers.ring with
+      match validate_fetch t sdw ~ring with
       | Error _ as e -> e
       | Ok () -> (
           match fetch_decoded t abs with
@@ -679,15 +692,13 @@ let fetch_instr_slow t (ipr : Hw.Registers.ptr) key =
               res))
 
 let fetch_instr t =
-  let ipr = t.regs.Hw.Registers.ipr in
-  let base = t.regs.Hw.Registers.dbr.Hw.Registers.base in
+  let regs = t.regs in
+  let base = regs.Hw.Registers.dbr.Hw.Registers.base in
   if base <> t.sdw_cache_base then sync_dbr_base t base;
-  let addr = ipr.Hw.Registers.addr in
-  let key =
-    fetch_key ~base
-      ~ring:(Rings.Ring.to_int ipr.Hw.Registers.ring)
-      ~segno:addr.Hw.Addr.segno ~wordno:addr.Hw.Addr.wordno
-  in
+  let ring = regs.Hw.Registers.ipr_ring
+  and segno = regs.Hw.Registers.ipr_segno
+  and wordno = regs.Hw.Registers.ipr_wordno in
+  let key = fetch_key ~base ~ring:(Rings.Ring.to_int ring) ~segno ~wordno in
   let i = fetch_index key in
   if (not t.degraded) && Array.unsafe_get t.fetch_slots i = key then begin
     let e = Array.unsafe_get t.fetch_entries i in
@@ -707,9 +718,9 @@ let fetch_instr t =
       Trace.Counters.bump_icache_hits c;
       e.f_res
     end
-    else fetch_instr_slow t ipr key
+    else fetch_instr_slow t ~ring ~segno ~wordno key
   end
-  else fetch_instr_slow t ipr key
+  else fetch_instr_slow t ~ring ~segno ~wordno key
 
 let validate_read t (sdw : Hw.Sdw.t) ~effective =
   Rings.Backend.validate_read t.backend sdw.access ~effective
@@ -720,7 +731,7 @@ let validate_write t (sdw : Hw.Sdw.t) ~effective =
 let validate_transfer t (sdw : Hw.Sdw.t) ~exec ~effective =
   Rings.Backend.validate_transfer t.backend sdw.access ~exec ~effective
 
-let take_fault t ~at fault =
+let take_fault t ~ring:saved_ring ~segno ~wordno fault =
   Trace.Counters.bump_traps t.counters;
   if Rings.Fault.is_access_violation fault then
     Trace.Counters.bump_access_violations t.counters;
@@ -730,7 +741,7 @@ let take_fault t ~at fault =
       ~ring:(Rings.Ring.to_int (ring t))
       ~cause:(Rings.Fault.to_string fault);
   let regs = Hw.Registers.copy t.regs in
-  regs.Hw.Registers.ipr <- at;
+  Hw.Registers.set_ipr_at regs ~ring:saved_ring ~segno ~wordno;
   t.saved <- Some { regs; fault };
   t.inhibit <- true;
   (* With a simulated supervisor configured, complete the trap in
@@ -747,11 +758,9 @@ let take_fault t ~at fault =
           Array.iteri
             (fun i w -> Hw.Memory.write_silent t.mem (abs + i) w)
             words;
-          t.regs.Hw.Registers.ipr <-
-            {
-              Hw.Registers.ring = Rings.Ring.r0;
-              addr = Hw.Addr.offset vector_base (Rings.Fault.code fault);
-            })
+          let vector = Hw.Addr.offset vector_base (Rings.Fault.code fault) in
+          Hw.Registers.set_ipr_at t.regs ~ring:Rings.Ring.r0
+            ~segno:vector.Hw.Addr.segno ~wordno:vector.Hw.Addr.wordno)
 
 let restore_saved t =
   t.inhibit <- false;
@@ -815,8 +824,8 @@ let quiesce t =
   Hw.Assoc.clear t.sdw_cache;
   Hw.Assoc.clear t.ptw_tlb;
   Hw.Assoc.clear t.icache;
-  Array.fill t.fetch_slots 0 fetch_cache_slots (-1);
-  Array.fill t.resolve_slots 0 resolve_cache_slots (-1);
+  (* No fill of the two memo arrays: the [fetch_gen] bump below already
+     makes every entry in them miss. *)
   Hashtbl.reset t.fetch_watch;
   Hashtbl.reset t.ptw_watch;
   t.fetch_gen <- t.fetch_gen + 1;
@@ -849,9 +858,8 @@ let poll_injection t =
               t.io_fail_pending <- true;
               None
           | Hw.Inject.Stall_io n ->
-              (match t.io_countdown with
-              | Some k -> t.io_countdown <- Some (k + n)
-              | None -> ());
+              if t.io_countdown <> disarmed then
+                t.io_countdown <- t.io_countdown + n;
               None))
 
 (* {1 Trace volume} *)
@@ -881,8 +889,8 @@ let reset t =
   Trace.Profile.reset t.profile;
   t.halted <- false;
   t.saved <- None;
-  t.timer <- None;
-  t.io_countdown <- None;
+  t.timer <- disarmed;
+  t.io_countdown <- disarmed;
   t.io_request <- None;
   t.inhibit <- false;
   t.trap_config <- None;
@@ -909,4 +917,9 @@ let reset t =
   t.io_fail_pending <- false;
   t.on_recovery <- (fun _ -> ());
   t.cycle_limit <- None;
-  t.cap_stack <- []
+  t.cap_stack <- [];
+  t.op_kind <- No_operand;
+  t.op_effective <- Rings.Effective_ring.start Rings.Ring.r0;
+  t.op_segno <- 0;
+  t.op_wordno <- 0;
+  t.op_value <- 0

@@ -79,6 +79,25 @@ type resolve_entry = {
 (** A memoized address translation, same generation discipline;
     faults are never cached. *)
 
+val disarmed : int
+(** The [timer] and [io_countdown] value that means no countdown is
+    running.  An integer sentinel rather than an option, so a running
+    countdown ticks without allocating. *)
+
+val countdown_of_option : int option -> int
+(** [None] is {!disarmed}. *)
+
+val option_of_countdown : int -> int option
+(** {!disarmed} is [None]. *)
+
+(** What the operand scratch fields of {!t} hold for the instruction
+    in flight. *)
+type operand_kind =
+  | No_operand  (** The instruction takes no operand. *)
+  | Immediate_operand  (** [op_value] is the sign-extended offset. *)
+  | Memory_operand
+      (** [op_segno|op_wordno], validated against [op_effective]. *)
+
 type t = {
   mem : Hw.Memory.t;
   regs : Hw.Registers.t;
@@ -106,14 +125,15 @@ type t = {
   mutable halted : bool;
   mutable saved : saved_state option;
       (** Processor state captured by the last trap, for RTRAP. *)
-  mutable timer : int option;
+  mutable timer : int;
       (** Interval timer: decremented once per retired instruction;
           reaching zero raises [Timer_runout] between instructions.
-          [None] disables it. *)
-  mutable io_countdown : int option;
+          {!disarmed} disables it. *)
+  mutable io_countdown : int;
       (** Pending I/O operation started by SIOC/SIOT: counts down per
           instruction like the timer and raises the I/O-completion
-          trap when it reaches zero. *)
+          trap when it reaches zero; {!disarmed} when none is
+          pending. *)
   mutable io_request : io_request option;
       (** The transfer the supervisor performs at completion (SIOT);
           [None] for a bare SIOC. *)
@@ -229,6 +249,17 @@ type t = {
           sealed under a different domain is simply left in place.
           Always [[]] in the other two modes; serialized in
           snapshots. *)
+  mutable op_kind : operand_kind;
+      (** The operand of the instruction in flight, as
+          {!Eff_addr.form} left it.  The [op_] fields are the
+          conceptual TPR: scratch, rewritten by every instruction that
+          takes an operand, never saved or restored. *)
+  mutable op_effective : Rings.Effective_ring.t;
+  mutable op_segno : int;
+  mutable op_wordno : int;
+  mutable op_value : Hw.Word.t;
+      (** The immediate operand, or the word the last operand read
+          returned. *)
 }
 
 val create :
@@ -260,6 +291,11 @@ val ring : t -> Rings.Ring.t
 val fetch_sdw : t -> segno:int -> (Hw.Sdw.t, Rings.Fault.t) result
 
 val resolve : t -> Hw.Addr.t -> (Hw.Sdw.t * int, Rings.Fault.t) result
+
+val resolve_at :
+  t -> segno:int -> wordno:int -> (Hw.Sdw.t * int, Rings.Fault.t) result
+(** [resolve] from the address parts.  A memo hit returns the prebuilt
+    result and allocates nothing. *)
 
 val fetch_decoded : t -> int -> (Instr.t, Rings.Fault.t) result
 (** The instruction word at absolute address [abs], through the
@@ -322,11 +358,12 @@ val invalidate_sdw : t -> segno:int -> unit
     for the change to be "immediately effective" as the paper
     requires. *)
 
-val take_fault : t -> at:Hw.Registers.ptr -> Rings.Fault.t -> unit
+val take_fault :
+  t -> ring:Rings.Ring.t -> segno:int -> wordno:int -> Rings.Fault.t -> unit
 (** Trap bookkeeping: charge the trap-entry cost, bump the trap (and,
     when appropriate, access-violation) counters, record the event,
-    and capture the processor state with IPR pointing at the
-    instruction that faulted so RTRAP can resume it. *)
+    and capture the processor state with IPR at [ring], [segno|wordno]
+    — the instruction that faulted — so RTRAP can resume it. *)
 
 val restore_saved : t -> unit
 (** The RTRAP action: restore the captured state and clear it.

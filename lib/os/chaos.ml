@@ -121,8 +121,8 @@ let audit_entry (e : System.entry) note =
   | System.Ready | System.Blocked -> (
       let p = e.System.process in
       let regs = e.System.saved_regs in
-      let ring = regs.Hw.Registers.ipr.Hw.Registers.ring in
-      let segno = regs.Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.segno in
+      let ring = regs.Hw.Registers.ipr_ring in
+      let segno = regs.Hw.Registers.ipr_segno in
       match Hashtbl.find_opt p.Process.ring_data segno with
       | None ->
           note

@@ -55,7 +55,8 @@ let handle_fault_inner p fault : (unit, exit) result =
       Error Preempted
   | Rings.Fault.Service_call { code } when code = Calling.svc_block ->
       p.Process.machine.Isa.Machine.saved <- None;
-      if p.Process.machine.Isa.Machine.io_countdown = None then
+      if p.Process.machine.Isa.Machine.io_countdown = Isa.Machine.disarmed
+      then
         (* Nothing to wait for: a plain yield. *)
         Error Preempted
       else Error Blocked
@@ -162,7 +163,7 @@ let handle_fault_inner p fault : (unit, exit) result =
         Trace.Counters.bump_retried counters;
         Trace.Counters.charge counters Costs.io_retry_setup;
         let backoff = 8 lsl p.Process.io_attempts in
-        m.Isa.Machine.io_countdown <- Some backoff;
+        m.Isa.Machine.io_countdown <- backoff;
         if Trace.Event.enabled m.Isa.Machine.log then
           Trace.Event.record_gatekeeper m.Isa.Machine.log
             ~action:
@@ -177,7 +178,7 @@ let handle_fault_inner p fault : (unit, exit) result =
         Trace.Counters.bump_quarantined counters;
         close_recovery m;
         m.Isa.Machine.io_request <- None;
-        m.Isa.Machine.io_countdown <- None;
+        m.Isa.Machine.io_countdown <- Isa.Machine.disarmed;
         m.Isa.Machine.saved <- None;
         m.Isa.Machine.on_recovery fault;
         Error (Quarantined Rings.Fault.Io_error)

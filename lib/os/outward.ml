@@ -91,7 +91,7 @@ let enter_upward p ~caller_state ~to_ring ~target =
       Format.asprintf "upward call to %a in %a" Hw.Addr.pp target Rings.Ring.pp
         to_ring);
   let caller_ring =
-    caller_state.Hw.Registers.ipr.Hw.Registers.ring
+    caller_state.Hw.Registers.ipr_ring
   in
   (* An upward (outward) call never completes as a single CALL
      instruction: the hardware faults and the gatekeeper performs the
@@ -133,7 +133,7 @@ let enter_upward p ~caller_state ~to_ring ~target =
   (* The transition raises the ring: maintain PRn.RING >= IPR.RING as
      an upward RETURN would (Fig. 9). *)
   Hw.Registers.maximize_pr_rings regs to_ring;
-  regs.Hw.Registers.ipr <- { Hw.Registers.ring = to_ring; addr = target };
+  Hw.Registers.set_ipr regs { Hw.Registers.ring = to_ring; addr = target };
   Hw.Registers.set_pr regs 0
     {
       Hw.Registers.ring = to_ring;
@@ -194,11 +194,9 @@ let handle_outward_return p =
       regs.Hw.Registers.a <- ret_a;
       regs.Hw.Registers.q <- ret_q;
       (* Resume just past the trapped CALL instruction. *)
-      regs.Hw.Registers.ipr <-
-        {
-          Hw.Registers.ring = caller_ring;
-          addr = Hw.Addr.offset caller.Hw.Registers.ipr.Hw.Registers.addr 1;
-        };
+      Hw.Registers.set_ipr_at regs ~ring:caller_ring
+        ~segno:caller.Hw.Registers.ipr_segno
+        ~wordno:((caller.Hw.Registers.ipr_wordno + 1) land Hw.Addr.max_wordno);
       Trace.Counters.bump_returns_downward m.Isa.Machine.counters;
       if Trace.Span.enabled m.Isa.Machine.spans then
         Trace.Span.close_span ~kind:Trace.Event.Upward m.Isa.Machine.spans

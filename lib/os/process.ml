@@ -452,7 +452,7 @@ let switch_descriptor_segment t ring =
         if Trace.Event.enabled t.machine.Isa.Machine.log then
           Trace.Event.record_descriptor_switch t.machine.Isa.Machine.log
             ~from_ring:
-              (Rings.Ring.to_int regs.Hw.Registers.ipr.Hw.Registers.ring)
+              (Rings.Ring.to_int regs.Hw.Registers.ipr_ring)
             ~to_ring:(Rings.Ring.to_int ring);
         regs.Hw.Registers.dbr <- target
       end
@@ -559,7 +559,7 @@ let start t ~segment ~entry ~ring =
   | Isa.Machine.Ring_hardware | Isa.Machine.Ring_capability -> ()
   | Isa.Machine.Ring_software_645 ->
       regs.Hw.Registers.dbr <- t.descsegs.(Rings.Ring.to_int r));
-  regs.Hw.Registers.ipr <- { Hw.Registers.ring = r; addr };
+  Hw.Registers.set_ipr regs { Hw.Registers.ring = r; addr };
   let stack_segno = stack_segno_for t r in
   Hw.Registers.set_pr regs 0
     { Hw.Registers.ring = r; addr = Hw.Addr.v ~segno:stack_segno ~wordno:0 };

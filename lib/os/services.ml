@@ -14,7 +14,7 @@ let resume p ~result =
 let caller_ring p =
   match p.Process.machine.Isa.Machine.saved with
   | Some s ->
-      Ok s.Isa.Machine.regs.Hw.Registers.ipr.Hw.Registers.ring
+      Ok s.Isa.Machine.regs.Hw.Registers.ipr_ring
   | None -> Error "service call without saved state"
 
 let ring_allowed ring =

@@ -34,13 +34,13 @@ let downward_call p ~(saved : Hw.Registers.t) ~new_ring ~target ~crossing =
     {
       Process.kind = Process.Inward;
       saved;
-      caller_ring = saved.Hw.Registers.ipr.Hw.Registers.ring;
+      caller_ring = saved.Hw.Registers.ipr_ring;
       callee_ring = new_ring;
       copy_back = [];
     };
   Hw.Registers.restore regs ~from:saved;
   Process.switch_descriptor_segment p new_ring;
-  regs.Hw.Registers.ipr <- { Hw.Registers.ring = new_ring; addr = target };
+  Hw.Registers.set_ipr regs { Hw.Registers.ring = new_ring; addr = target };
   Hw.Registers.set_pr regs 0
     {
       Hw.Registers.ring = new_ring;
@@ -58,7 +58,7 @@ let downward_call p ~(saved : Hw.Registers.t) ~new_ring ~target ~crossing =
         | Rings.Call.Downward -> Trace.Event.Downward
         | Rings.Call.Same_ring -> Trace.Event.Same_ring)
       ~from_ring:
-        (Rings.Ring.to_int (saved.Hw.Registers.ipr.Hw.Registers.ring))
+        (Rings.Ring.to_int saved.Hw.Registers.ipr_ring)
       ~to_ring:(Rings.Ring.to_int new_ring)
       ~segno:target.Hw.Addr.segno ~wordno:target.Hw.Addr.wordno
       ~cycles:(Trace.Counters.cycles m.Isa.Machine.counters);
@@ -112,7 +112,7 @@ let upward_return p ~(saved : Hw.Registers.t) ~target =
          the caller's ring. *)
       Hw.Registers.restore regs ~from:saved;
       Process.switch_descriptor_segment p caller_ring;
-      regs.Hw.Registers.ipr <-
+      Hw.Registers.set_ipr regs
         { Hw.Registers.ring = caller_ring; addr = target };
       Hw.Registers.maximize_pr_rings regs caller_ring;
       Trace.Counters.bump_returns_upward m.Isa.Machine.counters;
@@ -143,14 +143,14 @@ let handle p ~segno ~wordno =
   in
   let* instr =
     let* word =
-      Process.kread p saved.Hw.Registers.ipr.Hw.Registers.addr
+      Process.kread p (Hw.Registers.ipr saved).Hw.Registers.addr
     in
     match Isa.Instr.decode word with
     | Ok i -> Ok i
     | Error _ -> Error "cross-ring trap at an undecodable instruction"
   in
   let target = Hw.Addr.v ~segno ~wordno in
-  let exec = saved.Hw.Registers.ipr.Hw.Registers.ring in
+  let exec = saved.Hw.Registers.ipr_ring in
   match instr.Isa.Instr.opcode with
   | Isa.Opcode.RETN -> upward_return p ~saved ~target
   | Isa.Opcode.CALL -> (

@@ -261,11 +261,12 @@ let run ?(quantum = 50) ?(max_slices = 10_000) ?watchdog ?before_slice
           t.slices <- t.slices + 1;
           Hw.Registers.restore regs ~from:e.saved_regs;
           let io_countdown, io_request = e.saved_io in
-          t.machine.Isa.Machine.io_countdown <- io_countdown;
+          t.machine.Isa.Machine.io_countdown <-
+            Isa.Machine.countdown_of_option io_countdown;
           t.machine.Isa.Machine.io_request <- io_request;
           (* Arm the interval timer: preemption is a hardware trap,
              not a courtesy of the dispatched program. *)
-          t.machine.Isa.Machine.timer <- Some quantum;
+          t.machine.Isa.Machine.timer <- quantum;
           (* The quota hook arms per-tenant limits (e.g. the machine's
              cycle ceiling) now that the entry owns the processor. *)
           (match before_slice with Some f -> f e | None -> ());
@@ -286,11 +287,12 @@ let run ?(quantum = 50) ?(max_slices = 10_000) ?watchdog ?before_slice
               finish e exit
           | exit -> finish e exit);
           e.saved_io <-
-            ( t.machine.Isa.Machine.io_countdown,
+            ( Isa.Machine.option_of_countdown
+                t.machine.Isa.Machine.io_countdown,
               t.machine.Isa.Machine.io_request );
-          t.machine.Isa.Machine.io_countdown <- None;
+          t.machine.Isa.Machine.io_countdown <- Isa.Machine.disarmed;
           t.machine.Isa.Machine.io_request <- None;
-          t.machine.Isa.Machine.timer <- None;
+          t.machine.Isa.Machine.timer <- Isa.Machine.disarmed;
           (* The instruction-budget watchdog: a still-ready entry that
              retired a whole slice without faulting, crossing rings or
              touching its channel is accumulating [stalled]; past the

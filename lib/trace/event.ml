@@ -31,7 +31,8 @@ let default_capacity = 65536
 
 (* Events live as fixed-width integer cells in one preallocated int
    array, so the record path is a handful of unboxed stores — no
-   per-event variant allocation, no string formatting.  Cell layout:
+   per-event variant allocation, no string formatting.  Each event has
+   the logical fields
 
      [tag; seq; cycles; a; b; c; d; e]
 
@@ -45,12 +46,26 @@ let default_capacity = 65536
      5 Descriptor_switch  a=from  b=to
      6 Note               a=text_id
 
+   (fields not listed are 0), stored in a four-int cell
+
+     [head; seq; cycles; x]
+
+   [head] packs the tag into bits 0-2 and the rings, crossing, segment
+   and word numbers above it (3, 3, 14 and 18 bits — what a machine
+   produces); [x] holds the one unbounded field (the text, cause or
+   action id).  Half the bytes of a cell per field keeps the default
+   65,536-event ring inside a core's L2 cache.  An event whose fields
+   do not fit (only {!record} and {!restore} can supply one) is stored
+   with tag [tag_wide] in [head] and its logical fields in the same
+   slot of [wide], allocated on the first such event.
+
    Strings are interned into [strings] (ids stable for the life of the
    log, surviving [clear]); an Instruction recorded on the hot path
    stores text_id = -1 and its disassembly is reconstructed lazily at
    export by [resolver] — re-decoding the word from the segment image —
    so a traced run never formats text it doesn't export. *)
-let cell_width = 8
+let cell_width = 4
+let wide_width = 6
 
 let tag_instruction = 0
 and tag_call = 1
@@ -59,6 +74,7 @@ and tag_trap = 3
 and tag_gatekeeper = 4
 and tag_descriptor_switch = 5
 and tag_note = 6
+and tag_wide = 7
 
 let crossing_to_int = function
   | Same_ring -> 0
@@ -83,9 +99,10 @@ let crossing_of_int = function
    drops and sampling. *)
 type log = {
   mutable enabled : bool;
-  mutable clock : unit -> int;
+  mutable clock : (unit -> int) option;
   mutable capacity : int;
   mutable cells : int array;
+  mutable wide : int array;
   mutable head : int;
   mutable len : int;
   mutable next_seq : int;
@@ -112,9 +129,10 @@ let create_log ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Event.create_log: capacity < 1";
   {
     enabled = false;
-    clock = (fun () -> 0);
+    clock = None;
     capacity;
     cells = [||];
+    wide = [||];
     head = 0;
     len = 0;
     next_seq = 0;
@@ -133,7 +151,7 @@ let create_log ?(capacity = default_capacity) () =
 
 let enabled log = log.enabled
 let set_enabled log b = log.enabled <- b
-let set_clock log f = log.clock <- f
+let set_clock log f = log.clock <- Some f
 let set_text_resolver log f = log.resolver <- f
 let set_stats log c = log.stats <- c
 let capacity log = log.capacity
@@ -182,6 +200,7 @@ let set_capacity log capacity =
   if capacity < 1 then invalid_arg "Event.set_capacity: capacity < 1";
   log.capacity <- capacity;
   log.cells <- [||];
+  log.wide <- [||];
   clear log
 
 let intern log s =
@@ -216,23 +235,22 @@ let admit log =
    stay shared with the control-flow events — one monotonic stream —
    so exported gaps remain interpretable whichever sampler dropped
    the candidate. *)
-let admit_instr log =
+let[@inline] admit_instr log =
   let seq = log.next_seq in
   log.next_seq <- seq + 1;
   let interval =
     if log.instr_interval = 0 then log.sample_interval
     else log.instr_interval
   in
-  if sample_hit ~interval ~seed:log.sample_seed seq then seq
+  if interval <= 1 || sample_hit ~interval ~seed:log.sample_seed seq then seq
   else begin
     log.sampled_out <- log.sampled_out + 1;
     Counters.bump_events_sampled_out log.stats;
     -1
   end
 
-(* Reserve the next slot (overwriting the oldest when full) and return
-   its cell base. *)
-let claim log =
+(* Reserve the next slot (overwriting the oldest when full). *)
+let[@inline] claim log =
   if Array.length log.cells = 0 then
     log.cells <- Array.make (log.capacity * cell_width) 0;
   let slot =
@@ -251,28 +269,88 @@ let claim log =
       i
     end
   in
-  slot * cell_width
+  slot
 
-let fill log base ~tag ~seq ~a ~b ~c ~d ~e =
-  let cells = log.cells in
-  cells.(base) <- tag;
-  cells.(base + 1) <- seq;
-  cells.(base + 2) <- log.clock ();
-  cells.(base + 3) <- a;
-  cells.(base + 4) <- b;
-  cells.(base + 5) <- c;
-  cells.(base + 6) <- d;
-  cells.(base + 7) <- e
+(* The cycle stamp: the [stats] counters' cycle count (the machine's
+   own counters, wired by {!set_stats}), read directly rather than
+   through a closure, unless a test clock was set. *)
+let[@inline] now log =
+  match log.clock with None -> Counters.cycles log.stats | Some f -> f ()
+
+let bits3 v = v land lnot 0x7 = 0
+let bits14 v = v land lnot 0x3FFF = 0
+let bits18 v = v land lnot 0x3FFFF = 0
+
+(* The packed [head] of an event, or -1 when a field does not fit. *)
+let pack ~tag ~a ~b ~c ~d ~e =
+  if tag = tag_instruction then
+    if bits3 a && bits14 b && bits18 c && e = 0 then
+      tag lor (a lsl 3) lor (b lsl 6) lor (c lsl 20)
+    else -1
+  else if tag = tag_call || tag = tag_return then
+    if bits3 a && bits3 b && bits3 c && bits14 d && bits18 e then
+      tag lor (a lsl 3) lor (b lsl 6) lor (c lsl 9) lor (d lsl 12) lor (e lsl 26)
+    else -1
+  else if tag = tag_trap then
+    if bits3 a && c = 0 && d = 0 && e = 0 then tag lor (a lsl 3) else -1
+  else if tag = tag_descriptor_switch then
+    if bits3 a && bits3 b && c = 0 && d = 0 && e = 0 then
+      tag lor (a lsl 3) lor (b lsl 6)
+    else -1
+  else if b = 0 && c = 0 && d = 0 && e = 0 then tag
+  else -1
+
+(* The field a packed cell keeps in [x]. *)
+let x_field ~tag ~a ~b ~d =
+  if tag = tag_instruction then d else if tag = tag_trap then b else a
+
+let store log slot ~tag ~seq ~cycles ~a ~b ~c ~d ~e =
+  let base = slot * cell_width and cells = log.cells in
+  let head = pack ~tag ~a ~b ~c ~d ~e in
+  Array.unsafe_set cells (base + 1) seq;
+  Array.unsafe_set cells (base + 2) cycles;
+  if head >= 0 then begin
+    Array.unsafe_set cells base head;
+    Array.unsafe_set cells (base + 3) (x_field ~tag ~a ~b ~d)
+  end
+  else begin
+    Array.unsafe_set cells base tag_wide;
+    if Array.length log.wide = 0 then
+      log.wide <- Array.make (log.capacity * wide_width) 0;
+    let w = slot * wide_width and wide = log.wide in
+    wide.(w) <- tag;
+    wide.(w + 1) <- a;
+    wide.(w + 2) <- b;
+    wide.(w + 3) <- c;
+    wide.(w + 4) <- d;
+    wide.(w + 5) <- e
+  end
+
+(* [slot] comes from [claim]. *)
+let fill log slot ~tag ~seq ~a ~b ~c ~d ~e =
+  store log slot ~tag ~seq ~cycles:(now log) ~a ~b ~c ~d ~e
 
 (* The hot path: [Isa.Cpu.step] calls this once per retired
-   instruction when tracing is on.  Everything is an unboxed int store;
-   the disassembly is deferred (text_id = -1) until export. *)
+   instruction when tracing is on.  Everything is an unboxed int store
+   into one packed cell; the disassembly is deferred (text_id = -1)
+   until export. *)
 let record_instruction log ~ring ~segno ~wordno =
   if log.enabled then begin
     let seq = admit_instr log in
-    if seq >= 0 then
-      fill log (claim log) ~tag:tag_instruction ~seq ~a:ring ~b:segno
-        ~c:wordno ~d:(-1) ~e:0
+    if seq >= 0 then begin
+      let slot = claim log in
+      if bits3 ring && bits14 segno && bits18 wordno then begin
+        let base = slot * cell_width and cells = log.cells in
+        Array.unsafe_set cells base
+          ((ring lsl 3) lor (segno lsl 6) lor (wordno lsl 20));
+        Array.unsafe_set cells (base + 1) seq;
+        Array.unsafe_set cells (base + 2) (now log);
+        Array.unsafe_set cells (base + 3) (-1)
+      end
+      else
+        fill log slot ~tag:tag_instruction ~seq ~a:ring ~b:segno ~c:wordno
+          ~d:(-1) ~e:0
+    end
   end
 
 let record_call log ~crossing ~from_ring ~to_ring ~segno ~wordno =
@@ -355,42 +433,41 @@ let instruction_text log ~segno ~wordno id =
   else
     match log.resolver ~segno ~wordno with Some s -> s | None -> "?"
 
-let event_of_cells log base =
-  let g i = log.cells.(base + i) in
-  match g 0 with
+(* The logical fields of the event in [slot]: unpacked from the cell,
+   or read from [wide]. *)
+let event_of_slot log slot =
+  let base = slot * cell_width in
+  let head = log.cells.(base) and x = log.cells.(base + 3) in
+  let tag = head land 0x7 in
+  let tag, a, b, c, d, e =
+    if tag = tag_wide then
+      let w = slot * wide_width and wide = log.wide in
+      (wide.(w), wide.(w + 1), wide.(w + 2), wide.(w + 3), wide.(w + 4),
+       wide.(w + 5))
+    else
+      let f pos width = (head lsr pos) land ((1 lsl width) - 1) in
+      if tag = tag_instruction then (tag, f 3 3, f 6 14, f 20 18, x, 0)
+      else if tag = tag_call || tag = tag_return then
+        (tag, f 3 3, f 6 3, f 9 3, f 12 14, f 26 18)
+      else if tag = tag_trap then (tag, f 3 3, x, 0, 0, 0)
+      else if tag = tag_descriptor_switch then (tag, f 3 3, f 6 3, 0, 0, 0)
+      else (tag, x, 0, 0, 0, 0)
+  in
+  match tag with
   | 0 (* tag_instruction *) ->
-      let segno = g 4 and wordno = g 5 in
       Instruction
-        {
-          ring = g 3;
-          segno;
-          wordno;
-          text = instruction_text log ~segno ~wordno (g 6);
-        }
+        { ring = a; segno = b; wordno = c; text = instruction_text log ~segno:b ~wordno:c d }
   | 1 (* tag_call *) ->
       Call
-        {
-          crossing = crossing_of_int (g 3);
-          from_ring = g 4;
-          to_ring = g 5;
-          segno = g 6;
-          wordno = g 7;
-        }
+        { crossing = crossing_of_int a; from_ring = b; to_ring = c; segno = d; wordno = e }
   | 2 (* tag_return *) ->
       Return
-        {
-          crossing = crossing_of_int (g 3);
-          from_ring = g 4;
-          to_ring = g 5;
-          segno = g 6;
-          wordno = g 7;
-        }
-  | 3 (* tag_trap *) -> Trap { ring = g 3; cause = log.strings.(g 4) }
-  | 4 (* tag_gatekeeper *) -> Gatekeeper { action = log.strings.(g 3) }
-  | 5 (* tag_descriptor_switch *) ->
-      Descriptor_switch { from_ring = g 3; to_ring = g 4 }
-  | 6 (* tag_note *) -> Note log.strings.(g 3)
-  | tag -> invalid_arg (Printf.sprintf "Event.event_of_cells: tag %d" tag)
+        { crossing = crossing_of_int a; from_ring = b; to_ring = c; segno = d; wordno = e }
+  | 3 (* tag_trap *) -> Trap { ring = a; cause = log.strings.(b) }
+  | 4 (* tag_gatekeeper *) -> Gatekeeper { action = log.strings.(a) }
+  | 5 (* tag_descriptor_switch *) -> Descriptor_switch { from_ring = a; to_ring = b }
+  | 6 (* tag_note *) -> Note log.strings.(a)
+  | tag -> invalid_arg (Printf.sprintf "Event.event_of_slot: tag %d" tag)
 
 let fold_stamped log ~init ~f =
   let acc = ref init in
@@ -403,7 +480,7 @@ let fold_stamped log ~init ~f =
         {
           seq = log.cells.(base + 1);
           cycles = log.cells.(base + 2);
-          event = event_of_cells log base;
+          event = event_of_slot log j;
         }
   done;
   !acc
@@ -444,17 +521,8 @@ let dump log =
   }
 
 let encode_at log slot s =
-  let base = slot * cell_width in
-  let cells = log.cells in
   let set ~tag ~a ~b ~c ~d ~e =
-    cells.(base) <- tag;
-    cells.(base + 1) <- s.seq;
-    cells.(base + 2) <- s.cycles;
-    cells.(base + 3) <- a;
-    cells.(base + 4) <- b;
-    cells.(base + 5) <- c;
-    cells.(base + 6) <- d;
-    cells.(base + 7) <- e
+    store log slot ~tag ~seq:s.seq ~cycles:s.cycles ~a ~b ~c ~d ~e
   in
   match s.event with
   | Instruction { ring; segno; wordno; text } ->

@@ -71,8 +71,10 @@ val set_enabled : log -> bool -> unit
     pays nothing for tracing. *)
 
 val set_clock : log -> (unit -> int) -> unit
-(** The timestamp source, sampled at each record.  The machine points
-    this at its modeled cycle counter; the default clock returns 0. *)
+(** Replace the timestamp source, sampled at each record.  Without
+    one, events are stamped with the cycle count of the {!set_stats}
+    counters, read directly — the machine's modeled cycle counter, or
+    0 for a log that never had counters wired. *)
 
 val set_text_resolver : log -> (segno:int -> wordno:int -> string option) -> unit
 (** The lazy disassembler: given the address an [Instruction] event
@@ -88,7 +90,9 @@ val set_stats : log -> Counters.t -> unit
 (** Mirror this log's discard statistics (drops, sampled-out events)
     into a {!Counters.t} — the machine points this at its own
     counters, so trace-pipeline losses ride the ordinary counter
-    surface into deltas, fleet aggregation and every exporter. *)
+    surface into deltas, fleet aggregation and every exporter.  The
+    same counters' cycle count stamps each event (see
+    {!set_clock}). *)
 
 val set_capacity : log -> int -> unit
 (** Resize the ring buffer.  Clears the log.  Raises
@@ -233,6 +237,11 @@ val restore : log -> dump -> unit
     than the log's capacity or the dumped interval is invalid. *)
 
 val crossing_to_string : crossing -> string
+
+val crossing_to_int : crossing -> int
+val crossing_of_int : int -> crossing
+(** Inverse of {!crossing_to_int}; raises [Invalid_argument] outside
+    [0, 3]. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -45,7 +45,8 @@ let bucket_upper i = if i = 0 then 0 else (1 lsl i) - 1
 let bucket_lower i = if i <= 0 then min_int else 1 lsl (i - 1)
 
 let observe t v =
-  t.buckets.(bucket_of v) <- t.buckets.(bucket_of v) + 1;
+  let b = bucket_of v in
+  t.buckets.(b) <- t.buckets.(b) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
   if v < t.vmin then t.vmin <- v;

@@ -7,22 +7,24 @@
 
 type cell = { mutable cycles : int; mutable instructions : int }
 
-(* [last_segno]/[last_cell] remember the segment the previous
-   attribution went to, so the common step — one more instruction in
-   the same segment — does no hash, probe or allocation.  The cell is
-   the one in [segments] (only [clear] drops cells, and it forgets the
-   pair too); [no_segno] matches no segment number. *)
+(* [by_segno] indexes the cells of [segments] by segment number (a
+   machine's are under 2^14), so attributing an instruction is two
+   array loads — no hash, even when control alternates between
+   segments, as it does across every call.  Slots with no cell hold
+   [no_cell]; the array grows to the largest segment number seen, and
+   only [clear] drops cells, forgetting the index too.  Segment numbers
+   outside the index go through [segments] alone. *)
 type t = {
   mutable enabled : bool;
   ring_cycles : int array;
   ring_instructions : int array;
   segments : (int, cell) Hashtbl.t;
   mutable kernel_cycles : int;
-  mutable last_segno : int;
-  mutable last_cell : cell;
+  mutable by_segno : cell array;
 }
 
-let no_segno = -1
+let no_cell = { cycles = 0; instructions = 0 }
+let indexed_segnos = 1 lsl 14
 
 let create ~rings () =
   if rings < 1 then invalid_arg "Profile.create: rings < 1";
@@ -32,8 +34,7 @@ let create ~rings () =
     ring_instructions = Array.make rings 0;
     segments = Hashtbl.create 32;
     kernel_cycles = 0;
-    last_segno = no_segno;
-    last_cell = { cycles = 0; instructions = 0 };
+    by_segno = [||];
   }
 
 let enabled t = t.enabled
@@ -44,29 +45,43 @@ let clear t =
   Array.fill t.ring_instructions 0 (Array.length t.ring_instructions) 0;
   Hashtbl.reset t.segments;
   t.kernel_cycles <- 0;
-  t.last_segno <- no_segno
+  t.by_segno <- [||]
 
 let reset t =
   clear t;
   t.enabled <- false
 
-let segment_cell t segno =
-  if segno = t.last_segno then t.last_cell
-  else begin
-    let c =
-      match Hashtbl.find t.segments segno with
-      | c -> c
-      | exception Not_found ->
-          let c = { cycles = 0; instructions = 0 } in
-          Hashtbl.add t.segments segno c;
-          c
-    in
-    t.last_segno <- segno;
-    t.last_cell <- c;
-    c
-  end
+let find_or_add t segno =
+  match Hashtbl.find t.segments segno with
+  | c -> c
+  | exception Not_found ->
+      let c = { cycles = 0; instructions = 0 } in
+      Hashtbl.add t.segments segno c;
+      c
 
-let attribute t ~ring ~segno ~cycles ~instructions =
+(* A segment not yet in the index: its cell, indexed from now on. *)
+let index_cell t segno =
+  let c = find_or_add t segno in
+  if segno >= 0 && segno < indexed_segnos then begin
+    let n = Array.length t.by_segno in
+    if segno >= n then begin
+      let a = Array.make (max (segno + 1) (2 * n)) no_cell in
+      Array.blit t.by_segno 0 a 0 n;
+      t.by_segno <- a
+    end;
+    t.by_segno.(segno) <- c
+  end;
+  c
+
+let[@inline] segment_cell t segno =
+  if
+    segno >= 0
+    && segno < Array.length t.by_segno
+    && Array.unsafe_get t.by_segno segno != no_cell
+  then Array.unsafe_get t.by_segno segno
+  else index_cell t segno
+
+let[@inline] attribute t ~ring ~segno ~cycles ~instructions =
   t.ring_cycles.(ring) <- t.ring_cycles.(ring) + cycles;
   t.ring_instructions.(ring) <- t.ring_instructions.(ring) + instructions;
   let cell = segment_cell t segno in

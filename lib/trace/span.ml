@@ -38,12 +38,38 @@ type open_span = {
 
 let default_capacity = 65536
 
+(* Both stacks of spans are flat int arrays, so opening and closing a
+   span stores integers and allocates nothing.
+
+   An open span is [open_width] ints at [depth * open_width] of
+   [open_cells]: kind, from, to, segno, wordno, start, depth, seq —
+   the fields of {!open_span}, innermost last.  The array doubles when
+   the call stack outgrows it.
+
+   The completed ring holds [capacity] spans of [completed_width] ints,
+   allocated on the first completed span; [head] is the oldest
+   retained slot, [len] the retained count.  A slot is
+
+     [head; start; end; depth; seq]
+
+   where [head] packs kind (2 bits), from and to rings (3 each),
+   segno (14), wordno (18) and forced (1), so the default 65,536-span
+   ring is 2.6 MB of fresh memory rather than 5.2.  A span whose fields
+   do not fit (only {!restore} can supply one) has [head = -1] and its
+   ten fields in the same slot of [wide], allocated on the first such
+   span. *)
+let open_width = 8
+let completed_width = 5
+let wide_width = 10
+
 type tracker = {
   mutable enabled : bool;
-  mutable stack : open_span list;
+  mutable open_cells : int array;
+  mutable depth : int;
   mutable next_seq : int;
   mutable capacity : int;
-  mutable buf : completed array;
+  mutable buf : int array;
+  mutable wide : int array;
   mutable head : int;
   mutable len : int;
   mutable dropped : int;
@@ -63,28 +89,16 @@ type tracker = {
   hist_recovery : Histogram.t;
 }
 
-let dummy =
-  {
-    kind = Event.Same_ring;
-    from_ring = 0;
-    to_ring = 0;
-    segno = 0;
-    wordno = 0;
-    start_cycles = 0;
-    end_cycles = 0;
-    depth = 0;
-    seq = -1;
-    forced = false;
-  }
-
 let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Span.create: capacity < 1";
   {
     enabled = false;
-    stack = [];
+    open_cells = Array.make (16 * open_width) 0;
+    depth = 0;
     next_seq = 0;
     capacity;
     buf = [||];
+    wide = [||];
     head = 0;
     len = 0;
     dropped = 0;
@@ -116,7 +130,7 @@ let set_sampling t ~interval ~seed =
   t.sample_interval <- interval;
   t.sample_seed <- seed
 
-let open_depth t = List.length t.stack
+let open_depth t = t.depth
 
 let histogram t = function
   | Event.Same_ring -> t.hist_same
@@ -125,7 +139,7 @@ let histogram t = function
   | Event.Recovery -> t.hist_recovery
 
 let clear t =
-  t.stack <- [];
+  t.depth <- 0;
   t.next_seq <- 0;
   t.head <- 0;
   t.len <- 0;
@@ -137,8 +151,10 @@ let clear t =
   Histogram.clear t.hist_up;
   Histogram.clear t.hist_recovery
 
-let push_completed t c =
-  if Array.length t.buf = 0 then t.buf <- Array.make t.capacity dummy;
+let push_completed t ~kind ~from_ring ~to_ring ~segno ~wordno ~start ~end_
+    ~depth ~seq ~forced =
+  if Array.length t.buf = 0 then
+    t.buf <- Array.make (t.capacity * completed_width) 0;
   let slot =
     if t.len < t.capacity then begin
       let i = t.head + t.len in
@@ -153,22 +169,53 @@ let push_completed t c =
       i
     end
   in
-  t.buf.(slot) <- c
+  let b = slot * completed_width and buf = t.buf in
+  let forced = if forced then 1 else 0 in
+  let fits =
+    kind land lnot 0x3 = 0
+    && from_ring land lnot 0x7 = 0
+    && to_ring land lnot 0x7 = 0
+    && segno land lnot 0x3FFF = 0
+    && wordno land lnot 0x3FFFF = 0
+  in
+  if fits then
+    Array.unsafe_set buf b
+      (kind lor (from_ring lsl 2) lor (to_ring lsl 5) lor (segno lsl 8)
+      lor (wordno lsl 22) lor (forced lsl 40))
+  else begin
+    Array.unsafe_set buf b (-1);
+    if Array.length t.wide = 0 then
+      t.wide <- Array.make (t.capacity * wide_width) 0;
+    let w = slot * wide_width in
+    Array.blit [| kind; from_ring; to_ring; segno; wordno; start; end_; depth; seq; forced |]
+      0 t.wide w wide_width
+  end;
+  Array.unsafe_set buf (b + 1) start;
+  Array.unsafe_set buf (b + 2) end_;
+  Array.unsafe_set buf (b + 3) depth;
+  Array.unsafe_set buf (b + 4) seq
+
+let[@inline] push t ~kind ~from_ring ~to_ring ~segno ~wordno ~start ~depth ~seq =
+  if (t.depth + 1) * open_width > Array.length t.open_cells then begin
+    let a = Array.make (2 * Array.length t.open_cells) 0 in
+    Array.blit t.open_cells 0 a 0 (t.depth * open_width);
+    t.open_cells <- a
+  end;
+  let b = t.depth * open_width and c = t.open_cells in
+  Array.unsafe_set c b (Event.crossing_to_int kind);
+  Array.unsafe_set c (b + 1) from_ring;
+  Array.unsafe_set c (b + 2) to_ring;
+  Array.unsafe_set c (b + 3) segno;
+  Array.unsafe_set c (b + 4) wordno;
+  Array.unsafe_set c (b + 5) start;
+  Array.unsafe_set c (b + 6) depth;
+  Array.unsafe_set c (b + 7) seq;
+  t.depth <- t.depth + 1
 
 let open_span t ~kind ~from_ring ~to_ring ~segno ~wordno ~cycles =
   if t.enabled then begin
-    t.stack <-
-      {
-        o_kind = kind;
-        o_from_ring = from_ring;
-        o_to_ring = to_ring;
-        o_segno = segno;
-        o_wordno = wordno;
-        o_start = cycles;
-        o_depth = List.length t.stack;
-        o_seq = t.next_seq;
-      }
-      :: t.stack;
+    push t ~kind ~from_ring ~to_ring ~segno ~wordno ~start:cycles
+      ~depth:t.depth ~seq:t.next_seq;
     t.next_seq <- t.next_seq + 1
   end
 
@@ -178,26 +225,17 @@ let open_span t ~kind ~from_ring ~to_ring ~segno ~wordno ~cycles =
    number — the same seeded workload keeps the same spans on every run
    and every shard.  A sampled-out span skips both sinks (histogram
    and ring buffer), so sampled percentiles are computed over the
-   selected subset. *)
-let complete t o ~cycles ~forced =
-  if Event.sample_hit ~interval:t.sample_interval ~seed:t.sample_seed o.o_seq
+   selected subset.  [b] is the open span's offset in [open_cells]. *)
+let complete t b ~cycles ~forced =
+  let c = t.open_cells in
+  let seq = c.(b + 7) in
+  if Event.sample_hit ~interval:t.sample_interval ~seed:t.sample_seed seq
   then begin
-    let c =
-      {
-        kind = o.o_kind;
-        from_ring = o.o_from_ring;
-        to_ring = o.o_to_ring;
-        segno = o.o_segno;
-        wordno = o.o_wordno;
-        start_cycles = o.o_start;
-        end_cycles = cycles;
-        depth = o.o_depth;
-        seq = o.o_seq;
-        forced;
-      }
-    in
-    Histogram.observe (histogram t o.o_kind) (cycles - o.o_start);
-    push_completed t c
+    let kind = c.(b) and start = c.(b + 5) in
+    Histogram.observe (histogram t (Event.crossing_of_int kind)) (cycles - start);
+    push_completed t ~kind ~from_ring:c.(b + 1) ~to_ring:c.(b + 2)
+      ~segno:c.(b + 3) ~wordno:c.(b + 4) ~start ~end_:cycles ~depth:c.(b + 6)
+      ~seq ~forced
   end
   else begin
     t.sampled_out <- t.sampled_out + 1;
@@ -213,27 +251,78 @@ let complete t o ~cycles ~forced =
    matching return — leave the span open. *)
 let close_span ?kind t ~cycles =
   if t.enabled then
-    match t.stack with
-    | [] -> t.unmatched_returns <- t.unmatched_returns + 1
-    | o :: rest -> (
-        match kind with
-        | Some k when k <> o.o_kind -> ()
-        | _ ->
-            t.stack <- rest;
-            complete t o ~cycles ~forced:false)
+    if t.depth = 0 then t.unmatched_returns <- t.unmatched_returns + 1
+    else begin
+      let b = (t.depth - 1) * open_width in
+      match kind with
+      | Some k when Event.crossing_to_int k <> t.open_cells.(b) -> ()
+      | _ ->
+          t.depth <- t.depth - 1;
+          complete t b ~cycles ~forced:false
+    end
 
+(* Innermost first, as the stack unwinds. *)
 let drain t ~cycles =
-  List.iter (fun o -> complete t o ~cycles ~forced:true) t.stack;
-  t.stack <- []
+  for d = t.depth - 1 downto 0 do
+    complete t (d * open_width) ~cycles ~forced:true
+  done;
+  t.depth <- 0
+
+let completed_at t slot =
+  let b = slot * completed_width and buf = t.buf in
+  let head = buf.(b) in
+  if head < 0 then
+    let w = slot * wide_width and wide = t.wide in
+    {
+      kind = Event.crossing_of_int wide.(w);
+      from_ring = wide.(w + 1);
+      to_ring = wide.(w + 2);
+      segno = wide.(w + 3);
+      wordno = wide.(w + 4);
+      start_cycles = wide.(w + 5);
+      end_cycles = wide.(w + 6);
+      depth = wide.(w + 7);
+      seq = wide.(w + 8);
+      forced = wide.(w + 9) = 1;
+    }
+  else
+    let f pos width = (head lsr pos) land ((1 lsl width) - 1) in
+    {
+      kind = Event.crossing_of_int (f 0 2);
+      from_ring = f 2 3;
+      to_ring = f 5 3;
+      segno = f 8 14;
+      wordno = f 22 18;
+      start_cycles = buf.(b + 1);
+      end_cycles = buf.(b + 2);
+      depth = buf.(b + 3);
+      seq = buf.(b + 4);
+      forced = f 40 1 = 1;
+    }
 
 let completed t =
   let acc = ref [] in
   for i = t.len - 1 downto 0 do
     let j = t.head + i in
     let j = if j >= t.capacity then j - t.capacity else j in
-    acc := t.buf.(j) :: !acc
+    acc := completed_at t j :: !acc
   done;
   !acc
+
+(* The open stack as {!open_span} records, innermost first. *)
+let open_spans t =
+  List.init t.depth (fun i ->
+      let b = (t.depth - 1 - i) * open_width and c = t.open_cells in
+      {
+        o_kind = Event.crossing_of_int c.(b);
+        o_from_ring = c.(b + 1);
+        o_to_ring = c.(b + 2);
+        o_segno = c.(b + 3);
+        o_wordno = c.(b + 4);
+        o_start = c.(b + 5);
+        o_depth = c.(b + 6);
+        o_seq = c.(b + 7);
+      })
 
 (* Checkpoint support.  The whole tracker state round-trips: open
    spans (innermost first, as stacked), retained completed spans,
@@ -253,7 +342,7 @@ type dump = {
 
 let dump t =
   {
-    dump_stack = t.stack;
+    dump_stack = open_spans t;
     dump_next_seq = t.next_seq;
     dump_completed = completed t;
     dump_dropped = t.dropped;
@@ -278,9 +367,20 @@ let restore t d =
   if d.dump_sample_interval < 1 then
     invalid_arg "Span.restore: sample_interval < 1";
   clear t;
-  t.stack <- d.dump_stack;
+  List.iter
+    (fun o ->
+      push t ~kind:o.o_kind ~from_ring:o.o_from_ring ~to_ring:o.o_to_ring
+        ~segno:o.o_segno ~wordno:o.o_wordno ~start:o.o_start ~depth:o.o_depth
+        ~seq:o.o_seq)
+    (List.rev d.dump_stack);
   t.next_seq <- d.dump_next_seq;
-  List.iter (fun c -> push_completed t c) d.dump_completed;
+  List.iter
+    (fun c ->
+      push_completed t ~kind:(Event.crossing_to_int c.kind)
+        ~from_ring:c.from_ring ~to_ring:c.to_ring ~segno:c.segno
+        ~wordno:c.wordno ~start:c.start_cycles ~end_:c.end_cycles
+        ~depth:c.depth ~seq:c.seq ~forced:c.forced)
+    d.dump_completed;
   t.dropped <- d.dump_dropped;
   t.unmatched_returns <- d.dump_unmatched;
   t.sampled_out <- d.dump_sampled_out;
@@ -296,5 +396,6 @@ let reset t =
   t.enabled <- false;
   t.capacity <- default_capacity;
   t.buf <- [||];
+  t.wide <- [||];
   t.sample_interval <- 1;
   t.sample_seed <- 0

@@ -22,7 +22,7 @@ let build ?mode ?gate_on_same_ring ?use_r1_in_indirection ?stack_rule
   m
 
 let set_ipr m ~ring ~segno ~wordno =
-  m.Isa.Machine.regs.Hw.Registers.ipr <-
+  Hw.Registers.set_ipr m.Isa.Machine.regs
     { Hw.Registers.ring = Rings.Ring.v ring; addr = Hw.Addr.v ~segno ~wordno }
 
 let i = Isa.Instr.v

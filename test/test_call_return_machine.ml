@@ -37,9 +37,9 @@ let test_downward_call_mechanics () =
   Fixtures.expect_running "call" (Isa.Cpu.step m);
   let regs = m.Isa.Machine.regs in
   Alcotest.(check int) "ring switched to 1" 1
-    (Rings.Ring.to_int regs.Hw.Registers.ipr.Hw.Registers.ring);
+    (Rings.Ring.to_int regs.Hw.Registers.ipr_ring);
   Alcotest.(check int) "at gate word" 0
-    regs.Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.wordno;
+    regs.Hw.Registers.ipr_wordno;
   let pr0 = Hw.Registers.get_pr regs 0 in
   Alcotest.(check int) "PR0 names ring-1 stack" 1
     pr0.Hw.Registers.addr.Hw.Addr.segno;
@@ -78,7 +78,7 @@ let test_upward_return_maximizes_pr_rings () =
   Fixtures.expect_running "retn" (Isa.Cpu.step m);
   let regs = m.Isa.Machine.regs in
   Alcotest.(check int) "ring raised to 4" 4
-    (Rings.Ring.to_int regs.Hw.Registers.ipr.Hw.Registers.ring);
+    (Rings.Ring.to_int regs.Hw.Registers.ipr_ring);
   Alcotest.(check int) "PR1 ring maximized" 4
     (Rings.Ring.to_int (Hw.Registers.get_pr regs 1).Hw.Registers.ring);
   Alcotest.(check int) "one upward return" 1
@@ -200,7 +200,7 @@ let test_645_same_ring_call_no_fault () =
   Fixtures.expect_running "call" (Isa.Cpu.step m);
   let regs = m.Isa.Machine.regs in
   Alcotest.(check int) "transferred" 11
-    regs.Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.segno;
+    regs.Hw.Registers.ipr_segno;
   (* PR0 was generated from the current stack pointer segment. *)
   Alcotest.(check int) "PR0 from PR6's stack" 4
     (Hw.Registers.get_pr regs 0).Hw.Registers.addr.Hw.Addr.segno;
@@ -242,7 +242,7 @@ let prop_pr_ring_invariant =
       | Isa.Cpu.Running ->
           let regs = m.Isa.Machine.regs in
           let ipr_ring =
-            Rings.Ring.to_int regs.Hw.Registers.ipr.Hw.Registers.ring
+            Rings.Ring.to_int regs.Hw.Registers.ipr_ring
           in
           List.for_all
             (fun n ->

@@ -62,7 +62,7 @@ let test_trap_saves_state_at_faulting_instruction () =
   match m.Isa.Machine.saved with
   | Some { Isa.Machine.regs; fault } ->
       Alcotest.(check int) "saved IPR at the HALT" 1
-        regs.Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.wordno;
+        regs.Hw.Registers.ipr_wordno;
       Alcotest.(check bool)
         "fault recorded" true
         (match fault with Rings.Fault.Privileged_instruction _ -> true | _ -> false)
@@ -101,17 +101,12 @@ let test_rtrap_resumes () =
   (* Supervisor: advance the saved IPR past the MME, then RTRAP. *)
   (match m.Isa.Machine.saved with
   | Some { Isa.Machine.regs; _ } ->
-      regs.Hw.Registers.ipr <-
-        {
-          regs.Hw.Registers.ipr with
-          Hw.Registers.addr =
-            Hw.Addr.offset regs.Hw.Registers.ipr.Hw.Registers.addr 1;
-        }
+      Hw.Registers.advance_ipr regs
   | None -> Alcotest.fail "no saved state");
   Fixtures.set_ipr m ~ring:0 ~segno:2 ~wordno:0;
   Fixtures.expect_running "rtrap" (Isa.Cpu.step m);
   Alcotest.(check int) "back in ring 4" 4
-    (Rings.Ring.to_int m.Isa.Machine.regs.Hw.Registers.ipr.Hw.Registers.ring);
+    (Rings.Ring.to_int m.Isa.Machine.regs.Hw.Registers.ipr_ring);
   Fixtures.expect_running "resumed" (Isa.Cpu.step m);
   Alcotest.(check int) "LDA executed" 55 m.Isa.Machine.regs.Hw.Registers.a
 

@@ -171,10 +171,10 @@ let test_transfers () =
   Fixtures.expect_running "lda" (step m);
   Fixtures.expect_running "tze taken" (step m);
   Alcotest.(check int) "IPR at 3" 3
-    (regs m).Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.wordno;
+    (regs m).Hw.Registers.ipr_wordno;
   Fixtures.expect_running "tra" (step m);
   Alcotest.(check int) "IPR at 0o10" 0o10
-    (regs m).Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.wordno
+    (regs m).Hw.Registers.ipr_wordno
 
 let test_conditional_not_taken () =
   let m =
@@ -189,7 +189,7 @@ let test_conditional_not_taken () =
   Fixtures.expect_running "lda" (step m);
   Fixtures.expect_running "tze not taken" (step m);
   Alcotest.(check int) "fell through" 2
-    (regs m).Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.wordno
+    (regs m).Hw.Registers.ipr_wordno
 
 let test_tsx () =
   let m =
@@ -203,7 +203,7 @@ let test_tsx () =
   Fixtures.expect_running "tsx" (step m);
   Alcotest.(check int) "X1 = return wordno" 1 (regs m).Hw.Registers.xs.(1);
   Alcotest.(check int) "transferred" 5
-    (regs m).Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.wordno
+    (regs m).Hw.Registers.ipr_wordno
 
 let test_transfer_out_of_bracket_faults () =
   (* A TRA into a segment not executable at ring 2. *)

@@ -54,11 +54,7 @@ let prop_cpu_never_escapes =
                  simply resume at the next word. *)
               let regs = m.Isa.Machine.regs in
               m.Isa.Machine.saved <- None;
-              regs.Hw.Registers.ipr <-
-                {
-                  regs.Hw.Registers.ipr with
-                  Hw.Registers.ring = Rings.Ring.v (n land 7);
-                };
+              regs.Hw.Registers.ipr_ring <- Rings.Ring.v (n land 7);
               run (n - 1)
           | exception Isa.Eff_addr.Runaway_indirection _ -> true
       in
@@ -251,12 +247,14 @@ let build_diff_machine mode seed kind =
       (Hw.Registers.ptr ~ring:(next () land 7) ~segno
          ~wordno:(operand_wordno next segno))
   done;
-  m.Isa.Machine.timer <- Some (5 + (next () mod 60));
+  m.Isa.Machine.timer <- 5 + (next () mod 60);
   m
 
 (* Step [steps] times.  A fault is recorded, then the run resumes one
-   word past the faulting instruction, uninhibited, so one program
-   reaches many faults.  Returns the outcomes, most recent first. *)
+   word past the faulting instruction, uninhibited, in a ring chosen by
+   the step count, so one program reaches many faults and runs code
+   cached in one ring from another.  Returns the outcomes, most recent
+   first. *)
 let diff_run m ~steps =
   let rec go n acc =
     if n = 0 then acc
@@ -267,9 +265,10 @@ let diff_run m ~steps =
       | Isa.Cpu.Faulted _ as o ->
           (match m.Isa.Machine.saved with
           | Some { Isa.Machine.regs = saved; _ } ->
-              let at = saved.Hw.Registers.ipr in
-              m.Isa.Machine.regs.Hw.Registers.ipr <-
-                { at with Hw.Registers.addr = Hw.Addr.offset at.Hw.Registers.addr 1 }
+              let regs = m.Isa.Machine.regs in
+              Hw.Registers.set_ipr regs (Hw.Registers.ipr saved);
+              Hw.Registers.advance_ipr regs;
+              regs.Hw.Registers.ipr_ring <- Rings.Ring.v (n land 7)
           | None -> ());
           m.Isa.Machine.saved <- None;
           m.Isa.Machine.inhibit <- false;
@@ -333,11 +332,8 @@ let prop_kernel_never_escapes =
       | Ok () -> ()
       | Error _ -> ());
       let regs = p.Os.Process.machine.Isa.Machine.regs in
-      regs.Hw.Registers.ipr <-
-        {
-          Hw.Registers.ring = Rings.Ring.v 4;
-          addr = Hw.Addr.v ~segno:10 ~wordno:0;
-        };
+      Hw.Registers.set_ipr regs
+        { Hw.Registers.ring = Rings.Ring.v 4; addr = Hw.Addr.v ~segno:10 ~wordno:0 };
       match Os.Kernel.run ~max_instructions:200 p with
       | _ -> true
       | exception Isa.Eff_addr.Runaway_indirection _ -> true)
@@ -368,11 +364,8 @@ let prop_kernel_never_escapes_paged =
       | Ok () -> ()
       | Error _ -> ());
       let regs = p.Os.Process.machine.Isa.Machine.regs in
-      regs.Hw.Registers.ipr <-
-        {
-          Hw.Registers.ring = Rings.Ring.v 4;
-          addr = Hw.Addr.v ~segno:10 ~wordno:0;
-        };
+      Hw.Registers.set_ipr regs
+        { Hw.Registers.ring = Rings.Ring.v 4; addr = Hw.Addr.v ~segno:10 ~wordno:0 };
       match Os.Kernel.run ~max_instructions:200 p with
       | _ -> true
       | exception Isa.Eff_addr.Runaway_indirection _ -> true)

@@ -203,7 +203,7 @@ let test_return_ring_cannot_be_lowered () =
     (Trace.Counters.returns_upward p.Os.Process.machine.Isa.Machine.counters);
   Alcotest.(check int) "exited in ring 4" 4
     (Rings.Ring.to_int
-       p.Os.Process.machine.Isa.Machine.regs.Hw.Registers.ipr
+       (Hw.Registers.ipr p.Os.Process.machine.Isa.Machine.regs)
          .Hw.Registers.ring)
 
 (* Attack 5: call a non-gate word of a protected subsystem. *)

@@ -13,7 +13,7 @@ let spin_machine () =
 
 let test_timer_fires () =
   let m = spin_machine () in
-  m.Isa.Machine.timer <- Some 5;
+  m.Isa.Machine.timer <- 5;
   let rec run n =
     match Isa.Cpu.step m with
     | Isa.Cpu.Running -> run (n + 1)
@@ -21,11 +21,11 @@ let test_timer_fires () =
     | _ -> Alcotest.fail "unexpected outcome"
   in
   Alcotest.(check int) "fired after five instructions" 5 (run 0);
-  Alcotest.(check bool) "timer disarmed" true (m.Isa.Machine.timer = None)
+  Alcotest.(check bool) "timer disarmed" true (m.Isa.Machine.timer = Isa.Machine.disarmed)
 
 let test_timer_saved_state_resumes () =
   let m = spin_machine () in
-  m.Isa.Machine.timer <- Some 1;
+  m.Isa.Machine.timer <- 1;
   (match Isa.Cpu.step m with
   | Isa.Cpu.Faulted Rings.Fault.Timer_runout -> ()
   | _ -> Alcotest.fail "expected timer runout");
@@ -34,11 +34,11 @@ let test_timer_saved_state_resumes () =
   Isa.Machine.restore_saved m;
   Fixtures.expect_running "resumed" (Isa.Cpu.step m);
   Alcotest.(check int) "still in the loop" 0
-    m.Isa.Machine.regs.Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.wordno
+    m.Isa.Machine.regs.Hw.Registers.ipr_wordno
 
 let test_timer_not_counted_as_violation () =
   let m = spin_machine () in
-  m.Isa.Machine.timer <- Some 3;
+  m.Isa.Machine.timer <- 3;
   let rec run () =
     match Isa.Cpu.step m with
     | Isa.Cpu.Running -> run ()
@@ -73,7 +73,7 @@ let test_kernel_reports_preemption () =
   (match Os.Process.start p ~segment:"spin" ~entry:"start" ~ring:4 with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  p.Os.Process.machine.Isa.Machine.timer <- Some 10;
+  p.Os.Process.machine.Isa.Machine.timer <- 10;
   match Os.Kernel.run ~max_instructions:1000 p with
   | Os.Kernel.Preempted -> ()
   | e -> Alcotest.failf "expected preemption, got %a" Os.Kernel.pp_exit e
@@ -121,13 +121,13 @@ let test_injection_delivered_before_pending_timer () =
   Isa.Machine.attach_injector m (Hw.Inject.create eager_flip_plan);
   m.Isa.Machine.inhibit <- true;
   Fixtures.expect_running "inhibited" (Isa.Cpu.step m);
-  m.Isa.Machine.timer <- Some 1;
+  m.Isa.Machine.timer <- 1;
   m.Isa.Machine.inhibit <- false;
   (match Isa.Cpu.step m with
   | Isa.Cpu.Faulted (Rings.Fault.Parity_error _) -> ()
   | _ -> Alcotest.fail "expected the injected fault first");
   Alcotest.(check bool) "timer still armed" true
-    (m.Isa.Machine.timer = Some 1)
+    (m.Isa.Machine.timer = 1)
 
 let suite =
   [

@@ -254,6 +254,57 @@ let test_event_clock_stamping () =
       Alcotest.(check int) "seq 1" 1 b.Trace.Event.seq
   | _ -> Alcotest.fail "wrong stamped count"
 
+(* Events and completed spans are stored packed, with the rings,
+   segment and word numbers a machine produces in bit fields.  Values
+   outside those fields (an untrusted image can carry any) take the
+   wide path, and every field must read back exactly, interleaved with
+   packed ones and across a dump/restore. *)
+let test_trace_wide_fields_round_trip () =
+  let log = Trace.Event.create_log ~capacity:8 () in
+  Trace.Event.set_enabled log true;
+  let events =
+    Trace.Event.
+      [
+        Instruction { ring = 4; segno = 11; wordno = 3; text = "packed" };
+        Instruction { ring = 9; segno = 1 lsl 20; wordno = -1; text = "wide" };
+        Call
+          {
+            crossing = Downward;
+            from_ring = 4;
+            to_ring = 1;
+            segno = 1 lsl 14;
+            wordno = 0;
+          };
+        Return
+          { crossing = Upward; from_ring = 1; to_ring = 4; segno = 10; wordno = 6 };
+        Trap { ring = -2; cause = "odd ring" };
+        Descriptor_switch { from_ring = 3; to_ring = 12 };
+        Note "note";
+      ]
+  in
+  List.iter (Trace.Event.record log) events;
+  Alcotest.(check bool) "events read back" true (Trace.Event.events log = events);
+  let fresh = Trace.Event.create_log ~capacity:8 () in
+  Trace.Event.restore fresh (Trace.Event.dump log);
+  Alcotest.(check bool) "events survive restore" true
+    (Trace.Event.events fresh = events);
+  let spans = Trace.Span.create ~capacity:4 () in
+  Trace.Span.set_enabled spans true;
+  Trace.Span.open_span spans ~kind:Trace.Event.Downward ~from_ring:4 ~to_ring:1
+    ~segno:11 ~wordno:0 ~cycles:10;
+  Trace.Span.open_span spans ~kind:Trace.Event.Same_ring ~from_ring:9
+    ~to_ring:(-1) ~segno:(1 lsl 30) ~wordno:(1 lsl 18) ~cycles:12;
+  Trace.Span.close_span spans ~cycles:20;
+  Trace.Span.close_span spans ~cycles:30;
+  let completed = Trace.Span.completed spans in
+  Alcotest.(check (list (pair int int)))
+    "wide span fields" [ (1 lsl 30, 1 lsl 18); (11, 0) ]
+    (List.map (fun (c : Trace.Span.completed) -> (c.segno, c.wordno)) completed);
+  let restored = Trace.Span.create ~capacity:4 () in
+  Trace.Span.restore restored (Trace.Span.dump spans);
+  Alcotest.(check bool) "spans survive restore" true
+    (Trace.Span.completed restored = completed)
+
 (* Counters.fields is the exporters' source of truth: every field the
    pretty-printer knows must appear, and a single bump must move
    exactly one field. *)
@@ -538,6 +589,8 @@ let suite =
           test_event_instr_sampling_split;
         Alcotest.test_case "event lazy text resolution" `Quick
           test_event_lazy_text_resolution;
+        Alcotest.test_case "trace wide fields round trip" `Quick
+          test_trace_wide_fields_round_trip;
         Alcotest.test_case "counters fields complete" `Quick
           test_counters_fields_complete;
         Alcotest.test_case "counters fields diff" `Quick
