@@ -239,14 +239,14 @@ let json_of_gate ~budget p =
     gate_pairs (median p) (quantile p.ratios 0.25) (quantile p.ratios 0.75)
     budget
 
-(* Host-time budget for full tracing.  The event hot path is an
+(* Host-time budget for full tracing.  The event hot path is a packed
    integer-cell arena write (no variant, no string, no formatting —
    disassembly happens lazily at export); this is the regression gate
    the binary ring buffer bought, and [make bench] fails if it
    regresses toward the 8x of the variant-allocating log it replaced.
-   Full tracing costs ~1.5-1.6x on a 2-vCPU container, and the budget
-   sits at the top of that range: the paired median removes the
-   spread of single ratios, not the cost itself. *)
+   Full tracing reads 1.29-1.46x on a 2-vCPU container over an untraced
+   step that allocates nothing; the paired median removes the spread
+   of single ratios, not the cost itself. *)
 let trace_overhead_budget = 1.6
 
 (* The record hot path must not allocate.  [Gc.minor_words] deltas
@@ -409,10 +409,10 @@ let run_snapshot_system ?on_slice sys =
   let dt = Unix.gettimeofday () -. t0 in
   (float_of_int (Trace.Counters.instructions c) /. dt, Trace.Counters.cycles c)
 
-(* The untraced instruction cycle must not allocate.  A step once took
-   ~50 minor words (a closure per [let*] bind, a fresh IPR and operand
-   record, a [Some] per timer tick); what is left per instruction is
-   the occasional pointer register or address a CALL, RETURN or EAP
+(* The untraced instruction cycle must not allocate: no closure per
+   [let*] bind, no fresh IPR, operand record or [Some] per timer tick
+   (together ~50 minor words an instruction).  What may remain is the
+   occasional pointer register or address a CALL, RETURN or EAP
    builds, and the scheduler's per-slice bookkeeping.  The gate reads
    [Gc.minor_words] over whole deterministic runs — crossing-hw under
    the kernel, and the snapshot gate's bump pair under [System.run],
@@ -743,16 +743,21 @@ let backend_deterministic_fragment s =
        s.bk_violations);
   Buffer.contents buf
 
-let json_of_samples samples span_samples ~trace ~step_alloc ~idle
+let json_of_samples samples span_samples ~kernel_ms ~trace ~step_alloc ~idle
     ~(chaos : Os.Chaos.report) ~snap ~serving ~arena ~backends =
   let untraced, traced = trace.median_pair in
   let buf = Buffer.create 1024 in
   (* Host self-description up front: every section below — not just
-     serving — is a measurement on this core count and compiler. *)
+     serving — is a measurement on this core count and compiler, at the
+     host speed the reference kernel read before and after them. *)
+  let kernel_before, kernel_after = kernel_ms in
   Buffer.add_string buf
-    (Printf.sprintf "{\n  \"cores\": %d,\n  \"ocaml_version\": %S,\n"
+    (Printf.sprintf
+       "{\n  \"cores\": %d,\n  \"ocaml_version\": %S,\n  \
+        \"reference_kernel_ms\": {\"before\": %.3f, \"after\": %.3f, \
+        \"nominal\": %.1f},\n"
        (Domain.recommended_domain_count ())
-       Sys.ocaml_version);
+       Sys.ocaml_version kernel_before kernel_after Perfbench.Calib.nominal_ms);
   Buffer.add_string buf "  \"workloads\": [\n";
   List.iteri
     (fun i s ->
@@ -903,7 +908,20 @@ let json_of_samples samples span_samples ~trace ~step_alloc ~idle
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
+(* Host figures are wall time on a shared machine, where host speed
+   drifts by tens of percent within minutes.  perfbench's reference
+   kernel, timed before the first host figure and after the last,
+   says how fast the host ran meanwhile, so one file can be judged
+   on its own (a kernel time above [Calib.nominal_ms] means a slow
+   host). *)
+let reference_kernel_ms ~when_ =
+  let ms = Perfbench.Calib.kernel_ms () in
+  Printf.printf "reference kernel %s the host figures: %.3f ms (nominal %.1f)\n"
+    when_ ms Perfbench.Calib.nominal_ms;
+  ms
+
 let throughput () =
+  let kernel_before = reference_kernel_ms ~when_:"before" in
   let samples =
     List.map
       (fun (name, max_instructions, build) ->
@@ -1267,9 +1285,11 @@ let throughput () =
        (modeled cycles; determinism-gated)"
     t;
   print_newline ();
+  let kernel_after = reference_kernel_ms ~when_:"after" in
   let oc = open_out "BENCH_throughput.json" in
   output_string oc
-    (json_of_samples samples span_samples ~trace ~step_alloc ~idle ~chaos
-       ~snap ~serving ~arena ~backends);
+    (json_of_samples samples span_samples
+       ~kernel_ms:(kernel_before, kernel_after) ~trace ~step_alloc ~idle
+       ~chaos ~snap ~serving ~arena ~backends);
   close_out oc;
   Printf.printf "wrote BENCH_throughput.json\n"

@@ -88,8 +88,8 @@ let hardware_call m ~effective ~(addr : Hw.Addr.t) =
                   Trace.Counters.bump_calls_downward m.Machine.counters;
                   record_call m ~crossing:Trace.Event.Downward
                     ~from_ring:exec ~to_ring:new_ring addr);
-              Hw.Registers.set_ipr_at regs ~ring:new_ring ~segno:addr.Hw.Addr.segno
-                ~wordno:addr.Hw.Addr.wordno;
+              Hw.Registers.set_ipr_at regs ~ring:new_ring
+                ~segno:addr.Hw.Addr.segno ~wordno:addr.Hw.Addr.wordno;
               Ok ()))
 
 let hardware_retn m ~effective ~(addr : Hw.Addr.t) =
@@ -117,8 +117,8 @@ let hardware_retn m ~effective ~(addr : Hw.Addr.t) =
                   Trace.Counters.bump_returns_upward m.Machine.counters;
                   record_return m ~crossing:Trace.Event.Upward
                     ~from_ring:exec ~to_ring:new_ring addr);
-              Hw.Registers.set_ipr_at regs ~ring:new_ring ~segno:addr.Hw.Addr.segno
-                ~wordno:addr.Hw.Addr.wordno;
+              Hw.Registers.set_ipr_at regs ~ring:new_ring
+                ~segno:addr.Hw.Addr.segno ~wordno:addr.Hw.Addr.wordno;
               Ok ()))
 
 (* Capability mode: the same domain switch the hardware performs —
@@ -190,8 +190,8 @@ let capability_call m ~effective ~(addr : Hw.Addr.t) =
                   Trace.Counters.bump_calls_downward m.Machine.counters;
                   record_call m ~crossing:Trace.Event.Downward
                     ~from_ring:exec ~to_ring:new_ring addr);
-              Hw.Registers.set_ipr_at regs ~ring:new_ring ~segno:addr.Hw.Addr.segno
-                ~wordno:addr.Hw.Addr.wordno;
+              Hw.Registers.set_ipr_at regs ~ring:new_ring
+                ~segno:addr.Hw.Addr.segno ~wordno:addr.Hw.Addr.wordno;
               Ok ()))
 
 let capability_retn m ~effective ~(addr : Hw.Addr.t) =
@@ -232,8 +232,8 @@ let capability_retn m ~effective ~(addr : Hw.Addr.t) =
                   Trace.Counters.bump_returns_upward m.Machine.counters;
                   record_return m ~crossing:Trace.Event.Upward
                     ~from_ring:exec ~to_ring:new_ring addr);
-              Hw.Registers.set_ipr_at regs ~ring:new_ring ~segno:addr.Hw.Addr.segno
-                ~wordno:addr.Hw.Addr.wordno;
+              Hw.Registers.set_ipr_at regs ~ring:new_ring
+                ~segno:addr.Hw.Addr.segno ~wordno:addr.Hw.Addr.wordno;
               Ok ()))
 
 (* 645 mode: CALL/RETURN are plain transfers; a target that is not
@@ -275,8 +275,8 @@ let software_transfer m ~is_call ~(addr : Hw.Addr.t) =
             record_return m ~crossing:Trace.Event.Same_ring ~from_ring:ring
               ~to_ring:ring addr
           end;
-          Hw.Registers.set_ipr_at regs ~ring:ring ~segno:addr.Hw.Addr.segno
-                ~wordno:addr.Hw.Addr.wordno;
+          Hw.Registers.set_ipr_at regs ~ring
+            ~segno:addr.Hw.Addr.segno ~wordno:addr.Hw.Addr.wordno;
           Ok ())
 
 let call m ~effective ~addr =

@@ -116,7 +116,8 @@ let operand m =
       Memory
         {
           effective = m.Machine.op_effective;
-          addr = Hw.Addr.v ~segno:m.Machine.op_segno ~wordno:m.Machine.op_wordno;
+          addr =
+            Hw.Addr.v ~segno:m.Machine.op_segno ~wordno:m.Machine.op_wordno;
         }
 
 let compute m instr =

@@ -22,7 +22,9 @@ let read_operand m instr =
       with
       | Error fault -> Error fault
       | Ok (sdw, abs) -> (
-          match Machine.validate_read m sdw ~effective:m.Machine.op_effective with
+          match
+            Machine.validate_read m sdw ~effective:m.Machine.op_effective
+          with
           | Error _ as e -> e
           | Ok () ->
               m.Machine.op_value <- Hw.Memory.read m.Machine.mem abs;
@@ -171,7 +173,9 @@ let execute m (instr : Instr.t) =
                   match Machine.validate_write m sdw ~effective with
                   | Error fault -> Error fault
                   | Ok () ->
-                      let w = Hw.Word.add (Hw.Memory.read m.Machine.mem abs) 1 in
+                      let w =
+                        Hw.Word.add (Hw.Memory.read m.Machine.mem abs) 1
+                      in
                       Hw.Memory.write m.Machine.mem abs w;
                       Hw.Registers.set_indicators regs w;
                       ok))))

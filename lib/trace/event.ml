@@ -46,25 +46,27 @@ let default_capacity = 65536
      5 Descriptor_switch  a=from  b=to
      6 Note               a=text_id
 
-   (fields not listed are 0), stored in a four-int cell
+   (fields not listed are 0), stored in a three-int cell
 
-     [head; seq; cycles; x]
+     [head; seq; cycles]
 
-   [head] packs the tag into bits 0-2 and the rings, crossing, segment
-   and word numbers above it (3, 3, 14 and 18 bits — what a machine
-   produces); [x] holds the one unbounded field (the text, cause or
-   action id).  Half the bytes of a cell per field keeps the default
-   65,536-event ring inside a core's L2 cache.  An event whose fields
-   do not fit (only {!record} and {!restore} can supply one) is stored
-   with tag [tag_wide] in [head] and its logical fields in the same
-   slot of [wide], allocated on the first such event.
+   [head] packs the tag into bits 0-2 and the fields above it, in what
+   a machine produces: rings and the crossing in 3 bits, segment
+   numbers in 14, word numbers in 18; an instruction's text id plus
+   one (0 for none) in 24 more bits; a trap's, gatekeeper's or note's
+   string id in the rest.  24 bytes an event keeps the default
+   65,536-event ring at 1.5 MB, where the interpreter's own working
+   set still fits beside it in a core's L2 cache.  An event whose
+   fields do not fit (only {!record} and {!restore} can supply one) is
+   stored with tag [tag_wide] in [head] and its logical fields in the
+   same slot of [wide], allocated on the first such event.
 
    Strings are interned into [strings] (ids stable for the life of the
    log, surviving [clear]); an Instruction recorded on the hot path
    stores text_id = -1 and its disassembly is reconstructed lazily at
    export by [resolver] — re-decoding the word from the segment image —
    so a traced run never formats text it doesn't export. *)
-let cell_width = 4
+let cell_width = 3
 let wide_width = 6
 
 let tag_instruction = 0
@@ -280,39 +282,37 @@ let[@inline] now log =
 let bits3 v = v land lnot 0x7 = 0
 let bits14 v = v land lnot 0x3FFF = 0
 let bits18 v = v land lnot 0x3FFFF = 0
+let bits24 v = v land lnot 0xFFFFFF = 0
+let bits56 v = v land lnot 0xFFFFFFFFFFFFFF = 0
 
 (* The packed [head] of an event, or -1 when a field does not fit. *)
 let pack ~tag ~a ~b ~c ~d ~e =
   if tag = tag_instruction then
-    if bits3 a && bits14 b && bits18 c && e = 0 then
-      tag lor (a lsl 3) lor (b lsl 6) lor (c lsl 20)
+    if bits3 a && bits14 b && bits18 c && bits24 (d + 1) && e = 0 then
+      tag lor (a lsl 3) lor (b lsl 6) lor (c lsl 20) lor ((d + 1) lsl 38)
     else -1
   else if tag = tag_call || tag = tag_return then
     if bits3 a && bits3 b && bits3 c && bits14 d && bits18 e then
-      tag lor (a lsl 3) lor (b lsl 6) lor (c lsl 9) lor (d lsl 12) lor (e lsl 26)
+      tag lor (a lsl 3) lor (b lsl 6) lor (c lsl 9) lor (d lsl 12)
+      lor (e lsl 26)
     else -1
   else if tag = tag_trap then
-    if bits3 a && c = 0 && d = 0 && e = 0 then tag lor (a lsl 3) else -1
+    if bits3 a && bits56 b && c = 0 && d = 0 && e = 0 then
+      tag lor (a lsl 3) lor (b lsl 6)
+    else -1
   else if tag = tag_descriptor_switch then
     if bits3 a && bits3 b && c = 0 && d = 0 && e = 0 then
       tag lor (a lsl 3) lor (b lsl 6)
     else -1
-  else if b = 0 && c = 0 && d = 0 && e = 0 then tag
+  else if bits56 a && b = 0 && c = 0 && d = 0 && e = 0 then tag lor (a lsl 3)
   else -1
-
-(* The field a packed cell keeps in [x]. *)
-let x_field ~tag ~a ~b ~d =
-  if tag = tag_instruction then d else if tag = tag_trap then b else a
 
 let store log slot ~tag ~seq ~cycles ~a ~b ~c ~d ~e =
   let base = slot * cell_width and cells = log.cells in
   let head = pack ~tag ~a ~b ~c ~d ~e in
   Array.unsafe_set cells (base + 1) seq;
   Array.unsafe_set cells (base + 2) cycles;
-  if head >= 0 then begin
-    Array.unsafe_set cells base head;
-    Array.unsafe_set cells (base + 3) (x_field ~tag ~a ~b ~d)
-  end
+  if head >= 0 then Array.unsafe_set cells base head
   else begin
     Array.unsafe_set cells base tag_wide;
     if Array.length log.wide = 0 then
@@ -334,7 +334,7 @@ let fill log slot ~tag ~seq ~a ~b ~c ~d ~e =
    instruction when tracing is on.  Everything is an unboxed int store
    into one packed cell; the disassembly is deferred (text_id = -1)
    until export. *)
-let record_instruction log ~ring ~segno ~wordno =
+let[@inline] record_instruction log ~ring ~segno ~wordno =
   if log.enabled then begin
     let seq = admit_instr log in
     if seq >= 0 then begin
@@ -344,8 +344,7 @@ let record_instruction log ~ring ~segno ~wordno =
         Array.unsafe_set cells base
           ((ring lsl 3) lor (segno lsl 6) lor (wordno lsl 20));
         Array.unsafe_set cells (base + 1) seq;
-        Array.unsafe_set cells (base + 2) (now log);
-        Array.unsafe_set cells (base + 3) (-1)
+        Array.unsafe_set cells (base + 2) (now log)
       end
       else
         fill log slot ~tag:tag_instruction ~seq ~a:ring ~b:segno ~c:wordno
@@ -437,7 +436,7 @@ let instruction_text log ~segno ~wordno id =
    or read from [wide]. *)
 let event_of_slot log slot =
   let base = slot * cell_width in
-  let head = log.cells.(base) and x = log.cells.(base + 3) in
+  let head = log.cells.(base) in
   let tag = head land 0x7 in
   let tag, a, b, c, d, e =
     if tag = tag_wide then
@@ -446,26 +445,28 @@ let event_of_slot log slot =
        wide.(w + 5))
     else
       let f pos width = (head lsr pos) land ((1 lsl width) - 1) in
-      if tag = tag_instruction then (tag, f 3 3, f 6 14, f 20 18, x, 0)
+      if tag = tag_instruction then
+        (tag, f 3 3, f 6 14, f 20 18, f 38 24 - 1, 0)
       else if tag = tag_call || tag = tag_return then
         (tag, f 3 3, f 6 3, f 9 3, f 12 14, f 26 18)
-      else if tag = tag_trap then (tag, f 3 3, x, 0, 0, 0)
+      else if tag = tag_trap then (tag, f 3 3, f 6 56, 0, 0, 0)
       else if tag = tag_descriptor_switch then (tag, f 3 3, f 6 3, 0, 0, 0)
-      else (tag, x, 0, 0, 0, 0)
+      else (tag, f 3 56, 0, 0, 0, 0)
   in
   match tag with
   | 0 (* tag_instruction *) ->
-      Instruction
-        { ring = a; segno = b; wordno = c; text = instruction_text log ~segno:b ~wordno:c d }
+      let text = instruction_text log ~segno:b ~wordno:c d in
+      Instruction { ring = a; segno = b; wordno = c; text }
   | 1 (* tag_call *) ->
-      Call
-        { crossing = crossing_of_int a; from_ring = b; to_ring = c; segno = d; wordno = e }
+      let crossing = crossing_of_int a in
+      Call { crossing; from_ring = b; to_ring = c; segno = d; wordno = e }
   | 2 (* tag_return *) ->
-      Return
-        { crossing = crossing_of_int a; from_ring = b; to_ring = c; segno = d; wordno = e }
+      let crossing = crossing_of_int a in
+      Return { crossing; from_ring = b; to_ring = c; segno = d; wordno = e }
   | 3 (* tag_trap *) -> Trap { ring = a; cause = log.strings.(b) }
   | 4 (* tag_gatekeeper *) -> Gatekeeper { action = log.strings.(a) }
-  | 5 (* tag_descriptor_switch *) -> Descriptor_switch { from_ring = a; to_ring = b }
+  | 5 (* tag_descriptor_switch *) ->
+      Descriptor_switch { from_ring = a; to_ring = b }
   | 6 (* tag_note *) -> Note log.strings.(a)
   | tag -> invalid_arg (Printf.sprintf "Event.event_of_slot: tag %d" tag)
 

@@ -46,9 +46,10 @@ let default_capacity = 65536
    the fields of {!open_span}, innermost last.  The array doubles when
    the call stack outgrows it.
 
-   The completed ring holds [capacity] spans of [completed_width] ints,
-   allocated on the first completed span; [head] is the oldest
-   retained slot, [len] the retained count.  A slot is
+   The completed ring holds [capacity] spans of [completed_width] ints
+   in chunks of [chunk_spans] spans, each allocated when a span first
+   lands in it, so a run touches only the memory its spans use; [head]
+   is the oldest retained slot, [len] the retained count.  A slot is
 
      [head; start; end; depth; seq]
 
@@ -61,6 +62,8 @@ let default_capacity = 65536
 let open_width = 8
 let completed_width = 5
 let wide_width = 10
+let chunk_bits = 10
+let chunk_spans = 1 lsl chunk_bits
 
 type tracker = {
   mutable enabled : bool;
@@ -68,7 +71,7 @@ type tracker = {
   mutable depth : int;
   mutable next_seq : int;
   mutable capacity : int;
-  mutable buf : int array;
+  mutable chunks : int array array;
   mutable wide : int array;
   mutable head : int;
   mutable len : int;
@@ -97,7 +100,7 @@ let create ?(capacity = default_capacity) () =
     depth = 0;
     next_seq = 0;
     capacity;
-    buf = [||];
+    chunks = [||];
     wide = [||];
     head = 0;
     len = 0;
@@ -151,10 +154,21 @@ let clear t =
   Histogram.clear t.hist_up;
   Histogram.clear t.hist_recovery
 
+(* The chunk holding [slot], allocated on first use. *)
+let chunk t slot =
+  let c = Array.unsafe_get t.chunks (slot lsr chunk_bits) in
+  if Array.length c <> 0 then c
+  else begin
+    let c = Array.make (chunk_spans * completed_width) 0 in
+    t.chunks.(slot lsr chunk_bits) <- c;
+    c
+  end
+
 let push_completed t ~kind ~from_ring ~to_ring ~segno ~wordno ~start ~end_
     ~depth ~seq ~forced =
-  if Array.length t.buf = 0 then
-    t.buf <- Array.make (t.capacity * completed_width) 0;
+  if Array.length t.chunks = 0 then
+    t.chunks <-
+      Array.make ((t.capacity + chunk_spans - 1) lsr chunk_bits) [||];
   let slot =
     if t.len < t.capacity then begin
       let i = t.head + t.len in
@@ -169,7 +183,8 @@ let push_completed t ~kind ~from_ring ~to_ring ~segno ~wordno ~start ~end_
       i
     end
   in
-  let b = slot * completed_width and buf = t.buf in
+  let buf = chunk t slot
+  and b = (slot land (chunk_spans - 1)) * completed_width in
   let forced = if forced then 1 else 0 in
   let fits =
     kind land lnot 0x3 = 0
@@ -186,16 +201,25 @@ let push_completed t ~kind ~from_ring ~to_ring ~segno ~wordno ~start ~end_
     Array.unsafe_set buf b (-1);
     if Array.length t.wide = 0 then
       t.wide <- Array.make (t.capacity * wide_width) 0;
-    let w = slot * wide_width in
-    Array.blit [| kind; from_ring; to_ring; segno; wordno; start; end_; depth; seq; forced |]
-      0 t.wide w wide_width
+    let w = slot * wide_width and wide = t.wide in
+    wide.(w) <- kind;
+    wide.(w + 1) <- from_ring;
+    wide.(w + 2) <- to_ring;
+    wide.(w + 3) <- segno;
+    wide.(w + 4) <- wordno;
+    wide.(w + 5) <- start;
+    wide.(w + 6) <- end_;
+    wide.(w + 7) <- depth;
+    wide.(w + 8) <- seq;
+    wide.(w + 9) <- forced
   end;
   Array.unsafe_set buf (b + 1) start;
   Array.unsafe_set buf (b + 2) end_;
   Array.unsafe_set buf (b + 3) depth;
   Array.unsafe_set buf (b + 4) seq
 
-let[@inline] push t ~kind ~from_ring ~to_ring ~segno ~wordno ~start ~depth ~seq =
+let[@inline] push t ~kind ~from_ring ~to_ring ~segno ~wordno ~start ~depth
+    ~seq =
   if (t.depth + 1) * open_width > Array.length t.open_cells then begin
     let a = Array.make (2 * Array.length t.open_cells) 0 in
     Array.blit t.open_cells 0 a 0 (t.depth * open_width);
@@ -232,7 +256,9 @@ let complete t b ~cycles ~forced =
   if Event.sample_hit ~interval:t.sample_interval ~seed:t.sample_seed seq
   then begin
     let kind = c.(b) and start = c.(b + 5) in
-    Histogram.observe (histogram t (Event.crossing_of_int kind)) (cycles - start);
+    Histogram.observe
+      (histogram t (Event.crossing_of_int kind))
+      (cycles - start);
     push_completed t ~kind ~from_ring:c.(b + 1) ~to_ring:c.(b + 2)
       ~segno:c.(b + 3) ~wordno:c.(b + 4) ~start ~end_:cycles ~depth:c.(b + 6)
       ~seq ~forced
@@ -269,7 +295,8 @@ let drain t ~cycles =
   t.depth <- 0
 
 let completed_at t slot =
-  let b = slot * completed_width and buf = t.buf in
+  let buf = t.chunks.(slot lsr chunk_bits)
+  and b = (slot land (chunk_spans - 1)) * completed_width in
   let head = buf.(b) in
   if head < 0 then
     let w = slot * wide_width and wide = t.wide in
@@ -395,7 +422,7 @@ let reset t =
   clear t;
   t.enabled <- false;
   t.capacity <- default_capacity;
-  t.buf <- [||];
+  t.chunks <- [||];
   t.wide <- [||];
   t.sample_interval <- 1;
   t.sample_seed <- 0
