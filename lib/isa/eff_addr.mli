@@ -34,8 +34,6 @@ val form : Machine.t -> Instr.t -> (unit, Rings.Fault.t) result
     ([Machine.op_kind] and the other [op_] fields): the instruction
     cycle's path, which allocates nothing unless it faults. *)
 
-val operand : Machine.t -> operand
-(** The operand the last {!form} left in the scratch fields. *)
-
 val compute : Machine.t -> Instr.t -> (operand, Rings.Fault.t) result
-(** {!form}, then {!operand}. *)
+(** {!form}, then the operand it left in the scratch fields as a
+    value. *)
