@@ -16,10 +16,15 @@ type sample = {
   snapshot : Trace.Counters.snapshot;
 }
 
-let run_workload ~name ~max_instructions build =
+(* One timed kernel run of a freshly built workload.  [setup] switches
+   on what the measurement needs (tracing, spans, an idle injector)
+   before the clock starts; the machine comes back for whatever the
+   caller reads after the run. *)
+let timed_run ?(setup = ignore) ~name ~max_instructions build =
   match build () with
   | Error e -> failwith (Printf.sprintf "%s: build failed: %s" name e)
   | Ok p ->
+      setup p;
       let m = p.Os.Process.machine in
       let c = m.Isa.Machine.counters in
       let i0 = Trace.Counters.instructions c in
@@ -33,14 +38,39 @@ let run_workload ~name ~max_instructions build =
             (Format.asprintf "%s: did not exit cleanly: %a" name
                Os.Kernel.pp_exit e));
       let instructions = Trace.Counters.instructions c - i0 in
-      {
-        name;
-        instructions;
-        seconds = dt;
-        ips = float_of_int instructions /. dt;
-        cycles = Trace.Counters.cycles c;
-        snapshot = Trace.Counters.snapshot c;
-      }
+      ( {
+          name;
+          instructions;
+          seconds = dt;
+          ips = float_of_int instructions /. dt;
+          cycles = Trace.Counters.cycles c;
+          snapshot = Trace.Counters.snapshot c;
+        },
+        m )
+
+let run_workload ?setup ~name ~max_instructions build =
+  fst (timed_run ?setup ~name ~max_instructions build)
+
+let enable_spans (p : Os.Process.t) =
+  Trace.Span.set_enabled p.Os.Process.machine.Isa.Machine.spans true
+
+(* The full observability stack: event log, spans and profile.
+   Modeled cycles must not move; host instr/sec pays the
+   instrumentation cost, and the ratio is what we track. *)
+let trace_everything (p : Os.Process.t) =
+  let m = p.Os.Process.machine in
+  Trace.Event.set_enabled m.Isa.Machine.log true;
+  Trace.Span.set_enabled m.Isa.Machine.spans true;
+  Trace.Profile.set_enabled m.Isa.Machine.profile true
+
+(* The injector must be free when off: an attached injector with no
+   rules is polled between instructions but may change neither the
+   modeled cycles nor (measurably) the host throughput. *)
+let attach_idle_injector (p : Os.Process.t) =
+  ignore
+    (Os.Process.attach_injector p.Os.Process.machine
+       { (Hw.Inject.default_plan ~seed:0) with Hw.Inject.rules = [] }
+       [ p ])
 
 (* The standard workloads, scaled up far enough that per-run setup is
    noise and steady-state cache behaviour dominates. *)
@@ -92,6 +122,25 @@ type span_sample = {
   sw_kinds : (string * int * int * int * int * int) list;
 }
 
+(* Close the spans a run left open and read each crossing kind's count
+   and percentiles; a kind never seen is left out. *)
+let span_kinds m =
+  Trace.Span.drain m.Isa.Machine.spans
+    ~cycles:(Trace.Counters.cycles m.Isa.Machine.counters);
+  List.filter_map
+    (fun kind ->
+      let h = Trace.Span.histogram m.Isa.Machine.spans kind in
+      if Trace.Histogram.count h = 0 then None
+      else
+        Some
+          ( Trace.Event.crossing_to_string kind,
+            Trace.Histogram.count h,
+            Trace.Histogram.percentile h 50.0,
+            Trace.Histogram.percentile h 90.0,
+            Trace.Histogram.percentile h 99.0,
+            Trace.Histogram.max_value h ))
+    [ Trace.Event.Same_ring; Trace.Event.Downward; Trace.Event.Upward ]
+
 let span_workloads =
   [
     ( "crossing-hw",
@@ -113,67 +162,10 @@ let span_workloads =
   ]
 
 let run_span_workload ~name build =
-  match build () with
-  | Error e -> failwith (Printf.sprintf "%s: build failed: %s" name e)
-  | Ok p ->
-      let m = p.Os.Process.machine in
-      Trace.Span.set_enabled m.Isa.Machine.spans true;
-      (match Os.Kernel.run ~max_instructions:4_000_000 p with
-      | Os.Kernel.Exited -> ()
-      | e ->
-          failwith
-            (Format.asprintf "%s: did not exit cleanly: %a" name
-               Os.Kernel.pp_exit e));
-      Trace.Span.drain m.Isa.Machine.spans
-        ~cycles:(Trace.Counters.cycles m.Isa.Machine.counters);
-      let kinds =
-        List.filter_map
-          (fun kind ->
-            let h = Trace.Span.histogram m.Isa.Machine.spans kind in
-            if Trace.Histogram.count h = 0 then None
-            else
-              Some
-                ( Trace.Event.crossing_to_string kind,
-                  Trace.Histogram.count h,
-                  Trace.Histogram.percentile h 50.0,
-                  Trace.Histogram.percentile h 90.0,
-                  Trace.Histogram.percentile h 99.0,
-                  Trace.Histogram.max_value h ))
-          [ Trace.Event.Same_ring; Trace.Event.Downward; Trace.Event.Upward ]
-      in
-      { sw_name = name; sw_kinds = kinds }
-
-(* The same workload with the full observability stack on: event log,
-   spans and profile.  Modeled cycles must not move; host instr/sec
-   pays the instrumentation cost, and the ratio is what we track. *)
-let run_traced ~name ~max_instructions build =
-  match build () with
-  | Error e -> failwith (Printf.sprintf "%s: build failed: %s" name e)
-  | Ok p ->
-      let m = p.Os.Process.machine in
-      Trace.Event.set_enabled m.Isa.Machine.log true;
-      Trace.Span.set_enabled m.Isa.Machine.spans true;
-      Trace.Profile.set_enabled m.Isa.Machine.profile true;
-      let c = m.Isa.Machine.counters in
-      let i0 = Trace.Counters.instructions c in
-      let t0 = Unix.gettimeofday () in
-      let exit = Os.Kernel.run ~max_instructions p in
-      let dt = Unix.gettimeofday () -. t0 in
-      (match exit with
-      | Os.Kernel.Exited -> ()
-      | e ->
-          failwith
-            (Format.asprintf "%s: did not exit cleanly: %a" name
-               Os.Kernel.pp_exit e));
-      let instructions = Trace.Counters.instructions c - i0 in
-      {
-        name;
-        instructions;
-        seconds = dt;
-        ips = float_of_int instructions /. dt;
-        cycles = Trace.Counters.cycles c;
-        snapshot = Trace.Counters.snapshot c;
-      }
+  let _, m =
+    timed_run ~setup:enable_spans ~name ~max_instructions:4_000_000 build
+  in
+  { sw_name = name; sw_kinds = span_kinds m }
 
 (* {1 Paired host-time gates}
 
@@ -185,8 +177,44 @@ let run_traced ~name ~max_instructions build =
    pairs, alternating which side of a pair runs first so drift over
    the gate lands on both sides alike, and holds the median of the
    per-pair ratios to its budget.  The median and quartiles are
-   recorded in BENCH_throughput.json. *)
+   recorded in BENCH_throughput.json.
+
+   One run of a gate workload lasts ~40-60 ms on a 2-vCPU container,
+   short enough that a single host hiccup moves a pair's ratio past
+   the budget (6 of 25 pairs above 1.6x on unchanged code).  So each
+   side of a pair repeats its unchanged workload back to back until it
+   has run [gate_side_seconds] of timed host time, and stands for all
+   its runs: their total instructions over their total time. *)
 let gate_pairs = 5
+let gate_side_seconds = 0.15
+
+(* Back-to-back runs of [run] until their [seconds] add up to
+   [gate_side_seconds]; at least one. *)
+let repeat_side ~seconds run =
+  let rec go runs total =
+    let r = run () in
+    let total = total +. seconds r in
+    if total >= gate_side_seconds then List.rev (r :: runs)
+    else go (r :: runs) total
+  in
+  go [] 0.0
+
+(* Back-to-back runs of one workload as one sample: the modeled fields
+   are every run's (they must agree), [seconds] is the mean per run
+   and [ips] the total rate. *)
+let merge_runs runs =
+  let first = List.hd runs in
+  if List.exists (fun s -> s.cycles <> first.cycles) runs then
+    failwith (first.name ^ ": repeated runs disagree on modeled cycles");
+  let sum f = List.fold_left (fun a s -> a +. f s) 0.0 runs in
+  let seconds = sum (fun s -> s.seconds) in
+  {
+    first with
+    seconds = seconds /. float_of_int (List.length runs);
+    ips = sum (fun s -> float_of_int s.instructions) /. seconds;
+  }
+
+let repeated run = merge_runs (repeat_side ~seconds:(fun s -> s.seconds) run)
 
 type ('a, 'b) paired = {
   pairs : ('a * 'b) list;  (* (base, variant), in run order *)
@@ -290,40 +318,6 @@ let run_alloc_smoke () =
      sampled (tolerance %.0f)\n"
     records disabled_words enabled_words sampled_words alloc_tolerance_words
 
-(* The injector must be free when off: an attached injector with no
-   rules is polled between instructions but may change neither the
-   modeled cycles nor (measurably) the host throughput. *)
-let run_idle_injector ~name ~max_instructions build =
-  match build () with
-  | Error e -> failwith (Printf.sprintf "%s: build failed: %s" name e)
-  | Ok p ->
-      let m = p.Os.Process.machine in
-      ignore
-        (Os.Process.attach_injector m
-           { (Hw.Inject.default_plan ~seed:0) with Hw.Inject.rules = [] }
-           [ p ]);
-      let c = m.Isa.Machine.counters in
-      let i0 = Trace.Counters.instructions c in
-      let t0 = Unix.gettimeofday () in
-      let exit = Os.Kernel.run ~max_instructions p in
-      let dt = Unix.gettimeofday () -. t0 in
-      (match exit with
-      | Os.Kernel.Exited -> ()
-      | e ->
-          failwith
-            (Format.asprintf "%s: did not exit cleanly: %a" name
-               Os.Kernel.pp_exit e));
-      let instructions = Trace.Counters.instructions c - i0 in
-      {
-        name;
-        instructions;
-        seconds = dt;
-        ips = float_of_int instructions /. dt;
-        cycles = Trace.Counters.cycles c;
-        snapshot = Trace.Counters.snapshot c;
-      }
-
-
 (* Incremental capture: the same workload checkpointed on EVERY
    scheduler slice through the delta chain (Os.Snapshot.start_chain /
    capture_delta), a rate at which full captures would be hopeless.
@@ -340,8 +334,7 @@ type snap_inc_sample = {
   si_delta_bytes_max : int;
   si_restore_ok : bool;
   si_capture_seconds : float;
-  si_ips : float;
-  si_cycles : int;
+  si_run : sample;
 }
 
 let snap_workload = "bump-pair"
@@ -399,7 +392,7 @@ let build_snapshot_system () =
    ~2.5k instructions) while staying a real scheduling granularity. *)
 let snap_quantum = 2_500
 
-(* One timed run to completion: instr/sec and modeled cycles. *)
+(* One timed run to completion. *)
 let run_snapshot_system ?on_slice sys =
   let c = (Os.System.machine sys).Isa.Machine.counters in
   let t0 = Unix.gettimeofday () in
@@ -407,7 +400,15 @@ let run_snapshot_system ?on_slice sys =
     Os.System.run ~quantum:snap_quantum ~max_slices:100_000 ?on_slice sys
   in
   let dt = Unix.gettimeofday () -. t0 in
-  (float_of_int (Trace.Counters.instructions c) /. dt, Trace.Counters.cycles c)
+  let instructions = Trace.Counters.instructions c in
+  {
+    name = snap_workload;
+    instructions;
+    seconds = dt;
+    ips = float_of_int instructions /. dt;
+    cycles = Trace.Counters.cycles c;
+    snapshot = Trace.Counters.snapshot c;
+  }
 
 (* The untraced instruction cycle must not allocate: no closure per
    [let*] bind, no fresh IPR, operand record or [Some] per timer tick
@@ -477,7 +478,7 @@ let run_snapshot_incremental () =
     if len > !delta_max then delta_max := len;
     deltas := d :: !deltas
   in
-  let ips, cycles = run_snapshot_system ~on_slice inc in
+  let run = run_snapshot_system ~on_slice inc in
   if Os.Snapshot.chain_length chain = 0 then
     failwith "snapshot incremental: no deltas captured";
   (* Restore on a fresh system exercises the whole transfer path:
@@ -496,8 +497,18 @@ let run_snapshot_incremental () =
     si_delta_bytes_max = !delta_max;
     si_restore_ok = restore_ok;
     si_capture_seconds = !capture_seconds;
-    si_ips = ips;
-    si_cycles = cycles;
+    si_run = run;
+  }
+
+(* Back-to-back incremental runs as one, like [merge_runs]: capture
+   time is the mean per run. *)
+let merge_incremental runs =
+  let capture = List.fold_left (fun a r -> a +. r.si_capture_seconds) 0.0 runs in
+  {
+    (List.hd runs) with
+    si_restore_ok = List.for_all (fun r -> r.si_restore_ok) runs;
+    si_capture_seconds = capture /. float_of_int (List.length runs);
+    si_run = merge_runs (List.map (fun r -> r.si_run) runs);
   }
 
 (* The serving fleet at 1, 2 and 4 shards on the same workload.
@@ -655,65 +666,35 @@ let backend_configs =
   ]
 
 let run_backend ~name ~config ~mode =
-  match
-    Os.Scenario.crossing ~config ~caller_ring:4 ~callee_ring:1
-      ~iterations:2_000 ()
-  with
-  | Error e -> failwith (Printf.sprintf "backend %s: build failed: %s" name e)
-  | Ok p ->
-      let m = p.Os.Process.machine in
-      Trace.Span.set_enabled m.Isa.Machine.spans true;
-      let c = m.Isa.Machine.counters in
-      let i0 = Trace.Counters.instructions c in
-      let t0 = Unix.gettimeofday () in
-      (match Os.Kernel.run ~max_instructions:4_000_000 p with
-      | Os.Kernel.Exited -> ()
-      | e ->
-          failwith
-            (Format.asprintf "backend %s: did not exit cleanly: %a" name
-               Os.Kernel.pp_exit e));
-      let dt = Unix.gettimeofday () -. t0 in
-      Trace.Span.drain m.Isa.Machine.spans
-        ~cycles:(Trace.Counters.cycles c);
-      let kinds =
-        List.filter_map
-          (fun kind ->
-            let h = Trace.Span.histogram m.Isa.Machine.spans kind in
-            if Trace.Histogram.count h = 0 then None
-            else
-              Some
-                ( Trace.Event.crossing_to_string kind,
-                  Trace.Histogram.count h,
-                  Trace.Histogram.percentile h 50.0,
-                  Trace.Histogram.percentile h 90.0,
-                  Trace.Histogram.percentile h 99.0,
-                  Trace.Histogram.max_value h ))
-          [ Trace.Event.Same_ring; Trace.Event.Downward; Trace.Event.Upward ]
-      in
-      let chaos =
-        Os.Chaos.run_campaigns ~mode ~campaigns:8
-          (Hw.Inject.default_plan ~seed:0)
-      in
-      let h = chaos.Os.Chaos.recovery_latency in
-      let instructions = Trace.Counters.instructions c - i0 in
-      {
-        bk_backend = name;
-        bk_instructions = instructions;
-        bk_seconds = dt;
-        bk_ips = float_of_int instructions /. dt;
-        bk_cycles = Trace.Counters.cycles c;
-        bk_kinds = kinds;
-        bk_recovery =
-          ( Trace.Histogram.count h,
-            Trace.Histogram.percentile h 50.0,
-            Trace.Histogram.percentile h 90.0,
-            Trace.Histogram.percentile h 99.0,
-            if Trace.Histogram.count h = 0 then 0
-            else Trace.Histogram.max_value h );
-        bk_recovered = chaos.Os.Chaos.recovered;
-        bk_quarantined = chaos.Os.Chaos.quarantined;
-        bk_violations = List.length chaos.Os.Chaos.violations;
-      }
+  let s, m =
+    timed_run ~setup:enable_spans ~name:("backend " ^ name)
+      ~max_instructions:4_000_000 (fun () ->
+        Os.Scenario.crossing ~config ~caller_ring:4 ~callee_ring:1
+          ~iterations:2_000 ())
+  in
+  let kinds = span_kinds m in
+  let chaos =
+    Os.Chaos.run_campaigns ~mode ~campaigns:8 (Hw.Inject.default_plan ~seed:0)
+  in
+  let h = chaos.Os.Chaos.recovery_latency in
+  {
+    bk_backend = name;
+    bk_instructions = s.instructions;
+    bk_seconds = s.seconds;
+    bk_ips = s.ips;
+    bk_cycles = s.cycles;
+    bk_kinds = kinds;
+    bk_recovery =
+      ( Trace.Histogram.count h,
+        Trace.Histogram.percentile h 50.0,
+        Trace.Histogram.percentile h 90.0,
+        Trace.Histogram.percentile h 99.0,
+        if Trace.Histogram.count h = 0 then 0 else Trace.Histogram.max_value h
+      );
+    bk_recovered = chaos.Os.Chaos.recovered;
+    bk_quarantined = chaos.Os.Chaos.quarantined;
+    bk_violations = List.length chaos.Os.Chaos.violations;
+  }
 
 (* The modeled half of a backend sample as JSON fields (no braces, no
    host timing): run the measurement twice, these bytes must match
@@ -829,7 +810,7 @@ let json_of_samples samples span_samples ~kernel_ms ~trace ~step_alloc ~idle
        (Trace.Histogram.percentile h 99.0)
        (if Trace.Histogram.count h = 0 then 0
         else Trace.Histogram.max_value h));
-  let (plain_ips, _), snap_inc = snap.median_pair in
+  let plain, snap_inc = snap.median_pair in
   Buffer.add_string buf
     (Printf.sprintf
        "  \"snapshot_incremental\": {\"workload\": %S, \"quantum\": %d, \
@@ -842,7 +823,7 @@ let json_of_samples samples span_samples ~kernel_ms ~trace ~step_alloc ~idle
        snap_inc.si_deltas snap_inc.si_delta_bytes_total
        snap_inc.si_delta_bytes_max snap_inc.si_capture_seconds
        (snap_inc.si_capture_seconds /. float_of_int snap_inc.si_deltas)
-       plain_ips snap_inc.si_ips
+       plain.ips snap_inc.si_run.ips
        (json_of_gate ~budget:snap_incremental_budget snap));
   let base = List.find (fun s -> s.sv_shards = 1) serving in
   Buffer.add_string buf
@@ -1000,8 +981,11 @@ let throughput () =
   let trace =
     let name, max_instructions, build = List.hd workloads in
     run_pairs
-      ~base:(fun () -> run_workload ~name ~max_instructions build)
-      ~variant:(fun () -> run_traced ~name ~max_instructions build)
+      ~base:(fun () ->
+        repeated (fun () -> run_workload ~name ~max_instructions build))
+      ~variant:(fun () ->
+        repeated (fun () ->
+            run_workload ~setup:trace_everything ~name ~max_instructions build))
       ~ratio:(fun u t -> u.ips /. t.ips)
   in
   List.iter
@@ -1027,7 +1011,7 @@ let throughput () =
   print_newline ();
   let idle =
     let (name, max_instructions, build) = List.hd workloads in
-    run_idle_injector ~name ~max_instructions build
+    run_workload ~setup:attach_idle_injector ~name ~max_instructions build
   in
   if idle.cycles <> untraced.cycles then
     failwith
@@ -1045,12 +1029,18 @@ let throughput () =
          (List.length chaos.Os.Chaos.violations));
   Format.printf "robustness - %a@." Os.Chaos.pp_report chaos;
   let snap =
-    run_pairs ~base:run_snapshot_plain ~variant:run_snapshot_incremental
-      ~ratio:(fun (plain_ips, _) inc -> plain_ips /. inc.si_ips)
+    run_pairs
+      ~base:(fun () -> repeated run_snapshot_plain)
+      ~variant:(fun () ->
+        merge_incremental
+          (repeat_side
+             ~seconds:(fun r -> r.si_run.seconds)
+             run_snapshot_incremental))
+      ~ratio:(fun plain inc -> plain.ips /. inc.si_run.ips)
   in
   List.iter
-    (fun ((_, plain_cycles), inc) ->
-      if inc.si_cycles <> plain_cycles then
+    (fun (plain, inc) ->
+      if inc.si_run.cycles <> plain.cycles then
         failwith "incremental checkpointing changed the modeled cycle count";
       if not inc.si_restore_ok then
         failwith "snapshot delta chain failed to restore onto a fresh system")

@@ -2,9 +2,9 @@
 
    Files ending in .jsonl are validated line by line (blank lines
    allowed); anything else must be a single JSON document.  Exits 1 on
-   the first malformed file, printing where it failed.  Used by `make
-   trace-smoke` to check ringsim's exporter output without external
-   tooling. *)
+   the first malformed file, printing where it failed.  The cram tests
+   run it on every JSON file they write, and `make bench-smoke` on the
+   bench's fresh BENCH_throughput.json, without external tooling. *)
 
 let read_file path =
   let ic = open_in path in

@@ -54,19 +54,21 @@ let link_front sentinel node =
   sentinel.next.prev <- node;
   sentinel.next <- node
 
+(* A probe allocates nothing: no option on either path, and a miss is
+   re-raised without a backtrace. *)
 let find t k =
-  match Hashtbl.find_opt t.table k with
-  | None ->
+  match Hashtbl.find t.table k with
+  | exception Not_found ->
       t.misses <- t.misses + 1;
-      None
-  | Some node ->
+      raise_notrace Not_found
+  | node ->
       t.hits <- t.hits + 1;
       (match t.sentinel with
       | Some s when s.next != node ->
           unlink node;
           link_front s node
       | _ -> ());
-      Some node.value
+      node.value
 
 let mem t k = Hashtbl.mem t.table k
 

@@ -33,9 +33,10 @@ val capacity : ('k, 'v) t -> int
 
 val length : ('k, 'v) t -> int
 
-val find : ('k, 'v) t -> 'k -> 'v option
+val find : ('k, 'v) t -> 'k -> 'v
 (** [find t k] returns the cached value and marks [k] most recently
-    used.  Counts a hit or a miss. *)
+    used; raises [Not_found] on a miss.  Counts a hit or a miss, and
+    allocates nothing either way. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
 (** Presence test without touching recency or the hit/miss counters. *)

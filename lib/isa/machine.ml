@@ -461,8 +461,11 @@ let refill_tag t dbr ~base ~segno key =
    memory traffic exactly as before the host cache split.  The host
    LRU spares the walk when it can. *)
 let fetch_sdw_miss t dbr ~base ~segno key =
-  match (if t.degraded then None else Hw.Assoc.find t.sdw_cache key) with
-  | Some sdw when segno < dbr.Hw.Registers.bound ->
+  match
+    if t.degraded then raise_notrace Not_found
+    else Hw.Assoc.find t.sdw_cache key
+  with
+  | sdw when segno < dbr.Hw.Registers.bound ->
       (* Replays the uncached walk's accounting exactly: the SDW-fetch
          bump and charge, then the two SDW words from core.  (The
          bound guard mirrors the walk's own check — a shrunk DBR bound
@@ -476,7 +479,7 @@ let fetch_sdw_miss t dbr ~base ~segno key =
          observer may have dropped while only the LRU entry lived. *)
       host_insert_sdw t ~base ~segno key sdw;
       Ok sdw
-  | Some _ | None -> (
+  | _ | exception Not_found -> (
       Trace.Counters.bump_sdw_cache_misses t.counters;
       match Hw.Descriptor.fetch_sdw t.mem dbr ~segno with
       | Error _ as e -> e
@@ -542,11 +545,14 @@ let translate_paged_cached t (sdw : Hw.Sdw.t) ~segno ~wordno =
     let key =
       ptw_key ~base:t.regs.Hw.Registers.dbr.Hw.Registers.base ~segno ~pageno
     in
-    match (if t.degraded then None else Hw.Assoc.find t.ptw_tlb key) with
-    | Some v ->
+    match
+      if t.degraded then raise_notrace Not_found
+      else Hw.Assoc.find t.ptw_tlb key
+    with
+    | v ->
         Trace.Counters.bump_ptw_tlb_hits t.counters;
         Ok (ptw_value_frame v + Hw.Paging.offset_in_page wordno)
-    | None ->
+    | exception Not_found ->
         Trace.Counters.bump_ptw_tlb_misses t.counters;
         let waddr = sdw.Hw.Sdw.base + pageno in
         let ptw = Hw.Paging.decode_ptw (Hw.Memory.read_silent t.mem waddr) in
@@ -627,11 +633,13 @@ let resolve t (addr : Hw.Addr.t) =
 let fetch_decoded t abs =
   Trace.Counters.bump_memory_reads t.counters;
   Trace.Counters.charge t.counters Hw.Costs.memory_access;
-  match (if t.degraded then None else Hw.Assoc.find t.icache abs) with
-  | Some instr ->
+  match
+    if t.degraded then raise_notrace Not_found else Hw.Assoc.find t.icache abs
+  with
+  | instr ->
       Trace.Counters.bump_icache_hits t.counters;
       Ok instr
-  | None -> (
+  | exception Not_found -> (
       Trace.Counters.bump_icache_misses t.counters;
       match Instr.decode (Hw.Memory.read_silent t.mem abs) with
       | Error _ as e -> e
@@ -790,6 +798,20 @@ let restore_saved t =
 
 let attach_injector t inj = t.injector <- Some inj
 
+(* Drop everything the host caches: the three LRU memories, the watch
+   tables only they and the fetch memo arm, and the DBR working set.
+   The [fetch_gen] bump makes every fetch- and resolve-memo entry miss,
+   so the memo arrays are left as they are.  The modeled associative
+   memory ([sdw_tags]) and [sdw_watch] are the callers' business. *)
+let drop_host_caches t =
+  Hw.Assoc.clear t.sdw_cache;
+  Hw.Assoc.clear t.ptw_tlb;
+  Hw.Assoc.clear t.icache;
+  Hashtbl.reset t.fetch_watch;
+  Hashtbl.reset t.ptw_watch;
+  t.fetch_gen <- t.fetch_gen + 1;
+  t.resident_bases <- []
+
 (* Graceful degradation after coherence damage: flush and disable the
    host-side performance caches and run uncached from here on.  The
    modeled associative memory ([sdw_tags]) is untouched — its hit/miss
@@ -800,15 +822,7 @@ let degrade t =
   if not t.degraded then begin
     t.degraded <- true;
     Trace.Counters.bump_degraded t.counters;
-    Hw.Assoc.clear t.sdw_cache;
-    Hw.Assoc.clear t.ptw_tlb;
-    Hw.Assoc.clear t.icache;
-    Array.fill t.fetch_slots 0 fetch_cache_slots (-1);
-    Array.fill t.resolve_slots 0 resolve_cache_slots (-1);
-    Hashtbl.reset t.fetch_watch;
-    Hashtbl.reset t.ptw_watch;
-    t.fetch_gen <- t.fetch_gen + 1;
-    t.resident_bases <- []
+    drop_host_caches t
   end
 
 (* Checkpoint boundary.  Flush every host-side memoization layer and
@@ -821,15 +835,7 @@ let degrade t =
    counters they export stay byte-identical.  Unlike [degrade] the
    caches come back: the next references refill them. *)
 let quiesce t =
-  Hw.Assoc.clear t.sdw_cache;
-  Hw.Assoc.clear t.ptw_tlb;
-  Hw.Assoc.clear t.icache;
-  (* No fill of the two memo arrays: the [fetch_gen] bump below already
-     makes every entry in them miss. *)
-  Hashtbl.reset t.fetch_watch;
-  Hashtbl.reset t.ptw_watch;
-  t.fetch_gen <- t.fetch_gen + 1;
-  t.resident_bases <- [];
+  drop_host_caches t;
   t.sdw_cache_base <- -1;
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.sdw_tags [] in
   List.iter (fun k -> Hashtbl.replace t.sdw_tags k Hw.Sdw.absent) keys
@@ -895,23 +901,18 @@ let reset t =
   t.inhibit <- false;
   t.trap_config <- None;
   Hashtbl.reset t.sdw_tags;
-  Hw.Assoc.clear t.sdw_cache;
+  drop_host_caches t;
   Hw.Assoc.reset_stats t.sdw_cache;
-  Hw.Assoc.clear t.ptw_tlb;
   Hw.Assoc.reset_stats t.ptw_tlb;
-  Hw.Assoc.clear t.icache;
   Hw.Assoc.reset_stats t.icache;
   Hashtbl.reset t.sdw_watch;
-  Hashtbl.reset t.ptw_watch;
   Array.fill t.fetch_slots 0 fetch_cache_slots (-1);
   Array.fill t.fetch_entries 0 fetch_cache_slots dummy_fetch_entry;
-  Hashtbl.reset t.fetch_watch;
   Array.fill t.resolve_slots 0 resolve_cache_slots (-1);
   Array.fill t.resolve_entries 0 resolve_cache_slots dummy_resolve_entry;
   t.fetch_gen <- 0;
   Bytes.fill t.watched 0 (Bytes.length t.watched) '\000';
   t.sdw_cache_base <- -1;
-  t.resident_bases <- [];
   t.injector <- None;
   t.degraded <- false;
   t.io_fail_pending <- false;

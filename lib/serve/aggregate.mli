@@ -7,7 +7,7 @@
     [fleet] section of the report does not depend on the shard count
     at all when nothing was shed: each request's outcome is the same
     whichever shard served it, and the sums are over requests, not
-    shards.  That is what [make serve-smoke] byte-diffs. *)
+    shards.  That is what [test/cram/serve.t] compares. *)
 
 type shard_summary = {
   shard_id : int;

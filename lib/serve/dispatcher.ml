@@ -423,8 +423,8 @@ let model_of_sim cfg sim ~fact =
           flush ();
           let k = (r.Workload.program, r.Workload.iterations) in
           (match Hw.Assoc.find cache k with
-          | Some () -> incr warm
-          | None ->
+          | () -> incr warm
+          | exception Not_found ->
               incr cold;
               ignore (Hw.Assoc.insert cache k ()));
           busy := !busy + (fact r).f_latency)

@@ -295,8 +295,8 @@ let cold_boot t ((program, iterations) as k) =
 
 let boot t k =
   match Hw.Assoc.find t.cache k with
-  | None -> cold_boot t k
-  | Some slot -> (
+  | exception Not_found -> cold_boot t k
+  | slot -> (
       match Os.Snapshot.warm_boot slot.sys slot.image with
       | Ok () ->
           t.warm <- t.warm + 1;

@@ -1,7 +1,7 @@
 (* Exporters for the tracing subsystem.  All output is built from
    modeled state only (cycles, counters, spans) — no wall-clock, no
    host data — so every exporter is byte-deterministic for a given
-   run, which is what `make trace-smoke` checks.
+   run, which is what test/cram/trace.t pins.
 
    Three formats:
    - Chrome trace-event JSON ("ph":"X" complete events), loadable in

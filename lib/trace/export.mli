@@ -3,7 +3,7 @@
 
     Every exporter reads modeled state only — cycles, counters, spans
     — never the host clock, so output is byte-deterministic for a
-    given run ([make trace-smoke] relies on this).
+    given run ([test/cram/trace.t] pins it).
 
     In the Chrome trace, each ring is rendered as a "thread" of one
     process, the gatekeeper as a separate thread; spans become ["X"]

@@ -1,6 +1,6 @@
 (* A minimal JSON reader — just enough to validate and inspect what
-   the exporters emit (and what the trace-smoke target checks),
-   without an external dependency.  Parses the full JSON grammar;
+   the exporters emit (and what bin/jsoncheck checks), without an
+   external dependency.  Parses the full JSON grammar;
    numbers become floats, \u escapes decode to UTF-8. *)
 
 type t =

@@ -1,7 +1,7 @@
 (** A minimal JSON reader.
 
     Just enough to {e validate} and inspect what the trace exporters
-    emit (tests and the [trace-smoke] target) without an external
+    emit (tests and [bin/jsoncheck]) without an external
     dependency.  The exporters themselves build their output with
     [Buffer] — this module only reads. *)
 

@@ -3,8 +3,12 @@
 
 let find_exn c k =
   match Hw.Assoc.find c k with
-  | Some v -> v
-  | None -> Alcotest.failf "key %d unexpectedly absent" k
+  | v -> v
+  | exception Not_found -> Alcotest.failf "key %d unexpectedly absent" k
+
+(* [find] as an option, for comparing against expected contents. *)
+let find c k =
+  match Hw.Assoc.find c k with v -> Some v | exception Not_found -> None
 
 let keys c = List.sort compare (Hw.Assoc.fold (fun k _ acc -> k :: acc) c [])
 
@@ -20,7 +24,7 @@ let test_create () =
 
 let test_find_insert () =
   let c = Hw.Assoc.create ~capacity:4 () in
-  Alcotest.(check (option string)) "miss on empty" None (Hw.Assoc.find c 1);
+  Alcotest.(check (option string)) "miss on empty" None (find c 1);
   Alcotest.(check (option (pair int string)))
     "insert under capacity evicts nothing" None
     (Hw.Assoc.insert c 1 "one");
@@ -47,7 +51,7 @@ let test_find_refreshes_recency () =
   ignore (Hw.Assoc.insert c 2 "b");
   ignore (Hw.Assoc.insert c 3 "c");
   (* Touch the oldest: the eviction victim must now be key 2. *)
-  ignore (Hw.Assoc.find c 1);
+  ignore (find c 1);
   Alcotest.(check (option (pair int string)))
     "LRU after touch" (Some (2, "b"))
     (Hw.Assoc.insert c 4 "d");
@@ -74,9 +78,9 @@ let test_remove_drop_clear () =
 
 let test_stats () =
   let c = Hw.Assoc.create ~capacity:2 () in
-  ignore (Hw.Assoc.find c 1);
+  ignore (find c 1);
   ignore (Hw.Assoc.insert c 1 "a");
-  ignore (Hw.Assoc.find c 1);
+  ignore (find c 1);
   ignore (Hw.Assoc.insert c 2 "b");
   ignore (Hw.Assoc.insert c 3 "c");
   ignore (Hw.Assoc.remove c 2);
@@ -105,7 +109,7 @@ let test_capacity_one () =
     "second key evicts the first"
     (Some (1, "a2"))
     (Hw.Assoc.insert c 2 "b");
-  Alcotest.(check (option string)) "old key gone" None (Hw.Assoc.find c 1);
+  Alcotest.(check (option string)) "old key gone" None (find c 1);
   Alcotest.(check string) "new key resident" "b" (find_exn c 2);
   Alcotest.(check (option (pair int string)))
     "and again" (Some (2, "b"))
@@ -123,13 +127,13 @@ let test_capacity_zero () =
   let c = Hw.Assoc.create ~capacity:0 () in
   Alcotest.(check int) "capacity zero" 0 (Hw.Assoc.capacity c);
   Alcotest.(check (option string)) "find always misses" None
-    (Hw.Assoc.find c 1);
+    (find c 1);
   Alcotest.(check (option (pair int string)))
     "insert bounces the pair back"
     (Some (1, "one"))
     (Hw.Assoc.insert c 1 "one");
   Alcotest.(check int) "nothing retained" 0 (Hw.Assoc.length c);
-  Alcotest.(check (option string)) "still a miss" None (Hw.Assoc.find c 1);
+  Alcotest.(check (option string)) "still a miss" None (find c 1);
   Alcotest.(check bool) "mem is false" false (Hw.Assoc.mem c 1);
   Alcotest.(check bool) "remove finds nothing" false (Hw.Assoc.remove c 1);
   Alcotest.(check int) "drop_where drops nothing" 0
@@ -141,6 +145,36 @@ let test_capacity_zero () =
   Alcotest.(check int) "bounced insert counted as eviction" 1
     s.Hw.Assoc.evictions;
   Alcotest.(check int) "nothing to invalidate" 0 s.Hw.Assoc.invalidations
+
+(* The SDW cache, PTW TLB and icache are probed on every memo miss of
+   the interpreter, so a probe may not allocate: [Gc.minor_words] over
+   10k hits and 10k misses reads exactly zero. *)
+let test_probe_allocates_nothing () =
+  let c = Hw.Assoc.create ~capacity:64 () in
+  for k = 0 to 63 do
+    ignore (Hw.Assoc.insert c k k)
+  done;
+  let words probe =
+    let before = Gc.minor_words () in
+    for i = 0 to 9_999 do
+      probe i
+    done;
+    Gc.minor_words () -. before
+  in
+  let hits =
+    words (fun i -> ignore (Sys.opaque_identity (Hw.Assoc.find c (i land 63))))
+  in
+  let misses =
+    words (fun i ->
+        match Hw.Assoc.find c (64 + i) with
+        | v -> ignore (Sys.opaque_identity v)
+        | exception Not_found -> ())
+  in
+  Alcotest.(check (float 0.)) "minor words over 10k hits" 0. hits;
+  Alcotest.(check (float 0.)) "minor words over 10k misses" 0. misses;
+  let s = Hw.Assoc.stats c in
+  Alcotest.(check (pair int int)) "every probe counted" (10_000, 10_000)
+    (s.Hw.Assoc.hits, s.Hw.Assoc.misses)
 
 (* Exercise the intrusive list against a reference model under random
    operations: contents must match an LRU simulated with plain
@@ -164,7 +198,7 @@ let prop_matches_reference_model =
                   List.filteri (fun i _ -> i < capacity) !model
           | 1 ->
               let expected = List.assoc_opt k !model in
-              if Hw.Assoc.find c k <> expected then
+              if find c k <> expected then
                 QCheck.Test.fail_report "find disagrees with model";
               if expected <> None then
                 model := (k, k) :: List.remove_assoc k !model
@@ -176,7 +210,7 @@ let prop_matches_reference_model =
                 QCheck.Test.fail_report "mem disagrees with model")
         ops;
       List.length !model = Hw.Assoc.length c
-      && List.for_all (fun (k, v) -> Hw.Assoc.find c k = Some v) !model)
+      && List.for_all (fun (k, v) -> find c k = Some v) !model)
 
 let suite =
   [
@@ -194,5 +228,7 @@ let suite =
         Alcotest.test_case "capacity 0 disables caching" `Quick
           test_capacity_zero;
         QCheck_alcotest.to_alcotest prop_matches_reference_model;
+        Alcotest.test_case "a probe allocates nothing" `Quick
+          test_probe_allocates_nothing;
       ] );
   ]
