@@ -1140,6 +1140,162 @@ let prop_reset_equivalence ((name, _) as mode) =
       check_reset mode ~quantum ~a ~b ops;
       true)
 
+(* Every constructor of the variants the image encodes by hand, each
+   with distinct field values so a reader that swaps two fields or two
+   tags decodes something else. *)
+let every_fault : Rings.Fault.t list =
+  let r = Rings.Ring.v in
+  [
+    No_read_permission;
+    No_write_permission;
+    No_execute_permission;
+    Read_bracket_violation { effective = r 5; top = r 4 };
+    Write_bracket_violation { effective = r 6; top = r 3 };
+    Execute_bracket_violation { ring = r 7; bottom = r 1; top = r 2 };
+    Gate_violation { wordno = 9; gates = 2 };
+    Outside_gate_extension { effective = r 6; top = r 5 };
+    Upward_call { from_ring = r 1; to_ring = r 4; segno = 11; wordno = 3 };
+    Effective_ring_raised { exec = r 2; effective = r 3 };
+    Downward_return { from_ring = r 5; to_ring = r 2 };
+    Transfer_ring_change { exec = r 4; effective = r 6 };
+    Privileged_instruction { ring = r 3 };
+    Missing_segment { segno = 12 };
+    Missing_page { segno = 13; pageno = 2 };
+    Bound_violation { segno = 14; wordno = 70; bound = 64 };
+    Illegal_opcode { word = 0o777 };
+    Cross_ring_transfer { segno = 15; wordno = 4 };
+    Halt_in_slave_ring { ring = r 6 };
+    Divide_by_zero;
+    Service_call { code = 5 };
+    Timer_runout;
+    Io_completion;
+    Parity_error { addr = 0o1234 };
+    Io_error;
+    Watchdog_timeout { budget = 500 };
+    Quota_exhausted { resource = "cycles"; limit = 900 };
+    Cap_load_violation { effective = r 4 };
+    Cap_store_violation { effective = r 5 };
+    Cap_exec_violation { ring = r 6 };
+    Cap_seal_violation { wordno = 8; gates = 1 };
+    Cap_attenuation_violation { effective = r 3; limit = r 2 };
+    Cap_tag_violation { addr = 0o4321; segno = 16 };
+  ]
+
+let every_exit : Os.Kernel.exit list =
+  [
+    Halted;
+    Exited;
+    Preempted;
+    Blocked;
+    Terminated (Rings.Fault.Gate_violation { wordno = 3; gates = 1 });
+    Gatekeeper_error "no such gate";
+    Out_of_budget;
+    Quarantined (Rings.Fault.Parity_error { addr = 77 });
+  ]
+
+let every_event : Trace.Event.t list =
+  let crossings = Trace.Event.[ Same_ring; Downward; Upward; Recovery ] in
+  [ Trace.Event.Instruction { ring = 4; segno = 10; wordno = 2; text = "lda" } ]
+  @ List.concat_map
+      (fun crossing ->
+        Trace.Event.
+          [
+            Call { crossing; from_ring = 4; to_ring = 1; segno = 9; wordno = 0 };
+            Return
+              { crossing; from_ring = 1; to_ring = 4; segno = 10; wordno = 6 };
+          ])
+      crossings
+  @ Trace.Event.
+      [
+        Trap { ring = 3; cause = "timer runout" };
+        Gatekeeper { action = "upward call emulated" };
+        Descriptor_switch { from_ring = 4; to_ring = 0 };
+        Note "checkpoint";
+      ]
+
+let every_status : Os.System.status list =
+  [ Ready; Blocked; Done (Os.Kernel.Quarantined Rings.Fault.Io_error) ]
+
+(* The bump pair plus a demand-paged third process: a direct and a
+   paged placement in one system. *)
+let variant_system () =
+  let sys = fresh_system () in
+  (match
+     Os.System.spawn sys ~paged:true
+       ~shared:[ ("counter", "pa") ]
+       ~pname:"pc" ~user:"carol" ~segments:[ "bump_b" ]
+       ~start:("bump_b", "start") ~ring:4
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "spawn pc: %s" e);
+  sys
+
+let placements sys =
+  List.map
+    (fun (e : Os.System.entry) ->
+      Hashtbl.fold
+        (fun segno pl acc -> (segno, pl) :: acc)
+        e.Os.System.process.Os.Process.placement []
+      |> List.sort compare)
+    (Os.System.entries sys)
+
+let test_every_variant_round_trips () =
+  Alcotest.(check int) "all fault codes" 33 (List.length every_fault);
+  List.iteri
+    (fun i f ->
+      Alcotest.(check int) "fault code order" i (Rings.Fault.code f))
+    every_fault;
+  let exit = Alcotest.testable Os.Kernel.pp_exit ( = ) in
+  List.iter
+    (fun fault ->
+      let sys = variant_system () in
+      let m = Os.System.machine sys in
+      m.Isa.Machine.saved <-
+        Some { Isa.Machine.regs = Hw.Registers.copy m.Isa.Machine.regs; fault };
+      Os.System.set_finished_log sys (List.map (fun e -> ("pa", e)) every_exit);
+      Trace.Event.set_enabled m.Isa.Machine.log true;
+      List.iter (Trace.Event.record m.Isa.Machine.log) every_event;
+      List.iter2
+        (fun (e : Os.System.entry) s -> e.Os.System.status <- s)
+        (Os.System.entries sys) every_status;
+      let image = Os.Snapshot.capture sys in
+      let resumed = variant_system () in
+      (match Os.Snapshot.restore resumed image with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "restore: %a" Os.Snapshot.pp_error e);
+      let m' = Os.System.machine resumed in
+      let what = Format.asprintf "%a" Rings.Fault.pp fault in
+      (match m'.Isa.Machine.saved with
+      | Some s ->
+          Alcotest.(check (testable Rings.Fault.pp ( = )))
+            what fault s.Isa.Machine.fault
+      | None -> Alcotest.failf "%s: saved state lost" what);
+      Alcotest.(check (list (pair string exit)))
+        "exits" (Os.System.finished_log sys)
+        (Os.System.finished_log resumed);
+      Alcotest.(check bool)
+        "events" true
+        (Trace.Event.events m'.Isa.Machine.log = every_event);
+      let kinds =
+        List.concat_map (List.map snd) (placements resumed)
+        |> List.map (function
+             | Os.Process.Direct _ -> "direct"
+             | Os.Process.Paged_at _ -> "paged")
+        |> List.sort_uniq compare
+      in
+      Alcotest.(check (list string)) "both placements" [ "direct"; "paged" ]
+        kinds;
+      Alcotest.(check bool)
+        "placements" true
+        (placements sys = placements resumed);
+      Alcotest.(check bool)
+        "statuses" true
+        (List.map
+           (fun (e : Os.System.entry) -> e.Os.System.status)
+           (Os.System.entries resumed)
+        = every_status))
+    every_fault
+
 let suite =
   [
     ( "snapshot",
@@ -1182,5 +1338,9 @@ let suite =
           modes
       @ List.map
           (fun m -> QCheck_alcotest.to_alcotest (prop_reset_equivalence m))
-          modes );
+          modes
+      @ [
+          Alcotest.test_case "every variant round-trips through an image"
+            `Quick test_every_variant_round_trips;
+        ] );
   ]
