@@ -8,8 +8,8 @@ all:
 # The full gate.  `dune runtest` holds every modeled check: unit and
 # property tests, and the cram goldens in test/cram (CLI runs, chaos
 # campaigns, kill-and-resume, fleet invariance, the arena sweep, the
-# bench figures).  bench-smoke adds the checks that time the host and
-# so stay out of runtest.
+# bench figures, the example programs).  bench-smoke adds the checks
+# that time the host and so stay out of runtest.
 test:
 	dune runtest
 	$(MAKE) bench-smoke

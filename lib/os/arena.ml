@@ -316,16 +316,6 @@ let assemble ~seed ~quota results =
       List.concat_map (fun (r : wave_result) -> r.violations) results;
   }
 
-let run ?mode ?quantum ?inject ?(quota = default_quota) ~seed tenants =
-  let sys = lazy (System.create ?mode ~store:(Store.create ()) ()) in
-  let results =
-    List.map
-      (fun (wave, ts) ->
-        run_wave ~sys:(Lazy.force sys) ?quantum ?inject ~quota ~wave ts)
-      (waves tenants)
-  in
-  assemble ~seed ~quota results
-
 (* {1 Reporting} *)
 
 let report_json r =

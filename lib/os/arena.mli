@@ -137,17 +137,6 @@ val assemble : seed:int -> quota:quota -> wave_result list -> report
 (** Merge wave results (sorted by wave index, so arrival order —
     e.g. from racing domains — cannot perturb the report). *)
 
-val run :
-  ?mode:Isa.Machine.mode ->
-  ?quantum:int ->
-  ?inject:Hw.Inject.plan ->
-  ?quota:quota ->
-  seed:int ->
-  tenant list ->
-  report
-(** Sequential campaign: every wave in order on one reused system,
-    then {!assemble}. *)
-
 val pp_report : Format.formatter -> report -> unit
 (** One summary line plus one line per violation. *)
 

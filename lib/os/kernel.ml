@@ -16,6 +16,36 @@ let close_recovery m =
     Trace.Span.close_span ~kind:Trace.Event.Recovery m.Isa.Machine.spans
       ~cycles:(Trace.Counters.cycles m.Isa.Machine.counters)
 
+(* The two ends of a recovery decision: drop the disrupted computation
+   and quarantine the process, or resume it where the fault struck. *)
+let quarantine m fault =
+  Trace.Counters.bump_quarantined m.Isa.Machine.counters;
+  m.Isa.Machine.saved <- None;
+  m.Isa.Machine.on_recovery fault;
+  Error (Quarantined fault)
+
+let resume m fault =
+  Isa.Machine.restore_saved m;
+  m.Isa.Machine.on_recovery fault;
+  Ok ()
+
+(* Injected damage the supervisor repaired is billed against the
+   process's fault budget (the injection plan's; unlimited without an
+   injector): past it the process is quarantined, within it the
+   computation resumes. *)
+let settle p fault =
+  let m = p.Process.machine in
+  let budget =
+    match m.Isa.Machine.injector with
+    | Some i -> (Hw.Inject.plan i).Hw.Inject.fault_budget
+    | None -> max_int
+  in
+  if p.Process.fault_count > budget then quarantine m fault
+  else begin
+    Trace.Counters.bump_recovered m.Isa.Machine.counters;
+    resume m fault
+  end
+
 let handle_fault_inner p fault : (unit, exit) result =
   (* The host-level supervisor has consumed the trap: release the
      hardware interrupt inhibit (the simulated-supervisor path instead
@@ -104,7 +134,6 @@ let handle_fault_inner p fault : (unit, exit) result =
          simulator's host-side caches, so translation drops to
          uncached operation — the modeled accounting is unaffected. *)
       let m = p.Process.machine in
-      let counters = m.Isa.Machine.counters in
       let inj = m.Isa.Machine.injector in
       let repaired =
         match inj with
@@ -117,13 +146,8 @@ let handle_fault_inner p fault : (unit, exit) result =
         | None -> false
       in
       if repaired && in_descriptor then Isa.Machine.degrade m;
-      Trace.Counters.charge counters Costs.parity_scrub;
+      Trace.Counters.charge m.Isa.Machine.counters Costs.parity_scrub;
       p.Process.fault_count <- p.Process.fault_count + 1;
-      let budget =
-        match inj with
-        | Some i -> (Hw.Inject.plan i).Hw.Inject.fault_budget
-        | None -> max_int
-      in
       if Trace.Event.enabled m.Isa.Machine.log then
         Trace.Event.record_gatekeeper m.Isa.Machine.log
           ~action:
@@ -133,18 +157,7 @@ let handle_fault_inner p fault : (unit, exit) result =
                   else "scrubbed"
                 else "transient, no repair needed"));
       close_recovery m;
-      if p.Process.fault_count > budget then begin
-        Trace.Counters.bump_quarantined counters;
-        m.Isa.Machine.saved <- None;
-        m.Isa.Machine.on_recovery fault;
-        Error (Quarantined fault)
-      end
-      else begin
-        Trace.Counters.bump_recovered counters;
-        Isa.Machine.restore_saved m;
-        m.Isa.Machine.on_recovery fault;
-        Ok ()
-      end
+      settle p fault
   | Rings.Fault.Io_error ->
       (* The channel reported a failed transfer.  The request is still
          posted (the CPU leaves it in place on an injected error):
@@ -170,9 +183,7 @@ let handle_fault_inner p fault : (unit, exit) result =
               (Printf.sprintf "channel error: retry %d re-armed, %d cycles"
                  p.Process.io_attempts backoff);
         close_recovery m;
-        Isa.Machine.restore_saved m;
-        m.Isa.Machine.on_recovery fault;
-        Ok ()
+        resume m fault
       end
       else begin
         Trace.Counters.bump_quarantined counters;
@@ -194,15 +205,9 @@ let handle_fault_inner p fault : (unit, exit) result =
          so a tenant whose descriptors keep getting hit still
          quarantines. *)
       let m = p.Process.machine in
-      let counters = m.Isa.Machine.counters in
       let repaired = Process.reinstall_sdw p ~segno in
-      Trace.Counters.charge counters Costs.cap_retag;
+      Trace.Counters.charge m.Isa.Machine.counters Costs.cap_retag;
       p.Process.fault_count <- p.Process.fault_count + 1;
-      let budget =
-        match m.Isa.Machine.injector with
-        | Some i -> (Hw.Inject.plan i).Hw.Inject.fault_budget
-        | None -> max_int
-      in
       if Trace.Event.enabled m.Isa.Machine.log then
         Trace.Event.record_gatekeeper m.Isa.Machine.log
           ~action:
@@ -211,33 +216,18 @@ let handle_fault_inner p fault : (unit, exit) result =
                (if repaired then "descriptor reinstalled, tags re-minted"
                 else "segment unknown"));
       close_recovery m;
-      if not repaired then begin
+      if repaired then settle p fault
+      else begin
         m.Isa.Machine.saved <- None;
         m.Isa.Machine.on_recovery fault;
         Error (Terminated fault)
-      end
-      else if p.Process.fault_count > budget then begin
-        Trace.Counters.bump_quarantined counters;
-        m.Isa.Machine.saved <- None;
-        m.Isa.Machine.on_recovery fault;
-        Error (Quarantined fault)
-      end
-      else begin
-        Trace.Counters.bump_recovered counters;
-        Isa.Machine.restore_saved m;
-        m.Isa.Machine.on_recovery fault;
-        Ok ()
       end
   | Rings.Fault.Quota_exhausted _ ->
       (* A billing limit, not a machine failure: the arena policy armed
          the limit between instructions, so the interrupted stream ends
          at an instruction boundary.  Quarantine the tenant — never the
          machine — and let the dispatcher carry on with the rest. *)
-      let m = p.Process.machine in
-      Trace.Counters.bump_quarantined m.Isa.Machine.counters;
-      m.Isa.Machine.saved <- None;
-      m.Isa.Machine.on_recovery fault;
-      Error (Quarantined fault)
+      quarantine p.Process.machine fault
   | _ -> Error (Terminated fault)
 
 (* Cycles the gatekeeper charges while servicing a fault happen

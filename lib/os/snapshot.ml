@@ -58,12 +58,14 @@ let pp_error ppf = function
       Format.fprintf ppf "snapshot format version %d, this build reads %d" got
         expected
   | Truncated -> Format.fprintf ppf "snapshot image is truncated"
-  | Checksum_mismatch -> Format.fprintf ppf "snapshot payload fails its checksum"
+  | Checksum_mismatch ->
+      Format.fprintf ppf "snapshot payload fails its checksum"
   | Corrupt msg -> Format.fprintf ppf "snapshot is corrupt: %s" msg
   | Shape_mismatch msg ->
       Format.fprintf ppf "snapshot does not match the respawned system: %s" msg
   | Audit_rejected problems ->
-      Format.fprintf ppf "restore audit rejected the image (%d problem(s)):@\n%a"
+      Format.fprintf ppf
+        "restore audit rejected the image (%d problem(s)):@\n%a"
         (List.length problems)
         (Format.pp_print_list ~pp_sep:Format.pp_print_newline
            Format.pp_print_string)
@@ -114,40 +116,18 @@ let checksum s off len =
   done;
   Int64.to_int !h
 
-(* {1 Writer primitives} *)
+(* {1 Codecs}
+
+   Each record of the image is described once, as a codec: [w] appends
+   it to a buffer and [r] reads it back.  Records are built from the
+   primitives below with [conv], so a record's writer and reader cannot
+   disagree about its layout. *)
+
+type reader = { data : string; mutable pos : int }
+type 'a codec = { w : Buffer.t -> 'a -> unit; r : reader -> 'a }
 
 (* Big-endian 8 bytes of the two's-complement value. *)
 let w_int b n = Buffer.add_int64_be b (Int64.of_int n)
-
-let w_bool b v = w_int b (if v then 1 else 0)
-
-let w_str b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
-
-let w_opt f b = function
-  | None -> w_int b 0
-  | Some v ->
-      w_int b 1;
-      f b v
-
-let w_list f b xs =
-  w_int b (List.length xs);
-  List.iter (f b) xs
-
-let w_array f b a =
-  w_int b (Array.length a);
-  Array.iter (f b) a
-
-let w_int_array b a = w_array w_int b a
-
-let w_pair f g b (x, y) =
-  f b x;
-  g b y
-
-(* {1 Reader primitives} *)
-
-type reader = { data : string; mutable pos : int }
 
 let r_int r =
   if r.pos + 8 > String.length r.data then raise (Fail Truncated);
@@ -164,751 +144,864 @@ let r_count ?(width = 8) r what =
   if n > (String.length r.data - r.pos) / width then raise (Fail Truncated);
   n
 
-let r_bool r =
-  match r_int r with
-  | 0 -> false
-  | 1 -> true
-  | n -> corrupt (Printf.sprintf "bad boolean %d" n)
+let bad what n = corrupt (Printf.sprintf "bad %s %d" what n)
+let int = { w = w_int; r = r_int }
 
-let r_str r =
-  let n = r_count ~width:1 r "string length" in
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
+(* A yes/no word; [what] names it in the error for any other value. *)
+let flag what =
+  {
+    w = (fun b v -> w_int b (Bool.to_int v));
+    r = (fun r -> match r_int r with 0 -> false | 1 -> true | n -> bad what n);
+  }
 
-let r_opt f r =
-  match r_int r with
-  | 0 -> None
-  | 1 -> Some (f r)
-  | n -> corrupt (Printf.sprintf "bad option tag %d" n)
+let bool = flag "boolean"
+let some = flag "option tag"
+
+let str =
+  {
+    w = (fun b s -> w_int b (String.length s); Buffer.add_string b s);
+    r =
+      (fun r ->
+        let n = r_count ~width:1 r "string length" in
+        let s = String.sub r.data r.pos n in
+        r.pos <- r.pos + n;
+        s);
+  }
+
+let opt c =
+  {
+    w = (fun b v -> some.w b (Option.is_some v); Option.iter (c.w b) v);
+    r = (fun r -> if some.r r then Some (c.r r) else None);
+  }
 
 (* Explicit recursion: List.init's application order is unspecified,
    and the reader is stateful.  Every item is at least one word. *)
-let r_list f r =
-  let n = r_count r "list length" in
-  let rec go i acc = if i = 0 then List.rev acc else go (i - 1) (f r :: acc) in
-  go n []
+let list c =
+  let rec go r i acc =
+    if i = 0 then List.rev acc else go r (i - 1) (c.r r :: acc)
+  in
+  {
+    w = (fun b xs -> w_int b (List.length xs); List.iter (c.w b) xs);
+    r = (fun r -> go r (r_count r "list length") []);
+  }
 
-let r_array f r = Array.of_list (r_list f r)
-let r_int_array r = r_array r_int r
+let array c =
+  let l = list c in
+  {
+    w = (fun b a -> w_int b (Array.length a); Array.iter (c.w b) a);
+    r = (fun r -> Array.of_list (l.r r));
+  }
 
-let r_pair f g r =
-  let x = f r in
-  let y = g r in
-  (x, y)
+(* Each read is sequenced by a [let]: OCaml leaves the evaluation order
+   of a tuple's components unspecified. *)
+let pair ca cb =
+  {
+    w = (fun b (x, y) -> ca.w b x; cb.w b y);
+    r = (fun r -> let x = ca.r r in (x, cb.r r));
+  }
+
+let triple ca cb cc =
+  {
+    w = (fun b (x, y, z) -> ca.w b x; cb.w b y; cc.w b z);
+    r = (fun r -> let x = ca.r r in let y = cb.r r in (x, y, cc.r r));
+  }
+
+(* A value stored as [c]'s representation: [from] takes it apart for
+   writing, [into] rebuilds (and validates) it when read. *)
+let conv ~from ~into c =
+  { w = (fun b v -> c.w b (from v)); r = (fun r -> into (c.r r)) }
+
+(* [c], with [ok] vetting each value it reads. *)
+let check c ok = { w = c.w; r = (fun r -> let v = c.r r in ok v; v) }
+
+(* A constant constructor, stored as its position in [cases]. *)
+let enum what cases =
+  let cases = Array.of_list cases in
+  let rec index v i = if cases.(i) = v then i else index v (i + 1) in
+  {
+    w = (fun b v -> w_int b (index v 0));
+    r =
+      (fun r ->
+        let n = r_int r in
+        if n < 0 || n >= Array.length cases then bad what n;
+        cases.(n));
+  }
 
 (* A constructor that validates (Ring.v, Addr.v, ...) turns a decoded
    out-of-range value into a typed [Corrupt]. *)
-let guard what f = try f () with Invalid_argument m -> corrupt (what ^ ": " ^ m)
+let guard what f x =
+  try f x with Invalid_argument m -> corrupt (what ^ ": " ^ m)
 
-(* {1 Domain codecs} *)
+(* {1 Records} *)
 
-let w_ring b ring = w_int b (Rings.Ring.to_int ring)
+let int2 = pair int int
+let int3 = triple int int int
+let ring = conv int ~from:Rings.Ring.to_int ~into:(guard "ring" Rings.Ring.v)
+let ring2 = pair ring ring
+let ring3 = triple ring ring ring
 
-let r_ring r =
-  let n = r_int r in
-  guard "ring" (fun () -> Rings.Ring.v n)
+let addr =
+  conv int2
+    ~from:(fun (a : Hw.Addr.t) -> (a.segno, a.wordno))
+    ~into:(guard "address" (fun (segno, wordno) -> Hw.Addr.v ~segno ~wordno))
 
-let w_addr b (a : Hw.Addr.t) =
-  w_int b a.Hw.Addr.segno;
-  w_int b a.Hw.Addr.wordno
+let ptr =
+  conv (pair ring addr)
+    ~from:(fun (p : Hw.Registers.ptr) -> (p.ring, p.addr))
+    ~into:(fun (ring, addr) -> { Hw.Registers.ring; addr })
 
-let r_addr r =
-  let segno = r_int r in
-  let wordno = r_int r in
-  guard "address" (fun () -> Hw.Addr.v ~segno ~wordno)
+let dbr =
+  conv int3
+    ~from:(fun (d : Hw.Registers.dbr) -> (d.base, d.bound, d.stack_base))
+    ~into:(fun (base, bound, stack_base) ->
+      { Hw.Registers.base; bound; stack_base })
 
-let w_ptr b (p : Hw.Registers.ptr) =
-  w_ring b p.Hw.Registers.ring;
-  w_addr b p.Hw.Registers.addr
+(* A register bank: exactly [Hw.Registers.pr_count] registers. *)
+let bank what c =
+  check (array c) (fun a ->
+      if Array.length a <> Hw.Registers.pr_count then corrupt what)
 
-let r_ptr r =
-  let ring = r_ring r in
-  let addr = r_addr r in
-  { Hw.Registers.ring; addr }
-
-let w_dbr b (d : Hw.Registers.dbr) =
-  w_int b d.Hw.Registers.base;
-  w_int b d.Hw.Registers.bound;
-  w_int b d.Hw.Registers.stack_base
-
-let r_dbr r =
-  let base = r_int r in
-  let bound = r_int r in
-  let stack_base = r_int r in
-  { Hw.Registers.base; bound; stack_base }
-
-let w_regs b (g : Hw.Registers.t) =
-  w_dbr b g.Hw.Registers.dbr;
-  w_ptr b (Hw.Registers.ipr g);
-  w_array w_ptr b g.Hw.Registers.prs;
-  w_int b g.Hw.Registers.a;
-  w_int b g.Hw.Registers.q;
-  w_int_array b g.Hw.Registers.xs;
-  w_bool b g.Hw.Registers.ind_zero;
-  w_bool b g.Hw.Registers.ind_negative
-
-let r_regs r =
-  let dbr = r_dbr r in
-  let ipr = r_ptr r in
-  let prs = r_array r_ptr r in
-  if Array.length prs <> Hw.Registers.pr_count then
-    corrupt "wrong pointer-register count";
-  let a = r_int r in
-  let q = r_int r in
-  let xs = r_int_array r in
-  if Array.length xs <> Hw.Registers.pr_count then
-    corrupt "wrong index-register count";
-  let ind_zero = r_bool r in
-  let ind_negative = r_bool r in
-  {
-    Hw.Registers.dbr;
-    ipr_ring = ipr.Hw.Registers.ring;
-    ipr_segno = ipr.Hw.Registers.addr.Hw.Addr.segno;
-    ipr_wordno = ipr.Hw.Registers.addr.Hw.Addr.wordno;
-    prs;
-    a;
-    q;
-    xs;
-    ind_zero;
-    ind_negative;
-  }
+let regs =
+  conv
+    (triple
+       (triple dbr ptr (bank "wrong pointer-register count" ptr))
+       int2
+       (triple (bank "wrong index-register count" int) bool bool))
+    ~from:(fun (g : Hw.Registers.t) ->
+      ( (g.dbr, Hw.Registers.ipr g, g.prs),
+        (g.a, g.q),
+        (g.xs, g.ind_zero, g.ind_negative) ))
+    ~into:(fun ((dbr, (ipr : Hw.Registers.ptr), prs), (a, q),
+                (xs, ind_zero, ind_negative)) ->
+      { Hw.Registers.dbr; ipr_ring = ipr.ring; ipr_segno = ipr.addr.segno;
+        ipr_wordno = ipr.addr.wordno; prs; a; q; xs; ind_zero; ind_negative })
 
 (* A countdown: an optional count whose value is never the machine's
    in-memory sentinel. *)
-let r_countdown r =
-  match r_opt r_int r with
-  | Some n when n = Isa.Machine.disarmed -> corrupt "countdown out of range"
-  | c -> c
+let countdown =
+  check (opt int) (function
+    | Some n when n = Isa.Machine.disarmed -> corrupt "countdown out of range"
+    | _ -> ())
 
-let w_fault b (f : Rings.Fault.t) =
-  w_int b (Rings.Fault.code f);
-  match f with
-  | Rings.Fault.No_read_permission | No_write_permission | No_execute_permission
-  | Divide_by_zero | Timer_runout | Io_completion | Io_error ->
-      ()
-  | Read_bracket_violation { effective; top }
-  | Write_bracket_violation { effective; top }
-  | Outside_gate_extension { effective; top } ->
-      w_ring b effective;
-      w_ring b top
-  | Execute_bracket_violation { ring; bottom; top } ->
-      w_ring b ring;
-      w_ring b bottom;
-      w_ring b top
-  | Gate_violation { wordno; gates } | Cap_seal_violation { wordno; gates } ->
-      w_int b wordno;
-      w_int b gates
-  | Upward_call { from_ring; to_ring; segno; wordno } ->
-      w_ring b from_ring;
-      w_ring b to_ring;
-      w_int b segno;
-      w_int b wordno
-  | Effective_ring_raised { exec; effective }
-  | Transfer_ring_change { exec; effective } ->
-      w_ring b exec;
-      w_ring b effective
-  | Downward_return { from_ring; to_ring } ->
-      w_ring b from_ring;
-      w_ring b to_ring
-  | Privileged_instruction { ring }
-  | Halt_in_slave_ring { ring }
-  | Cap_exec_violation { ring } ->
-      w_ring b ring
-  | Missing_segment { segno } -> w_int b segno
-  | Missing_page { segno; pageno } ->
-      w_int b segno;
-      w_int b pageno
-  | Bound_violation { segno; wordno; bound } ->
-      w_int b segno;
-      w_int b wordno;
-      w_int b bound
-  | Illegal_opcode { word } -> w_int b word
-  | Cross_ring_transfer { segno; wordno } ->
-      w_int b segno;
-      w_int b wordno
-  | Service_call { code } -> w_int b code
-  | Parity_error { addr } -> w_int b addr
-  | Watchdog_timeout { budget } -> w_int b budget
-  | Quota_exhausted { resource; limit } ->
-      w_str b resource;
-      w_int b limit
-  | Cap_load_violation { effective } | Cap_store_violation { effective } ->
-      w_ring b effective
-  | Cap_attenuation_violation { effective; limit } ->
-      w_ring b effective;
-      w_ring b limit
-  | Cap_tag_violation { addr; segno } ->
-      w_int b addr;
-      w_int b segno
+(* The machine's own countdowns, stored as [countdown]. *)
+let armed =
+  conv countdown ~from:Isa.Machine.option_of_countdown
+    ~into:Isa.Machine.countdown_of_option
 
-let r_fault r : Rings.Fault.t =
-  match r_int r with
-  | 0 -> No_read_permission
-  | 1 -> No_write_permission
-  | 2 -> No_execute_permission
-  | 3 ->
-      let effective = r_ring r in
-      let top = r_ring r in
-      Read_bracket_violation { effective; top }
-  | 4 ->
-      let effective = r_ring r in
-      let top = r_ring r in
-      Write_bracket_violation { effective; top }
-  | 5 ->
-      let ring = r_ring r in
-      let bottom = r_ring r in
-      let top = r_ring r in
-      Execute_bracket_violation { ring; bottom; top }
-  | 6 ->
-      let wordno = r_int r in
-      let gates = r_int r in
-      Gate_violation { wordno; gates }
-  | 7 ->
-      let effective = r_ring r in
-      let top = r_ring r in
-      Outside_gate_extension { effective; top }
-  | 8 ->
-      let from_ring = r_ring r in
-      let to_ring = r_ring r in
-      let segno = r_int r in
-      let wordno = r_int r in
-      Upward_call { from_ring; to_ring; segno; wordno }
-  | 9 ->
-      let exec = r_ring r in
-      let effective = r_ring r in
-      Effective_ring_raised { exec; effective }
-  | 10 ->
-      let from_ring = r_ring r in
-      let to_ring = r_ring r in
-      Downward_return { from_ring; to_ring }
-  | 11 ->
-      let exec = r_ring r in
-      let effective = r_ring r in
-      Transfer_ring_change { exec; effective }
-  | 12 -> Privileged_instruction { ring = r_ring r }
-  | 13 -> Missing_segment { segno = r_int r }
-  | 14 ->
-      let segno = r_int r in
-      let pageno = r_int r in
-      Missing_page { segno; pageno }
-  | 15 ->
-      let segno = r_int r in
-      let wordno = r_int r in
-      let bound = r_int r in
-      Bound_violation { segno; wordno; bound }
-  | 16 -> Illegal_opcode { word = r_int r }
-  | 17 ->
-      let segno = r_int r in
-      let wordno = r_int r in
-      Cross_ring_transfer { segno; wordno }
-  | 18 -> Halt_in_slave_ring { ring = r_ring r }
-  | 19 -> Divide_by_zero
-  | 20 -> Service_call { code = r_int r }
-  | 21 -> Timer_runout
-  | 22 -> Io_completion
-  | 23 -> Parity_error { addr = r_int r }
-  | 24 -> Io_error
-  | 25 -> Watchdog_timeout { budget = r_int r }
-  | 26 ->
-      let resource = r_str r in
-      let limit = r_int r in
-      Quota_exhausted { resource; limit }
-  | 27 -> Cap_load_violation { effective = r_ring r }
-  | 28 -> Cap_store_violation { effective = r_ring r }
-  | 29 -> Cap_exec_violation { ring = r_ring r }
-  | 30 ->
-      let wordno = r_int r in
-      let gates = r_int r in
-      Cap_seal_violation { wordno; gates }
-  | 31 ->
-      let effective = r_ring r in
-      let limit = r_ring r in
-      Cap_attenuation_violation { effective; limit }
-  | 32 ->
-      let addr = r_int r in
-      let segno = r_int r in
-      Cap_tag_violation { addr; segno }
-  | n -> corrupt (Printf.sprintf "bad fault code %d" n)
+let brackets =
+  conv int3
+    ~from:(fun (b : Rings.Brackets.t) ->
+      Rings.Ring.(to_int b.r1, to_int b.r2, to_int b.r3))
+    ~into:
+      (guard "brackets" (fun (r1, r2, r3) -> Rings.Brackets.of_ints r1 r2 r3))
 
-let w_exit b (e : Kernel.exit) =
-  match e with
-  | Kernel.Halted -> w_int b 0
-  | Kernel.Exited -> w_int b 1
-  | Kernel.Preempted -> w_int b 2
-  | Kernel.Blocked -> w_int b 3
-  | Kernel.Terminated f ->
-      w_int b 4;
-      w_fault b f
-  | Kernel.Gatekeeper_error msg ->
-      w_int b 5;
-      w_str b msg
-  | Kernel.Out_of_budget -> w_int b 6
-  | Kernel.Quarantined f ->
-      w_int b 7;
-      w_fault b f
+let access =
+  conv
+    (triple (triple bool bool bool) brackets
+       (check int (fun gates ->
+            if gates < 0 then corrupt "negative gate count")))
+    ~from:(fun (a : Rings.Access.t) ->
+      ((a.read, a.write, a.execute), a.brackets, a.gates))
+    ~into:(fun ((read, write, execute), brackets, gates) ->
+      { Rings.Access.read; write; execute; brackets; gates })
 
-let r_exit r : Kernel.exit =
-  match r_int r with
-  | 0 -> Kernel.Halted
-  | 1 -> Kernel.Exited
-  | 2 -> Kernel.Preempted
-  | 3 -> Kernel.Blocked
-  | 4 -> Kernel.Terminated (r_fault r)
-  | 5 -> Kernel.Gatekeeper_error (r_str r)
-  | 6 -> Kernel.Out_of_budget
-  | 7 -> Kernel.Quarantined (r_fault r)
-  | n -> corrupt (Printf.sprintf "bad exit tag %d" n)
+let io_request =
+  conv
+    (pair (pair addr addr) (pair (enum "I/O direction" [ `Read; `Write ]) int))
+    ~from:(fun (q : Isa.Machine.io_request) ->
+      ((q.ccw, q.buffer), (q.direction, q.count)))
+    ~into:(fun ((ccw, buffer), (direction, count)) ->
+      { Isa.Machine.ccw; buffer; direction; count })
 
-let w_access b (a : Rings.Access.t) =
-  w_bool b a.Rings.Access.read;
-  w_bool b a.Rings.Access.write;
-  w_bool b a.Rings.Access.execute;
-  w_int b (Rings.Ring.to_int a.Rings.Access.brackets.Rings.Brackets.r1);
-  w_int b (Rings.Ring.to_int a.Rings.Access.brackets.Rings.Brackets.r2);
-  w_int b (Rings.Ring.to_int a.Rings.Access.brackets.Rings.Brackets.r3);
-  w_int b a.Rings.Access.gates
+(* {2 Variants}
 
-let r_access r : Rings.Access.t =
-  let read = r_bool r in
-  let write = r_bool r in
-  let execute = r_bool r in
-  let r1 = r_int r in
-  let r2 = r_int r in
-  let r3 = r_int r in
-  let brackets = guard "brackets" (fun () -> Rings.Brackets.of_ints r1 r2 r3) in
-  let gates = r_int r in
-  if gates < 0 then corrupt "negative gate count";
-  { Rings.Access.read; write; execute; brackets; gates }
+   A variant is its tag, then its constructor's fields. *)
 
-let w_io_request b (q : Isa.Machine.io_request) =
-  w_addr b q.Isa.Machine.ccw;
-  w_addr b q.Isa.Machine.buffer;
-  w_int b (match q.Isa.Machine.direction with `Read -> 0 | `Write -> 1);
-  w_int b q.Isa.Machine.count
-
-let r_io_request r : Isa.Machine.io_request =
-  let ccw = r_addr r in
-  let buffer = r_addr r in
-  let direction =
-    match r_int r with
-    | 0 -> `Read
-    | 1 -> `Write
-    | n -> corrupt (Printf.sprintf "bad I/O direction %d" n)
-  in
-  let count = r_int r in
-  { Isa.Machine.ccw; buffer; direction; count }
-
-let crossing_tag = function
-  | Trace.Event.Same_ring -> 0
-  | Trace.Event.Downward -> 1
-  | Trace.Event.Upward -> 2
-  | Trace.Event.Recovery -> 3
-
-let tag_crossing = function
-  | 0 -> Trace.Event.Same_ring
-  | 1 -> Trace.Event.Downward
-  | 2 -> Trace.Event.Upward
-  | 3 -> Trace.Event.Recovery
-  | n -> corrupt (Printf.sprintf "bad crossing tag %d" n)
-
-let w_event b (e : Trace.Event.t) =
-  match e with
-  | Trace.Event.Instruction { ring; segno; wordno; text } ->
-      w_int b 0;
-      w_int b ring;
-      w_int b segno;
-      w_int b wordno;
-      w_str b text
-  | Trace.Event.Call { crossing; from_ring; to_ring; segno; wordno } ->
-      w_int b 1;
-      w_int b (crossing_tag crossing);
-      w_int b from_ring;
-      w_int b to_ring;
-      w_int b segno;
-      w_int b wordno
-  | Trace.Event.Return { crossing; from_ring; to_ring; segno; wordno } ->
-      w_int b 2;
-      w_int b (crossing_tag crossing);
-      w_int b from_ring;
-      w_int b to_ring;
-      w_int b segno;
-      w_int b wordno
-  | Trace.Event.Trap { ring; cause } ->
-      w_int b 3;
-      w_int b ring;
-      w_str b cause
-  | Trace.Event.Gatekeeper { action } ->
-      w_int b 4;
-      w_str b action
-  | Trace.Event.Descriptor_switch { from_ring; to_ring } ->
-      w_int b 5;
-      w_int b from_ring;
-      w_int b to_ring
-  | Trace.Event.Note s ->
-      w_int b 6;
-      w_str b s
-
-let r_event r : Trace.Event.t =
-  match r_int r with
-  | 0 ->
-      let ring = r_int r in
-      let segno = r_int r in
-      let wordno = r_int r in
-      let text = r_str r in
-      Trace.Event.Instruction { ring; segno; wordno; text }
-  | 1 ->
-      let crossing = tag_crossing (r_int r) in
-      let from_ring = r_int r in
-      let to_ring = r_int r in
-      let segno = r_int r in
-      let wordno = r_int r in
-      Trace.Event.Call { crossing; from_ring; to_ring; segno; wordno }
-  | 2 ->
-      let crossing = tag_crossing (r_int r) in
-      let from_ring = r_int r in
-      let to_ring = r_int r in
-      let segno = r_int r in
-      let wordno = r_int r in
-      Trace.Event.Return { crossing; from_ring; to_ring; segno; wordno }
-  | 3 ->
-      let ring = r_int r in
-      let cause = r_str r in
-      Trace.Event.Trap { ring; cause }
-  | 4 -> Trace.Event.Gatekeeper { action = r_str r }
-  | 5 ->
-      let from_ring = r_int r in
-      let to_ring = r_int r in
-      Trace.Event.Descriptor_switch { from_ring; to_ring }
-  | 6 -> Trace.Event.Note (r_str r)
-  | n -> corrupt (Printf.sprintf "bad event tag %d" n)
-
-let w_stamped b (s : Trace.Event.stamped) =
-  w_int b s.Trace.Event.seq;
-  w_int b s.Trace.Event.cycles;
-  w_event b s.Trace.Event.event
-
-let r_stamped r : Trace.Event.stamped =
-  let seq = r_int r in
-  let cycles = r_int r in
-  let event = r_event r in
-  { Trace.Event.seq; cycles; event }
-
-let w_open_span b (o : Trace.Span.open_span) =
-  w_int b (crossing_tag o.Trace.Span.o_kind);
-  w_int b o.Trace.Span.o_from_ring;
-  w_int b o.Trace.Span.o_to_ring;
-  w_int b o.Trace.Span.o_segno;
-  w_int b o.Trace.Span.o_wordno;
-  w_int b o.Trace.Span.o_start;
-  w_int b o.Trace.Span.o_depth;
-  w_int b o.Trace.Span.o_seq
-
-let r_open_span r : Trace.Span.open_span =
-  let o_kind = tag_crossing (r_int r) in
-  let o_from_ring = r_int r in
-  let o_to_ring = r_int r in
-  let o_segno = r_int r in
-  let o_wordno = r_int r in
-  let o_start = r_int r in
-  let o_depth = r_int r in
-  let o_seq = r_int r in
+let fault : Rings.Fault.t codec =
   {
-    Trace.Span.o_kind;
-    o_from_ring;
-    o_to_ring;
-    o_segno;
-    o_wordno;
-    o_start;
-    o_depth;
-    o_seq;
+    w =
+      (fun b f ->
+        w_int b (Rings.Fault.code f);
+        match f with
+        | No_read_permission | No_write_permission | No_execute_permission
+        | Divide_by_zero | Timer_runout | Io_completion | Io_error ->
+            ()
+        | Read_bracket_violation { effective = x; top = y }
+        | Write_bracket_violation { effective = x; top = y }
+        | Outside_gate_extension { effective = x; top = y }
+        | Effective_ring_raised { exec = x; effective = y }
+        | Downward_return { from_ring = x; to_ring = y }
+        | Transfer_ring_change { exec = x; effective = y }
+        | Cap_attenuation_violation { effective = x; limit = y } ->
+            ring2.w b (x, y)
+        | Execute_bracket_violation { ring = x; bottom = y; top = z } ->
+            ring3.w b (x, y, z)
+        | Upward_call { from_ring; to_ring; segno; wordno } ->
+            ring2.w b (from_ring, to_ring);
+            int2.w b (segno, wordno)
+        | Privileged_instruction { ring = x }
+        | Halt_in_slave_ring { ring = x }
+        | Cap_load_violation { effective = x }
+        | Cap_store_violation { effective = x }
+        | Cap_exec_violation { ring = x } ->
+            ring.w b x
+        | Missing_segment { segno = n }
+        | Illegal_opcode { word = n }
+        | Service_call { code = n }
+        | Parity_error { addr = n }
+        | Watchdog_timeout { budget = n } ->
+            w_int b n
+        | Gate_violation { wordno = x; gates = y }
+        | Missing_page { segno = x; pageno = y }
+        | Cross_ring_transfer { segno = x; wordno = y }
+        | Cap_seal_violation { wordno = x; gates = y }
+        | Cap_tag_violation { addr = x; segno = y } ->
+            int2.w b (x, y)
+        | Bound_violation { segno; wordno; bound } ->
+            int3.w b (segno, wordno, bound)
+        | Quota_exhausted { resource; limit } ->
+            str.w b resource;
+            w_int b limit);
+    r =
+      (fun r ->
+        match r_int r with
+        | 0 -> No_read_permission
+        | 1 -> No_write_permission
+        | 2 -> No_execute_permission
+        | 3 ->
+            let effective, top = ring2.r r in
+            Read_bracket_violation { effective; top }
+        | 4 ->
+            let effective, top = ring2.r r in
+            Write_bracket_violation { effective; top }
+        | 5 ->
+            let x, bottom, top = ring3.r r in
+            Execute_bracket_violation { ring = x; bottom; top }
+        | 6 ->
+            let wordno, gates = int2.r r in
+            Gate_violation { wordno; gates }
+        | 7 ->
+            let effective, top = ring2.r r in
+            Outside_gate_extension { effective; top }
+        | 8 ->
+            let from_ring, to_ring = ring2.r r in
+            let segno, wordno = int2.r r in
+            Upward_call { from_ring; to_ring; segno; wordno }
+        | 9 ->
+            let exec, effective = ring2.r r in
+            Effective_ring_raised { exec; effective }
+        | 10 ->
+            let from_ring, to_ring = ring2.r r in
+            Downward_return { from_ring; to_ring }
+        | 11 ->
+            let exec, effective = ring2.r r in
+            Transfer_ring_change { exec; effective }
+        | 12 -> Privileged_instruction { ring = ring.r r }
+        | 13 -> Missing_segment { segno = r_int r }
+        | 14 ->
+            let segno, pageno = int2.r r in
+            Missing_page { segno; pageno }
+        | 15 ->
+            let segno, wordno, bound = int3.r r in
+            Bound_violation { segno; wordno; bound }
+        | 16 -> Illegal_opcode { word = r_int r }
+        | 17 ->
+            let segno, wordno = int2.r r in
+            Cross_ring_transfer { segno; wordno }
+        | 18 -> Halt_in_slave_ring { ring = ring.r r }
+        | 19 -> Divide_by_zero
+        | 20 -> Service_call { code = r_int r }
+        | 21 -> Timer_runout
+        | 22 -> Io_completion
+        | 23 -> Parity_error { addr = r_int r }
+        | 24 -> Io_error
+        | 25 -> Watchdog_timeout { budget = r_int r }
+        | 26 ->
+            let resource, limit = (pair str int).r r in
+            Quota_exhausted { resource; limit }
+        | 27 -> Cap_load_violation { effective = ring.r r }
+        | 28 -> Cap_store_violation { effective = ring.r r }
+        | 29 -> Cap_exec_violation { ring = ring.r r }
+        | 30 ->
+            let wordno, gates = int2.r r in
+            Cap_seal_violation { wordno; gates }
+        | 31 ->
+            let effective, limit = ring2.r r in
+            Cap_attenuation_violation { effective; limit }
+        | 32 ->
+            let addr, segno = int2.r r in
+            Cap_tag_violation { addr; segno }
+        | n -> bad "fault code" n);
   }
 
-let w_completed b (c : Trace.Span.completed) =
-  w_int b (crossing_tag c.Trace.Span.kind);
-  w_int b c.Trace.Span.from_ring;
-  w_int b c.Trace.Span.to_ring;
-  w_int b c.Trace.Span.segno;
-  w_int b c.Trace.Span.wordno;
-  w_int b c.Trace.Span.start_cycles;
-  w_int b c.Trace.Span.end_cycles;
-  w_int b c.Trace.Span.depth;
-  w_int b c.Trace.Span.seq;
-  w_bool b c.Trace.Span.forced
-
-let r_completed r : Trace.Span.completed =
-  let kind = tag_crossing (r_int r) in
-  let from_ring = r_int r in
-  let to_ring = r_int r in
-  let segno = r_int r in
-  let wordno = r_int r in
-  let start_cycles = r_int r in
-  let end_cycles = r_int r in
-  let depth = r_int r in
-  let seq = r_int r in
-  let forced = r_bool r in
+let kernel_exit : Kernel.exit codec =
   {
-    Trace.Span.kind;
-    from_ring;
-    to_ring;
-    segno;
-    wordno;
-    start_cycles;
-    end_cycles;
-    depth;
-    seq;
-    forced;
+    w =
+      (fun b e ->
+        match e with
+        | Halted -> w_int b 0
+        | Exited -> w_int b 1
+        | Preempted -> w_int b 2
+        | Blocked -> w_int b 3
+        | Terminated f ->
+            w_int b 4;
+            fault.w b f
+        | Gatekeeper_error msg ->
+            w_int b 5;
+            str.w b msg
+        | Out_of_budget -> w_int b 6
+        | Quarantined f ->
+            w_int b 7;
+            fault.w b f);
+    r =
+      (fun r ->
+        match r_int r with
+        | 0 -> Halted
+        | 1 -> Exited
+        | 2 -> Preempted
+        | 3 -> Blocked
+        | 4 -> Terminated (fault.r r)
+        | 5 -> Gatekeeper_error (str.r r)
+        | 6 -> Out_of_budget
+        | 7 -> Quarantined (fault.r r)
+        | n -> bad "exit tag" n);
   }
 
-let w_hist b (buckets, count, sum, vmin, vmax) =
-  w_int_array b buckets;
-  w_int b count;
-  w_int b sum;
-  w_int b vmin;
-  w_int b vmax
+let crossing =
+  enum "crossing tag" Trace.Event.[ Same_ring; Downward; Upward; Recovery ]
 
-let r_hist r =
-  let buckets = r_int_array r in
-  let count = r_int r in
-  let sum = r_int r in
-  let vmin = r_int r in
-  let vmax = r_int r in
-  (buckets, count, sum, vmin, vmax)
+(* A call or return: crossing, rings, then the target. *)
+let transfer = pair (triple crossing int int) int2
 
-let w_placement b (p : Process.placement) =
-  match p with
-  | Process.Direct { base; bound } ->
-      w_int b 0;
-      w_int b base;
-      w_int b bound
-  | Process.Paged_at { pt_base; bound } ->
-      w_int b 1;
-      w_int b pt_base;
-      w_int b bound
+let event : Trace.Event.t codec =
+  {
+    w =
+      (fun b e ->
+        match e with
+        | Instruction { ring; segno; wordno; text } ->
+            w_int b 0;
+            int3.w b (ring, segno, wordno);
+            str.w b text
+        | Call { crossing; from_ring; to_ring; segno; wordno } ->
+            w_int b 1;
+            transfer.w b ((crossing, from_ring, to_ring), (segno, wordno))
+        | Return { crossing; from_ring; to_ring; segno; wordno } ->
+            w_int b 2;
+            transfer.w b ((crossing, from_ring, to_ring), (segno, wordno))
+        | Trap { ring; cause } ->
+            w_int b 3;
+            w_int b ring;
+            str.w b cause
+        | Gatekeeper { action } ->
+            w_int b 4;
+            str.w b action
+        | Descriptor_switch { from_ring; to_ring } ->
+            w_int b 5;
+            int2.w b (from_ring, to_ring)
+        | Note s ->
+            w_int b 6;
+            str.w b s);
+    r =
+      (fun r ->
+        match r_int r with
+        | 0 ->
+            let ring, segno, wordno = int3.r r in
+            Instruction { ring; segno; wordno; text = str.r r }
+        | 1 ->
+            let (crossing, from_ring, to_ring), (segno, wordno) =
+              transfer.r r
+            in
+            Call { crossing; from_ring; to_ring; segno; wordno }
+        | 2 ->
+            let (crossing, from_ring, to_ring), (segno, wordno) =
+              transfer.r r
+            in
+            Return { crossing; from_ring; to_ring; segno; wordno }
+        | 3 ->
+            let ring = r_int r in
+            Trap { ring; cause = str.r r }
+        | 4 -> Gatekeeper { action = str.r r }
+        | 5 ->
+            let from_ring, to_ring = int2.r r in
+            Descriptor_switch { from_ring; to_ring }
+        | 6 -> Note (str.r r)
+        | n -> bad "event tag" n);
+  }
 
-let r_placement r : Process.placement =
-  match r_int r with
-  | 0 ->
-      let base = r_int r in
-      let bound = r_int r in
-      Process.Direct { base; bound }
-  | 1 ->
-      let pt_base = r_int r in
-      let bound = r_int r in
-      Process.Paged_at { pt_base; bound }
-  | n -> corrupt (Printf.sprintf "bad placement tag %d" n)
+let placement : Process.placement codec =
+  {
+    w =
+      (fun b -> function
+        | Direct { base; bound } ->
+            w_int b 0;
+            int2.w b (base, bound)
+        | Paged_at { pt_base; bound } ->
+            w_int b 1;
+            int2.w b (pt_base, bound));
+    r =
+      (fun r ->
+        match r_int r with
+        | 0 ->
+            let base, bound = int2.r r in
+            Direct { base; bound }
+        | 1 ->
+            let pt_base, bound = int2.r r in
+            Paged_at { pt_base; bound }
+        | n -> bad "placement tag" n);
+  }
 
-let w_loaded b (l : Process.loaded) =
-  w_str b l.Process.name;
-  w_int b l.Process.segno;
-  w_int b l.Process.base;
-  w_int b l.Process.bound;
-  w_access b l.Process.access;
-  w_list (w_pair w_str w_int) b l.Process.symbols
+let status : System.status codec =
+  {
+    w =
+      (fun b -> function
+        | Ready -> w_int b 0
+        | Blocked -> w_int b 1
+        | Done e ->
+            w_int b 2;
+            kernel_exit.w b e);
+    r =
+      (fun r ->
+        match r_int r with
+        | 0 -> Ready
+        | 1 -> Blocked
+        | 2 -> Done (kernel_exit.r r)
+        | n -> bad "status tag" n);
+  }
 
-let r_loaded r : Process.loaded =
-  let name = r_str r in
-  let segno = r_int r in
-  let base = r_int r in
-  let bound = r_int r in
-  let access = r_access r in
-  let symbols = r_list (r_pair r_str r_int) r in
-  { Process.name; segno; base; bound; access; symbols }
+(* {2 Machine, trace and process records} *)
 
-let w_crossing b (c : Process.crossing) =
-  w_int b
-    (match c.Process.kind with Process.Inward -> 0 | Process.Outward -> 1);
-  w_regs b c.Process.saved;
-  w_ring b c.Process.caller_ring;
-  w_ring b c.Process.callee_ring;
-  w_list (w_pair w_addr w_addr) b c.Process.copy_back
+let saved_state =
+  conv (pair regs fault)
+    ~from:(fun (s : Isa.Machine.saved_state) -> (s.regs, s.fault))
+    ~into:(fun (regs, fault) -> { Isa.Machine.regs; fault })
 
-let r_crossing r : Process.crossing =
-  let kind =
-    match r_int r with
-    | 0 -> Process.Inward
-    | 1 -> Process.Outward
-    | n -> corrupt (Printf.sprintf "bad crossing kind %d" n)
-  in
-  let saved = r_regs r in
-  let caller_ring = r_ring r in
-  let callee_ring = r_ring r in
-  let copy_back = r_list (r_pair r_addr r_addr) r in
-  { Process.kind; saved; caller_ring; callee_ring; copy_back }
+let trap_config =
+  conv (pair addr addr)
+    ~from:(fun (t : Isa.Machine.trap_config) ->
+      (t.vector_base, t.conditions_base))
+    ~into:(fun (vector_base, conditions_base) ->
+      { Isa.Machine.vector_base; conditions_base })
 
-let w_inject_dump b (d : Hw.Inject.dump) =
-  w_int b d.Hw.Inject.dump_rng;
-  w_list (w_pair w_int w_int) b d.Hw.Inject.dump_armed;
-  w_list (w_pair w_int w_int) b d.Hw.Inject.dump_poison;
-  w_int b d.Hw.Inject.dump_total
+let sealed_return =
+  conv int3
+    ~from:(fun (s : Cap.Capability.sealed_return) ->
+      (s.sr_otype, s.sr_segno, s.sr_wordno))
+    ~into:(fun (sr_otype, sr_segno, sr_wordno) ->
+      { Cap.Capability.sr_otype; sr_segno; sr_wordno })
 
-let r_inject_dump r : Hw.Inject.dump =
-  let dump_rng = r_int r in
-  let dump_armed = r_list (r_pair r_int r_int) r in
-  let dump_poison = r_list (r_pair r_int r_int) r in
-  let dump_total = r_int r in
-  { Hw.Inject.dump_rng; dump_armed; dump_poison; dump_total }
+let inject_dump =
+  conv
+    (pair (pair int (list int2)) (pair (list int2) int))
+    ~from:(fun (d : Hw.Inject.dump) ->
+      ((d.dump_rng, d.dump_armed), (d.dump_poison, d.dump_total)))
+    ~into:(fun ((dump_rng, dump_armed), (dump_poison, dump_total)) ->
+      { Hw.Inject.dump_rng; dump_armed; dump_poison; dump_total })
+
+let stamped =
+  conv (triple int int event)
+    ~from:(fun (s : Trace.Event.stamped) -> (s.seq, s.cycles, s.event))
+    ~into:(fun (seq, cycles, event) -> { Trace.Event.seq; cycles; event })
+
+let event_dump =
+  conv
+    (triple (triple (list stamped) int int) int3 int2)
+    ~from:(fun (d : Trace.Event.dump) ->
+      ( (d.d_entries, d.d_next_seq, d.d_dropped),
+        (d.d_sampled_out, d.d_high_water, d.d_sample_interval),
+        (d.d_sample_seed, d.d_instr_interval) ))
+    ~into:(fun ((d_entries, d_next_seq, d_dropped),
+                (d_sampled_out, d_high_water, d_sample_interval),
+                (d_sample_seed, d_instr_interval)) ->
+      { Trace.Event.d_entries; d_next_seq; d_dropped; d_sampled_out;
+        d_high_water; d_sample_interval; d_sample_seed; d_instr_interval })
+
+let open_span =
+  conv
+    (triple (triple crossing int int) int3 int2)
+    ~from:(fun (o : Trace.Span.open_span) ->
+      ( (o.o_kind, o.o_from_ring, o.o_to_ring),
+        (o.o_segno, o.o_wordno, o.o_start),
+        (o.o_depth, o.o_seq) ))
+    ~into:(fun ((o_kind, o_from_ring, o_to_ring),
+                (o_segno, o_wordno, o_start), (o_depth, o_seq)) ->
+      { Trace.Span.o_kind; o_from_ring; o_to_ring; o_segno; o_wordno;
+        o_start; o_depth; o_seq })
+
+let completed =
+  conv
+    (pair (triple (triple crossing int int) int3 int3) bool)
+    ~from:(fun (c : Trace.Span.completed) ->
+      ( ( (c.kind, c.from_ring, c.to_ring),
+          (c.segno, c.wordno, c.start_cycles),
+          (c.end_cycles, c.depth, c.seq) ),
+        c.forced ))
+    ~into:(fun (((kind, from_ring, to_ring),
+                 (segno, wordno, start_cycles),
+                 (end_cycles, depth, seq)), forced) ->
+      { Trace.Span.kind; from_ring; to_ring; segno; wordno; start_cycles;
+        end_cycles; depth; seq; forced })
+
+let hist =
+  conv
+    (triple (array int) int2 int2)
+    ~from:(fun (buckets, count, sum, vmin, vmax) ->
+      (buckets, (count, sum), (vmin, vmax)))
+    ~into:(fun (buckets, (count, sum), (vmin, vmax)) ->
+      (buckets, count, sum, vmin, vmax))
+
+let span_dump =
+  conv
+    (triple
+       (triple (list open_span) int (list completed))
+       int3
+       (triple int int (array hist)))
+    ~from:(fun (d : Trace.Span.dump) ->
+      ( (d.dump_stack, d.dump_next_seq, d.dump_completed),
+        (d.dump_dropped, d.dump_unmatched, d.dump_sampled_out),
+        (d.dump_sample_interval, d.dump_sample_seed, d.dump_hists) ))
+    ~into:(fun ((dump_stack, dump_next_seq, dump_completed),
+                (dump_dropped, dump_unmatched, dump_sampled_out),
+                (dump_sample_interval, dump_sample_seed, dump_hists)) ->
+      { Trace.Span.dump_stack; dump_next_seq; dump_completed; dump_dropped;
+        dump_unmatched; dump_sampled_out; dump_sample_interval;
+        dump_sample_seed; dump_hists })
+
+let profile_dump =
+  conv
+    (pair (pair (array int) (array int)) (pair (list int3) int))
+    ~from:(fun (cycles, instructions, segments, kernel) ->
+      ((cycles, instructions), (segments, kernel)))
+    ~into:(fun ((cycles, instructions), (segments, kernel)) ->
+      (cycles, instructions, segments, kernel))
+
+let loaded =
+  conv
+    (pair (triple str int int) (triple int access (list (pair str int))))
+    ~from:(fun (l : Process.loaded) ->
+      ((l.name, l.segno, l.base), (l.bound, l.access, l.symbols)))
+    ~into:(fun ((name, segno, base), (bound, access, symbols)) ->
+      { Process.name; segno; base; bound; access; symbols })
+
+let process_crossing =
+  conv
+    (pair
+       (triple (enum "crossing kind" Process.[ Inward; Outward ]) regs ring)
+       (pair ring (list (pair addr addr))))
+    ~from:(fun (c : Process.crossing) ->
+      ((c.kind, c.saved, c.caller_ring), (c.callee_ring, c.copy_back)))
+    ~into:(fun ((kind, saved, caller_ring), (callee_ring, copy_back)) ->
+      { Process.kind; saved; caller_ring; callee_ring; copy_back })
+
+let counters =
+  conv (list (pair str int)) ~from:Trace.Counters.fields ~into:(fun fields ->
+      match Trace.Counters.of_fields fields with
+      | Ok snap -> snap
+      | Error msg -> corrupt msg)
+
+(* {1 In-place sections}
+
+   The respawned system already holds most of what an image carries.  A
+   section is a list of fields over a live target, each written from it
+   and read back into it ([field]) or checked against it ([same]).
+   Capture writes the sections and every apply reads the same lists. *)
+
+type 't field = { save : Buffer.t -> 't -> unit; load : reader -> 't -> unit }
+
+let write fields b t = List.iter (fun f -> f.save b t) fields
+let read fields r t = List.iter (fun f -> f.load r t) fields
+
+let field c ~get ~set =
+  { save = (fun b t -> c.w b (get t)); load = (fun r t -> set t (c.r r)) }
+
+let same c ~get what =
+  {
+    save = (fun b t -> c.w b (get t));
+    load = (fun r t -> if c.r r <> get t then shape what);
+  }
+
+(* The fields of a part of the target. *)
+let part fields ~get =
+  {
+    save = (fun b t -> write fields b (get t));
+    load = (fun r t -> read fields r (get t));
+  }
+
+(* A part the target may lack: the image holds it exactly when the
+   respawned target does. *)
+let present fields ~get ~image_only ~live_only =
+  {
+    save =
+      (fun b t ->
+        let x = get t in
+        some.w b (Option.is_some x);
+        Option.iter (write fields b) x);
+    load =
+      (fun r t ->
+        match (some.r r, get t) with
+        | false, None -> ()
+        | true, Some x -> read fields r x
+        | true, None -> shape image_only
+        | false, Some _ -> shape live_only);
+  }
 
 let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-(* {1 Capture} *)
-
-let write_counters b (c : Trace.Counters.t) =
-  w_list (w_pair w_str w_int) b
-    (Trace.Counters.fields (Trace.Counters.snapshot c))
+(* A hashtable, dumped sorted by key and refilled whole. *)
+let table c ~get =
+  field
+    (list (pair int c))
+    ~get:(fun t -> sorted_bindings (get t))
+    ~set:(fun t bindings ->
+      let tbl = get t in
+      Hashtbl.reset tbl;
+      List.iter (fun (k, v) -> Hashtbl.replace tbl k v) bindings)
 
 (* The machine section is written in two pieces around the memory
-   pages: [pre] (configuration + live processor state) and [post] (SDW
-   tag population, injector, capability state). *)
+   pages: [machine_pre] (configuration + live processor state) and
+   [machine_post] (SDW tag population, injector, capability state). *)
 let mode_tag (m : Isa.Machine.t) =
-  match m.Isa.Machine.mode with
-  | Isa.Machine.Ring_hardware -> 0
-  | Isa.Machine.Ring_software_645 -> 1
-  | Isa.Machine.Ring_capability -> 2
+  match m.mode with
+  | Ring_hardware -> 0
+  | Ring_software_645 -> 1
+  | Ring_capability -> 2
 
 let rule_tag (m : Isa.Machine.t) =
-  match m.Isa.Machine.stack_rule with
+  match m.stack_rule with
   | Rings.Stack_rule.Segno_equals_ring -> 0
   | Rings.Stack_rule.Dbr_stack_relative -> 1
 
-let write_machine_pre b (m : Isa.Machine.t) =
-  (* Immutable configuration, serialized so restore can shape-check
-     that the respawned machine was built the same way. *)
-  w_int b (mode_tag m);
-  w_int b (rule_tag m);
-  w_bool b m.Isa.Machine.gate_on_same_ring;
-  w_bool b m.Isa.Machine.use_r1_in_indirection;
-  (* Live processor state. *)
-  w_regs b m.Isa.Machine.regs;
-  w_bool b m.Isa.Machine.halted;
-  w_opt
-    (fun b (s : Isa.Machine.saved_state) ->
-      w_regs b s.Isa.Machine.regs;
-      w_fault b s.Isa.Machine.fault)
-    b m.Isa.Machine.saved;
-  w_opt w_int b (Isa.Machine.option_of_countdown m.Isa.Machine.timer);
-  w_opt w_int b (Isa.Machine.option_of_countdown m.Isa.Machine.io_countdown);
-  w_opt w_io_request b m.Isa.Machine.io_request;
-  w_bool b m.Isa.Machine.inhibit;
-  w_opt
-    (fun b (t : Isa.Machine.trap_config) ->
-      w_addr b t.Isa.Machine.vector_base;
-      w_addr b t.Isa.Machine.conditions_base)
-    b m.Isa.Machine.trap_config;
-  w_bool b m.Isa.Machine.degraded;
-  w_bool b m.Isa.Machine.io_fail_pending
+let machine_pre : Isa.Machine.t field list =
+  [
+    (* Immutable configuration, serialized so restore can shape-check
+       that the respawned machine was built the same way. *)
+    same int ~get:mode_tag "machine mode differs";
+    same int ~get:rule_tag "stack rule differs";
+    same bool
+      ~get:(fun m -> m.Isa.Machine.gate_on_same_ring)
+      "gate-on-same-ring ablation differs";
+    same bool
+      ~get:(fun m -> m.Isa.Machine.use_r1_in_indirection)
+      "R1-in-indirection ablation differs";
+    (* Live processor state. *)
+    field regs
+      ~get:(fun m -> m.Isa.Machine.regs)
+      ~set:(fun m g -> Hw.Registers.restore m.regs ~from:g);
+    field bool ~get:(fun m -> m.Isa.Machine.halted)
+      ~set:(fun m v -> m.halted <- v);
+    field (opt saved_state) ~get:(fun m -> m.Isa.Machine.saved)
+      ~set:(fun m v -> m.saved <- v);
+    field armed ~get:(fun m -> m.Isa.Machine.timer)
+      ~set:(fun m v -> m.timer <- v);
+    field armed ~get:(fun m -> m.Isa.Machine.io_countdown)
+      ~set:(fun m v -> m.io_countdown <- v);
+    field (opt io_request) ~get:(fun m -> m.Isa.Machine.io_request)
+      ~set:(fun m v -> m.io_request <- v);
+    field bool ~get:(fun m -> m.Isa.Machine.inhibit)
+      ~set:(fun m v -> m.inhibit <- v);
+    field (opt trap_config) ~get:(fun m -> m.Isa.Machine.trap_config)
+      ~set:(fun m v -> m.trap_config <- v);
+    field bool ~get:(fun m -> m.Isa.Machine.degraded)
+      ~set:(fun m v -> m.degraded <- v);
+    field bool ~get:(fun m -> m.Isa.Machine.io_fail_pending)
+      ~set:(fun m v -> m.io_fail_pending <- v);
+  ]
 
-let write_machine_post b (m : Isa.Machine.t) =
-  (* The modeled SDW tag-store population — keys only: quiesce demoted
-     every value to the absent sentinel before we got here, and the
-     population is what drives modeled accounting. *)
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) m.Isa.Machine.sdw_tags [] in
-  w_list w_int b (List.sort Int.compare keys);
-  (* Fault injector: RNG, armed-rule positions, poison table.  The
-     address ranges themselves are re-registered by the respawn. *)
-  w_opt w_inject_dump b
-    (Option.map Hw.Inject.dump m.Isa.Machine.injector);
-  (* Capability-backend state: the validity-tag population (addresses
-     only — a tag is one bit) and the sealed-return stack.  Both are
-     empty in the other modes, so their cost there is two zero
-     counts. *)
-  w_bool b (Hw.Memory.tags_enabled m.Isa.Machine.mem);
-  w_list w_int b (Hw.Memory.tagged_addrs m.Isa.Machine.mem);
-  w_list
-    (fun b (sr : Cap.Capability.sealed_return) ->
-      w_int b sr.Cap.Capability.sr_otype;
-      w_int b sr.Cap.Capability.sr_segno;
-      w_int b sr.Cap.Capability.sr_wordno)
-    b m.Isa.Machine.cap_stack
+let machine_post : Isa.Machine.t field list =
+  [
+    (* The modeled SDW tag-store population — keys only: quiesce
+       demoted every value to the absent sentinel before we got here,
+       and the population is what drives modeled accounting.  Restore
+       leaves every key present, every value absent: exactly the state
+       [quiesce] leaves behind. *)
+    field (list int)
+      ~get:(fun m ->
+        Hashtbl.fold (fun k _ acc -> k :: acc) m.Isa.Machine.sdw_tags []
+        |> List.sort Int.compare)
+      ~set:(fun m keys ->
+        Hashtbl.reset m.sdw_tags;
+        List.iter (fun k -> Hashtbl.replace m.sdw_tags k Hw.Sdw.absent) keys);
+    (* Fault injector: RNG, armed-rule positions, poison table.  The
+       address ranges themselves are re-registered by the respawn. *)
+    present
+      [
+        field inject_dump ~get:Hw.Inject.dump ~set:(fun i d ->
+            try Hw.Inject.restore i d with Invalid_argument msg -> shape msg);
+      ]
+      ~get:(fun m -> m.Isa.Machine.injector)
+      ~image_only:"image has a fault injector, this run does not"
+      ~live_only:"this run has a fault injector, the image does not";
+    (* Capability-backend state: the validity-tag population (addresses
+       only — a tag is one bit) and the sealed-return stack.  Both are
+       empty in the other modes, so their cost there is two zero
+       counts.  The tags are re-applied after the memory pass:
+       restoring a word goes through [write_silent], which clears its
+       tag, so tags written earlier would be erased. *)
+    same bool
+      ~get:(fun m -> Hw.Memory.tags_enabled m.Isa.Machine.mem)
+      "capability tag store presence differs";
+    field (list int)
+      ~get:(fun m -> Hw.Memory.tagged_addrs m.Isa.Machine.mem)
+      ~set:(fun m tagged ->
+        let mem = m.mem in
+        if Hw.Memory.tags_enabled mem then begin
+          Hw.Memory.clear_tags mem;
+          List.iter
+            (fun a ->
+              if a < 0 || a >= Hw.Memory.size mem then
+                corrupt "tag address out of range";
+              Hw.Memory.set_tag mem a)
+            tagged
+        end
+        else if tagged <> [] then corrupt "tagged words without a tag store");
+    field (list sealed_return) ~get:(fun m -> m.Isa.Machine.cap_stack)
+      ~set:(fun m v -> m.cap_stack <- v);
+  ]
 
-let write_trace b (m : Isa.Machine.t) =
-  w_bool b (Trace.Event.enabled m.Isa.Machine.log);
-  let d = Trace.Event.dump m.Isa.Machine.log in
-  w_list w_stamped b d.Trace.Event.d_entries;
-  w_int b d.Trace.Event.d_next_seq;
-  w_int b d.Trace.Event.d_dropped;
-  w_int b d.Trace.Event.d_sampled_out;
-  w_int b d.Trace.Event.d_high_water;
-  w_int b d.Trace.Event.d_sample_interval;
-  w_int b d.Trace.Event.d_sample_seed;
-  w_int b d.Trace.Event.d_instr_interval;
-  w_bool b (Trace.Span.enabled m.Isa.Machine.spans);
-  let d = Trace.Span.dump m.Isa.Machine.spans in
-  w_list w_open_span b d.Trace.Span.dump_stack;
-  w_int b d.Trace.Span.dump_next_seq;
-  w_list w_completed b d.Trace.Span.dump_completed;
-  w_int b d.Trace.Span.dump_dropped;
-  w_int b d.Trace.Span.dump_unmatched;
-  w_int b d.Trace.Span.dump_sampled_out;
-  w_int b d.Trace.Span.dump_sample_interval;
-  w_int b d.Trace.Span.dump_sample_seed;
-  w_array w_hist b d.Trace.Span.dump_hists;
-  w_bool b (Trace.Profile.enabled m.Isa.Machine.profile);
-  let ring_cycles, ring_instructions, segments, kernel_cycles =
-    Trace.Profile.dump m.Isa.Machine.profile
-  in
-  w_int_array b ring_cycles;
-  w_int_array b ring_instructions;
-  w_list
-    (fun b (segno, cycles, instructions) ->
-      w_int b segno;
-      w_int b cycles;
-      w_int b instructions)
-    b segments;
-  w_int b kernel_cycles
+let trace : Isa.Machine.t field list =
+  [
+    field bool
+      ~get:(fun m -> Trace.Event.enabled m.Isa.Machine.log)
+      ~set:(fun m v -> Trace.Event.set_enabled m.log v);
+    field event_dump
+      ~get:(fun m -> Trace.Event.dump m.Isa.Machine.log)
+      ~set:(fun m d -> Trace.Event.restore m.log d);
+    field bool
+      ~get:(fun m -> Trace.Span.enabled m.Isa.Machine.spans)
+      ~set:(fun m v -> Trace.Span.set_enabled m.spans v);
+    field span_dump
+      ~get:(fun m -> Trace.Span.dump m.Isa.Machine.spans)
+      ~set:(fun m d -> Trace.Span.restore m.spans d);
+    field bool
+      ~get:(fun m -> Trace.Profile.enabled m.Isa.Machine.profile)
+      ~set:(fun m v -> Trace.Profile.set_enabled m.profile v);
+    field profile_dump
+      ~get:(fun m -> Trace.Profile.dump m.Isa.Machine.profile)
+      ~set:(fun m d -> Trace.Profile.restore m.profile d);
+  ]
 
-let write_process b (p : Process.t) =
-  w_str b p.Process.user;
-  w_array w_dbr b p.Process.descsegs;
-  w_list (w_pair w_int w_access) b (sorted_bindings p.Process.ring_data);
-  w_list (w_pair w_int w_placement) b (sorted_bindings p.Process.placement);
-  w_list w_loaded b p.Process.loaded;
-  w_int b p.Process.next_segno;
-  w_int b p.Process.next_free;
-  w_opt
-    (fun b (ps : Process.paging_state) ->
-      w_list w_int b ps.Process.free_frames;
-      w_list
-        (fun b (frame, segno, pageno) ->
-          w_int b frame;
-          w_int b segno;
-          w_int b pageno)
-        b ps.Process.resident;
-      w_list (w_pair w_int w_int_array) b (sorted_bindings ps.Process.backing))
-    b p.Process.paging;
-  w_list w_crossing b p.Process.crossings;
-  w_int b p.Process.fault_count;
-  w_int b p.Process.io_attempts;
-  (* A directory search path holds live closures and is not
-     snapshottable; record its presence so restore can refuse. *)
-  w_bool b (p.Process.search_rules <> None);
-  let input, output, next_seq = Device.dump p.Process.typewriter in
-  w_list w_int b input;
-  w_list w_int b output;
-  w_int b next_seq
+let paging : Process.paging_state field list =
+  [
+    field (list int) ~get:(fun ps -> ps.Process.free_frames)
+      ~set:(fun ps v -> ps.free_frames <- v);
+    field (list int3) ~get:(fun ps -> ps.Process.resident)
+      ~set:(fun ps v -> ps.resident <- v);
+    table (array int) ~get:(fun ps -> ps.Process.backing);
+  ]
 
-let write_entry b (e : System.entry) =
-  w_str b e.System.pname;
-  (match e.System.status with
-  | System.Ready -> w_int b 0
-  | System.Blocked -> w_int b 1
-  | System.Done exit ->
-      w_int b 2;
-      w_exit b exit);
-  w_regs b e.System.saved_regs;
-  let countdown, request = e.System.saved_io in
-  w_opt w_int b countdown;
-  w_opt w_io_request b request;
-  w_int b e.System.stalled;
-  write_process b e.System.process
+(* The descriptor segments were placed by the respawn: each must
+   match. *)
+let descsegs =
+  {
+    save = (fun b p -> (array dbr).w b p.Process.descsegs);
+    load =
+      (fun r p ->
+        let ds = p.Process.descsegs in
+        if r_int r <> Array.length ds then
+          shape "descriptor-segment count differs";
+        Array.iteri
+          (fun i d ->
+            if dbr.r r <> d then
+              shape (Printf.sprintf "descriptor segment %d differs" i))
+          ds);
+  }
 
-let write_system b sys =
-  w_int b (System.slices sys);
-  w_list (w_pair w_str w_exit) b (System.finished_log sys);
-  w_list w_str b (System.rotation sys);
-  w_list write_entry b (System.entries sys)
+let process : Process.t field list =
+  [
+    same str ~get:(fun p -> p.Process.user) "process user differs";
+    descsegs;
+    table access ~get:(fun p -> p.Process.ring_data);
+    table placement ~get:(fun p -> p.Process.placement);
+    field (list loaded) ~get:(fun p -> p.Process.loaded)
+      ~set:(fun p v -> p.loaded <- v);
+    field int ~get:(fun p -> p.Process.next_segno)
+      ~set:(fun p v -> p.next_segno <- v);
+    field int ~get:(fun p -> p.Process.next_free)
+      ~set:(fun p v -> p.next_free <- v);
+    present paging
+      ~get:(fun p -> p.Process.paging)
+      ~image_only:"image process is demand-paged, this one is not"
+      ~live_only:"this process is demand-paged, the image's is not";
+    field (list process_crossing) ~get:(fun p -> p.Process.crossings)
+      ~set:(fun p v -> p.crossings <- v);
+    field int ~get:(fun p -> p.Process.fault_count)
+      ~set:(fun p v -> p.fault_count <- v);
+    field int ~get:(fun p -> p.Process.io_attempts)
+      ~set:(fun p v -> p.io_attempts <- v);
+    (* A directory search path holds live closures and is not
+       snapshottable; record its presence so restore can refuse. *)
+    field bool
+      ~get:(fun p -> p.Process.search_rules <> None)
+      ~set:(fun _ v ->
+        if v then corrupt "directory search rules are not snapshottable");
+    field
+      (triple (list int) (list int) int)
+      ~get:(fun p -> Device.dump p.Process.typewriter)
+      ~set:(fun p d -> Device.restore p.typewriter d);
+  ]
+
+let entry : System.entry field list =
+  [
+    same str ~get:(fun e -> e.System.pname) "process names differ";
+    field status ~get:(fun e -> e.System.status)
+      ~set:(fun e v -> e.status <- v);
+    field regs ~get:(fun e -> e.System.saved_regs)
+      ~set:(fun e v -> e.saved_regs <- v);
+    field (pair countdown (opt io_request)) ~get:(fun e -> e.System.saved_io)
+      ~set:(fun e v -> e.saved_io <- v);
+    field int ~get:(fun e -> e.System.stalled)
+      ~set:(fun e v -> e.stalled <- v);
+    part process ~get:(fun e -> e.System.process);
+  ]
+
+(* The respawn built the process set: the image lists the same entries,
+   in order. *)
+let entries =
+  {
+    save =
+      (fun b sys ->
+        let es = System.entries sys in
+        w_int b (List.length es);
+        List.iter (write entry b) es);
+    load =
+      (fun r sys ->
+        let es = System.entries sys in
+        if r_int r <> List.length es then shape "process count differs";
+        List.iter (read entry r) es);
+  }
+
+let system : System.t field list =
+  [
+    field int ~get:System.slices ~set:System.set_slices;
+    field
+      (list (pair str kernel_exit))
+      ~get:System.finished_log ~set:System.set_finished_log;
+    field (list str) ~get:System.rotation ~set:(fun sys rotation ->
+        let known pname =
+          List.exists
+            (fun (e : System.entry) -> String.equal e.pname pname)
+            (System.entries sys)
+        in
+        List.iter
+          (fun pname ->
+            if not (known pname) then
+              shape (Printf.sprintf "rotation names unknown process %s" pname))
+          rotation;
+        System.set_rotation sys rotation);
+    entries;
+  ]
+
+(* The two sections of the payload, around the memory pages: [pre]
+   holds the counters and processor state, [post] the rest of the
+   machine, the trace surface and the scheduler. *)
+let pre_section =
+  field counters
+    ~get:(fun m -> Trace.Counters.snapshot m.Isa.Machine.counters)
+    ~set:(fun m snap -> Trace.Counters.restore m.counters snap)
+  :: machine_pre
+
+let post_section = part (machine_post @ trace) ~get:System.machine :: system
 
 (* {1 The payload frame}
 
@@ -921,16 +1014,46 @@ type page = { pageno : int; words : int; nnz : int; src : string; off : int }
 
 type frame = { pre : string; mem_size : int; pages : page list; post : string }
 
+(* The page records, over [mem_size] words.  Reading checks each
+   record and hands every listed word to [word a w] in ascending
+   address order; the records come back for folding. *)
+let pages ~mem_size ~word =
+  let last = ref (-1) in
+  list
+    {
+      w =
+        (fun b p ->
+          int3.w b (p.pageno, p.words, p.nnz);
+          Buffer.add_substring b p.src p.off (16 * p.nnz));
+      r =
+        (fun r ->
+          let pageno = r_int r in
+          if
+            pageno <= !last
+            || pageno > (mem_size - 1) / Hw.Memory.page_words
+          then corrupt "pages not ascending or out of range";
+          last := pageno;
+          let base_addr = pageno * Hw.Memory.page_words in
+          let words = min Hw.Memory.page_words (mem_size - base_addr) in
+          if r_int r <> words then corrupt "wrong page length";
+          let nnz = r_count ~width:16 r "page word count" in
+          let off = r.pos in
+          let prev = ref (-1) in
+          for _ = 1 to nnz do
+            let o = r_int r in
+            let w = r_int r in
+            if o <= !prev || o >= words then corrupt "page words not ascending";
+            if w = 0 then corrupt "zero word in a sparse page";
+            word (base_addr + o) w;
+            prev := o
+          done;
+          { pageno; words; nnz; src = r.data; off });
+    }
+
 let w_frame b f =
-  w_str b f.pre;
+  str.w b f.pre;
   w_int b f.mem_size;
-  w_list
-    (fun b p ->
-      w_int b p.pageno;
-      w_int b p.words;
-      w_int b p.nnz;
-      Buffer.add_substring b p.src p.off (16 * p.nnz))
-    b f.pages;
+  (pages ~mem_size:f.mem_size ~word:(fun _ _ -> ())).w b f.pages;
   Buffer.add_string b f.post
 
 (* An image is written into one buffer: the header with its payload
@@ -969,7 +1092,6 @@ type scratch = {
   pre : Buffer.t;
   pages : Buffer.t;
   pairs : Buffer.t;
-  post : Buffer.t;
 }
 
 let scratch =
@@ -979,7 +1101,6 @@ let scratch =
         pre = Buffer.create 4096;
         pages = Buffer.create 4096;
         pairs = Buffer.create 4096;
-        post = Buffer.create 16384;
       })
 
 (* Append page [p] of live memory to [pages] in the frame's page
@@ -1008,14 +1129,15 @@ let add_page mem ~pages ~pairs ~keep_zero p =
    changed exactly when it holds a nonzero word, and only a written
    page can; a delta cannot tell, so it lists every dirty page — even
    one that went back to zero, which the fold must still clear.  The
-   payload is the {!w_frame} encoding, written in place. *)
+   payload is the {!w_frame} encoding, written in place; only [pre]
+   and the pages, whose lengths come first, go through scratch
+   buffers. *)
 let encode sys ~prev =
   let m = System.machine sys in
   let mem = m.Isa.Machine.mem in
   let s = Domain.DLS.get scratch in
   Buffer.clear s.pre;
-  write_counters s.pre m.Isa.Machine.counters;
-  write_machine_pre s.pre m;
+  write pre_section s.pre m;
   let kind, base_sum, candidates, keep_zero =
     match prev with
     | None -> (magic, 0, Hw.Memory.written_pages mem, false)
@@ -1029,10 +1151,6 @@ let encode sys ~prev =
         else n)
       0 candidates
   in
-  Buffer.clear s.post;
-  write_machine_post s.post m;
-  write_trace s.post m;
-  write_system s.post sys;
   let out = s.out in
   start_image out ~kind ~base_sum;
   w_int out (Buffer.length s.pre);
@@ -1040,7 +1158,7 @@ let encode sys ~prev =
   w_int out (Hw.Memory.size mem);
   w_int out npages;
   Buffer.add_buffer out s.pages;
-  Buffer.add_buffer out s.post;
+  write post_section out sys;
   finish_image out
 
 (* The count is bumped {e before} serializing, so the image already
@@ -1093,7 +1211,8 @@ let parse_header ~kind ~prev ~broken image =
   if n < header_len then raise (Fail Truncated);
   let r = { data = image; pos = String.length kind } in
   let v = r_int r in
-  if v <> version then raise (Fail (Bad_version { expected = version; got = v }));
+  if v <> version then
+    raise (Fail (Bad_version { expected = version; got = v }));
   let len = r_int r in
   let sum = r_int r in
   if len < 0 then corrupt "negative payload length";
@@ -1108,80 +1227,15 @@ let parse_full image =
     ~broken:(Corrupt "full image names a predecessor")
     image
 
-(* The one page reader, over [mem_size] words.  [word a w] sees every
-   listed word in ascending address order; the records come back for
-   folding. *)
-let r_pages r ~mem_size ~word =
-  let last = ref (-1) in
-  r_list
-    (fun r ->
-      let pageno = r_int r in
-      if pageno <= !last || pageno > (mem_size - 1) / Hw.Memory.page_words
-      then corrupt "pages not ascending or out of range";
-      last := pageno;
-      let base_addr = pageno * Hw.Memory.page_words in
-      let words = min Hw.Memory.page_words (mem_size - base_addr) in
-      if r_int r <> words then corrupt "wrong page length";
-      let nnz = r_count ~width:16 r "page word count" in
-      let off = r.pos in
-      let prev = ref (-1) in
-      for _ = 1 to nnz do
-        let o = r_int r in
-        let w = r_int r in
-        if o <= !prev || o >= words then corrupt "page words not ascending";
-        if w = 0 then corrupt "zero word in a sparse page";
-        word (base_addr + o) w;
-        prev := o
-      done;
-      { pageno; words; nnz; src = r.data; off })
-    r
-
 (* A frame read whole, nothing applied: what [flatten] folds and
    [rebase] anchors on. *)
 let r_frame r =
-  let pre = r_str r in
+  let pre = str.r r in
   let mem_size = r_int r in
   if mem_size < 0 then corrupt "negative memory size";
-  let pages = r_pages r ~mem_size ~word:(fun _ _ -> ()) in
+  let pages = (pages ~mem_size ~word:(fun _ _ -> ())).r r in
   let post = String.sub r.data r.pos (String.length r.data - r.pos) in
   { pre; mem_size; pages; post }
-
-let apply_counters r (c : Trace.Counters.t) =
-  let fields = r_list (r_pair r_str r_int) r in
-  match Trace.Counters.of_fields fields with
-  | Ok snap -> Trace.Counters.restore c snap
-  | Error msg -> corrupt msg
-
-let apply_machine_pre r (m : Isa.Machine.t) =
-  if r_int r <> mode_tag m then shape "machine mode differs";
-  if r_int r <> rule_tag m then shape "stack rule differs";
-  if r_bool r <> m.Isa.Machine.gate_on_same_ring then
-    shape "gate-on-same-ring ablation differs";
-  if r_bool r <> m.Isa.Machine.use_r1_in_indirection then
-    shape "R1-in-indirection ablation differs";
-  Hw.Registers.restore m.Isa.Machine.regs ~from:(r_regs r);
-  m.Isa.Machine.halted <- r_bool r;
-  m.Isa.Machine.saved <-
-    r_opt
-      (fun r ->
-        let regs = r_regs r in
-        let fault = r_fault r in
-        { Isa.Machine.regs; fault })
-      r;
-  m.Isa.Machine.timer <- Isa.Machine.countdown_of_option (r_countdown r);
-  m.Isa.Machine.io_countdown <-
-    Isa.Machine.countdown_of_option (r_countdown r);
-  m.Isa.Machine.io_request <- r_opt r_io_request r;
-  m.Isa.Machine.inhibit <- r_bool r;
-  m.Isa.Machine.trap_config <-
-    r_opt
-      (fun r ->
-        let vector_base = r_addr r in
-        let conditions_base = r_addr r in
-        { Isa.Machine.vector_base; conditions_base })
-      r;
-  m.Isa.Machine.degraded <- r_bool r;
-  m.Isa.Machine.io_fail_pending <- r_bool r
 
 (* Memory, in one pass: every listed word is read and set, and the
    unlisted words are zeroed only in the pages that can hold something
@@ -1219,189 +1273,14 @@ let apply_memory r mem ~sum =
         end
     | _ -> ()
   in
-  let (_ : page list) =
-    r_pages r ~mem_size ~word:(fun a w ->
-        zero_to a;
-        set a w;
-        next := a + 1)
+  let word a w =
+    zero_to a;
+    set a w;
+    next := a + 1
   in
+  let (_ : page list) = (pages ~mem_size ~word).r r in
   zero_to mem_size;
   Hw.Memory.set_anchor mem sum
-
-let apply_machine_post r (m : Isa.Machine.t) =
-  (* SDW tag-store population: every key present, every value absent —
-     exactly the state [quiesce] leaves behind. *)
-  let keys = r_list r_int r in
-  Hashtbl.reset m.Isa.Machine.sdw_tags;
-  List.iter
-    (fun k -> Hashtbl.replace m.Isa.Machine.sdw_tags k Hw.Sdw.absent)
-    keys;
-  (match (r_opt r_inject_dump r, m.Isa.Machine.injector) with
-  | None, None -> ()
-  | Some d, Some i -> (
-      try Hw.Inject.restore i d
-      with Invalid_argument msg -> shape msg)
-  | Some _, None -> shape "image has a fault injector, this run does not"
-  | None, Some _ -> shape "this run has a fault injector, the image does not");
-  (* Capability state.  The tag re-application must come after the
-     memory pass: restoring a word goes through [write_silent], which
-     clears its tag, so tags written earlier would be erased. *)
-  let mem = m.Isa.Machine.mem in
-  if r_bool r <> Hw.Memory.tags_enabled mem then
-    shape "capability tag store presence differs";
-  let tagged = r_list r_int r in
-  if Hw.Memory.tags_enabled mem then begin
-    Hw.Memory.clear_tags mem;
-    List.iter
-      (fun a ->
-        if a < 0 || a >= Hw.Memory.size mem then
-          corrupt "tag address out of range";
-        Hw.Memory.set_tag mem a)
-      tagged
-  end
-  else if tagged <> [] then corrupt "tagged words without a tag store";
-  m.Isa.Machine.cap_stack <-
-    r_list
-      (fun r ->
-        let sr_otype = r_int r in
-        let sr_segno = r_int r in
-        let sr_wordno = r_int r in
-        { Cap.Capability.sr_otype; sr_segno; sr_wordno })
-      r
-
-let apply_trace r (m : Isa.Machine.t) =
-  Trace.Event.set_enabled m.Isa.Machine.log (r_bool r);
-  let d_entries = r_list r_stamped r in
-  let d_next_seq = r_int r in
-  let d_dropped = r_int r in
-  let d_sampled_out = r_int r in
-  let d_high_water = r_int r in
-  let d_sample_interval = r_int r in
-  let d_sample_seed = r_int r in
-  let d_instr_interval = r_int r in
-  Trace.Event.restore m.Isa.Machine.log
-    {
-      Trace.Event.d_entries;
-      d_next_seq;
-      d_dropped;
-      d_sampled_out;
-      d_high_water;
-      d_sample_interval;
-      d_sample_seed;
-      d_instr_interval;
-    };
-  Trace.Span.set_enabled m.Isa.Machine.spans (r_bool r);
-  let dump_stack = r_list r_open_span r in
-  let dump_next_seq = r_int r in
-  let dump_completed = r_list r_completed r in
-  let dump_dropped = r_int r in
-  let dump_unmatched = r_int r in
-  let dump_sampled_out = r_int r in
-  let dump_sample_interval = r_int r in
-  let dump_sample_seed = r_int r in
-  let dump_hists = r_array r_hist r in
-  Trace.Span.restore m.Isa.Machine.spans
-    {
-      Trace.Span.dump_stack;
-      dump_next_seq;
-      dump_completed;
-      dump_dropped;
-      dump_unmatched;
-      dump_sampled_out;
-      dump_sample_interval;
-      dump_sample_seed;
-      dump_hists;
-    };
-  Trace.Profile.set_enabled m.Isa.Machine.profile (r_bool r);
-  let ring_cycles = r_int_array r in
-  let ring_instructions = r_int_array r in
-  let segments =
-    r_list
-      (fun r ->
-        let segno = r_int r in
-        let cycles = r_int r in
-        let instructions = r_int r in
-        (segno, cycles, instructions))
-      r
-  in
-  let kernel_cycles = r_int r in
-  Trace.Profile.restore m.Isa.Machine.profile
-    (ring_cycles, ring_instructions, segments, kernel_cycles)
-
-let apply_process r (p : Process.t) =
-  if not (String.equal (r_str r) p.Process.user) then shape "process user differs";
-  let ndbr = r_int r in
-  if ndbr <> Array.length p.Process.descsegs then
-    shape "descriptor-segment count differs";
-  for i = 0 to ndbr - 1 do
-    if r_dbr r <> p.Process.descsegs.(i) then
-      shape (Printf.sprintf "descriptor segment %d differs" i)
-  done;
-  let ring_data = r_list (r_pair r_int r_access) r in
-  Hashtbl.reset p.Process.ring_data;
-  List.iter (fun (k, v) -> Hashtbl.replace p.Process.ring_data k v) ring_data;
-  let placement = r_list (r_pair r_int r_placement) r in
-  Hashtbl.reset p.Process.placement;
-  List.iter (fun (k, v) -> Hashtbl.replace p.Process.placement k v) placement;
-  p.Process.loaded <- r_list r_loaded r;
-  p.Process.next_segno <- r_int r;
-  p.Process.next_free <- r_int r;
-  (match (r_opt (fun r -> r) r, p.Process.paging) with
-  | None, None -> ()
-  | Some r, Some ps ->
-      ps.Process.free_frames <- r_list r_int r;
-      ps.Process.resident <-
-        r_list
-          (fun r ->
-            let frame = r_int r in
-            let segno = r_int r in
-            let pageno = r_int r in
-            (frame, segno, pageno))
-          r;
-      let backing = r_list (r_pair r_int r_int_array) r in
-      Hashtbl.reset ps.Process.backing;
-      List.iter
-        (fun (segno, contents) ->
-          Hashtbl.replace ps.Process.backing segno contents)
-        backing
-  | Some _, None -> shape "image process is demand-paged, this one is not"
-  | None, Some _ -> shape "this process is demand-paged, the image's is not");
-  p.Process.crossings <- r_list r_crossing r;
-  p.Process.fault_count <- r_int r;
-  p.Process.io_attempts <- r_int r;
-  if r_bool r then corrupt "directory search rules are not snapshottable";
-  let input = r_list r_int r in
-  let output = r_list r_int r in
-  let next_seq = r_int r in
-  Device.restore p.Process.typewriter (input, output, next_seq)
-
-let apply_entry r (e : System.entry) =
-  if not (String.equal (r_str r) e.System.pname) then
-    shape "process names differ";
-  e.System.status <-
-    (match r_int r with
-    | 0 -> System.Ready
-    | 1 -> System.Blocked
-    | 2 -> System.Done (r_exit r)
-    | n -> corrupt (Printf.sprintf "bad status tag %d" n));
-  e.System.saved_regs <- r_regs r;
-  let countdown = r_countdown r in
-  let request = r_opt r_io_request r in
-  e.System.saved_io <- (countdown, request);
-  e.System.stalled <- r_int r;
-  apply_process r e.System.process
-
-let apply_system r sys =
-  System.set_slices sys (r_int r);
-  System.set_finished_log sys (r_list (r_pair r_str r_exit) r);
-  let rotation = r_list r_str r in
-  let known pname = List.exists (fun (e : System.entry) -> String.equal e.System.pname pname) (System.entries sys) in
-  List.iter (fun pname -> if not (known pname) then shape (Printf.sprintf "rotation names unknown process %s" pname)) rotation;
-  System.set_rotation sys rotation;
-  let n = r_int r in
-  let entries = System.entries sys in
-  if n <> List.length entries then shape "process count differs";
-  List.iter (apply_entry r) entries
 
 (* The one apply, shared by [warm_boot] and [restore]: a full image
    laid over the live system, in payload order. *)
@@ -1412,14 +1291,11 @@ let apply sys image =
      left behind; the apply rebuilds the exact quiesced state the
      image was captured in. *)
   Isa.Machine.quiesce m;
-  let pre = { data = r_str r; pos = 0 } in
-  apply_counters pre m.Isa.Machine.counters;
-  apply_machine_pre pre m;
+  let pre = { data = str.r r; pos = 0 } in
+  read pre_section pre m;
   if pre.pos <> String.length pre.data then corrupt "unconsumed pre section";
   apply_memory r m.Isa.Machine.mem ~sum;
-  apply_machine_post r m;
-  apply_trace r m;
-  apply_system r sys;
+  read post_section r sys;
   if r.pos <> String.length r.data then corrupt "unconsumed payload"
 
 let decode f =

@@ -23,7 +23,7 @@ let spinner = one_tenant ~kind:"quota-spin" "start:  tra start\n"
 
 let run_spinner ~cycles =
   let quota = { Os.Arena.default_quota with cycles } in
-  Os.Arena.run ~quota ~seed:1 spinner
+  Serve.Tenants.run_sharded ~shards:1 ~quota ~seed:1 spinner
 
 let the_bill (r : Os.Arena.report) =
   match r.Os.Arena.bills with
@@ -70,14 +70,14 @@ let test_mem_quota_admission () =
     one_tenant ~kind:"mem-hog" "start:  mme =2\nbig:    .zero 600\n"
   in
   let quota = { Os.Arena.default_quota with mem = 512 } in
-  let b = the_bill (Os.Arena.run ~quota ~seed:1 hog) in
+  let b = the_bill (Serve.Tenants.run_sharded ~shards:1 ~quota ~seed:1 hog) in
   Alcotest.(check string)
     "verdict" "quarantined: memory quota" b.Os.Arena.verdict;
   Alcotest.(check int)
     "never ran" 0 b.Os.Arena.usage.Trace.Counters.instructions;
   (* The same program under a roomier quota completes. *)
   let quota = { Os.Arena.default_quota with mem = 2_048 } in
-  let b = the_bill (Os.Arena.run ~quota ~seed:1 hog) in
+  let b = the_bill (Serve.Tenants.run_sharded ~shards:1 ~quota ~seed:1 hog) in
   Alcotest.(check string) "fits and completes" "ok" b.Os.Arena.verdict
 
 (* A ring-0 tenant hammering the channel trips the io quota. *)
@@ -90,7 +90,9 @@ let test_io_quota () =
       "start:  sioc\n        tra start\n"
   in
   let quota = { Os.Arena.default_quota with io = 8 } in
-  let b = the_bill (Os.Arena.run ~quota ~seed:1 churner) in
+  let b =
+    the_bill (Serve.Tenants.run_sharded ~shards:1 ~quota ~seed:1 churner)
+  in
   Alcotest.(check string) "verdict" "quarantined: io quota" b.Os.Arena.verdict;
   Alcotest.(check bool)
     "billed more channel ops than the quota" true
@@ -100,7 +102,7 @@ let test_io_quota () =
    spinner's wave still complete, and the wave audits stay clean. *)
 let test_survivors_degrade_gracefully () =
   let tenants = Serve.Tenants.generate ~seed:42 ~tenants:16 () in
-  let r = Os.Arena.run ~seed:42 tenants in
+  let r = Serve.Tenants.run_sharded ~shards:1 ~seed:42 tenants in
   Alcotest.(check (list string)) "no violations" [] r.Os.Arena.violations;
   Alcotest.(check int) "all billed" 16 r.Os.Arena.tenants;
   Alcotest.(check bool) "some tenant quarantined" true
@@ -131,11 +133,11 @@ let test_survivors_degrade_gracefully () =
    the full JSON report, not just totals. *)
 let test_billing_deterministic () =
   let tenants = Serve.Tenants.generate ~seed:7 ~tenants:24 () in
-  let sequential = Os.Arena.run ~seed:7 tenants in
-  let again = Os.Arena.run ~seed:7 tenants in
+  let one = Serve.Tenants.run_sharded ~shards:1 ~seed:7 tenants in
+  let again = Serve.Tenants.run_sharded ~shards:1 ~seed:7 tenants in
   let two = Serve.Tenants.run_sharded ~shards:2 ~seed:7 tenants in
   let four = Serve.Tenants.run_sharded ~shards:4 ~seed:7 tenants in
-  let json = Os.Arena.report_json sequential in
+  let json = Os.Arena.report_json one in
   Alcotest.(check string) "rerun" json (Os.Arena.report_json again);
   Alcotest.(check string) "2 shards" json (Os.Arena.report_json two);
   Alcotest.(check string) "4 shards" json (Os.Arena.report_json four)
@@ -165,8 +167,8 @@ let test_generator () =
 let test_with_injection () =
   let tenants = Serve.Tenants.generate ~seed:11 ~tenants:8 () in
   let inject = Hw.Inject.default_plan ~seed:11 in
-  let r = Os.Arena.run ~inject ~seed:11 tenants in
-  let again = Os.Arena.run ~inject ~seed:11 tenants in
+  let r = Serve.Tenants.run_sharded ~shards:1 ~inject ~seed:11 tenants in
+  let again = Serve.Tenants.run_sharded ~shards:1 ~inject ~seed:11 tenants in
   Alcotest.(check (list string)) "no violations" [] r.Os.Arena.violations;
   Alcotest.(check string) "deterministic under injection"
     (Os.Arena.report_json r)

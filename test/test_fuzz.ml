@@ -433,7 +433,7 @@ let prop_arena_never_leaks =
       let tenants =
         Serve.Tenants.generate ~seed ~tenants:(8 + (seed mod 9)) ()
       in
-      let r = Os.Arena.run ~seed tenants in
+      let r = Serve.Tenants.run_sharded ~shards:1 ~seed tenants in
       r.Os.Arena.violations = [] && r.Os.Arena.audits > 0
       && List.for_all
            (fun (b : Os.Arena.bill) ->
