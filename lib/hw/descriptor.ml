@@ -19,7 +19,7 @@ let fetch_sdw_silent mem (dbr : Registers.dbr) ~segno =
         else Error (Rings.Fault.Missing_segment { segno })
 
 let fetch_sdw mem (dbr : Registers.dbr) ~segno =
-  Trace.Counters.bump_sdw_fetches (Memory.counters mem);
+  Trace.Counters.(incr (Memory.counters mem) sdw_fetches);
   Trace.Counters.charge (Memory.counters mem) Costs.sdw_fetch;
   fetch_sdw_silent mem dbr ~segno
 
@@ -53,7 +53,7 @@ let translate_paged mem (sdw : Sdw.t) ~segno ~wordno =
     Error (Rings.Fault.Bound_violation { segno; wordno; bound = sdw.bound })
   else begin
     let pageno = Paging.page_of_wordno wordno in
-    Trace.Counters.bump_ptw_fetches (Memory.counters mem);
+    Trace.Counters.(incr (Memory.counters mem) ptw_fetches);
     let ptw = Paging.decode_ptw (Memory.read mem (sdw.base + pageno)) in
     if ptw.Paging.present then
       Ok (ptw.Paging.frame_base + Paging.offset_in_page wordno)

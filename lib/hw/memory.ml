@@ -65,12 +65,12 @@ let write_silent t addr w =
   t.on_write addr
 
 let read t addr =
-  Trace.Counters.bump_memory_reads t.counters;
+  Trace.Counters.(incr t.counters memory_reads);
   Trace.Counters.charge t.counters Costs.memory_access;
   read_silent t addr
 
 let write t addr w =
-  Trace.Counters.bump_memory_writes t.counters;
+  Trace.Counters.(incr t.counters memory_writes);
   Trace.Counters.charge t.counters Costs.memory_access;
   write_silent t addr w
 

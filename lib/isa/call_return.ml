@@ -58,7 +58,7 @@ let hardware_call m ~effective ~(addr : Hw.Addr.t) =
           ~wordno:addr.Hw.Addr.wordno ~same_segment
       with
       | Error (Rings.Fault.Upward_call _ as f) ->
-          Trace.Counters.bump_calls_upward m.Machine.counters;
+          Trace.Counters.(incr m.Machine.counters calls_upward);
           Error f
       | Error _ as e -> e
       | Ok { Rings.Call.new_ring; crossing; via_gate = _ } -> (
@@ -81,11 +81,11 @@ let hardware_call m ~effective ~(addr : Hw.Addr.t) =
               set_stack_base_pr m ~new_ring ~stack_segno;
               (match crossing with
               | Rings.Call.Same_ring ->
-                  Trace.Counters.bump_calls_same_ring m.Machine.counters;
+                  Trace.Counters.(incr m.Machine.counters calls_same_ring);
                   record_call m ~crossing:Trace.Event.Same_ring
                     ~from_ring:exec ~to_ring:new_ring addr
               | Rings.Call.Downward ->
-                  Trace.Counters.bump_calls_downward m.Machine.counters;
+                  Trace.Counters.(incr m.Machine.counters calls_downward);
                   record_call m ~crossing:Trace.Event.Downward
                     ~from_ring:exec ~to_ring:new_ring addr);
               Hw.Registers.set_ipr_at regs ~ring:new_ring
@@ -110,11 +110,11 @@ let hardware_retn m ~effective ~(addr : Hw.Addr.t) =
                 Hw.Registers.maximize_pr_rings regs new_ring;
               (match crossing with
               | Rings.Return_op.Same_ring ->
-                  Trace.Counters.bump_returns_same_ring m.Machine.counters;
+                  Trace.Counters.(incr m.Machine.counters returns_same_ring);
                   record_return m ~crossing:Trace.Event.Same_ring
                     ~from_ring:exec ~to_ring:new_ring addr
               | Rings.Return_op.Upward ->
-                  Trace.Counters.bump_returns_upward m.Machine.counters;
+                  Trace.Counters.(incr m.Machine.counters returns_upward);
                   record_return m ~crossing:Trace.Event.Upward
                     ~from_ring:exec ~to_ring:new_ring addr);
               Hw.Registers.set_ipr_at regs ~ring:new_ring
@@ -150,7 +150,7 @@ let capability_call m ~effective ~(addr : Hw.Addr.t) =
           ~wordno:addr.Hw.Addr.wordno ~same_segment
       with
       | Error (Rings.Fault.Upward_call _ as f) ->
-          Trace.Counters.bump_calls_upward m.Machine.counters;
+          Trace.Counters.(incr m.Machine.counters calls_upward);
           Error f
       | Error f -> Error (Rings.Backend.cap_fault_of f)
       | Ok { Rings.Call.new_ring; crossing; via_gate = _ } -> (
@@ -173,7 +173,7 @@ let capability_call m ~effective ~(addr : Hw.Addr.t) =
               set_stack_base_pr m ~new_ring ~stack_segno;
               (match crossing with
               | Rings.Call.Same_ring ->
-                  Trace.Counters.bump_calls_same_ring m.Machine.counters;
+                  Trace.Counters.(incr m.Machine.counters calls_same_ring);
                   record_call m ~crossing:Trace.Event.Same_ring
                     ~from_ring:exec ~to_ring:new_ring addr
               | Rings.Call.Downward ->
@@ -187,7 +187,7 @@ let capability_call m ~effective ~(addr : Hw.Addr.t) =
                       ~segno:regs.Hw.Registers.ipr_segno
                       ~wordno:regs.Hw.Registers.ipr_wordno
                     :: m.Machine.cap_stack;
-                  Trace.Counters.bump_calls_downward m.Machine.counters;
+                  Trace.Counters.(incr m.Machine.counters calls_downward);
                   record_call m ~crossing:Trace.Event.Downward
                     ~from_ring:exec ~to_ring:new_ring addr);
               Hw.Registers.set_ipr_at regs ~ring:new_ring
@@ -212,7 +212,7 @@ let capability_retn m ~effective ~(addr : Hw.Addr.t) =
                 Hw.Registers.maximize_pr_rings regs new_ring;
               (match crossing with
               | Rings.Return_op.Same_ring ->
-                  Trace.Counters.bump_returns_same_ring m.Machine.counters;
+                  Trace.Counters.(incr m.Machine.counters returns_same_ring);
                   record_return m ~crossing:Trace.Event.Same_ring
                     ~from_ring:exec ~to_ring:new_ring addr
               | Rings.Return_op.Upward ->
@@ -229,7 +229,7 @@ let capability_retn m ~effective ~(addr : Hw.Addr.t) =
                          <> None ->
                       m.Machine.cap_stack <- rest
                   | _ -> ());
-                  Trace.Counters.bump_returns_upward m.Machine.counters;
+                  Trace.Counters.(incr m.Machine.counters returns_upward);
                   record_return m ~crossing:Trace.Event.Upward
                     ~from_ring:exec ~to_ring:new_ring addr);
               Hw.Registers.set_ipr_at regs ~ring:new_ring
@@ -260,7 +260,7 @@ let software_transfer m ~is_call ~(addr : Hw.Addr.t) =
                { segno = addr.Hw.Addr.segno; wordno = addr.Hw.Addr.wordno })
       | Ok () ->
           if is_call then begin
-            Trace.Counters.bump_calls_same_ring m.Machine.counters;
+            Trace.Counters.(incr m.Machine.counters calls_same_ring);
             let stack_segno =
               (Hw.Registers.get_pr regs Hw.Registers.pr_stack)
                 .Hw.Registers.addr
@@ -271,7 +271,7 @@ let software_transfer m ~is_call ~(addr : Hw.Addr.t) =
               ~to_ring:ring addr
           end
           else begin
-            Trace.Counters.bump_returns_same_ring m.Machine.counters;
+            Trace.Counters.(incr m.Machine.counters returns_same_ring);
             record_return m ~crossing:Trace.Event.Same_ring ~from_ring:ring
               ~to_ring:ring addr
           end;

@@ -30,7 +30,7 @@ let rec indirect m ~depth ~effective ~segno ~wordno =
       match Machine.validate_read m sdw ~effective with
       | Error _ as e -> e
       | Ok () ->
-          Trace.Counters.bump_indirections m.Machine.counters;
+          Trace.Counters.(incr m.Machine.counters indirections);
           let ind = Hw.Memory.read m.Machine.mem abs in
           let effective =
             match m.Machine.mode with

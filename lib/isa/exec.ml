@@ -257,7 +257,7 @@ let execute m (instr : Instr.t) =
          trap.  What matters for the reproduction is that SIOC is
          ring-0-only and that completions are one of the trap
          sources. *)
-      Trace.Counters.bump_channel_ops m.Machine.counters;
+      Trace.Counters.(incr m.Machine.counters channel_ops);
       m.Machine.io_countdown <- 20;
       ok
   | Opcode.SIOT -> (
@@ -280,7 +280,7 @@ let execute m (instr : Instr.t) =
                   else `Write
                 in
                 let count = Hw.Word.field ~pos:0 ~width:17 w1 in
-                Trace.Counters.bump_channel_ops m.Machine.counters;
+                Trace.Counters.(incr m.Machine.counters channel_ops);
                 m.Machine.io_request <-
                   Some { Machine.ccw = addr; buffer; direction; count };
                 m.Machine.io_countdown <- 20 + (2 * count);

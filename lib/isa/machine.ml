@@ -389,7 +389,7 @@ let host_insert_sdw t ~base ~segno key sdw =
   if not t.degraded then
     (match Hw.Assoc.insert t.sdw_cache key sdw with
     | None -> ()
-    | Some _ -> Trace.Counters.bump_sdw_cache_evictions t.counters);
+    | Some _ -> Trace.Counters.(incr t.counters sdw_cache_evictions));
   (* The watches stay armed even degraded: the modeled tag store keeps
      carrying host decodes, and those must still heal on descriptor
      writes. *)
@@ -446,7 +446,7 @@ let check_sdw_tags t (dbr : Hw.Registers.dbr) ~segno =
    refetch silently and heal the tag.  The modeled activity is the hit
    already bumped by the caller — nothing further is charged. *)
 let refill_tag t dbr ~base ~segno key =
-  Trace.Counters.bump_sdw_cache_misses t.counters;
+  Trace.Counters.(incr t.counters sdw_cache_misses);
   match Hw.Descriptor.fetch_sdw_silent t.mem dbr ~segno with
   | Error _ as e -> e
   | Ok sdw -> (
@@ -470,8 +470,8 @@ let fetch_sdw_miss t dbr ~base ~segno key =
          bump and charge, then the two SDW words from core.  (The
          bound guard mirrors the walk's own check — a shrunk DBR bound
          must still fault.) *)
-      Trace.Counters.bump_sdw_cache_hits t.counters;
-      Trace.Counters.bump_sdw_fetches t.counters;
+      Trace.Counters.(incr t.counters sdw_cache_hits);
+      Trace.Counters.(incr t.counters sdw_fetches);
       Trace.Counters.charge t.counters Hw.Costs.sdw_fetch;
       Trace.Counters.charge t.counters (2 * Hw.Costs.memory_access);
       tag_insert t key sdw;
@@ -480,7 +480,7 @@ let fetch_sdw_miss t dbr ~base ~segno key =
       host_insert_sdw t ~base ~segno key sdw;
       Ok sdw
   | _ | exception Not_found -> (
-      Trace.Counters.bump_sdw_cache_misses t.counters;
+      Trace.Counters.(incr t.counters sdw_cache_misses);
       match Hw.Descriptor.fetch_sdw t.mem dbr ~segno with
       | Error _ as e -> e
       | Ok sdw -> (
@@ -500,11 +500,11 @@ let fetch_sdw t ~segno =
   match Hashtbl.find t.sdw_tags key with
   | sdw when sdw != Hw.Sdw.absent ->
       (* Modeled hit with a coherent host decode — the hot path. *)
-      Trace.Counters.bump_sdw_fetches t.counters;
-      Trace.Counters.bump_sdw_cache_hits t.counters;
+      Trace.Counters.(incr t.counters sdw_fetches);
+      Trace.Counters.(incr t.counters sdw_cache_hits);
       Ok sdw
   | _ ->
-      Trace.Counters.bump_sdw_fetches t.counters;
+      Trace.Counters.(incr t.counters sdw_fetches);
       refill_tag t dbr ~base ~segno key
   | exception Not_found -> fetch_sdw_miss t dbr ~base ~segno key
 
@@ -539,8 +539,8 @@ let translate_paged_cached t (sdw : Hw.Sdw.t) ~segno ~wordno =
     Error (Rings.Fault.Bound_violation { segno; wordno; bound = sdw.Hw.Sdw.bound })
   else begin
     let pageno = Hw.Paging.page_of_wordno wordno in
-    Trace.Counters.bump_ptw_fetches t.counters;
-    Trace.Counters.bump_memory_reads t.counters;
+    Trace.Counters.(incr t.counters ptw_fetches);
+    Trace.Counters.(incr t.counters memory_reads);
     Trace.Counters.charge t.counters Hw.Costs.memory_access;
     let key =
       ptw_key ~base:t.regs.Hw.Registers.dbr.Hw.Registers.base ~segno ~pageno
@@ -550,10 +550,10 @@ let translate_paged_cached t (sdw : Hw.Sdw.t) ~segno ~wordno =
       else Hw.Assoc.find t.ptw_tlb key
     with
     | v ->
-        Trace.Counters.bump_ptw_tlb_hits t.counters;
+        Trace.Counters.(incr t.counters ptw_tlb_hits);
         Ok (ptw_value_frame v + Hw.Paging.offset_in_page wordno)
     | exception Not_found ->
-        Trace.Counters.bump_ptw_tlb_misses t.counters;
+        Trace.Counters.(incr t.counters ptw_tlb_misses);
         let waddr = sdw.Hw.Sdw.base + pageno in
         let ptw = Hw.Paging.decode_ptw (Hw.Memory.read_silent t.mem waddr) in
         if ptw.Hw.Paging.present then begin
@@ -567,7 +567,7 @@ let translate_paged_cached t (sdw : Hw.Sdw.t) ~segno ~wordno =
                 (* The evicted entry's page-table word stays watched:
                    cached fetches may still depend on it, and a stale
                    watch costs one harmless observer firing. *)
-                Trace.Counters.bump_ptw_tlb_evictions t.counters);
+                Trace.Counters.(incr t.counters ptw_tlb_evictions));
             watch t ~bit:bit_ptw t.ptw_watch waddr key
           end;
           Ok (frame + Hw.Paging.offset_in_page wordno)
@@ -608,13 +608,13 @@ let resolve_at t ~segno ~wordno =
     let e = Array.unsafe_get t.resolve_entries i in
     if e.r_gen = t.fetch_gen then begin
       let c = t.counters in
-      Trace.Counters.bump_sdw_fetches c;
-      Trace.Counters.bump_sdw_cache_hits c;
+      Trace.Counters.(incr c sdw_fetches);
+      Trace.Counters.(incr c sdw_cache_hits);
       if e.r_paged then begin
-        Trace.Counters.bump_ptw_fetches c;
-        Trace.Counters.bump_memory_reads c;
+        Trace.Counters.(incr c ptw_fetches);
+        Trace.Counters.(incr c memory_reads);
         Trace.Counters.charge c Hw.Costs.memory_access;
-        Trace.Counters.bump_ptw_tlb_hits c
+        Trace.Counters.(incr c ptw_tlb_hits)
       end;
       e.r_res
     end
@@ -631,23 +631,23 @@ let resolve t (addr : Hw.Addr.t) =
    the word read and re-decode.  The write observer drops entries for
    stored-to addresses, so self-modifying code decodes the new word. *)
 let fetch_decoded t abs =
-  Trace.Counters.bump_memory_reads t.counters;
+  Trace.Counters.(incr t.counters memory_reads);
   Trace.Counters.charge t.counters Hw.Costs.memory_access;
   match
     if t.degraded then raise_notrace Not_found else Hw.Assoc.find t.icache abs
   with
   | instr ->
-      Trace.Counters.bump_icache_hits t.counters;
+      Trace.Counters.(incr t.counters icache_hits);
       Ok instr
   | exception Not_found -> (
-      Trace.Counters.bump_icache_misses t.counters;
+      Trace.Counters.(incr t.counters icache_misses);
       match Instr.decode (Hw.Memory.read_silent t.mem abs) with
       | Error _ as e -> e
       | Ok instr ->
           if not t.degraded then begin
             (match Hw.Assoc.insert t.icache abs instr with
             | None -> ()
-            | Some _ -> Trace.Counters.bump_icache_evictions t.counters);
+            | Some _ -> Trace.Counters.(incr t.counters icache_evictions));
             Bytes.unsafe_set t.watched abs
               (Char.unsafe_chr
                  (Char.code (Bytes.unsafe_get t.watched abs) lor bit_icache))
@@ -712,18 +712,18 @@ let fetch_instr t =
     let e = Array.unsafe_get t.fetch_entries i in
     if e.f_gen = t.fetch_gen then begin
       let c = t.counters in
-      Trace.Counters.bump_sdw_fetches c;
-      Trace.Counters.bump_sdw_cache_hits c;
+      Trace.Counters.(incr c sdw_fetches);
+      Trace.Counters.(incr c sdw_cache_hits);
       if e.f_paged then begin
         (* The walk's PTW retrieval: one counted, charged core read. *)
-        Trace.Counters.bump_ptw_fetches c;
-        Trace.Counters.bump_memory_reads c;
+        Trace.Counters.(incr c ptw_fetches);
+        Trace.Counters.(incr c memory_reads);
         Trace.Counters.charge c Hw.Costs.memory_access;
-        Trace.Counters.bump_ptw_tlb_hits c
+        Trace.Counters.(incr c ptw_tlb_hits)
       end;
-      Trace.Counters.bump_memory_reads c;
+      Trace.Counters.(incr c memory_reads);
       Trace.Counters.charge c Hw.Costs.memory_access;
-      Trace.Counters.bump_icache_hits c;
+      Trace.Counters.(incr c icache_hits);
       e.f_res
     end
     else fetch_instr_slow t ~ring ~segno ~wordno key
@@ -740,9 +740,9 @@ let validate_transfer t (sdw : Hw.Sdw.t) ~exec ~effective =
   Rings.Backend.validate_transfer t.backend sdw.access ~exec ~effective
 
 let take_fault t ~ring:saved_ring ~segno ~wordno fault =
-  Trace.Counters.bump_traps t.counters;
+  Trace.Counters.(incr t.counters traps);
   if Rings.Fault.is_access_violation fault then
-    Trace.Counters.bump_access_violations t.counters;
+    Trace.Counters.(incr t.counters access_violations);
   Trace.Counters.charge t.counters Hw.Costs.trap_entry;
   if Trace.Event.enabled t.log then
     Trace.Event.record_trap t.log
@@ -821,7 +821,7 @@ let drop_host_caches t =
 let degrade t =
   if not t.degraded then begin
     t.degraded <- true;
-    Trace.Counters.bump_degraded t.counters;
+    Trace.Counters.(incr t.counters degraded);
     drop_host_caches t
   end
 
@@ -856,7 +856,7 @@ let poll_injection t =
       with
       | None -> None
       | Some ev -> (
-          Trace.Counters.bump_injected t.counters;
+          Trace.Counters.(incr t.counters injected);
           match ev with
           | Hw.Inject.Deliver_parity { addr; transient = _ } ->
               Some (Rings.Fault.Parity_error { addr })

@@ -56,6 +56,7 @@ type bill = {
   ring : int;
   mem_words : int;
   usage : Trace.Counters.snapshot;
+  faults : int;
   exit : string;
   verdict : string;
 }
@@ -70,9 +71,9 @@ type wave_result = {
 (* What counts against the fault quota: damage the kernel had to act
    on for this tenant — access violations, page faults brought in on
    its behalf, and injected faults scrubbed-and-resumed. *)
-let billed_faults (s : Trace.Counters.snapshot) =
-  s.Trace.Counters.access_violations + s.Trace.Counters.page_faults
-  + s.Trace.Counters.recovered
+let billed_faults c =
+  Trace.Counters.(
+    get c access_violations + get c page_faults + get c recovered)
 
 let mem_words_of (p : Process.t) =
   List.fold_left
@@ -178,14 +179,13 @@ let run_wave ?sys ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
       m.Isa.Machine.on_recovery <-
         (fun f -> audit (Format.asprintf "recovery from %a" Rings.Fault.pp f)));
   let ledger = Trace.Ledger.create () in
-  let slice_before = ref (Trace.Counters.snapshot counters) in
   let before_slice (e : System.entry) =
-    slice_before := Trace.Counters.snapshot counters;
+    Trace.Ledger.start ledger counters;
     match Hashtbl.find_opt entry_tenant e.System.pname with
     | None -> ()
     | Some t ->
         let spent =
-          (Trace.Ledger.bill ledger ~tenant:t.id).Trace.Counters.cycles
+          Trace.Counters.cycles (Trace.Ledger.bill ledger ~tenant:t.id)
         in
         let remaining = max 0 (quota.cycles - spent) in
         m.Isa.Machine.cycle_limit <-
@@ -196,9 +196,7 @@ let run_wave ?sys ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
     match Hashtbl.find_opt entry_tenant e.System.pname with
     | None -> ()
     | Some t ->
-        let after = Trace.Counters.snapshot counters in
-        Trace.Ledger.charge ledger ~tenant:t.id
-          (Trace.Counters.diff ~before:!slice_before ~after);
+        Trace.Ledger.charge ledger ~tenant:t.id counters;
         let bill = Trace.Ledger.bill ledger ~tenant:t.id in
         let quarantined_now =
           match e.System.status with
@@ -208,13 +206,13 @@ let run_wave ?sys ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
                 System.quarantine sys e
                   (Rings.Fault.Quota_exhausted { resource; limit })
               in
-              if bill.Trace.Counters.cycles >= quota.cycles then (
+              if Trace.Counters.cycles bill >= quota.cycles then (
                 breach "cycles" quota.cycles;
                 true)
               else if billed_faults bill > quota.faults then (
                 breach "faults" quota.faults;
                 true)
-              else if bill.Trace.Counters.channel_ops > quota.io then (
+              else if Trace.Counters.(get bill channel_ops) > quota.io then (
                 breach "io" quota.io;
                 true)
               else if mem_words_of e.System.process > quota.mem then (
@@ -245,7 +243,7 @@ let run_wave ?sys ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
   let bills =
     List.map
       (fun (t, e) ->
-        let usage = Trace.Ledger.bill ledger ~tenant:t.id in
+        let billed = Trace.Ledger.bill ledger ~tenant:t.id in
         let mem_words, exit =
           match e with
           | None -> (0, Kernel.Gatekeeper_error "spawn failed")
@@ -262,7 +260,8 @@ let run_wave ?sys ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
           adversarial = t.adversarial;
           ring = t.ring;
           mem_words;
-          usage;
+          usage = Trace.Counters.snapshot billed;
+          faults = billed_faults billed;
           exit = exit_text exit;
           verdict = verdict_of_exit exit;
         })
@@ -357,7 +356,7 @@ let report_json r =
          %d, \"io_ops\": %d, \"mem_words\": %d, \"exit\": %a, \"verdict\": %a}"
         b.tenant str b.name str b.kind b.adversarial b.ring
         b.usage.Trace.Counters.cycles b.usage.Trace.Counters.instructions
-        (billed_faults b.usage) b.usage.Trace.Counters.channel_ops b.mem_words
+        b.faults b.usage.Trace.Counters.channel_ops b.mem_words
         str b.exit str b.verdict)
     r.bills;
   Buffer.add_string buf "\n  ]\n}\n";
@@ -397,7 +396,7 @@ let print_table r =
             string_of_int b.ring;
             string_of_int b.usage.Trace.Counters.cycles;
             string_of_int b.usage.Trace.Counters.instructions;
-            string_of_int (billed_faults b.usage);
+            string_of_int b.faults;
             string_of_int b.usage.Trace.Counters.channel_ops;
             string_of_int b.mem_words;
             b.verdict;

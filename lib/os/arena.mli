@@ -77,6 +77,9 @@ type bill = {
           the whole-machine counter deltas while it held the
           processor (including kernel service performed on its
           behalf).  Idle quanta bill nobody. *)
+  faults : int;
+      (** What counted against the fault quota: access violations,
+          page faults and recovered injected faults. *)
   exit : string;  (** {!Kernel.pp_exit} text. *)
   verdict : string;
       (** ["ok"], ["contained"], ["quarantined: <resource> quota"],

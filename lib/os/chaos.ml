@@ -430,11 +430,12 @@ let run_one ?mode ~campaign plan ~quantum ~exits ~violations
       Trace.Histogram.merge_into ~dst:recovery_latency
         (Trace.Span.histogram m.Isa.Machine.spans Trace.Event.Recovery);
       let c = m.Isa.Machine.counters in
-      ( Trace.Counters.injected c,
-        Trace.Counters.retried c,
-        Trace.Counters.recovered c,
-        Trace.Counters.quarantined c,
-        Trace.Counters.degraded c )
+      Trace.Counters.
+        ( get c injected,
+          get c retried,
+          get c recovered,
+          get c quarantined,
+          get c degraded )
   | _ -> (0, 0, 0, 0, 0)
 
 let run_campaigns ?mode ?(campaigns = 10) ?(quantum = 40) plan =

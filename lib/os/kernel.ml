@@ -19,7 +19,7 @@ let close_recovery m =
 (* The two ends of a recovery decision: drop the disrupted computation
    and quarantine the process, or resume it where the fault struck. *)
 let quarantine m fault =
-  Trace.Counters.bump_quarantined m.Isa.Machine.counters;
+  Trace.Counters.(incr m.Isa.Machine.counters quarantined);
   m.Isa.Machine.saved <- None;
   m.Isa.Machine.on_recovery fault;
   Error (Quarantined fault)
@@ -42,7 +42,7 @@ let settle p fault =
   in
   if p.Process.fault_count > budget then quarantine m fault
   else begin
-    Trace.Counters.bump_recovered m.Isa.Machine.counters;
+    Trace.Counters.(incr m.Isa.Machine.counters recovered);
     resume m fault
   end
 
@@ -173,7 +173,7 @@ let handle_fault_inner p fault : (unit, exit) result =
       p.Process.io_attempts <- p.Process.io_attempts + 1;
       if p.Process.io_attempts <= limit && m.Isa.Machine.io_request <> None
       then begin
-        Trace.Counters.bump_retried counters;
+        Trace.Counters.(incr counters retried);
         Trace.Counters.charge counters Costs.io_retry_setup;
         let backoff = 8 lsl p.Process.io_attempts in
         m.Isa.Machine.io_countdown <- backoff;
@@ -186,7 +186,7 @@ let handle_fault_inner p fault : (unit, exit) result =
         resume m fault
       end
       else begin
-        Trace.Counters.bump_quarantined counters;
+        Trace.Counters.(incr counters quarantined);
         close_recovery m;
         m.Isa.Machine.io_request <- None;
         m.Isa.Machine.io_countdown <- Isa.Machine.disarmed;

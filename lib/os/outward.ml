@@ -10,8 +10,8 @@ let ( let* ) = Result.bind
 (* [action] is a thunk so the formatted string is only built when the
    event log is enabled — as in {!Softrings}. *)
 let gatekeeper_event p action =
-  Trace.Counters.bump_gatekeeper_entries
-    p.Process.machine.Isa.Machine.counters;
+  Trace.Counters.(
+    incr p.Process.machine.Isa.Machine.counters gatekeeper_entries);
   let log = p.Process.machine.Isa.Machine.log in
   if Trace.Event.enabled log then
     Trace.Event.record_gatekeeper log ~action:(action ())
@@ -197,7 +197,7 @@ let handle_outward_return p =
       Hw.Registers.set_ipr_at regs ~ring:caller_ring
         ~segno:caller.Hw.Registers.ipr_segno
         ~wordno:((caller.Hw.Registers.ipr_wordno + 1) land Hw.Addr.max_wordno);
-      Trace.Counters.bump_returns_downward m.Isa.Machine.counters;
+      Trace.Counters.(incr m.Isa.Machine.counters returns_downward);
       if Trace.Span.enabled m.Isa.Machine.spans then
         Trace.Span.close_span ~kind:Trace.Event.Upward m.Isa.Machine.spans
           ~cycles:(Trace.Counters.cycles m.Isa.Machine.counters);

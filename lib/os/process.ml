@@ -184,8 +184,8 @@ let create ?(mode = Isa.Machine.Ring_hardware)
         (let d = Device.create () in
          (* Replays skipped on resume are counted, not silently eaten. *)
          Hw.Journal.set_on_skip (Device.journal d) (fun () ->
-             Trace.Counters.bump_journal_replays_skipped
-               machine.Isa.Machine.counters);
+             Trace.Counters.(
+               incr machine.Isa.Machine.counters journal_replays_skipped));
          d);
       search_rules = None;
       crossings = [];
@@ -446,7 +446,8 @@ let switch_descriptor_segment t ring =
       let regs = t.machine.Isa.Machine.regs in
       let target = t.descsegs.(Rings.Ring.to_int ring) in
       if regs.Hw.Registers.dbr <> target then begin
-        Trace.Counters.bump_descriptor_switches t.machine.Isa.Machine.counters;
+        Trace.Counters.(
+          incr t.machine.Isa.Machine.counters descriptor_switches);
         Trace.Counters.charge t.machine.Isa.Machine.counters
           Costs.descriptor_segment_switch;
         if Trace.Event.enabled t.machine.Isa.Machine.log then
@@ -717,7 +718,7 @@ let handle_page_fault t ~segno ~pageno =
             done;
             Hw.Memory.write_silent mem (victim_pt + victim_pageno)
               (Hw.Paging.encode_ptw Hw.Paging.absent_ptw);
-            Trace.Counters.bump_page_evictions counters;
+            Trace.Counters.(incr counters page_evictions);
             Trace.Counters.charge counters Costs.page_transfer;
             Ok victim_frame)
   in
@@ -730,7 +731,7 @@ let handle_page_fault t ~segno ~pageno =
   Hw.Memory.write_silent mem (pt_base + pageno)
     (Hw.Paging.encode_ptw { Hw.Paging.present = true; frame_base = frame });
   ps.resident <- (frame, segno, pageno) :: ps.resident;
-  Trace.Counters.bump_page_faults counters;
+  Trace.Counters.(incr counters page_faults);
   Trace.Counters.charge counters Costs.page_transfer;
   (if Trace.Event.enabled t.machine.Isa.Machine.log then
      Trace.Event.record_gatekeeper t.machine.Isa.Machine.log

@@ -6,7 +6,7 @@
    same cold state in a fresh machine, so a resumed run and the
    uninterrupted one continue from identical footing.
 
-   Layout (format version 5):
+   Layout (format version 6):
 
      magic (8 bytes) | version | payload length | checksum | payload
 
@@ -23,7 +23,12 @@
              | npages | page*   page numbers ascending
              | post             SDW tag population, injector,
                                 capability state, trace, system
+     pre     = counter_sum | ncounters × value | machine-pre
      page    = pageno | len | nnz | nnz × (offset | word)
+
+   [counter_sum] is the checksum of the counter table's ordered names,
+   so the values are read by position, and an image from a build with
+   another counter table is refused as [Corrupt].
 
    A page record is its page's whole content: offsets ascend, words
    are nonzero, and every word it does not list is zero.  A full image
@@ -94,8 +99,9 @@ let delta_magic = "RINGDELT"
    v3: trace section gained the independent instruction-stream sampling
    interval.  v4: machine section gained the capability tag store and
    sealed-return stack.  v5: full images and deltas share one
-   page-wise payload. *)
-let version = 5
+   page-wise payload.  v6: the counters are a fingerprint of their
+   names plus one word each, not a list of named pairs. *)
+let version = 6
 let header_len = 8 + 8 + 8 + 8
 
 (* FNV-1a 64 over [len] bytes of [s] from [off], truncated to OCaml's
@@ -692,12 +698,6 @@ let process_crossing =
     ~into:(fun ((kind, saved, caller_ring), (callee_ring, copy_back)) ->
       { Process.kind; saved; caller_ring; callee_ring; copy_back })
 
-let counters =
-  conv (list (pair str int)) ~from:Trace.Counters.fields ~into:(fun fields ->
-      match Trace.Counters.of_fields fields with
-      | Ok snap -> snap
-      | Error msg -> corrupt msg)
-
 (* {1 In-place sections}
 
    The respawned system already holds most of what an image carries.  A
@@ -992,14 +992,32 @@ let system : System.t field list =
     entries;
   ]
 
+(* The counters: a fingerprint of the table's ordered names, then one
+   word per counter in table order, loaded into the live table whole.
+   An image written by a build with another counter table fails the
+   fingerprint. *)
+let counters : Isa.Machine.t field =
+  let names = String.concat "\n" (Array.to_list Trace.Counters.names) in
+  let fingerprint = checksum names 0 (String.length names) in
+  {
+    save =
+      (fun b m ->
+        w_int b fingerprint;
+        Array.iter (w_int b) (Trace.Counters.values m.Isa.Machine.counters));
+    load =
+      (fun r m ->
+        if r_int r <> fingerprint then corrupt "counter table differs";
+        let v = Array.make (Array.length Trace.Counters.names) 0 in
+        for i = 0 to Array.length v - 1 do
+          v.(i) <- r_int r
+        done;
+        Trace.Counters.load m.Isa.Machine.counters v);
+  }
+
 (* The two sections of the payload, around the memory pages: [pre]
    holds the counters and processor state, [post] the rest of the
    machine, the trace surface and the scheduler. *)
-let pre_section =
-  field counters
-    ~get:(fun m -> Trace.Counters.snapshot m.Isa.Machine.counters)
-    ~set:(fun m snap -> Trace.Counters.restore m.counters snap)
-  :: machine_pre
+let pre_section = counters :: machine_pre
 
 let post_section = part (machine_post @ trace) ~get:System.machine :: system
 
@@ -1167,11 +1185,11 @@ let encode sys ~prev =
    If the capture then fails to produce an image, the bump is rolled
    back — a failed capture must not inflate the counter. *)
 let with_capture_counted (c : Trace.Counters.t) f =
-  let before = Trace.Counters.snapshot c in
-  Trace.Counters.bump_snapshots_written c;
+  let before = Trace.Counters.values c in
+  Trace.Counters.(incr c snapshots_written);
   try f ()
   with e ->
-    Trace.Counters.restore c before;
+    Trace.Counters.load c before;
     raise e
 
 (* Every public capture — full or delta — is a capture point: clearing
@@ -1328,7 +1346,7 @@ let restore sys image =
       if not (String.equal (capture_silent sys) image) then
         Error Self_check_failed
       else begin
-        Trace.Counters.bump_restores m.Isa.Machine.counters;
+        Trace.Counters.(incr m.Isa.Machine.counters restores);
         (* Audit: re-derive every SDW from the kernel's authoritative
            tables and walk the crossing stacks — the same invariants
            the chaos harness checks after fault campaigns.  A
@@ -1340,8 +1358,8 @@ let restore sys image =
         with
         | [] -> Ok ()
         | problems ->
-            Trace.Counters.bump_restore_audit_rejections
-              m.Isa.Machine.counters;
+            Trace.Counters.(
+              incr m.Isa.Machine.counters restore_audit_rejections);
             Error (Audit_rejected problems)
       end
 

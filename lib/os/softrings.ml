@@ -3,8 +3,8 @@ let ( let* ) = Result.bind
 (* [action] is a thunk so the formatted string is only built when the
    event log is enabled — crossings are the 645 hot path. *)
 let gatekeeper_event p action =
-  Trace.Counters.bump_gatekeeper_entries
-    p.Process.machine.Isa.Machine.counters;
+  Trace.Counters.(
+    incr p.Process.machine.Isa.Machine.counters gatekeeper_entries);
   let log = p.Process.machine.Isa.Machine.log in
   if Trace.Event.enabled log then
     Trace.Event.record_gatekeeper log ~action:(action ())
@@ -48,9 +48,9 @@ let downward_call p ~(saved : Hw.Registers.t) ~new_ring ~target ~crossing =
     };
   (match crossing with
   | Rings.Call.Downward ->
-      Trace.Counters.bump_calls_downward m.Isa.Machine.counters
+      Trace.Counters.(incr m.Isa.Machine.counters calls_downward)
   | Rings.Call.Same_ring ->
-      Trace.Counters.bump_calls_same_ring m.Isa.Machine.counters);
+      Trace.Counters.(incr m.Isa.Machine.counters calls_same_ring));
   if Trace.Span.enabled m.Isa.Machine.spans then
     Trace.Span.open_span m.Isa.Machine.spans
       ~kind:
@@ -115,7 +115,7 @@ let upward_return p ~(saved : Hw.Registers.t) ~target =
       Hw.Registers.set_ipr regs
         { Hw.Registers.ring = caller_ring; addr = target };
       Hw.Registers.maximize_pr_rings regs caller_ring;
-      Trace.Counters.bump_returns_upward m.Isa.Machine.counters;
+      Trace.Counters.(incr m.Isa.Machine.counters returns_upward);
       if Trace.Span.enabled m.Isa.Machine.spans then
         (* The popped crossing tells us which kind of span the
            matching downward_call opened. *)
@@ -168,7 +168,7 @@ let handle p ~segno ~wordno =
       | Ok { Rings.Call.new_ring; crossing; _ } ->
           downward_call p ~saved ~new_ring ~target ~crossing
       | Error (Rings.Fault.Upward_call { to_ring; _ }) ->
-          Trace.Counters.bump_calls_upward counters;
+          Trace.Counters.(incr counters calls_upward);
           Trace.Counters.charge counters Costs.descriptor_segment_switch;
           Outward.enter_upward p ~caller_state:saved ~to_ring ~target
       | Error f ->

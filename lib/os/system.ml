@@ -170,7 +170,7 @@ let quarantine t e fault =
   | Done _ -> ()
   | Ready | Blocked ->
       let exit = Kernel.Quarantined fault in
-      Trace.Counters.bump_quarantined t.machine.Isa.Machine.counters;
+      Trace.Counters.(incr t.machine.Isa.Machine.counters quarantined);
       e.saved_regs <- Hw.Registers.copy t.machine.Isa.Machine.regs;
       e.saved_io <- (None, None);
       e.status <- Done exit;
@@ -194,15 +194,12 @@ let run ?(quantum = 50) ?(max_slices = 10_000) ?watchdog ?before_slice
      trap that ends a preempted slice is dispatcher machinery, not
      progress, and is discounted where the signature is compared. *)
   let progress_sig () =
-    Trace.Counters.traps counters
-    + Trace.Counters.calls_same_ring counters
-    + Trace.Counters.calls_downward counters
-    + Trace.Counters.calls_upward counters
-    + Trace.Counters.returns_same_ring counters
-    + Trace.Counters.returns_upward counters
-    + Trace.Counters.returns_downward counters
-    + Trace.Counters.gatekeeper_entries counters
-    + Trace.Counters.descriptor_switches counters
+    Trace.Counters.(
+      get counters traps + get counters calls_same_ring
+      + get counters calls_downward + get counters calls_upward
+      + get counters returns_same_ring + get counters returns_upward
+      + get counters returns_downward + get counters gatekeeper_entries
+      + get counters descriptor_switches)
   in
   let ready () = List.filter (fun e -> e.status = Ready) t.entries in
   let blocked () = List.filter (fun e -> e.status = Blocked) t.entries in
@@ -314,8 +311,8 @@ let run ?(quantum = 50) ?(max_slices = 10_000) ?watchdog ?before_slice
                 e.stalled <-
                   e.stalled + (Trace.Counters.instructions counters - before);
                 if e.stalled >= budget then begin
-                  Trace.Counters.bump_watchdog_tripped counters;
-                  Trace.Counters.bump_quarantined counters;
+                  Trace.Counters.(incr counters watchdog_tripped);
+                  Trace.Counters.(incr counters quarantined);
                   finish e
                     (Kernel.Quarantined
                        (Rings.Fault.Watchdog_timeout { budget }))

@@ -5,86 +5,66 @@
     reference and control-transfer kinds, and in particular how many
     supervisor interventions (traps) each ring-crossing flavour incurs.
     Every simulated machine carries one [t]; the CPU and the operating
-    system substrate charge cycles and bump event counters through this
-    interface, and the benches read them back out. *)
+    system substrate charge cycles and count events through this
+    interface, and the benches read them back out.
+
+    The counters are one table: [t] holds a value for every counter
+    named in {!names}, and an {!id} picks one. *)
 
 type t
 
-val create : unit -> t
+type id
+(** A counter.  Only this module makes ids, so {!incr} and {!get}
+    index the table without a bounds check. *)
 
+val names : string array
+(** Every counter's name, in table order: the order of {!fields}, of
+    {!values} and of a checkpoint image. *)
+
+val ids : id array
+(** Every counter, in table order: [ids.(i)] is named [names.(i)]. *)
+
+val create : unit -> t
 val reset : t -> unit
 
-(** {1 Cycle charging} *)
+val incr : t -> id -> unit
+(** [incr c id] adds one to counter [id]. *)
+
+val get : t -> id -> int
+
+(** {1 Cycles and instructions} *)
 
 val charge : t -> int -> unit
 (** [charge c n] adds [n] cycles to the running total. *)
 
 val cycles : t -> int
-
-(** {1 Event counters}
-
-    Each [bump_*] increments one event counter; [*_count] reads it. *)
-
 val bump_instructions : t -> unit
 val instructions : t -> int
 
-val bump_memory_reads : t -> unit
-val memory_reads : t -> int
+(** {1 Event counters} *)
 
-val bump_memory_writes : t -> unit
-val memory_writes : t -> int
+val memory_reads : id
+val memory_writes : id
+val sdw_fetches : id
+val indirections : id
+val traps : id
+val calls_same_ring : id
+val calls_downward : id
+val calls_upward : id
+val returns_same_ring : id
+val returns_upward : id
+val returns_downward : id
+val gatekeeper_entries : id
+val descriptor_switches : id
+val access_violations : id
+val ptw_fetches : id
+val page_faults : id
+val page_evictions : id
 
-val bump_sdw_fetches : t -> unit
-val sdw_fetches : t -> int
-
-val bump_indirections : t -> unit
-val indirections : t -> int
-
-val bump_traps : t -> unit
-val traps : t -> int
-
-val bump_calls_same_ring : t -> unit
-val calls_same_ring : t -> int
-
-val bump_calls_downward : t -> unit
-val calls_downward : t -> int
-
-val bump_calls_upward : t -> unit
-val calls_upward : t -> int
-
-val bump_returns_same_ring : t -> unit
-val returns_same_ring : t -> int
-
-val bump_returns_upward : t -> unit
-val returns_upward : t -> int
-
-val bump_returns_downward : t -> unit
-val returns_downward : t -> int
-
-val bump_gatekeeper_entries : t -> unit
-val gatekeeper_entries : t -> int
-
-val bump_descriptor_switches : t -> unit
-val descriptor_switches : t -> int
-
-val bump_access_violations : t -> unit
-val access_violations : t -> int
-
-val bump_ptw_fetches : t -> unit
-val ptw_fetches : t -> int
-
-val bump_page_faults : t -> unit
-val page_faults : t -> int
-
-val bump_page_evictions : t -> unit
-val page_evictions : t -> int
-
-val bump_channel_ops : t -> unit
+val channel_ops : id
 (** One I/O channel operation started (SIOC/SIOT).  The arena bills
     these against a tenant's I/O quota; outside the arena they are
     plain observability. *)
-
-val channel_ops : t -> int
 
 (** {2 Host-side associative memories}
 
@@ -93,32 +73,15 @@ val channel_ops : t -> int
     memoization layer only: they move freely without affecting the
     modeled cycle accounting above. *)
 
-val bump_sdw_cache_hits : t -> unit
-val sdw_cache_hits : t -> int
-
-val bump_sdw_cache_misses : t -> unit
-val sdw_cache_misses : t -> int
-
-val bump_sdw_cache_evictions : t -> unit
-val sdw_cache_evictions : t -> int
-
-val bump_ptw_tlb_hits : t -> unit
-val ptw_tlb_hits : t -> int
-
-val bump_ptw_tlb_misses : t -> unit
-val ptw_tlb_misses : t -> int
-
-val bump_ptw_tlb_evictions : t -> unit
-val ptw_tlb_evictions : t -> int
-
-val bump_icache_hits : t -> unit
-val icache_hits : t -> int
-
-val bump_icache_misses : t -> unit
-val icache_misses : t -> int
-
-val bump_icache_evictions : t -> unit
-val icache_evictions : t -> int
+val sdw_cache_hits : id
+val sdw_cache_misses : id
+val sdw_cache_evictions : id
+val ptw_tlb_hits : id
+val ptw_tlb_misses : id
+val ptw_tlb_evictions : id
+val icache_hits : id
+val icache_misses : id
+val icache_evictions : id
 
 (** {2 Fault injection and recovery}
 
@@ -129,25 +92,16 @@ val icache_evictions : t -> int
     exhausting their fault budget; [degraded] cache subsystems dropped
     to uncached operation after coherence damage. *)
 
-val bump_injected : t -> unit
-val injected : t -> int
-
-val bump_retried : t -> unit
-val retried : t -> int
-
-val bump_recovered : t -> unit
-val recovered : t -> int
-
-val bump_quarantined : t -> unit
-val quarantined : t -> int
-
-val bump_degraded : t -> unit
-val degraded : t -> int
+val injected : id
+val retried : id
+val recovered : id
+val quarantined : id
+val degraded : id
 
 (** {2 Checkpoint/restore and the dispatcher watchdog}
 
     [snapshots_written] images captured — full and delta alike
-    (bumped before serializing, so the count inside an image already
+    (counted before serializing, so the count inside an image already
     includes it; rolled back if serialization fails, so a failed
     capture never inflates it); [restores] images
     applied; [restore_audit_rejections] images refused by the restore-
@@ -158,20 +112,11 @@ val degraded : t -> int
     differ between an uninterrupted run and a resumed one; everything
     else is checkpoint-deterministic. *)
 
-val bump_snapshots_written : t -> unit
-val snapshots_written : t -> int
-
-val bump_restores : t -> unit
-val restores : t -> int
-
-val bump_restore_audit_rejections : t -> unit
-val restore_audit_rejections : t -> int
-
-val bump_journal_replays_skipped : t -> unit
-val journal_replays_skipped : t -> int
-
-val bump_watchdog_tripped : t -> unit
-val watchdog_tripped : t -> int
+val snapshots_written : id
+val restores : id
+val restore_audit_rejections : id
+val journal_replays_skipped : id
+val watchdog_tripped : id
 
 (** {2 Trace-pipeline self-observation}
 
@@ -181,16 +126,31 @@ val watchdog_tripped : t -> int
     deselected by the deterministic 1-in-N sampler.  These move only
     while tracing is enabled, so untraced runs are unaffected. *)
 
-val bump_events_dropped : t -> unit
-val events_dropped : t -> int
+val events_dropped : id
+val events_sampled_out : id
+val spans_sampled_out : id
 
-val bump_events_sampled_out : t -> unit
-val events_sampled_out : t -> int
+(** {1 The whole table} *)
 
-val bump_spans_sampled_out : t -> unit
-val spans_sampled_out : t -> int
+val values : t -> int array
+(** A copy of every counter, in table order. *)
 
-(** {1 Snapshots} *)
+val load : t -> int array -> unit
+(** Overwrite every counter from an array in table order, as restoring
+    a checkpoint image does.
+    @raise Invalid_argument unless the array holds one value per counter. *)
+
+val copy : t -> into:t -> unit
+(** [copy c ~into] overwrites every counter of [into] with [c]'s. *)
+
+val accrue : t -> since:t -> into:t -> unit
+(** [accrue c ~since ~into] adds to each counter of [into] what the
+    same counter of [c] moved since [since] was copied from it. *)
+
+(** {1 Snapshots}
+
+    A snapshot is an immutable read of the table, one field per
+    counter, named as in {!names}. *)
 
 type snapshot = {
   cycles : int;
@@ -239,11 +199,6 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
-val restore : t -> snapshot -> unit
-(** Overwrite every live counter with the snapshot's values — the
-    checkpoint/restore path re-seating the modeled clock and event
-    counts captured in an image. *)
-
 val diff : before:snapshot -> after:snapshot -> snapshot
 (** [diff ~before ~after] is the per-field difference, for measuring a
     region of execution. *)
@@ -254,16 +209,8 @@ val add : snapshot -> snapshot -> snapshot
     fleet total gives the same result in any order. *)
 
 val fields : snapshot -> (string * int) list
-(** Every snapshot field as [(name, value)], in declaration order.
-    The metrics exporters and their coverage test iterate this, so a
-    new counter is exported everywhere by extending the one list. *)
-
-val of_fields : (string * int) list -> (snapshot, string) result
-(** Inverse of {!fields}: rebuild a snapshot from named pairs.  The
-    names must match {!fields}'s output exactly (same set, same
-    order) — a mismatch is a decode error, as raised when a snapshot
-    image was written by a build with a different counter set.  The
-    error text names every unknown and missing field, so schema drift
-    between builds is reported, never silently dropped. *)
+(** Every snapshot field as [(name, value)], in table order.  The
+    metrics exporters and their coverage test iterate this, so a new
+    counter is exported everywhere by its entry in the table. *)
 
 val pp_snapshot : Format.formatter -> snapshot -> unit

@@ -229,7 +229,7 @@ let admit log =
     seq
   else begin
     log.sampled_out <- log.sampled_out + 1;
-    Counters.bump_events_sampled_out log.stats;
+    Counters.(incr log.stats events_sampled_out);
     -1
   end
 
@@ -247,7 +247,7 @@ let[@inline] admit_instr log =
   if interval <= 1 || sample_hit ~interval ~seed:log.sample_seed seq then seq
   else begin
     log.sampled_out <- log.sampled_out + 1;
-    Counters.bump_events_sampled_out log.stats;
+    Counters.(incr log.stats events_sampled_out);
     -1
   end
 
@@ -267,7 +267,7 @@ let[@inline] claim log =
       let i = log.head in
       log.head <- (if i + 1 >= log.capacity then 0 else i + 1);
       log.dropped <- log.dropped + 1;
-      Counters.bump_events_dropped log.stats;
+      Counters.(incr log.stats events_dropped);
       i
     end
   in

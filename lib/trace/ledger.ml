@@ -1,30 +1,21 @@
-(* Per-tenant accounting: each tenant's slices land here as counter
-   snapshots and are folded with [Counters.add], so a bill is exactly
-   the pointwise sum of what the machine's counters moved while that
-   tenant held the processor.  Folding is in ascending tenant id, so a
-   report assembled from any slice order — one wave at a time or
-   several waves on different domains — reads back identically. *)
+(* Per-tenant accounting: one counter table per tenant, charged in
+   place from the values marked at the start of the slice, so a slice
+   allocates nothing and a bill is exactly the pointwise sum of what
+   the machine's counters moved while that tenant held the
+   processor. *)
 
-type t = (int, Counters.snapshot) Hashtbl.t
+type t = { bills : (int, Counters.t) Hashtbl.t; since : Counters.t }
 
-let create () : t = Hashtbl.create 64
+let create () = { bills = Hashtbl.create 64; since = Counters.create () }
+let start t c = Counters.copy c ~into:t.since
 
-let zero = Counters.snapshot (Counters.create ())
-
-let charge t ~tenant (s : Counters.snapshot) =
-  let prior =
-    match Hashtbl.find_opt t tenant with Some p -> p | None -> zero
-  in
-  Hashtbl.replace t tenant (Counters.add prior s)
-
+(* [Hashtbl.find], not [find_opt]: a found bill costs no allocation. *)
 let bill t ~tenant =
-  match Hashtbl.find_opt t tenant with Some s -> s | None -> zero
+  try Hashtbl.find t.bills tenant
+  with Not_found ->
+    let b = Counters.create () in
+    Hashtbl.replace t.bills tenant b;
+    b
 
-let tenants t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort compare
-
-let fold t ~init ~f =
-  List.fold_left (fun acc k -> f acc k (bill t ~tenant:k)) init (tenants t)
-
-let total t =
-  fold t ~init:zero ~f:(fun acc _ s -> Counters.add acc s)
+let charge t ~tenant c =
+  Counters.accrue c ~since:t.since ~into:(bill t ~tenant)

@@ -1,32 +1,25 @@
 (** Per-tenant counter attribution for the multi-tenant arena.
 
     The machine has one {!Counters.t}; the arena multiplexes many
-    tenants over it.  The dispatcher snapshots the counters around
-    each tenant's slice and charges the difference here, so every
-    cycle, fault and channel operation the machine counted is
-    attributed to exactly one tenant.  Bills accumulate with
-    {!Counters.add} (commutative, associative), and {!fold} walks
-    tenants in ascending id — the billing report is therefore
-    independent of slice interleaving and of how waves were spread
-    over domains. *)
+    tenants over it.  The dispatcher marks the counters when each
+    tenant's slice starts and charges what they moved when it ends, so
+    every cycle, fault and channel operation the machine counted is
+    attributed to exactly one tenant.  A bill is a sum of those moves,
+    so it does not depend on slice interleaving or on how waves were
+    spread over domains. *)
 
 type t
 
 val create : unit -> t
 
-val charge : t -> tenant:int -> Counters.snapshot -> unit
-(** [charge t ~tenant d] adds the per-slice counter delta [d] to the
-    tenant's running bill. *)
+val start : t -> Counters.t -> unit
+(** [start t c] marks [c]'s values where a slice begins. *)
 
-val bill : t -> tenant:int -> Counters.snapshot
-(** The tenant's accumulated bill; all-zero for a tenant never
-    charged. *)
+val charge : t -> tenant:int -> Counters.t -> unit
+(** [charge t ~tenant c] adds what [c] moved since the last {!start}
+    to the tenant's bill, in place. *)
 
-val tenants : t -> int list
-(** Every tenant ever charged, in ascending id. *)
-
-val fold : t -> init:'a -> f:('a -> int -> Counters.snapshot -> 'a) -> 'a
-(** Fold over [(tenant, bill)] in ascending tenant id. *)
-
-val total : t -> Counters.snapshot
-(** Sum of every bill — what the whole arena cost. *)
+val bill : t -> tenant:int -> Counters.t
+(** The tenant's bill so far, one value per counter; all-zero for a
+    tenant never charged.  It is the ledger's own table: read it, do
+    not count into it. *)

@@ -265,7 +265,7 @@ let complete t b ~cycles ~forced =
   end
   else begin
     t.sampled_out <- t.sampled_out + 1;
-    Counters.bump_spans_sampled_out t.stats
+    Counters.(incr t.stats spans_sampled_out)
   end
 
 (* [kind]: what the closer believes it is undoing.  The outward-return

@@ -46,7 +46,7 @@ let test_downward_call_mechanics () =
   Alcotest.(check int) "PR0 at word 0" 0 pr0.Hw.Registers.addr.Hw.Addr.wordno;
   Alcotest.(check int) "PR0 ring" 1 (Rings.Ring.to_int pr0.Hw.Registers.ring);
   Alcotest.(check int) "counted" 1
-    (Trace.Counters.calls_downward m.Isa.Machine.counters);
+    Trace.Counters.(get m.Isa.Machine.counters calls_downward);
   (* PR5 still carries the caller's ring: the callee can trust it. *)
   Alcotest.(check int) "PR5 ring intact" 4
     (Rings.Ring.to_int (Hw.Registers.get_pr regs 5).Hw.Registers.ring)
@@ -82,7 +82,7 @@ let test_upward_return_maximizes_pr_rings () =
   Alcotest.(check int) "PR1 ring maximized" 4
     (Rings.Ring.to_int (Hw.Registers.get_pr regs 1).Hw.Registers.ring);
   Alcotest.(check int) "one upward return" 1
-    (Trace.Counters.returns_upward m.Isa.Machine.counters)
+    Trace.Counters.(get m.Isa.Machine.counters returns_upward)
 
 let test_same_ring_return_keeps_pr_rings () =
   let m =
@@ -137,7 +137,7 @@ let test_upward_call_fault_carries_target () =
       Alcotest.(check int) "segno" 11 segno;
       Alcotest.(check int) "wordno" 0 wordno;
       Alcotest.(check int) "counted" 1
-        (Trace.Counters.calls_upward m2.Isa.Machine.counters)
+        Trace.Counters.(get m2.Isa.Machine.counters calls_upward)
   | _ -> Alcotest.fail "expected Upward_call"
 
 let test_645_cross_ring_call_faults () =
@@ -205,7 +205,7 @@ let test_645_same_ring_call_no_fault () =
   Alcotest.(check int) "PR0 from PR6's stack" 4
     (Hw.Registers.get_pr regs 0).Hw.Registers.addr.Hw.Addr.segno;
   Alcotest.(check int) "counted same-ring" 1
-    (Trace.Counters.calls_same_ring m.Isa.Machine.counters)
+    Trace.Counters.(get m.Isa.Machine.counters calls_same_ring)
 
 (* Property: after any successful hardware CALL or RETURN, every PR
    ring is >= IPR.RING (the paper's invariant). *)

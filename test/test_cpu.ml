@@ -120,9 +120,9 @@ let test_trap_counters () =
   Fixtures.set_ipr m ~ring:4 ~segno:1 ~wordno:0;
   ignore (Isa.Cpu.step m);
   let c = m.Isa.Machine.counters in
-  Alcotest.(check int) "one trap" 1 (Trace.Counters.traps c);
+  Alcotest.(check int) "one trap" 1 Trace.Counters.(get c traps);
   Alcotest.(check int) "one access violation" 1
-    (Trace.Counters.access_violations c);
+    Trace.Counters.(get c access_violations);
   Alcotest.(check bool)
     "trap entry charged" true
     (Trace.Counters.cycles c >= Hw.Costs.trap_entry)

@@ -177,7 +177,7 @@ let test_chained_indirection () =
   Alcotest.(check int) "final wordno" 7 addr.Hw.Addr.wordno;
   Alcotest.(check int) "two indirections"
     2
-    (Trace.Counters.indirections m.Isa.Machine.counters)
+    Trace.Counters.(get m.Isa.Machine.counters indirections)
 
 let test_runaway_indirection () =
   let m =

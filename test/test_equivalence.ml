@@ -95,8 +95,8 @@ let test_cost_asymmetry () =
         (match Os.Kernel.run ~max_instructions:100_000 p with
         | Os.Kernel.Exited -> ()
         | e -> Alcotest.failf "run: %a" Os.Kernel.pp_exit e);
-        Trace.Counters.gatekeeper_entries
-          p.Os.Process.machine.Isa.Machine.counters
+        Trace.Counters.(
+          get p.Os.Process.machine.Isa.Machine.counters gatekeeper_entries)
   in
   Alcotest.(check int) "hardware: no gatekeeper" 0
     (gatekeeper Os.Scenario.default_config ~caller_ring:4 ~callee_ring:1);

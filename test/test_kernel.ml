@@ -289,7 +289,8 @@ let test_ring6_calls_user_gate () =
   Alcotest.(check int) "service result" 42
     p.Os.Process.machine.Isa.Machine.regs.Hw.Registers.a;
   Alcotest.(check int) "one downward call" 1
-    (Trace.Counters.calls_downward p.Os.Process.machine.Isa.Machine.counters)
+    Trace.Counters.(
+      get p.Os.Process.machine.Isa.Machine.counters calls_downward)
 
 (* {1 Recovery from injected faults} *)
 
@@ -328,9 +329,10 @@ let test_parity_recovered_within_budget () =
   let inj = attach (flip_plan ~start:50 ~every:150 ~count:3 ~budget:10) p in
   expect_exit "recovered and finished" p Os.Kernel.Exited;
   let c = p.Os.Process.machine.Isa.Machine.counters in
-  Alcotest.(check int) "three faults delivered" 3 (Trace.Counters.injected c);
-  Alcotest.(check int) "three recoveries" 3 (Trace.Counters.recovered c);
-  Alcotest.(check int) "no quarantine" 0 (Trace.Counters.quarantined c);
+  Alcotest.(check int)
+    "three faults delivered" 3 Trace.Counters.(get c injected);
+  Alcotest.(check int) "three recoveries" 3 Trace.Counters.(get c recovered);
+  Alcotest.(check int) "no quarantine" 0 Trace.Counters.(get c quarantined);
   Alcotest.(check int) "program result unaffected" 7
     p.Os.Process.machine.Isa.Machine.regs.Hw.Registers.a;
   Alcotest.(check int) "all damage scrubbed" 0 (Hw.Inject.poisoned inj)
@@ -343,8 +345,8 @@ let test_fault_budget_quarantines () =
   | e -> Alcotest.failf "expected quarantine, got %a" Os.Kernel.pp_exit e);
   let c = p.Os.Process.machine.Isa.Machine.counters in
   Alcotest.(check int) "budget's worth recovered" 2
-    (Trace.Counters.recovered c);
-  Alcotest.(check int) "then quarantined" 1 (Trace.Counters.quarantined c)
+    Trace.Counters.(get c recovered);
+  Alcotest.(check int) "then quarantined" 1 Trace.Counters.(get c quarantined)
 
 let test_descriptor_damage_degrades_and_recovers () =
   let p = build [ counting_worker ] ~start:"worker" ~ring:4 in
@@ -370,7 +372,7 @@ let test_descriptor_damage_degrades_and_recovers () =
   Alcotest.(check bool) "dropped to uncached operation" true
     m.Isa.Machine.degraded;
   Alcotest.(check int) "degradation counted once" 1
-    (Trace.Counters.degraded m.Isa.Machine.counters);
+    Trace.Counters.(get m.Isa.Machine.counters degraded);
   Alcotest.(check int) "program result unaffected" 7
     m.Isa.Machine.regs.Hw.Registers.a;
   Alcotest.(check int) "all damage scrubbed" 0 (Hw.Inject.poisoned inj)

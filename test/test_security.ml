@@ -200,7 +200,8 @@ let test_return_ring_cannot_be_lowered () =
   | exit -> Alcotest.failf "expected clean exit, got %a" Os.Kernel.pp_exit exit);
   (* The return was upward to ring 4, not to the forged ring 0. *)
   Alcotest.(check int) "one upward return" 1
-    (Trace.Counters.returns_upward p.Os.Process.machine.Isa.Machine.counters);
+    Trace.Counters.(
+      get p.Os.Process.machine.Isa.Machine.counters returns_upward);
   Alcotest.(check int) "exited in ring 4" 4
     (Rings.Ring.to_int
        (Hw.Registers.ipr p.Os.Process.machine.Isa.Machine.regs)

@@ -4,7 +4,7 @@
 
 let req_list =
   Alcotest.testable
-    (Fmt.list Serve.Workload.pp_request)
+    (Format.pp_print_list Serve.Workload.pp_request)
     (fun a b -> a = b)
 
 (* ------------------------------------------------------------------ *)

@@ -122,9 +122,9 @@ let test_kill_and_resume_equals_straight_run () =
     "device output identical" (device_outputs straight)
     (device_outputs resumed);
   Alcotest.(check int) "resumed run counted its restore" 1
-    (Trace.Counters.restores (counters resumed));
+    Trace.Counters.(get (counters resumed) restores);
   Alcotest.(check int) "straight run restored nothing" 0
-    (Trace.Counters.restores (counters straight))
+    Trace.Counters.(get (counters straight) restores)
 
 let test_capture_is_deterministic () =
   let a = fresh_system () in
@@ -152,8 +152,11 @@ let test_damaged_images_are_rejected () =
    (* Version is the second header word; the checksum covers only the
       payload, so this must surface as Bad_version, not checksum. *)
    Bytes.set b 15 '\x2a';
-   check_error "version bump" "snapshot format version 42, this build reads 5"
-     (Bytes.to_string b));
+   check_error "version bump" "snapshot format version 42, this build reads 6"
+     (Bytes.to_string b);
+   Bytes.set b 15 '\x05';
+   check_error "a version 5 image"
+     "snapshot format version 5, this build reads 6" (Bytes.to_string b));
   check_error "truncated header" "snapshot image is truncated"
     (String.sub image 0 20);
   check_error "truncated payload" "snapshot image is truncated"
@@ -218,7 +221,7 @@ let test_audit_rejects_tampered_tables () =
   | Error (Os.Snapshot.Audit_rejected problems) ->
       Alcotest.(check bool) "at least one audit finding" true (problems <> []);
       Alcotest.(check int) "rejection counted" 1
-        (Trace.Counters.restore_audit_rejections (counters resumed))
+        Trace.Counters.(get (counters resumed) restore_audit_rejections)
   | Error e ->
       Alcotest.failf "expected audit rejection, got %a" Os.Snapshot.pp_error e
   | Ok () -> Alcotest.fail "audit accepted a tampered image"
@@ -247,7 +250,7 @@ let test_watchdog_quarantines_stuck_process () =
     (Some ("pa", Os.Kernel.Exited))
     (List.find_opt (fun (n, _) -> n = "pa") exits);
   Alcotest.(check int) "watchdog_tripped counted" 1
-    (Trace.Counters.watchdog_tripped (counters sys))
+    Trace.Counters.(get (counters sys) watchdog_tripped)
 
 let test_watchdog_off_by_default () =
   let store = build_store ~n1:5 ~n2:5 () in
@@ -266,7 +269,7 @@ let test_watchdog_off_by_default () =
     (Some ("stuck", Os.Kernel.Out_of_budget))
     (List.find_opt (fun (n, _) -> n = "stuck") exits);
   Alcotest.(check int) "no watchdog trip" 0
-    (Trace.Counters.watchdog_tripped (counters sys))
+    Trace.Counters.(get (counters sys) watchdog_tripped)
 
 let test_journal_replay_and_divergence () =
   (* The dead run: two transfers, both journalled to the sink. *)
@@ -326,7 +329,7 @@ let test_warm_boot_rewinds_in_place () =
     (Trace.Counters.fields boot)
     (Trace.Counters.fields (Trace.Counters.snapshot (counters sys)));
   Alcotest.(check int) "warm boot did not count as a restore" 0
-    (Trace.Counters.restores (counters sys));
+    Trace.Counters.(get (counters sys) restores);
   Alcotest.(check (list (pair int int)))
     "memory rewound" boot_mem (memory_words sys);
   let exits2 = Os.System.run sys in
@@ -391,20 +394,27 @@ let overwrite image at v =
   Bytes.set_int64_be b at (Int64.of_int v);
   reseal (Bytes.to_string b)
 
+(* An image written by a build with another counter table: the counter
+   fingerprint, the first word of the pre section (after the header,
+   [base_sum] and the section's length), differs, and the resealed image
+   reaches the decoder. *)
+let test_counter_table_drift_is_refused () =
+  let image, _ = run_capturing_at (fresh_system ()) ~at:150 in
+  let at = 32 + 8 + 8 in
+  let fingerprint = Int64.to_int (String.get_int64_be image at) in
+  check_error "counter table drift" "snapshot is corrupt: counter table differs"
+    (overwrite image at (fingerprint lxor 1))
+
 (* A full capture of the current state that does not count itself: the
    image being compared against already carries its own capture in
    [snapshots_written], which [capture] bumps before it serializes. *)
 let recapture sys =
   let c = counters sys in
-  let fields =
-    List.map
-      (fun (name, v) ->
-        if name = "snapshots_written" then (name, v - 1) else (name, v))
-      (Trace.Counters.fields (Trace.Counters.snapshot c))
-  in
-  (match Trace.Counters.of_fields fields with
-  | Ok snap -> Trace.Counters.restore c snap
-  | Error msg -> Alcotest.fail msg);
+  let v = Trace.Counters.values c in
+  Array.iteri
+    (fun i name -> if name = "snapshots_written" then v.(i) <- v.(i) - 1)
+    Trace.Counters.names;
+  Trace.Counters.load c v;
   Os.Snapshot.capture sys
 
 let test_dirty_pages_track_every_write_path () =
@@ -729,23 +739,23 @@ let test_chain_interlopers_and_counter_rollback () =
      the straddled chain must refuse its next delta instead of
      emitting one that misses the pages dirtied before the capture. *)
   let (_ : string) = Os.Snapshot.capture sys in
-  let before = Trace.Counters.snapshots_written c in
+  let before = Trace.Counters.(get c snapshots_written) in
   (match Os.Snapshot.capture_delta sys chain with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "capture_delta survived an interloping capture");
   Alcotest.(check int) "refused delta rolled back snapshots_written" before
-    (Trace.Counters.snapshots_written c);
+    Trace.Counters.(get c snapshots_written);
   Alcotest.(check int) "refused delta did not advance the chain" 1
     (Os.Snapshot.chain_length chain);
   (* A foreign clear_dirty is the same interloper. *)
   let chain2, _base2 = Os.Snapshot.start_chain sys in
   Hw.Memory.clear_dirty (machine_mem sys);
-  let before = Trace.Counters.snapshots_written c in
+  let before = Trace.Counters.(get c snapshots_written) in
   (match Os.Snapshot.capture_delta sys chain2 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "capture_delta survived a foreign clear_dirty");
   Alcotest.(check int) "rollback after foreign clear too" before
-    (Trace.Counters.snapshots_written c);
+    Trace.Counters.(get c snapshots_written);
   (* A fresh chain recovers: the system itself is unharmed. *)
   let chain3, base3 = Os.Snapshot.start_chain sys in
   let d = Os.Snapshot.capture_delta sys chain3 in
@@ -903,7 +913,7 @@ let replay name sys ~quantum ops =
                 (fun (e : Os.System.entry) -> e.Os.System.process)
                 (Os.System.entries sys)));
         m.Isa.Machine.on_recovery <-
-          (fun _ -> Trace.Counters.bump_degraded m.Isa.Machine.counters)
+          (fun _ -> Trace.Counters.(incr m.Isa.Machine.counters degraded))
     | Tag a -> if Hw.Memory.tags_enabled mem then Hw.Memory.set_tag mem a
     | Trace n ->
         Isa.Machine.set_sampling m
@@ -1306,6 +1316,8 @@ let suite =
           test_capture_is_deterministic;
         Alcotest.test_case "damaged images are rejected with typed errors"
           `Quick test_damaged_images_are_rejected;
+        Alcotest.test_case "counter table drift refused" `Quick
+          test_counter_table_drift_is_refused;
         Alcotest.test_case "restore audit rejects tampered kernel tables"
           `Quick test_audit_rejects_tampered_tables;
         Alcotest.test_case "watchdog quarantines a stuck process" `Quick

@@ -46,9 +46,9 @@ let test_timer_not_counted_as_violation () =
   in
   run ();
   Alcotest.(check int) "no access violation" 0
-    (Trace.Counters.access_violations m.Isa.Machine.counters);
+    Trace.Counters.(get m.Isa.Machine.counters access_violations);
   Alcotest.(check int) "one trap" 1
-    (Trace.Counters.traps m.Isa.Machine.counters)
+    Trace.Counters.(get m.Isa.Machine.counters traps)
 
 let test_disabled_timer_never_fires () =
   let m = spin_machine () in
@@ -105,13 +105,13 @@ let test_injection_defers_under_inhibit () =
     Fixtures.expect_running "inhibited" (Isa.Cpu.step m)
   done;
   Alcotest.(check int) "nothing injected while inhibited" 0
-    (Trace.Counters.injected m.Isa.Machine.counters);
+    Trace.Counters.(get m.Isa.Machine.counters injected);
   m.Isa.Machine.inhibit <- false;
   (match Isa.Cpu.step m with
   | Isa.Cpu.Faulted (Rings.Fault.Parity_error _) -> ()
   | _ -> Alcotest.fail "expected the deferred fault right after release");
   Alcotest.(check int) "delivered exactly once" 1
-    (Trace.Counters.injected m.Isa.Machine.counters)
+    Trace.Counters.(get m.Isa.Machine.counters injected)
 
 let test_injection_delivered_before_pending_timer () =
   (* Both an injection and the timer are due when the inhibit lifts:

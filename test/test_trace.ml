@@ -7,7 +7,7 @@ let test_counters_snapshot_diff () =
   let before = Trace.Counters.snapshot c in
   Trace.Counters.charge c 5;
   Trace.Counters.bump_instructions c;
-  Trace.Counters.bump_traps c;
+  Trace.Counters.(incr c traps);
   let after = Trace.Counters.snapshot c in
   let d = Trace.Counters.diff ~before ~after in
   Alcotest.(check int) "cycles diff" 5 d.Trace.Counters.cycles;
@@ -18,10 +18,10 @@ let test_counters_snapshot_diff () =
 let test_counters_reset () =
   let c = Trace.Counters.create () in
   Trace.Counters.charge c 10;
-  Trace.Counters.bump_calls_downward c;
+  Trace.Counters.(incr c calls_downward);
   Trace.Counters.reset c;
   Alcotest.(check int) "cycles zero" 0 (Trace.Counters.cycles c);
-  Alcotest.(check int) "calls zero" 0 (Trace.Counters.calls_downward c)
+  Alcotest.(check int) "calls zero" 0 Trace.Counters.(get c calls_downward)
 
 let test_event_log_disabled_by_default () =
   let log = Trace.Event.create_log () in
@@ -331,19 +331,77 @@ let test_counters_fields_complete () =
       "ptw_tlb_misses"; "icache_evictions"; "page_faults";
     ]
 
+(* The table and the record list the same counters: for every id, one
+   [incr] on a fresh table moves exactly the counter of that id's name,
+   in [fields] and in the record field of that name alike. *)
 let test_counters_fields_diff () =
-  let c = Trace.Counters.create () in
-  let before = Trace.Counters.snapshot c in
-  Trace.Counters.bump_calls_upward c;
-  let after = Trace.Counters.snapshot c in
-  let d = Trace.Counters.diff ~before ~after in
-  let moved =
-    List.filter (fun (_, v) -> v <> 0) (Trace.Counters.fields d)
+  let (record : (string * (Trace.Counters.snapshot -> int)) list) =
+    Trace.Counters.
+      [
+        ("cycles", fun s -> s.cycles);
+        ("instructions", fun s -> s.instructions);
+        ("memory_reads", fun s -> s.memory_reads);
+        ("memory_writes", fun s -> s.memory_writes);
+        ("sdw_fetches", fun s -> s.sdw_fetches);
+        ("indirections", fun s -> s.indirections);
+        ("traps", fun s -> s.traps);
+        ("calls_same_ring", fun s -> s.calls_same_ring);
+        ("calls_downward", fun s -> s.calls_downward);
+        ("calls_upward", fun s -> s.calls_upward);
+        ("returns_same_ring", fun s -> s.returns_same_ring);
+        ("returns_upward", fun s -> s.returns_upward);
+        ("returns_downward", fun s -> s.returns_downward);
+        ("gatekeeper_entries", fun s -> s.gatekeeper_entries);
+        ("descriptor_switches", fun s -> s.descriptor_switches);
+        ("access_violations", fun s -> s.access_violations);
+        ("ptw_fetches", fun s -> s.ptw_fetches);
+        ("page_faults", fun s -> s.page_faults);
+        ("page_evictions", fun s -> s.page_evictions);
+        ("channel_ops", fun s -> s.channel_ops);
+        ("sdw_cache_hits", fun s -> s.sdw_cache_hits);
+        ("sdw_cache_misses", fun s -> s.sdw_cache_misses);
+        ("sdw_cache_evictions", fun s -> s.sdw_cache_evictions);
+        ("ptw_tlb_hits", fun s -> s.ptw_tlb_hits);
+        ("ptw_tlb_misses", fun s -> s.ptw_tlb_misses);
+        ("ptw_tlb_evictions", fun s -> s.ptw_tlb_evictions);
+        ("icache_hits", fun s -> s.icache_hits);
+        ("icache_misses", fun s -> s.icache_misses);
+        ("icache_evictions", fun s -> s.icache_evictions);
+        ("injected", fun s -> s.injected);
+        ("retried", fun s -> s.retried);
+        ("recovered", fun s -> s.recovered);
+        ("quarantined", fun s -> s.quarantined);
+        ("degraded", fun s -> s.degraded);
+        ("snapshots_written", fun s -> s.snapshots_written);
+        ("restores", fun s -> s.restores);
+        ("restore_audit_rejections", fun s -> s.restore_audit_rejections);
+        ("journal_replays_skipped", fun s -> s.journal_replays_skipped);
+        ("watchdog_tripped", fun s -> s.watchdog_tripped);
+        ("events_dropped", fun s -> s.events_dropped);
+        ("events_sampled_out", fun s -> s.events_sampled_out);
+        ("spans_sampled_out", fun s -> s.spans_sampled_out);
+      ]
   in
-  Alcotest.(check (list (pair string int)))
-    "exactly one field moved"
-    [ ("calls_upward", 1) ]
-    moved
+  Alcotest.(check (list string))
+    "one record field per counter, in table order"
+    (Array.to_list Trace.Counters.names)
+    (List.map fst record);
+  Array.iteri
+    (fun i id ->
+      let name = Trace.Counters.names.(i) in
+      let c = Trace.Counters.create () in
+      let before = Trace.Counters.snapshot c in
+      Trace.Counters.incr c id;
+      let d = Trace.Counters.diff ~before ~after:(Trace.Counters.snapshot c) in
+      let moved = List.filter (fun (_, v) -> v <> 0) in
+      Alcotest.(check (list (pair string int)))
+        (name ^ " moves alone in fields") [ (name, 1) ]
+        (moved (Trace.Counters.fields d));
+      Alcotest.(check (list (pair string int)))
+        (name ^ " moves alone in the record") [ (name, 1) ]
+        (moved (List.map (fun (n, field) -> (n, field d)) record));
+      Alcotest.(check int) (name ^ " reads back") 1 (Trace.Counters.get c id))
+    Trace.Counters.ids
 
 let test_event_rendering () =
   let render e = Format.asprintf "%a" Trace.Event.pp e in
@@ -394,9 +452,9 @@ let test_counters_add () =
     Trace.Counters.charge c charges;
     for _ = 1 to bumps do
       Trace.Counters.bump_instructions c;
-      Trace.Counters.bump_traps c
+      Trace.Counters.(incr c traps)
     done;
-    Trace.Counters.bump_calls_downward c;
+    Trace.Counters.(incr c calls_downward);
     Trace.Counters.snapshot c
   in
   let a = mk 100 3 and b = mk 7 2 in
@@ -414,43 +472,6 @@ let test_counters_add () =
     "commutative"
     (Trace.Counters.fields (Trace.Counters.add a b))
     (Trace.Counters.fields (Trace.Counters.add b a))
-
-(* [of_fields] is the decode path for snapshot images: it must round-
-   trip [fields] exactly and, on schema drift, name every unknown and
-   missing field instead of silently misreading. *)
-let test_counters_of_fields () =
-  let c = Trace.Counters.create () in
-  Trace.Counters.charge c 42;
-  Trace.Counters.bump_traps c;
-  let s = Trace.Counters.snapshot c in
-  let fl = Trace.Counters.fields s in
-  (match Trace.Counters.of_fields fl with
-  | Ok s' ->
-      Alcotest.(check (list (pair string int)))
-        "round trip" fl (Trace.Counters.fields s')
-  | Error e -> Alcotest.failf "round trip rejected: %s" e);
-  let renamed =
-    List.map
-      (fun (n, v) -> ((if n = "traps" then "trapz" else n), v))
-      fl
-  in
-  (match Trace.Counters.of_fields renamed with
-  | Ok _ -> Alcotest.fail "renamed field accepted"
-  | Error e ->
-      Alcotest.(check string)
-        "error names both drifted fields"
-        "unknown counter fields: trapz; missing counter fields: traps" e);
-  (match Trace.Counters.of_fields (List.tl fl) with
-  | Ok _ -> Alcotest.fail "truncated field list accepted"
-  | Error e ->
-      Alcotest.(check string)
-        "error names the missing field"
-        "missing counter fields: cycles" e);
-  match Trace.Counters.of_fields (List.rev fl) with
-  | Ok _ -> Alcotest.fail "reordered field list accepted"
-  | Error e ->
-      Alcotest.(check string)
-        "reorder reported" "counter fields out of order or duplicated" e
 
 (* [merge] must hold both inputs' observations, leave the inputs
    untouched, and be commutative — the same contract the dispatcher
@@ -600,8 +621,6 @@ let suite =
         Alcotest.test_case "table cell count" `Quick
           test_table_cell_count_checked;
         Alcotest.test_case "counters add" `Quick test_counters_add;
-        Alcotest.test_case "counters of_fields" `Quick
-          test_counters_of_fields;
         Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
         Alcotest.test_case "profile segment cache" `Quick
           test_profile_segment_cache;
