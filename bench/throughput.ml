@@ -635,6 +635,60 @@ let run_arena_profile ~profile =
     ar_host_seconds = dt;
   }
 
+(* Host cost of the machines themselves: building an [Os.System] at
+   the default 2^21 words and at a serve shard's 2^18, and resetting a
+   wave system an arena wave has just used.  Each figure is the best of
+   [machine_samples] timed calls — the cost with the least host noise —
+   and none is gated: they say where a machine's host time goes, the
+   arena and serve sections say what it buys. *)
+let machine_samples = 20
+let machine_sizes = [ 1 lsl 21; 1 lsl 18 ]
+
+type machine_sample = {
+  mc_create_ms : (int * float) list;  (* memory words, best ms *)
+  mc_reset_us : float;
+}
+
+(* Best of [n] timed calls of [f (prepare ())]; [prepare] and a full
+   major collection run untimed before each, so a call does not pay
+   for garbage the experiments before it left (in a full `make bench`
+   run that debt made a create ~10x dearer). *)
+let best_seconds n ~prepare f =
+  let best = ref infinity in
+  for _ = 1 to n do
+    let x = prepare () in
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    f x;
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
+
+let run_machine_costs () =
+  let create words =
+    1e3
+    *. best_seconds machine_samples ~prepare:Os.Store.create (fun store ->
+           ignore (Os.System.create ~mem_size:words ~store ()))
+  in
+  let wave, ts =
+    List.hd
+      (Os.Arena.waves
+         (Serve.Tenants.generate ~seed:arena_seed
+            ~tenants:Os.Arena.wave_capacity ()))
+  in
+  let sys = Os.System.create ~store:(Os.Store.create ()) () in
+  let used_store () =
+    ignore (Os.Arena.run_wave ~sys ~quota:Os.Arena.default_quota ~wave ts);
+    Os.Store.create ()
+  in
+  {
+    mc_create_ms = List.map (fun words -> (words, create words)) machine_sizes;
+    mc_reset_us =
+      1e6
+      *. best_seconds machine_samples ~prepare:used_store (fun store ->
+             Os.System.reset sys ~store);
+  }
+
 (* The three-way backend showdown: one downward-and-back crossing
    workload served under hardware rings, the 645 software fallback and
    the capability machine, plus a small chaos campaign per backend for
@@ -725,7 +779,7 @@ let backend_deterministic_fragment s =
   Buffer.contents buf
 
 let json_of_samples samples span_samples ~kernel_ms ~trace ~step_alloc ~idle
-    ~(chaos : Os.Chaos.report) ~snap ~serving ~arena ~backends =
+    ~(chaos : Os.Chaos.report) ~snap ~serving ~arena ~machine ~backends =
   let untraced, traced = trace.median_pair in
   let buf = Buffer.create 1024 in
   (* Host self-description up front: every section below — not just
@@ -872,6 +926,15 @@ let json_of_samples samples span_samples ~kernel_ms ~trace ~step_alloc ~idle
        "\n  ], \"throughput_ratio\": %.4f, \"throughput_floor\": %.1f},\n"
        (std.ar_ipc /. coop.ar_ipc)
        arena_throughput_floor);
+  Buffer.add_string buf
+    (Printf.sprintf "  \"machine\": {\"best_of\": %d, \"system_create_ms\": {%s}, \
+                     \"system_reset_used_wave_us\": %.1f},\n"
+       machine_samples
+       (String.concat ", "
+          (List.map
+             (fun (words, ms) -> Printf.sprintf "\"%d\": %.3f" words ms)
+             machine.mc_create_ms))
+       machine.mc_reset_us);
   Buffer.add_string buf
     "  \"backends\": {\"workload\": \"crossing\", \"caller_ring\": 4, \
      \"callee_ring\": 1, \"samples\": [\n";
@@ -1206,6 +1269,16 @@ let throughput () =
           taxing the well-behaved tenants"
          arena_ratio arena_throughput_floor);
   print_newline ();
+  let machine = run_machine_costs () in
+  Printf.printf "host time - machines, best of %d: System.create %s; \
+                 System.reset of a used wave system %.1f us\n"
+    machine_samples
+    (String.concat ", "
+       (List.map
+          (fun (words, ms) -> Printf.sprintf "%.3f ms at %d words" ms words)
+          machine.mc_create_ms))
+    machine.mc_reset_us;
+  print_newline ();
   let backends =
     List.map
       (fun (name, config, mode) -> run_backend ~name ~config ~mode)
@@ -1280,6 +1353,6 @@ let throughput () =
   output_string oc
     (json_of_samples samples span_samples
        ~kernel_ms:(kernel_before, kernel_after) ~trace ~step_alloc ~idle
-       ~chaos ~snap ~serving ~arena ~backends);
+       ~chaos ~snap ~serving ~arena ~machine ~backends);
   close_out oc;
   Printf.printf "wrote BENCH_throughput.json\n"

@@ -1,13 +1,20 @@
+(* Memory is an array of [page_words]-word pages.  Every page starts
+   as [zero_page], one all-zero page shared by every memory and never
+   written; the first store to a page swaps in a fresh page of its own
+   ([write_silent] is the only store path).  So building a memory
+   costs one slot per page, not one word per word, and a machine pays
+   only for the pages it touches. *)
 type t = {
-  words : int array;
+  pages : int array array;
+  size : int;
   counters : Trace.Counters.t;
   mutable on_write : int -> unit;
-  (* Page stamps: for each [page_words]-word page, the dirty
-     generation of its last store, or -1 if nothing was ever stored
-     there (the page is still all zero from [create]).  A page is
-     dirty when its stamp is the current generation and written when
-     its stamp is >= 0, so [clear_dirty] is a generation bump.  The
-     stamp store rides the write path — one array store, no branch. *)
+  (* Page stamps: for each page, the dirty generation of its last
+     store, or -1 if nothing was stored there since [create] or the
+     last [reset] (the page is all zero).  A page is dirty when its
+     stamp is the current generation and written when its stamp is
+     >= 0, so [clear_dirty] is a generation bump.  The stamp store
+     rides the write path — one array store, no branch. *)
   stamps : int array;
   mutable generation : int;
   (* The anchor: memory equalled the image with payload checksum
@@ -21,8 +28,12 @@ type t = {
      [enable_tags] ran: the hardware and 645 machines never allocate
      it, so their write path is untouched.  When enabled, every store
      clears the written word's tag; only {!set_tag} (the kernel
-     installing a capability) sets one. *)
+     installing a capability) sets one, and it flags the word's page
+     in [tag_pages] (one byte per page), so clearing and listing the
+     tags visit only flagged pages.  A flag may outlive its page's
+     tags; it never misses one. *)
   mutable tags : Bytes.t;
+  mutable tag_pages : Bytes.t;
 }
 
 let default_size = 1 lsl 21
@@ -30,39 +41,67 @@ let default_size = 1 lsl 21
 (* Power of two so the page of an address is a shift, not a divide. *)
 let page_shift = 10
 let page_words = 1 lsl page_shift
+let page_mask = page_words - 1
+
+let zero_page = Array.make page_words 0
 
 let ignore_write (_ : int) = ()
 
 let create ?(size = default_size) counters =
+  if size < 0 then invalid_arg "Memory.create: negative size";
+  let npages = (size + page_words - 1) lsr page_shift in
   {
-    words = Array.make size 0;
+    pages = Array.make npages zero_page;
+    size;
     counters;
     on_write = ignore_write;
-    stamps = Array.make ((size + page_words - 1) lsr page_shift) (-1);
+    stamps = Array.make npages (-1);
     generation = 0;
     anchor_sum = 0;
     anchor_gen = -1;
     tags = Bytes.empty;
+    tag_pages = Bytes.empty;
   }
 
-let size t = Array.length t.words
+let size t = t.size
 let counters t = t.counters
 let set_write_observer t f = t.on_write <- f
 
-let check t addr =
-  if addr < 0 || addr >= Array.length t.words then
-    invalid_arg (Printf.sprintf "Memory: absolute address %d out of range" addr)
+(* Reads and stores test the range themselves and reach this by a tail
+   call, so their common path makes no call and needs no stack frame. *)
+let[@inline never] out_of_range addr =
+  invalid_arg (Printf.sprintf "Memory: absolute address %d out of range" addr)
+
+let[@inline] check t addr = if addr < 0 || addr >= t.size then out_of_range addr
 
 let read_silent t addr =
-  check t addr;
-  t.words.(addr)
+  if addr >= 0 && addr < t.size then
+    Array.unsafe_get (Array.unsafe_get t.pages (addr lsr page_shift))
+      (addr land page_mask)
+  else out_of_range addr
 
-let write_silent t addr w =
-  check t addr;
-  t.words.(addr) <- Word.of_int w;
-  t.stamps.(addr lsr page_shift) <- t.generation;
-  if Bytes.length t.tags <> 0 then Bytes.unsafe_set t.tags addr '\000';
-  t.on_write addr
+(* The first store to page [p] gives it a page of its own (the final
+   page of a memory whose size is not a multiple of [page_words] is
+   short) and then stores again.  The common path pays one pointer
+   test for it. *)
+let[@inline never] own_page t p =
+  t.pages.(p) <- Array.make (min page_words (t.size - (p lsl page_shift))) 0
+
+let rec write_silent t addr w =
+  if addr < 0 || addr >= t.size then out_of_range addr
+  else
+    let p = addr lsr page_shift in
+    let page = Array.unsafe_get t.pages p in
+    if page == zero_page then begin
+      own_page t p;
+      write_silent t addr w
+    end
+    else begin
+      Array.unsafe_set page (addr land page_mask) (Word.of_int w);
+      Array.unsafe_set t.stamps p t.generation;
+      if Bytes.length t.tags <> 0 then Bytes.unsafe_set t.tags addr '\000';
+      t.on_write addr
+    end
 
 let read t addr =
   Trace.Counters.(incr t.counters memory_reads);
@@ -74,16 +113,28 @@ let write t addr w =
   Trace.Counters.charge t.counters Costs.memory_access;
   write_silent t addr w
 
+(* Page by page, skipping every page still shared with [zero_page]:
+   looking the page up once per word instead costs a capture's page
+   scan a few percent. *)
 let iter_nonzero t ~addr ~len f =
   if len > 0 then begin
+    let last = addr + len - 1 in
     check t addr;
-    check t (addr + len - 1)
-  end;
-  let words = t.words in
-  for i = 0 to len - 1 do
-    let w = Array.unsafe_get words (addr + i) in
-    if w <> 0 then f i w
-  done
+    check t last;
+    for p = addr lsr page_shift to last lsr page_shift do
+      let page = Array.unsafe_get t.pages p in
+      if page != zero_page then begin
+        let base = p lsl page_shift in
+        let lo = if addr > base then addr - base else 0 in
+        let hi = if last - base < page_mask then last - base else page_mask in
+        let off = base - addr in
+        for o = lo to hi do
+          let w = Array.unsafe_get page o in
+          if w <> 0 then f (off + o) w
+        done
+      end
+    done
+  end
 
 let blit_silent t addr words =
   Array.iteri (fun i w -> write_silent t (addr + i) w) words
@@ -115,8 +166,10 @@ let anchored t sum = t.anchor_gen = t.generation && t.anchor_sum = sum
 (* {1 Validity tags} *)
 
 let enable_tags t =
-  if Bytes.length t.tags = 0 then
-    t.tags <- Bytes.make (Array.length t.words) '\000'
+  if Bytes.length t.tags = 0 then begin
+    t.tags <- Bytes.make t.size '\000';
+    t.tag_pages <- Bytes.make (Array.length t.pages) '\000'
+  end
 
 let tags_enabled t = Bytes.length t.tags <> 0
 
@@ -124,7 +177,8 @@ let set_tag t addr =
   check t addr;
   if Bytes.length t.tags = 0 then
     invalid_arg "Memory.set_tag: tag store not enabled";
-  Bytes.unsafe_set t.tags addr '\001'
+  Bytes.unsafe_set t.tags addr '\001';
+  Bytes.unsafe_set t.tag_pages (addr lsr page_shift) '\001'
 
 let clear_tag t addr =
   check t addr;
@@ -136,23 +190,33 @@ let tagged t addr =
 
 let tagged_addrs t =
   let acc = ref [] in
-  for a = Bytes.length t.tags - 1 downto 0 do
-    if Bytes.unsafe_get t.tags a = '\001' then acc := a :: !acc
+  for p = Bytes.length t.tag_pages - 1 downto 0 do
+    if Bytes.unsafe_get t.tag_pages p <> '\000' then
+      for a = min t.size ((p + 1) lsl page_shift) - 1 downto p lsl page_shift do
+        if Bytes.unsafe_get t.tags a = '\001' then acc := a :: !acc
+      done
   done;
   !acc
 
 let clear_tags t =
-  if Bytes.length t.tags <> 0 then
-    Bytes.fill t.tags 0 (Bytes.length t.tags) '\000'
+  for p = 0 to Bytes.length t.tag_pages - 1 do
+    if Bytes.unsafe_get t.tag_pages p <> '\000' then begin
+      let base = p lsl page_shift in
+      Bytes.fill t.tags base (min page_words (t.size - base)) '\000';
+      Bytes.unsafe_set t.tag_pages p '\000'
+    end
+  done
 
 (* Only a written page can hold a nonzero word, so zeroing those alone
-   brings every word back to [create]'s zero. *)
+   brings every word back to [create]'s zero.  A written page has a
+   page of its own (the store that stamped it allocated one), which is
+   zero-filled and kept: the next run on this memory stores into the
+   same pages without allocating them again. *)
 let reset t =
-  let size = Array.length t.words in
   for p = 0 to Array.length t.stamps - 1 do
     if t.stamps.(p) >= 0 then begin
-      let base = p lsl page_shift in
-      Array.fill t.words base (min page_words (size - base)) 0;
+      let page = t.pages.(p) in
+      Array.fill page 0 (Array.length page) 0;
       t.stamps.(p) <- -1
     end
   done;

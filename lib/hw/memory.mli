@@ -1,6 +1,13 @@
 (** Absolute (physical) memory.
 
-    A flat array of 36-bit words addressed by absolute address.
+    36-bit words addressed by absolute address, held in pages of
+    {!page_words} words.  Every page starts out as one all-zero page
+    shared by every memory and never written; the first store to a
+    page gives it a page of its own.  So a memory costs what its
+    machine touches: building one allocates a slot per page, not a word
+    per word, and the untouched pages of a 2^21-word machine cost
+    nothing.  None of this is visible through the interface — the
+    paging here is host storage, not the simulated processor's paging.
     Accesses made on behalf of the simulated processor go through
     {!read} and {!write}, which charge one cycle each and bump the
     memory counters; the loader and the inspection tools use the
@@ -14,7 +21,9 @@
 type t
 
 val create : ?size:int -> Trace.Counters.t -> t
-(** [size] defaults to 2^21 words. *)
+(** An all-zero memory of [size] words (default 2^21).  Costs one
+    slot per page: no page is allocated until it is first stored to.
+    Raises [Invalid_argument] on a negative [size]. *)
 
 val size : t -> int
 val counters : t -> Trace.Counters.t
@@ -40,7 +49,8 @@ val blit_silent : t -> int -> Word.t array -> unit
 val iter_nonzero : t -> addr:int -> len:int -> (int -> Word.t -> unit) -> unit
 (** [iter_nonzero t ~addr ~len f] calls [f i w] for each nonzero word
     [w] at [addr + i], [0 <= i < len], in address order — silently,
-    like {!read_silent}.  The snapshot writer's page scan. *)
+    like {!read_silent}.  Pages never stored to are skipped unread.
+    The snapshot writer's page scan. *)
 
 (** {1 Dirty-page tracking}
 
@@ -66,7 +76,8 @@ val iter_nonzero : t -> addr:int -> len:int -> (int -> Word.t -> unit) -> unit
     affect modeled cycles. *)
 
 val page_words : int
-(** Words per dirty-tracking page (a power of two). *)
+(** Words per page (a power of two): the unit of storage, of dirty
+    tracking and of the tag store's page flags. *)
 
 val dirty_pages : t -> int list
 (** Page numbers marked dirty since the last {!clear_dirty}, in
@@ -92,10 +103,12 @@ val reset : t -> unit
 (** Return [t] to its state at {!create}: zero every written page and
     unstamp it, set the generation back to 0, drop the anchor and untag
     every word (an enabled tag store stays allocated).  Costs one pass
-    over the page stamps plus the written pages — not the whole
-    memory.  Counters and the write observer are left alone, and the
-    observer does not run for the zeroed words: the machine that owns
-    caches over this memory resets them itself. *)
+    over the page stamps plus the written pages and the pages holding
+    tags — not the whole memory.  The zeroed pages stay allocated, so
+    the next run's stores into them allocate nothing.  Counters and
+    the write observer are left alone, and the observer does not run
+    for the zeroed words: the machine that owns caches over this
+    memory resets them itself. *)
 
 (** {2 The anchor}
 
@@ -145,7 +158,9 @@ val tagged : t -> int -> bool
 
 val tagged_addrs : t -> int list
 (** Absolute addresses of all tagged words, ascending — what the
-    snapshot codec serializes. *)
+    snapshot codec serializes.  {!set_tag} flags the page of every word
+    it tags, and only flagged pages are scanned. *)
 
 val clear_tags : t -> unit
-(** Untag every word (snapshot restore resets then re-applies). *)
+(** Untag every word (snapshot restore resets then re-applies).
+    Visits only the pages {!set_tag} flagged, and unflags them. *)

@@ -117,7 +117,9 @@ let dummy_resolve_entry =
 
 (* Which host caches watch an absolute address, one byte per memory
    word, so the write observer is a single byte test on the (vastly
-   common) unwatched store. *)
+   common) unwatched store.  Setting a bit also flags the word's
+   {!Hw.Memory.page_words}-word page in [watched_pages], one byte per
+   page, so [reset] clears only the flagged pages of the map. *)
 let bit_sdw = 1
 let bit_ptw = 2
 let bit_icache = 4
@@ -165,6 +167,7 @@ type t = {
   resolve_entries : resolve_entry array;
   mutable fetch_gen : int;
   watched : Bytes.t;
+  watched_pages : Bytes.t;
   mutable sdw_cache_base : int;
   mutable resident_bases : int list;
   mutable injector : Hw.Inject.t option;
@@ -185,6 +188,11 @@ let sdw_cache_entries = 512
 let ptw_tlb_entries = 256
 let icache_entries = 4096
 
+let set_watch_bit t addr bit =
+  Bytes.unsafe_set t.watched addr
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.watched addr) lor bit));
+  Bytes.unsafe_set t.watched_pages (addr / Hw.Memory.page_words) '\001'
+
 (* Watch tables use Hashtbl.add multi-bindings: distinct descriptor
    segments can interleave in absolute memory, and per-ring descriptor
    segments of a 645-style process share page tables, so one written
@@ -192,8 +200,7 @@ let icache_entries = 4096
 let watch t ~bit table addr key =
   if not (List.mem key (Hashtbl.find_all table addr)) then
     Hashtbl.add table addr key;
-  Bytes.unsafe_set t.watched addr
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.watched addr) lor bit))
+  set_watch_bit t addr bit
 
 let unwatch_all table addr =
   while Hashtbl.mem table addr do
@@ -334,6 +341,11 @@ let create ?(mode = Ring_hardware)
       resolve_entries = Array.make resolve_cache_slots dummy_resolve_entry;
       fetch_gen = 0;
       watched = Bytes.make (Hw.Memory.size mem) '\000';
+      watched_pages =
+        Bytes.make
+          ((Hw.Memory.size mem + Hw.Memory.page_words - 1)
+          / Hw.Memory.page_words)
+          '\000';
       sdw_cache_base = -1;
       resident_bases = [];
       injector = None;
@@ -648,9 +660,7 @@ let fetch_decoded t abs =
             (match Hw.Assoc.insert t.icache abs instr with
             | None -> ()
             | Some _ -> Trace.Counters.(incr t.counters icache_evictions));
-            Bytes.unsafe_set t.watched abs
-              (Char.unsafe_chr
-                 (Char.code (Bytes.unsafe_get t.watched abs) lor bit_icache))
+            set_watch_bit t abs bit_icache
           end;
           Ok instr)
 
@@ -878,14 +888,30 @@ let set_sampling t s =
   Trace.Event.set_instr_sampling t.log ~interval:s.instr;
   Trace.Span.set_sampling t.spans ~interval:s.sample ~seed:s.seed
 
+(* Clear the watched bytes of every page a watch bit was set in since
+   the last clear; a byte the write observer already cleared is cleared
+   again, harmlessly. *)
+let clear_watched t =
+  let size = Bytes.length t.watched in
+  for p = 0 to Bytes.length t.watched_pages - 1 do
+    if Bytes.unsafe_get t.watched_pages p <> '\000' then begin
+      let base = p * Hw.Memory.page_words in
+      Bytes.fill t.watched base (min Hw.Memory.page_words (size - base)) '\000';
+      Bytes.unsafe_set t.watched_pages p '\000'
+    end
+  done
+
 (* Back to what [create] built, in place, so one machine can host
    run after run without allocating its memory again.  Memory zeroes
-   only the pages ever written; everything else — registers, counters,
-   trace state, every host cache, memo, watch table and watched byte —
-   is refilled or emptied here.  Kept apart from [create] so a fresh
-   machine never pays for refilling arrays it has just allocated.  The
-   configuration (mode, stack rule, ablations) and the wiring [create]
-   installed (write observer, trace clock, resolver, stats) stay. *)
+   only the pages ever written and the watched map only its flagged
+   pages; everything else — registers, counters, trace state, every
+   host cache and watch table — is refilled or emptied here.  The memo
+   arrays keep their entries: [drop_host_caches]'s [fetch_gen] bump
+   makes every one of them miss, as after [quiesce].  Kept apart from
+   [create] so a fresh machine never pays for refilling arrays it has
+   just allocated.  The configuration (mode, stack rule, ablations) and
+   the wiring [create] installed (write observer, trace clock,
+   resolver, stats) stay. *)
 let reset t =
   Hw.Memory.reset t.mem;
   Hw.Registers.restore t.regs ~from:(Hw.Registers.create ());
@@ -906,12 +932,7 @@ let reset t =
   Hw.Assoc.reset_stats t.ptw_tlb;
   Hw.Assoc.reset_stats t.icache;
   Hashtbl.reset t.sdw_watch;
-  Array.fill t.fetch_slots 0 fetch_cache_slots (-1);
-  Array.fill t.fetch_entries 0 fetch_cache_slots dummy_fetch_entry;
-  Array.fill t.resolve_slots 0 resolve_cache_slots (-1);
-  Array.fill t.resolve_entries 0 resolve_cache_slots dummy_resolve_entry;
-  t.fetch_gen <- 0;
-  Bytes.fill t.watched 0 (Bytes.length t.watched) '\000';
+  clear_watched t;
   t.sdw_cache_base <- -1;
   t.injector <- None;
   t.degraded <- false;

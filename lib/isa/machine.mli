@@ -207,6 +207,11 @@ type t = {
           keyed off this absolute address (bit 1 SDW, 2 PTW, 4
           decoded-instruction, 8 fetch memo).  Makes the common
           unwatched store a single byte test in the write observer. *)
+  watched_pages : Bytes.t;
+      (** One byte per {!Hw.Memory.page_words}-word page, nonzero once
+          a bit of [watched] was set in that page.  Every place that
+          sets a [watched] bit flags its page, so {!reset} clears only
+          the flagged pages of [watched], not the whole map. *)
   mutable sdw_cache_base : int;
       (** DBR base the host caches were last synchronized against;
           [fetch_sdw] lazily detects DBR reloads through it. *)
@@ -396,12 +401,15 @@ val reset : t -> unit
     zeroed ({!Hw.Memory.reset}, which touches only the pages ever
     written), registers, counters, event log, spans and profile as
     new, no timer, channel, trap, halt or degraded state, no injector,
-    recovery hook or cycle limit, an empty capability stack, and every
-    host cache, memo, watch table and watched byte empty.  Mode, stack
-    rule and ablation switches are kept.  A run on the reset machine is
-    indistinguishable from the same run on a fresh one — counters,
-    exits and snapshot bytes alike — and skips allocating the 2^21-word
-    memory again. *)
+    recovery hook or cycle limit, an empty capability stack, every host
+    cache and watch table empty, and every [watched] byte zero (only
+    the pages [watched_pages] flags are cleared).  The fetch and
+    resolve memo arrays keep their slots, but the [fetch_gen] bump
+    that empties the host caches makes every entry miss, as after
+    {!quiesce}.  Mode, stack rule and ablation switches are kept.  A
+    run on the reset machine is indistinguishable from the same run on
+    a fresh one — counters, exits and snapshot bytes alike — and costs
+    what the previous run touched, not the memory size. *)
 
 val poll_injection : t -> Rings.Fault.t option
 (** Fire at most one due injection rule.  A returned fault is a parity

@@ -21,12 +21,12 @@
     A machine's memory holds {!wave_capacity} process regions, so a
     campaign runs in waves of at most that many tenants, each wave on
     its own store and a machine in its freshly created state: a worker
-    builds one wave system and {!System.reset}s it between waves
-    instead of allocating a 2^21-word machine per wave.  Wave
-    composition is a pure function of the tenant list and each wave is
-    self-contained, so waves may run sequentially or spread across
-    domains ({!Serve.Tenants} does the latter) and the assembled report
-    is byte-identical either way. *)
+    builds one wave system and {!System.reset}s it between waves, which
+    clears only what the last wave touched and keeps its memory pages
+    for the next.  Wave composition is a pure function of the tenant
+    list and each wave is self-contained, so waves may run sequentially
+    or spread across domains ({!Serve.Tenants} does the latter) and the
+    assembled report is byte-identical either way. *)
 
 type quota = {
   cycles : int;

@@ -53,8 +53,11 @@ val reset : t -> store:Store.t -> unit
     ({!Isa.Machine.reset}): no entries, regions, slices, completion
     log or rotation, and [store] as its on-line storage.  What runs on
     it next runs exactly as on a fresh system; the arena resets one
-    system per worker between waves instead of allocating a 2^21-word
-    machine for each. *)
+    system per worker between waves instead of building one for each.
+    Both are cheap — a machine's memory pages are allocated on first
+    store, and a reset clears only what the last run touched — but a
+    reset also keeps those pages, so the next wave's stores allocate
+    nothing. *)
 
 val machine : t -> Isa.Machine.t
 

@@ -281,9 +281,7 @@ let modeled_counters m =
   Trace.Counters.fields (Trace.Counters.snapshot m.Isa.Machine.counters)
   |> List.filter (fun (name, _) -> not (List.mem name host_cache_counters))
 
-let memory_image m =
-  let mem = m.Isa.Machine.mem in
-  Array.init (Hw.Memory.size mem) (Hw.Memory.read_silent mem)
+let memory_image m = Test_snapshot.nonzero_words m.Isa.Machine.mem
 
 let prop_fast_path_matches_uncached =
   QCheck.Test.make ~name:"fast path matches the degraded machine" ~count:120

@@ -47,6 +47,236 @@ let test_memory_masks () =
   Alcotest.(check int) "written masked to 36 bits" Hw.Word.mask
     (Hw.Memory.read mem 0)
 
+(* Paged memory against a flat reference: an int array with its own
+   page stamps, dirty generation, tag bits and access counts.  Every
+   operation is applied to both, and after each one every word, both
+   page sets, the tag list and the memory counters must agree. *)
+
+type mem_op =
+  | Write of int * int
+  | Write_silent of int * int
+  | Blit of int * int list
+  | Read of int
+  | Read_silent of int
+  | Iter_nonzero of int * int
+  | Clear_dirty
+  | Reset
+  | Set_tag of int
+  | Clear_tags
+
+let pp_mem_op = function
+  | Write (a, v) -> Printf.sprintf "write %d %d" a v
+  | Write_silent (a, v) -> Printf.sprintf "write_silent %d %d" a v
+  | Blit (a, vs) ->
+      Printf.sprintf "blit %d [%s]" a
+        (String.concat ";" (List.map string_of_int vs))
+  | Read a -> Printf.sprintf "read %d" a
+  | Read_silent a -> Printf.sprintf "read_silent %d" a
+  | Iter_nonzero (a, len) -> Printf.sprintf "iter_nonzero %d %d" a len
+  | Clear_dirty -> "clear_dirty"
+  | Reset -> "reset"
+  | Set_tag a -> Printf.sprintf "set_tag %d" a
+  | Clear_tags -> "clear_tags"
+
+type mem_model = {
+  m_words : int array;
+  m_stamps : int array;
+  mutable m_gen : int;
+  m_tags : bool array;
+  mutable m_accesses : int * int;  (* reads, writes *)
+}
+
+let model_create size =
+  {
+    m_words = Array.make size 0;
+    m_stamps =
+      Array.make ((size + Hw.Memory.page_words - 1) / Hw.Memory.page_words) (-1);
+    m_gen = 0;
+    m_tags = Array.make size false;
+    m_accesses = (0, 0);
+  }
+
+let model_store m a v =
+  m.m_words.(a) <- Hw.Word.of_int v;
+  m.m_stamps.(a / Hw.Memory.page_words) <- m.m_gen;
+  m.m_tags.(a) <- false
+
+let model_pages m keep =
+  List.filter
+    (fun p -> keep m.m_stamps.(p))
+    (List.init (Array.length m.m_stamps) Fun.id)
+
+(* Apply [op] to [mem] and [m]; fail when a result differs. *)
+let apply_mem_op ~tags mem m op =
+  let size = Array.length m.m_words in
+  let in_range a = a >= 0 && a < size in
+  let same what got want =
+    if got <> want then
+      QCheck.Test.fail_reportf "%s: %s read %d, model %d" (pp_mem_op op) what
+        got want
+  in
+  let refused f =
+    match f () with
+    | _ -> QCheck.Test.fail_reportf "%s: accepted" (pp_mem_op op)
+    | exception Invalid_argument _ -> ()
+  in
+  let reads, writes = m.m_accesses in
+  match op with
+  | Write (a, v) ->
+      Hw.Memory.write mem a v;
+      model_store m a v;
+      m.m_accesses <- (reads, writes + 1)
+  | Write_silent (a, v) when in_range a ->
+      Hw.Memory.write_silent mem a v;
+      model_store m a v
+  | Write_silent (a, v) -> refused (fun () -> Hw.Memory.write_silent mem a v)
+  | Blit (a, vs) ->
+      Hw.Memory.blit_silent mem a (Array.of_list vs);
+      List.iteri (fun i v -> model_store m (a + i) v) vs
+  | Read a ->
+      same "read" (Hw.Memory.read mem a) m.m_words.(a);
+      m.m_accesses <- (reads + 1, writes)
+  | Read_silent a when in_range a ->
+      same "read_silent" (Hw.Memory.read_silent mem a) m.m_words.(a)
+  | Read_silent a -> refused (fun () -> Hw.Memory.read_silent mem a)
+  | Iter_nonzero (a, len) ->
+      let got = ref [] in
+      Hw.Memory.iter_nonzero mem ~addr:a ~len (fun i w -> got := (i, w) :: !got);
+      let want =
+        List.filter
+          (fun (_, w) -> w <> 0)
+          (List.init len (fun i -> (i, m.m_words.(a + i))))
+      in
+      if List.rev !got <> want then
+        QCheck.Test.fail_reportf "%s: visited %d words, model has %d nonzero"
+          (pp_mem_op op) (List.length !got) (List.length want)
+  | Clear_dirty ->
+      Hw.Memory.clear_dirty mem;
+      m.m_gen <- m.m_gen + 1
+  | Reset ->
+      Hw.Memory.reset mem;
+      Array.fill m.m_words 0 size 0;
+      Array.fill m.m_stamps 0 (Array.length m.m_stamps) (-1);
+      m.m_gen <- 0;
+      Array.fill m.m_tags 0 size false
+  | Set_tag a when tags && in_range a ->
+      Hw.Memory.set_tag mem a;
+      m.m_tags.(a) <- true
+  | Set_tag a -> refused (fun () -> Hw.Memory.set_tag mem a)
+  | Clear_tags ->
+      Hw.Memory.clear_tags mem;
+      Array.fill m.m_tags 0 size false
+
+let check_mem_agrees mem m ~after =
+  let size = Array.length m.m_words in
+  let fail fmt = QCheck.Test.fail_reportf ("after %s: " ^^ fmt) after in
+  for a = 0 to size - 1 do
+    if Hw.Memory.read_silent mem a <> m.m_words.(a) then
+      fail "word %d is %d, model %d" a (Hw.Memory.read_silent mem a)
+        m.m_words.(a)
+  done;
+  if Hw.Memory.dirty_generation mem <> m.m_gen then fail "generations differ";
+  if Hw.Memory.dirty_pages mem <> model_pages m (fun s -> s = m.m_gen) then
+    fail "dirty pages differ";
+  if Hw.Memory.written_pages mem <> model_pages m (fun s -> s >= 0) then
+    fail "written pages differ";
+  let tagged =
+    List.filter (fun a -> m.m_tags.(a)) (List.init size Fun.id)
+  in
+  if Hw.Memory.tagged_addrs mem <> tagged then fail "tagged words differ";
+  let c = Hw.Memory.counters mem in
+  let reads, writes = m.m_accesses in
+  if
+    Trace.Counters.(get c memory_reads, get c memory_writes, cycles c)
+    <> (reads, writes, (reads + writes) * Hw.Costs.memory_access)
+  then fail "memory counters differ"
+
+let gen_mem_ops size =
+  let open QCheck.Gen in
+  (* Half the addresses sit at a page's first or last two words, where
+     a page walk is most easily off by one. *)
+  let page = Hw.Memory.page_words in
+  let edge =
+    map2
+      (fun p o -> min (size - 1) ((p * page) + o))
+      (int_bound ((size - 1) / page))
+      (oneofl [ 0; 1; page - 2; page - 1 ])
+  in
+  let addr = frequency [ (1, int_bound (size - 1)); (1, edge) ] in
+  (* One address in thirty falls just outside the memory. *)
+  let any_addr = frequency [ (28, addr); (1, return size); (1, return (-1)) ] in
+  let value = frequency [ (3, return 0); (3, int_bound 1000); (2, int) ] in
+  let span f = addr >>= fun a -> map (f a) (int_bound (size - a)) in
+  frequency
+    [
+      (6, map2 (fun a v -> Write (a, v)) addr value);
+      (6, map2 (fun a v -> Write_silent (a, v)) any_addr value);
+      ( 2,
+        addr >>= fun a ->
+        map
+          (fun vs -> Blit (a, vs))
+          (list_size (int_bound (min 40 (size - a))) value) );
+      (3, map (fun a -> Read a) addr);
+      (3, map (fun a -> Read_silent a) any_addr);
+      (2, span (fun a len -> Iter_nonzero (a, len)));
+      (2, return Clear_dirty);
+      (1, return Reset);
+      (3, map (fun a -> Set_tag a) any_addr);
+      (1, return Clear_tags);
+    ]
+
+let prop_memory_matches_flat_model size =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "paged memory matches a flat model (%d words)" size)
+    ~count:150
+    QCheck.(
+      pair bool
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map pp_mem_op ops))
+           Gen.(list_size (int_range 1 60) (gen_mem_ops size))))
+    (fun (tags, ops) ->
+      let mem = Hw.Memory.create ~size (counters ()) in
+      if tags then Hw.Memory.enable_tags mem;
+      let m = model_create size in
+      List.iter
+        (fun op ->
+          apply_mem_op ~tags mem m op;
+          check_mem_agrees mem m ~after:(pp_mem_op op))
+        ops;
+      true)
+
+(* Every page of every memory starts out as one shared zero page; a
+   store must give the page a copy of its own, never write the shared
+   one. *)
+let test_zero_page_never_written () =
+  let page = Hw.Memory.page_words in
+  let size = 4 * page in
+  let before = Hw.Memory.create ~size (counters ()) in
+  let a = Hw.Memory.create ~size (counters ()) in
+  for i = 0 to page - 1 do
+    Hw.Memory.write_silent a (page + i) (i + 1)
+  done;
+  let after = Hw.Memory.create ~size (counters ()) in
+  let all_zero what mem =
+    Hw.Memory.iter_nonzero mem ~addr:0 ~len:size (fun i w ->
+        Alcotest.failf "%s: word %d reads %d" what i w);
+    for i = 0 to size - 1 do
+      if Hw.Memory.read_silent mem i <> 0 then
+        Alcotest.failf "%s: word %d is not zero" what i
+    done
+  in
+  all_zero "memory built before the stores" before;
+  all_zero "memory built after the stores" after;
+  Alcotest.(check int) "the stored page reads back" (page / 2 + 1)
+    (Hw.Memory.read_silent a (page + (page / 2)));
+  Alcotest.(check int) "its neighbours stay zero" 0
+    (Hw.Memory.read_silent a (2 * page));
+  Hw.Memory.reset a;
+  all_zero "the stored memory after reset" a;
+  Hw.Memory.write_silent a page 7;
+  all_zero "a fresh memory after the reused page is stored again"
+    (Hw.Memory.create ~size (counters ()))
+
 (* Registers *)
 
 let test_registers_prs () =
@@ -154,6 +384,13 @@ let suite =
           test_memory_rw_and_accounting;
         Alcotest.test_case "memory bounds" `Quick test_memory_bounds;
         Alcotest.test_case "memory masks" `Quick test_memory_masks;
+        Alcotest.test_case "zero page never written" `Quick
+          test_zero_page_never_written;
+        QCheck_alcotest.to_alcotest (prop_memory_matches_flat_model 64);
+        QCheck_alcotest.to_alcotest
+          (prop_memory_matches_flat_model Hw.Memory.page_words);
+        QCheck_alcotest.to_alcotest
+          (prop_memory_matches_flat_model ((3 * Hw.Memory.page_words) + 17));
         Alcotest.test_case "registers PRs" `Quick test_registers_prs;
         Alcotest.test_case "maximize PR rings" `Quick test_maximize_pr_rings;
         Alcotest.test_case "indicators" `Quick test_indicators;

@@ -66,14 +66,15 @@ let comparable_fields sys =
   Trace.Counters.fields (Trace.Counters.snapshot (counters sys))
   |> List.filter (fun (name, _) -> not (List.mem name session_local))
 
-let memory_words sys =
-  let mem = (Os.System.machine sys).Isa.Machine.mem in
+(* Every nonzero word with its address, ascending: equal lists mean
+   equal memories of one size. *)
+let nonzero_words mem =
   let acc = ref [] in
-  for a = Hw.Memory.size mem - 1 downto 0 do
-    let w = Hw.Memory.read_silent mem a in
-    if w <> 0 then acc := (a, w) :: !acc
-  done;
-  !acc
+  Hw.Memory.iter_nonzero mem ~addr:0 ~len:(Hw.Memory.size mem) (fun a w ->
+      acc := (a, w) :: !acc);
+  List.rev !acc
+
+let memory_words sys = nonzero_words (Os.System.machine sys).Isa.Machine.mem
 
 let device_outputs sys =
   List.map
@@ -1150,6 +1151,78 @@ let prop_reset_equivalence ((name, _) as mode) =
       check_reset mode ~quantum ~a ~b ops;
       true)
 
+(* A stale [watched] byte only sends a store down the write observer's
+   slow path: exits, counters and images are the same with or without
+   it, so the property above cannot see one.  The cache probe stores
+   over words it fetched (fetch-memo and icache watches), the bump pair
+   shares a segment, and a paged crossing translates through page
+   tables (PTW watches), all on one default-size machine; after the
+   reset every watched byte and page flag, every tag and every word
+   must be zero, as on a fresh machine. *)
+let test_reset_leaves_no_watch_bit () =
+  List.iter
+    (fun (name, mode) ->
+      let store = build_store ~n1:20 ~n2:10 () in
+      Os.Store.add_source store ~name:"probe"
+        ~acl:
+          (wildcard
+             (Rings.Access.v ~read:true ~write:true ~execute:true
+                (Rings.Brackets.of_ints 4 4 4)))
+        (probe_source ~rounds:8);
+      List.iter
+        (fun (name, acl, src) -> Os.Store.add_source store ~name ~acl src)
+        (Os.Scenario.crossing_sources ~caller_ring:4 ~callee_ring:1
+           ~with_argument:true 20);
+      let sys = Os.System.create ~mode ~store () in
+      spawn_pair sys;
+      let spawn ?paged pname segments start =
+        match
+          Os.System.spawn sys ?paged ~pname ~user:pname ~segments
+            ~start:(start, "start") ~ring:4
+        with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "%s: spawn %s: %s" name pname e
+      in
+      spawn "pc" [ "probe" ] "probe";
+      spawn ~paged:true "pd" [ "caller"; "service"; "data" ] "caller";
+      let exits = Os.System.run sys in
+      List.iter
+        (fun (pname, e) ->
+          if e <> Os.Kernel.Exited then
+            Alcotest.failf "%s: %s ended %a" name pname Os.Kernel.pp_exit e)
+        exits;
+      let m = Os.System.machine sys in
+      let bits = ref 0 in
+      Bytes.iter (fun c -> bits := !bits lor Char.code c) m.Isa.Machine.watched;
+      Alcotest.(check int)
+        (name ^ ": all four watch kinds armed before the reset")
+        15 !bits;
+      if mode = Isa.Machine.Ring_capability then
+        Alcotest.(check bool)
+          (name ^ ": tags minted before the reset")
+          true
+          (Hw.Memory.tagged_addrs m.mem <> []);
+      Os.System.reset sys ~store:(Os.Store.create ());
+      let nonzero b =
+        Bytes.fold_left (fun n c -> if c <> '\000' then n + 1 else n) 0 b
+      in
+      Alcotest.(check int) (name ^ ": watched bytes") 0 (nonzero m.watched);
+      Alcotest.(check int)
+        (name ^ ": watched page flags")
+        0 (nonzero m.watched_pages);
+      let tagged = ref 0 in
+      for a = 0 to Hw.Memory.size m.mem - 1 do
+        if Hw.Memory.tagged m.mem a then incr tagged
+      done;
+      Alcotest.(check int) (name ^ ": tagged words") 0 !tagged;
+      Alcotest.(check int)
+        (name ^ ": nonzero words")
+        0
+        (List.length (nonzero_words m.mem));
+      Alcotest.(check (list int)) (name ^ ": written pages") []
+        (Hw.Memory.written_pages m.mem))
+    modes
+
 (* Every constructor of the variants the image encodes by hand, each
    with distinct field values so a reader that swaps two fields or two
    tags decodes something else. *)
@@ -1354,5 +1427,7 @@ let suite =
       @ [
           Alcotest.test_case "every variant round-trips through an image"
             `Quick test_every_variant_round_trips;
+          Alcotest.test_case "reset leaves no watch bit" `Quick
+            test_reset_leaves_no_watch_bit;
         ] );
   ]
