@@ -649,20 +649,20 @@ type machine_sample = {
   mc_reset_us : float;
 }
 
-(* Best of [n] timed calls of [f (prepare ())]; [prepare] and a full
-   major collection run untimed before each, so a call does not pay
-   for garbage the experiments before it left (in a full `make bench`
-   run that debt made a create ~10x dearer). *)
+(* Best of [n] timed calls of [f (prepare ())]; a full major
+   collection and [prepare] run untimed before each, so a call does not
+   pay for garbage the experiments before it left (in a full `make
+   bench` run that debt made a create ~10x dearer). *)
 let best_seconds n ~prepare f =
-  let best = ref infinity in
+  let best = ref max_int in
   for _ = 1 to n do
-    let x = prepare () in
     Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
+    let x = prepare () in
+    let t0 = Perfbench.Calib.now_ns () in
     f x;
-    best := Float.min !best (Unix.gettimeofday () -. t0)
+    best := min !best (Perfbench.Calib.now_ns () - t0)
   done;
-  !best
+  float_of_int !best *. 1e-9
 
 let run_machine_costs () =
   let create words =
@@ -750,6 +750,53 @@ let run_backend ~name ~config ~mode =
     bk_violations = List.length chaos.Os.Chaos.violations;
   }
 
+(* Host cost of the serve rewind, per backend: a serve shard's system
+   (2^18 words, one process running the crossing program, profile on)
+   rewound by [Os.Snapshot.warm_boot] to its boot image right after
+   one [Os.System.run], as between two requests.  The image was warm-booted once before the
+   samples, as a shard's is from its second request on.  Best of
+   [machine_samples] microseconds; no gate — the layer under the
+   serve section's requests. *)
+let rewind_mem = 1 lsl 18
+let rewind_iterations = 20
+
+let run_rewind_costs () =
+  List.map
+    (fun (name, _, mode) ->
+      let sources =
+        Os.Scenario.crossing_sources ~caller_ring:4 ~callee_ring:1
+          rewind_iterations
+      in
+      let store = Os.Store.create () in
+      List.iter
+        (fun (name, acl, src) -> Os.Store.add_source store ~name ~acl src)
+        sources;
+      let sys = Os.System.create ~mode ~mem_size:rewind_mem ~store () in
+      (match
+         Os.System.spawn sys ~pname:"req" ~user:"alice"
+           ~segments:(List.map (fun (n, _, _) -> n) sources)
+           ~start:("caller", "start") ~ring:4
+       with
+      | Ok _ -> ()
+      | Error e -> failwith ("rewind: cannot spawn: " ^ e));
+      Trace.Profile.set_enabled (Os.System.machine sys).Isa.Machine.profile
+        true;
+      let image = Os.Snapshot.capture sys in
+      let warm_boot () =
+        match Os.Snapshot.warm_boot sys image with
+        | Ok () -> ()
+        | Error e ->
+            failwith
+              (Format.asprintf "rewind %s: %a" name Os.Snapshot.pp_error e)
+      in
+      warm_boot ();
+      ( name,
+        1e6
+        *. best_seconds machine_samples
+             ~prepare:(fun () -> ignore (Os.System.run sys))
+             warm_boot ))
+    backend_configs
+
 (* The modeled half of a backend sample as JSON fields (no braces, no
    host timing): run the measurement twice, these bytes must match
    exactly — that is the per-backend determinism gate. *)
@@ -779,7 +826,8 @@ let backend_deterministic_fragment s =
   Buffer.contents buf
 
 let json_of_samples samples span_samples ~kernel_ms ~trace ~step_alloc ~idle
-    ~(chaos : Os.Chaos.report) ~snap ~serving ~arena ~machine ~backends =
+    ~(chaos : Os.Chaos.report) ~snap ~serving ~arena ~machine ~rewind
+    ~backends =
   let untraced, traced = trace.median_pair in
   let buf = Buffer.create 1024 in
   (* Host self-description up front: every section below — not just
@@ -935,6 +983,15 @@ let json_of_samples samples span_samples ~kernel_ms ~trace ~step_alloc ~idle
              (fun (words, ms) -> Printf.sprintf "\"%d\": %.3f" words ms)
              machine.mc_create_ms))
        machine.mc_reset_us);
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"rewind\": {\"best_of\": %d, \"memory_words\": %d, \"program\": \
+        \"crossing\", \"iterations\": %d, \"warm_boot_after_run_us\": {%s}},\n"
+       machine_samples rewind_mem rewind_iterations
+       (String.concat ", "
+          (List.map
+             (fun (name, us) -> Printf.sprintf "%S: %.2f" name us)
+             rewind)));
   Buffer.add_string buf
     "  \"backends\": {\"workload\": \"crossing\", \"caller_ring\": 4, \
      \"callee_ring\": 1, \"samples\": [\n";
@@ -1278,6 +1335,14 @@ let throughput () =
           (fun (words, ms) -> Printf.sprintf "%.3f ms at %d words" ms words)
           machine.mc_create_ms))
     machine.mc_reset_us;
+  let rewind = run_rewind_costs () in
+  Printf.printf "host time - rewind, best of %d: Snapshot.warm_boot after one \
+                 System.run of a %d-word crossing system %s\n"
+    machine_samples rewind_mem
+    (String.concat ", "
+       (List.map
+          (fun (name, us) -> Printf.sprintf "%.2f us (%s)" us name)
+          rewind));
   print_newline ();
   let backends =
     List.map
@@ -1353,6 +1418,6 @@ let throughput () =
   output_string oc
     (json_of_samples samples span_samples
        ~kernel_ms:(kernel_before, kernel_after) ~trace ~step_alloc ~idle
-       ~chaos ~snap ~serving ~arena ~machine ~backends);
+       ~chaos ~snap ~serving ~arena ~machine ~rewind ~backends);
   close_out oc;
   Printf.printf "wrote BENCH_throughput.json\n"

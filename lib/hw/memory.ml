@@ -139,6 +139,62 @@ let iter_nonzero t ~addr ~len f =
 let blit_silent t addr words =
   Array.iteri (fun i w -> write_silent t (addr + i) w) words
 
+let listed_offset pairs i len =
+  let o = pairs.(2 * i) in
+  if o < 0 || o >= len then
+    invalid_arg "Memory.set_page: offset outside the page";
+  o
+
+(* The first offset in [[z, hi)] of [page] that holds a nonzero word,
+   else [hi].  A loop with no call in it, so it runs in registers,
+   testing eight words per step while eight remain. *)
+let rec next_nonzero (page : int array) z hi =
+  if
+    z + 8 <= hi
+    && Array.(
+         unsafe_get page z lor unsafe_get page (z + 1)
+         lor unsafe_get page (z + 2) lor unsafe_get page (z + 3)
+         lor unsafe_get page (z + 4) lor unsafe_get page (z + 5)
+         lor unsafe_get page (z + 6) lor unsafe_get page (z + 7))
+       = 0
+  then next_nonzero page (z + 8) hi
+  else if z < hi && Array.unsafe_get page z = 0 then
+    next_nonzero page (z + 1) hi
+  else z
+
+(* Zero offsets [[lo, hi)] of owned page [page], which starts at
+   [base]: one store per nonzero word. *)
+let zero_span t base page lo hi =
+  let z = ref (next_nonzero page lo hi) in
+  while !z < hi do
+    write_silent t (base + !z) 0;
+    z := next_nonzero page (!z + 1) hi
+  done
+
+(* A page still shared with [zero_page] differs from the listing only
+   in its listed words.  An owned page is scanned for the nonzero
+   words between them; [write_silent] never swaps an owned page, so
+   [page] stays the live one throughout. *)
+let set_page t p pairs n =
+  let base = p lsl page_shift in
+  let page = t.pages.(p) in
+  let len = min page_words (t.size - base) in
+  if page == zero_page then
+    for i = 0 to n - 1 do
+      write_silent t (base + listed_offset pairs i len) pairs.((2 * i) + 1)
+    done
+  else begin
+    let next = ref 0 in
+    for i = 0 to n - 1 do
+      let o = listed_offset pairs i len in
+      zero_span t base page !next o;
+      let w = pairs.((2 * i) + 1) in
+      if Array.unsafe_get page o <> w then write_silent t (base + o) w;
+      next := o + 1
+    done;
+    zero_span t base page !next len
+  end
+
 let dirty_pages t =
   let gen = t.generation in
   let acc = ref [] in

@@ -79,6 +79,20 @@ val page_words : int
 (** Words per page (a power of two): the unit of storage, of dirty
     tracking and of the tag store's page flags. *)
 
+val page_shift : int
+(** [page_words = 1 lsl page_shift]: the page of address [a] is
+    [a lsr page_shift]. *)
+
+val set_page : t -> int -> int array -> int -> unit
+(** [set_page t p pairs n] makes page [p] hold exactly [n] listed
+    words and zero everywhere else: word [pairs.(2i+1)] at offset
+    [pairs.(2i)] of the page, for [i < n].  Offsets must ascend; one
+    outside the page raises [Invalid_argument].  Only the words that
+    differ are stored, through {!write_silent} in ascending address
+    order, so the page stamps, the tags and the write observer see
+    exactly those stores.  The snapshot apply's memory pass, one call
+    per page it rewrites. *)
+
 val dirty_pages : t -> int list
 (** Page numbers marked dirty since the last {!clear_dirty}, in
     ascending order.  Page [p] covers absolute addresses

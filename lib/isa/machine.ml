@@ -117,13 +117,17 @@ let dummy_resolve_entry =
 
 (* Which host caches watch an absolute address, one byte per memory
    word, so the write observer is a single byte test on the (vastly
-   common) unwatched store.  Setting a bit also flags the word's
-   {!Hw.Memory.page_words}-word page in [watched_pages], one byte per
-   page, so [reset] clears only the flagged pages of the map. *)
+   common) unwatched store.  The map is kept per
+   {!Hw.Memory.page_words}-word page: every page starts on [no_watch],
+   one all-zero map shared by every machine and never written, and the
+   first watch bit set in a page gives it a map of its own.  Setting a
+   bit also flags the page in [watched_pages], one byte per page, so
+   [reset] clears only the flagged pages' maps. *)
 let bit_sdw = 1
 let bit_ptw = 2
 let bit_icache = 4
 let bit_fetch = 8
+let no_watch = Bytes.make Hw.Memory.page_words '\000'
 
 (* The countdown sentinel: no timer or channel operation running. *)
 let disarmed = min_int
@@ -166,7 +170,7 @@ type t = {
   resolve_slots : int array;
   resolve_entries : resolve_entry array;
   mutable fetch_gen : int;
-  watched : Bytes.t;
+  watched : Bytes.t array;
   watched_pages : Bytes.t;
   mutable sdw_cache_base : int;
   mutable resident_bases : int list;
@@ -189,9 +193,13 @@ let ptw_tlb_entries = 256
 let icache_entries = 4096
 
 let set_watch_bit t addr bit =
-  Bytes.unsafe_set t.watched addr
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.watched addr) lor bit));
-  Bytes.unsafe_set t.watched_pages (addr / Hw.Memory.page_words) '\001'
+  let p = addr lsr Hw.Memory.page_shift in
+  if t.watched.(p) == no_watch then
+    t.watched.(p) <- Bytes.make Hw.Memory.page_words '\000';
+  let map = t.watched.(p) and o = addr land (Hw.Memory.page_words - 1) in
+  Bytes.unsafe_set map o
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get map o) lor bit));
+  Bytes.unsafe_set t.watched_pages p '\001'
 
 (* Watch tables use Hashtbl.add multi-bindings: distinct descriptor
    segments can interleave in absolute memory, and per-ring descriptor
@@ -261,11 +269,19 @@ let on_watched_write t addr b =
       (Hashtbl.find_all t.fetch_watch addr);
     unwatch_all t.fetch_watch addr
   end;
-  Bytes.unsafe_set t.watched addr '\000'
+  Bytes.unsafe_set
+    (Array.unsafe_get t.watched (addr lsr Hw.Memory.page_shift))
+    (addr land (Hw.Memory.page_words - 1))
+    '\000'
 
 (* Fast half: one byte test per store. *)
 let on_memory_write t addr =
-  let b = Char.code (Bytes.unsafe_get t.watched addr) in
+  let b =
+    Char.code
+      (Bytes.unsafe_get
+         (Array.unsafe_get t.watched (addr lsr Hw.Memory.page_shift))
+         (addr land (Hw.Memory.page_words - 1)))
+  in
   if b <> 0 then on_watched_write t addr b
 
 (* Silent disassembly for lazy trace-text resolution: re-decode the
@@ -307,6 +323,9 @@ let create ?(mode = Ring_hardware)
     =
   let counters = Trace.Counters.create () in
   let mem = Hw.Memory.create ?size:mem_size counters in
+  let npages =
+    (Hw.Memory.size mem + Hw.Memory.page_words - 1) / Hw.Memory.page_words
+  in
   let log = Trace.Event.create_log () in
   let t =
     {
@@ -340,12 +359,8 @@ let create ?(mode = Ring_hardware)
       resolve_slots = Array.make resolve_cache_slots (-1);
       resolve_entries = Array.make resolve_cache_slots dummy_resolve_entry;
       fetch_gen = 0;
-      watched = Bytes.make (Hw.Memory.size mem) '\000';
-      watched_pages =
-        Bytes.make
-          ((Hw.Memory.size mem + Hw.Memory.page_words - 1)
-          / Hw.Memory.page_words)
-          '\000';
+      watched = Array.make npages no_watch;
+      watched_pages = Bytes.make npages '\000';
       sdw_cache_base = -1;
       resident_bases = [];
       injector = None;
@@ -888,15 +903,13 @@ let set_sampling t s =
   Trace.Event.set_instr_sampling t.log ~interval:s.instr;
   Trace.Span.set_sampling t.spans ~interval:s.sample ~seed:s.seed
 
-(* Clear the watched bytes of every page a watch bit was set in since
-   the last clear; a byte the write observer already cleared is cleared
-   again, harmlessly. *)
+(* Clear the map of every page a watch bit was set in since the last
+   clear, and keep it for the next run; a byte the write observer
+   already cleared is cleared again, harmlessly. *)
 let clear_watched t =
-  let size = Bytes.length t.watched in
   for p = 0 to Bytes.length t.watched_pages - 1 do
     if Bytes.unsafe_get t.watched_pages p <> '\000' then begin
-      let base = p * Hw.Memory.page_words in
-      Bytes.fill t.watched base (min Hw.Memory.page_words (size - base)) '\000';
+      Bytes.fill t.watched.(p) 0 Hw.Memory.page_words '\000';
       Bytes.unsafe_set t.watched_pages p '\000'
     end
   done

@@ -202,16 +202,20 @@ type t = {
       (** Generation stamp for [fetch_cache]; advanced by descriptor
           writes, SDW invalidation and modeled tag-store flushes, each
           of which could change what a cached fetch froze. *)
-  watched : Bytes.t;
-      (** One byte per memory word: which host caches have state
-          keyed off this absolute address (bit 1 SDW, 2 PTW, 4
+  watched : Bytes.t array;
+      (** One byte per memory word, one map per
+          {!Hw.Memory.page_words}-word page: which host caches have
+          state keyed off an absolute address (bit 1 SDW, 2 PTW, 4
           decoded-instruction, 8 fetch memo).  Makes the common
-          unwatched store a single byte test in the write observer. *)
+          unwatched store a single byte test in the write observer.
+          Every page starts on one all-zero map shared by every machine
+          and never written; the first watch bit set in a page gives it
+          a map of its own, so a machine allocates maps only for the
+          pages its caches watch. *)
   watched_pages : Bytes.t;
-      (** One byte per {!Hw.Memory.page_words}-word page, nonzero once
-          a bit of [watched] was set in that page.  Every place that
-          sets a [watched] bit flags its page, so {!reset} clears only
-          the flagged pages of [watched], not the whole map. *)
+      (** One byte per page, nonzero once a bit of its [watched] map
+          was set.  Every place that sets a [watched] bit flags its
+          page, so {!reset} clears only the flagged pages' maps. *)
   mutable sdw_cache_base : int;
       (** DBR base the host caches were last synchronized against;
           [fetch_sdw] lazily detects DBR reloads through it. *)

@@ -198,6 +198,21 @@ let array c =
     r = (fun r -> Array.of_list (l.r r));
   }
 
+(* [array int] read straight into its slots, without a list, a codec
+   call per item or a polymorphic store: histogram buckets, profile
+   rows and the index registers. *)
+let ints =
+  {
+    w = (array int).w;
+    r =
+      (fun r ->
+        let a = Array.make (r_count r "list length") 0 in
+        for i = 0 to Array.length a - 1 do
+          Array.unsafe_set a i (r_int r)
+        done;
+        a);
+  }
+
 (* Each read is sequenced by a [let]: OCaml leaves the evaluation order
    of a tuple's components unspecified. *)
 let pair ca cb =
@@ -264,15 +279,15 @@ let dbr =
 
 (* A register bank: exactly [Hw.Registers.pr_count] registers. *)
 let bank what c =
-  check (array c) (fun a ->
+  check c (fun a ->
       if Array.length a <> Hw.Registers.pr_count then corrupt what)
 
 let regs =
   conv
     (triple
-       (triple dbr ptr (bank "wrong pointer-register count" ptr))
+       (triple dbr ptr (bank "wrong pointer-register count" (array ptr)))
        int2
-       (triple (bank "wrong index-register count" int) bool bool))
+       (triple (bank "wrong index-register count" ints) bool bool))
     ~from:(fun (g : Hw.Registers.t) ->
       ( (g.dbr, Hw.Registers.ipr g, g.prs),
         (g.a, g.q),
@@ -649,7 +664,7 @@ let completed =
 
 let hist =
   conv
-    (triple (array int) int2 int2)
+    (triple ints int2 int2)
     ~from:(fun (buckets, count, sum, vmin, vmax) ->
       (buckets, (count, sum), (vmin, vmax)))
     ~into:(fun (buckets, (count, sum), (vmin, vmax)) ->
@@ -674,7 +689,7 @@ let span_dump =
 
 let profile_dump =
   conv
-    (pair (pair (array int) (array int)) (pair (list int3) int))
+    (pair (pair ints ints) (pair (list int3) int))
     ~from:(fun (cycles, instructions, segments, kernel) ->
       ((cycles, instructions), (segments, kernel)))
     ~into:(fun ((cycles, instructions), (segments, kernel)) ->
@@ -887,7 +902,7 @@ let paging : Process.paging_state field list =
       ~set:(fun ps v -> ps.free_frames <- v);
     field (list int3) ~get:(fun ps -> ps.Process.resident)
       ~set:(fun ps v -> ps.resident <- v);
-    table (array int) ~get:(fun ps -> ps.Process.backing);
+    table ints ~get:(fun ps -> ps.Process.backing);
   ]
 
 (* The descriptor segments were placed by the respawn: each must
@@ -1032,10 +1047,59 @@ type page = { pageno : int; words : int; nnz : int; src : string; off : int }
 
 type frame = { pre : string; mem_size : int; pages : page list; post : string }
 
-(* The page records, over [mem_size] words.  Reading checks each
-   record and hands every listed word to [word a w] in ascending
-   address order; the records come back for folding. *)
-let pages ~mem_size ~word =
+(* The buffers a capture writes through, kept per domain and reused:
+   a capture then allocates little besides its image, where fresh
+   buffers would put tens of kilobytes a capture on the major heap
+   (serving shards capture from several domains at once).  [listing]
+   holds one page record's (offset, word) pairs as a read decodes
+   them. *)
+type scratch = {
+  out : Buffer.t;
+  pre : Buffer.t;
+  pages : Buffer.t;
+  pairs : Buffer.t;
+  listing : int array;
+}
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      {
+        out = Buffer.create (1 lsl 14);
+        pre = Buffer.create 4096;
+        pages = Buffer.create 4096;
+        pairs = Buffer.create 4096;
+        listing = Array.make (2 * Hw.Memory.page_words) 0;
+      })
+
+(* A page record's head, checked: its page number (above [last], in
+   [mem_size] words), its length and its word count. *)
+let r_page_head r ~mem_size ~last =
+  let pageno = r_int r in
+  if pageno <= last || pageno > (mem_size - 1) / Hw.Memory.page_words then
+    corrupt "pages not ascending or out of range";
+  let base_addr = pageno * Hw.Memory.page_words in
+  let words = min Hw.Memory.page_words (mem_size - base_addr) in
+  if r_int r <> words then corrupt "wrong page length";
+  (pageno, words, r_count ~width:16 r "page word count")
+
+(* A page record's [nnz] (offset, word) pairs, checked and decoded into
+   [listing] for {!Hw.Memory.set_page}.  Offsets ascend below [words],
+   so a record that passes fills at most [2 * words] slots. *)
+let r_page_pairs r ~words ~nnz listing =
+  let prev = ref (-1) in
+  for i = 0 to nnz - 1 do
+    let o = r_int r in
+    let w = r_int r in
+    if o <= !prev || o >= words then corrupt "page words not ascending";
+    if w = 0 then corrupt "zero word in a sparse page";
+    listing.(2 * i) <- o;
+    listing.((2 * i) + 1) <- w;
+    prev := o
+  done
+
+(* The page records, over [mem_size] words, read checked and kept as
+   spans of the image for folding. *)
+let pages ~mem_size =
   let last = ref (-1) in
   list
     {
@@ -1045,33 +1109,17 @@ let pages ~mem_size ~word =
           Buffer.add_substring b p.src p.off (16 * p.nnz));
       r =
         (fun r ->
-          let pageno = r_int r in
-          if
-            pageno <= !last
-            || pageno > (mem_size - 1) / Hw.Memory.page_words
-          then corrupt "pages not ascending or out of range";
+          let pageno, words, nnz = r_page_head r ~mem_size ~last:!last in
           last := pageno;
-          let base_addr = pageno * Hw.Memory.page_words in
-          let words = min Hw.Memory.page_words (mem_size - base_addr) in
-          if r_int r <> words then corrupt "wrong page length";
-          let nnz = r_count ~width:16 r "page word count" in
           let off = r.pos in
-          let prev = ref (-1) in
-          for _ = 1 to nnz do
-            let o = r_int r in
-            let w = r_int r in
-            if o <= !prev || o >= words then corrupt "page words not ascending";
-            if w = 0 then corrupt "zero word in a sparse page";
-            word (base_addr + o) w;
-            prev := o
-          done;
+          r_page_pairs r ~words ~nnz (Domain.DLS.get scratch).listing;
           { pageno; words; nnz; src = r.data; off });
     }
 
-let w_frame b f =
+let w_frame b (f : frame) =
   str.w b f.pre;
   w_int b f.mem_size;
-  (pages ~mem_size:f.mem_size ~word:(fun _ _ -> ())).w b f.pages;
+  (pages ~mem_size:f.mem_size).w b f.pages;
   Buffer.add_string b f.post
 
 (* An image is written into one buffer: the header with its payload
@@ -1100,26 +1148,6 @@ let seal ~kind ~base_sum f =
   start_image out ~kind ~base_sum;
   w_frame out f;
   finish_image out
-
-(* The buffers a capture writes through, kept per domain and reused:
-   a capture then allocates little besides its image, where fresh
-   buffers would put tens of kilobytes a capture on the major heap
-   (serving shards capture from several domains at once). *)
-type scratch = {
-  out : Buffer.t;
-  pre : Buffer.t;
-  pages : Buffer.t;
-  pairs : Buffer.t;
-}
-
-let scratch =
-  Domain.DLS.new_key (fun () ->
-      {
-        out = Buffer.create (1 lsl 14);
-        pre = Buffer.create 4096;
-        pages = Buffer.create 4096;
-        pairs = Buffer.create 4096;
-      })
 
 (* Append page [p] of live memory to [pages] in the frame's page
    encoding; false (and nothing appended) when it holds only zeros and
@@ -1221,8 +1249,10 @@ let capture_silent sys =
 (* The one header parser.  [kind] is the magic the caller expects and
    [prev] the payload checksum the image's [base_sum] must name (0 for
    the zero machine); a wrong link is refused with [broken].  Returns
-   the verified payload checksum and a reader just past [base_sum]. *)
-let parse_header ~kind ~prev ~broken image =
+   the payload checksum and a reader just past [base_sum].  The
+   checksum is verified unless the image is [trusted] (see
+   {!warm_boot}). *)
+let parse_header ?(trusted = false) ~kind ~prev ~broken image =
   let n = String.length image in
   if n < String.length kind then raise (Fail Truncated);
   if not (String.starts_with ~prefix:kind image) then raise (Fail Bad_magic);
@@ -1236,12 +1266,13 @@ let parse_header ~kind ~prev ~broken image =
   if len < 0 then corrupt "negative payload length";
   if n - header_len < len then raise (Fail Truncated);
   if n - header_len > len then corrupt "trailing bytes after payload";
-  if checksum image header_len len <> sum then raise (Fail Checksum_mismatch);
+  if (not trusted) && checksum image header_len len <> sum then
+    raise (Fail Checksum_mismatch);
   if r_int r <> prev then raise (Fail broken);
   (sum, r)
 
-let parse_full image =
-  parse_header ~kind:magic ~prev:0
+let parse_full ?trusted image =
+  parse_header ?trusted ~kind:magic ~prev:0
     ~broken:(Corrupt "full image names a predecessor")
     image
 
@@ -1251,60 +1282,71 @@ let r_frame r =
   let pre = str.r r in
   let mem_size = r_int r in
   if mem_size < 0 then corrupt "negative memory size";
-  let pages = (pages ~mem_size ~word:(fun _ _ -> ())).r r in
+  let pages = (pages ~mem_size).r r in
   let post = String.sub r.data r.pos (String.length r.data - r.pos) in
   { pre; mem_size; pages; post }
 
-(* Memory, in one pass: every listed word is read and set, and the
-   unlisted words are zeroed only in the pages that can hold something
-   else.  A page never written is still zero from [create].  While the
-   image is the anchored one, a page that is not dirty still holds what
-   the image lists, so only the dirty pages are stale; for any other
-   image every written page is.  Words are only written when they
-   differ, so the dirty map, the tags and the write observers see only
-   real changes.  Once the pass completes, memory equals the image:
-   that is the new anchor. *)
-let apply_memory r mem ~sum =
+(* Memory, page by page, in ascending address order.  A page record is
+   its page's whole content, so {!Hw.Memory.set_page} makes a listed
+   page hold exactly its record, and an unlisted page that can hold
+   something else is zeroed the same way.  A page never written is
+   still zero from [create].  While the image is the anchored one, a
+   page that is not dirty still holds what the image lists, so only
+   the dirty pages are stale; for any other image every written page
+   is.  A [trusted] image that is anchored steps over a clean page's
+   record by its length, unread: this system already checked those
+   bytes, and the page already holds them.  Every other record is read
+   and checked.  Words are only stored where they differ, so the dirty
+   map, the tags and the write observers see only real changes.  Once
+   the pass completes, memory equals the image: that is the new
+   anchor. *)
+let apply_memory r mem ~sum ~trusted =
   let mem_size = Hw.Memory.size mem in
   if r_int r <> mem_size then shape "memory size differs";
+  let anchored = Hw.Memory.anchored mem sum in
   let stale =
     ref
-      (if Hw.Memory.anchored mem sum then Hw.Memory.dirty_pages mem
+      (if anchored then Hw.Memory.dirty_pages mem
        else Hw.Memory.written_pages mem)
   in
-  let set a w =
-    if Hw.Memory.read_silent mem a <> w then Hw.Memory.write_silent mem a w
-  in
-  (* Zero the stale pages' words in [!next, a): [next] is the first
-     address no listed word has settled yet. *)
-  let next = ref 0 in
-  let rec zero_to a =
+  let listing = (Domain.DLS.get scratch).listing in
+  (* Zero the stale pages below [p] and say whether [p] is stale. *)
+  let rec settle p =
     match !stale with
-    | p :: rest when p * Hw.Memory.page_words < a ->
-        let page_end = min mem_size ((p + 1) * Hw.Memory.page_words) in
-        for z = max !next (p * Hw.Memory.page_words) to min a page_end - 1 do
-          set z 0
-        done;
-        if page_end <= a then begin
-          stale := rest;
-          zero_to a
-        end
-    | _ -> ()
+    | s :: rest when s < p ->
+        Hw.Memory.set_page mem s listing 0;
+        stale := rest;
+        settle p
+    | s :: rest when s = p ->
+        stale := rest;
+        true
+    | _ -> false
   in
-  let word a w =
-    zero_to a;
-    set a w;
-    next := a + 1
-  in
-  let (_ : page list) = (pages ~mem_size ~word).r r in
-  zero_to mem_size;
+  let last = ref (-1) in
+  for _ = 1 to r_count r "list length" do
+    let pageno, words, nnz = r_page_head r ~mem_size ~last:!last in
+    last := pageno;
+    if settle pageno || not (trusted && anchored) then begin
+      r_page_pairs r ~words ~nnz listing;
+      Hw.Memory.set_page mem pageno listing nnz
+    end
+    else r.pos <- r.pos + (16 * nnz)
+  done;
+  ignore (settle max_int : bool);
   Hw.Memory.set_anchor mem sum
 
 (* The one apply, shared by [warm_boot] and [restore]: a full image
-   laid over the live system, in payload order. *)
-let apply sys image =
+   laid over the live system, in payload order.  With [trust], an
+   image that is physically the one this system last applied whole is
+   trusted (see {!warm_boot}); any other is checked in full.  The
+   image is remembered only once its apply has completed. *)
+let apply sys image ~trust =
   let m = System.machine sys in
-  let sum, r = parse_full image in
+  let trusted =
+    trust
+    && match System.last_applied sys with Some s -> s == image | None -> false
+  in
+  let sum, r = parse_full ~trusted image in
   (* Flush whatever host state the respawn replay (or the last run)
      left behind; the apply rebuilds the exact quiesced state the
      image was captured in. *)
@@ -1312,31 +1354,46 @@ let apply sys image =
   let pre = { data = str.r r; pos = 0 } in
   read pre_section pre m;
   if pre.pos <> String.length pre.data then corrupt "unconsumed pre section";
-  apply_memory r m.Isa.Machine.mem ~sum;
+  apply_memory r m.Isa.Machine.mem ~sum ~trusted;
   read post_section r sys;
-  if r.pos <> String.length r.data then corrupt "unconsumed payload"
+  if r.pos <> String.length r.data then corrupt "unconsumed payload";
+  System.set_last_applied sys image
 
 let decode f =
   try Ok (f ()) with
   | Fail e -> Error e
   | Invalid_argument msg -> Error (Corrupt msg)
 
-(* Trusted fast path for images this very process captured: header and
-   checksum are still verified (cheap), but the re-capture self-check
-   and the kernel-table audit — the two expensive restore layers that
-   exist to catch on-disk damage and tampering — are skipped, and the
-   [restores] counter is left exactly as the image recorded it.  This
-   is the serving fleet's warm-boot: rewinding a shard's machine to
-   its boot image between requests reads the image and, in memory,
-   touches only the pages the requests since the boot dirtied (the
+(* Trusted fast path for images this very process captured: the
+   re-capture self-check and the kernel-table audit — the two restore
+   layers that exist to catch on-disk damage and tampering — are
+   skipped, and the [restores] counter is left exactly as the image
+   recorded it.  This is the serving fleet's warm-boot: rewinding a
+   shard's machine to its boot image between requests touches, in
+   memory, only the pages the requests since the boot dirtied (the
    machine stays anchored to the image it was last rewound to), and
    the restored counters are byte-for-byte the boot counters, so
-   per-request deltas are comparable across shards and runs. *)
-let warm_boot sys image = decode (fun () -> apply sys image)
+   per-request deltas are comparable across shards and runs.
+
+   The checks that guard the bytes themselves follow one trust rule.
+   A system remembers the one full image its last completed apply
+   laid over it ([System.last_applied]), by physical identity.  A warm
+   boot to that very string skips only what the earlier apply already
+   checked on it: the FNV pass, and the page records of the pages
+   still clean under the memory anchor, which the memory pass steps
+   over by their length.  That is sound because OCaml strings are
+   immutable — the same bytes pass the same checks — and because a
+   clean page still holds its record.  The rest of the payload is
+   decoded and checked as always, the [same] and [present] shape
+   checks included.  Any other string is checked in full: a byte-equal
+   copy, an image a capture just returned (capture does not set the
+   memo), and everything [restore], [restore_chain], [flatten] and
+   [rebase] read, which never trust. *)
+let warm_boot sys image = decode (fun () -> apply sys image ~trust:true)
 
 let restore sys image =
   let m = System.machine sys in
-  match warm_boot sys image with
+  match decode (fun () -> apply sys image ~trust:false) with
   | Error e -> Error e
   | Ok () ->
       (* Self-check: the restored state must re-capture to the very

@@ -148,24 +148,40 @@ val restore_chain : System.t -> base:string -> string list -> (unit, error) resu
 
 val warm_boot : System.t -> string -> (unit, error) result
 (** Trusted fast restore for images captured by this same process —
-    the serving fleet's per-request rewind.  Header and checksum are
-    verified and the full state applied, but the two expensive layers
-    that defend against on-disk damage ({!restore}'s re-capture
-    self-check and kernel-table audit) are skipped, and the [restores]
-    counter is left exactly as the image recorded it, so a rewound
-    machine's counters are byte-identical to the boot state and
-    per-request deltas compare cleanly.  Never pass an image from
-    outside this process here — use {!restore} for those.
+    the serving fleet's per-request rewind.  The full state is
+    applied, but the two layers that defend against on-disk damage
+    ({!restore}'s re-capture self-check and kernel-table audit) are
+    skipped, and the [restores] counter is left exactly as the image
+    recorded it, so a rewound machine's counters are byte-identical to
+    the boot state and per-request deltas compare cleanly.  Never pass
+    an image from outside this process here — use {!restore} for
+    those.
 
-    The memory pass reads and sets every word the image lists, and
-    zeroes the other words only where memory can hold something else.
-    When the machine was last captured at, or rewound to, this very
-    image and the dirty set has not been cleared since (its
-    {!Hw.Memory} anchor holds), those are the pages dirtied since;
-    otherwise they are the pages ever written.  Rewinding
-    the same image request after request therefore costs the image's
-    listed words plus the pages the requests dirtied, not the machine's
-    memory size. *)
+    The checks on the image's bytes follow one trust rule.  A system
+    remembers the one full image whose apply last completed on it
+    ({!System.last_applied}), by physical identity.  A warm boot to
+    that very string skips only the checks the earlier apply already
+    ran on it: the payload checksum, and the page records of the pages
+    still clean under the {!Hw.Memory} anchor, which the memory pass
+    steps over by their length.  That is sound because OCaml strings
+    are immutable, so the same bytes pass the same checks, and because
+    a clean page still holds its record.  The rest of the payload is
+    decoded and checked as always, including every shape check
+    against the live system.  Any other string is checked in full: a
+    byte-equal copy of the remembered image, an image {!capture} just
+    returned (capture does not set the memory of an applied image),
+    and everything {!restore}, {!restore_chain}, {!flatten} and
+    {!rebase} read, which never trust.
+
+    The memory pass makes each page the image lists hold exactly its
+    record, and zeroes the other pages only where memory can hold
+    something else.  When the machine was last captured at, or rewound
+    to, this very image and the dirty set has not been cleared since
+    (its {!Hw.Memory} anchor holds), those are the pages dirtied
+    since; otherwise they are the pages ever written.  Rewinding the
+    remembered image request after request therefore costs the pages
+    the requests dirtied, not the image's listed words or the
+    machine's memory size. *)
 
 val restore : System.t -> string -> (unit, error) result
 (** Overwrite a freshly respawned system — same program file, same

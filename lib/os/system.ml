@@ -34,6 +34,10 @@ type t = {
           yet dispatched this pass.  Kept on the system (not local to
           [run]) so a checkpoint taken mid-rotation resumes with the
           same process up next. *)
+  mutable last_applied : string option;
+      (** The full image a snapshot apply last laid over this system
+          completely — kept for its physical identity, never compared
+          by content. *)
 }
 
 let region_words_default = 1 lsl 18
@@ -49,6 +53,7 @@ let create ?mode ?stack_rule ?(mem_size = 1 lsl 21) ~store () =
     slices = 0;
     finished_log = [];
     rotation = [];
+    last_applied = None;
   }
 
 let machine t = t.machine
@@ -60,6 +65,8 @@ let finished_log t = t.finished_log
 let set_finished_log t l = t.finished_log <- l
 let rotation t = t.rotation
 let set_rotation t r = t.rotation <- r
+let last_applied t = t.last_applied
+let set_last_applied t image = t.last_applied <- Some image
 
 let find t pname =
   List.find_opt (fun e -> String.equal e.pname pname) t.entries
@@ -349,4 +356,5 @@ let reset t ~store =
   t.next_region <- 0;
   t.slices <- 0;
   t.finished_log <- [];
-  t.rotation <- []
+  t.rotation <- [];
+  t.last_applied <- None

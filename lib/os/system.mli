@@ -51,13 +51,13 @@ val reset : t -> store:Store.t -> unit
 (** Make [t] what [create ~store ()] would build under the same mode,
     stack rule and memory size, reusing its machine
     ({!Isa.Machine.reset}): no entries, regions, slices, completion
-    log or rotation, and [store] as its on-line storage.  What runs on
-    it next runs exactly as on a fresh system; the arena resets one
-    system per worker between waves instead of building one for each.
-    Both are cheap — a machine's memory pages are allocated on first
-    store, and a reset clears only what the last run touched — but a
-    reset also keeps those pages, so the next wave's stores allocate
-    nothing. *)
+    log or rotation, no {!last_applied} image, and [store] as its
+    on-line storage.  What runs on it next runs exactly as on a fresh
+    system; the arena resets one system per worker between waves
+    instead of building one for each.  Both are cheap — a machine's
+    memory pages are allocated on first store, and a reset clears only
+    what the last run touched — but a reset also keeps those pages, so
+    the next wave's stores allocate nothing. *)
 
 val machine : t -> Isa.Machine.t
 
@@ -125,6 +125,16 @@ val rotation : t -> string list
 
 val set_rotation : t -> string list -> unit
 (** Restore path: re-seat the rotation from a checkpoint. *)
+
+val last_applied : t -> string option
+(** The full image whose apply ({!Snapshot.warm_boot} or
+    {!Snapshot.restore}) last completed on [t]; [None] after {!create}
+    and {!reset}.  {!Snapshot.warm_boot} trusts the checks it already
+    ran on exactly this string — the same string, by physical
+    equality, not an equal copy. *)
+
+val set_last_applied : t -> string -> unit
+(** Snapshot path: record the image an apply has just completed. *)
 
 val quarantine : t -> entry -> Rings.Fault.t -> unit
 (** Kill one entry through the PR-3 quarantine path — bump the

@@ -198,8 +198,8 @@ let images t = Hw.Assoc.fold (fun k s acc -> (k, s.image) :: acc) t.cache []
 (* One 2^18-word region: a shard system holds exactly one process, and
    the smaller core is an eighth of the default machine's.  The size
    now bounds only a cold boot (allocating the machine); a warm boot
-   touches the image's listed words and the pages the requests since
-   dirtied, whatever the memory size. *)
+   touches the pages the requests since dirtied, whatever the memory
+   size. *)
 let shard_mem = 1 lsl 18
 
 let fail fmt = Printf.ksprintf failwith fmt

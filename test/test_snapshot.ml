@@ -1193,7 +1193,9 @@ let test_reset_leaves_no_watch_bit () =
         exits;
       let m = Os.System.machine sys in
       let bits = ref 0 in
-      Bytes.iter (fun c -> bits := !bits lor Char.code c) m.Isa.Machine.watched;
+      Array.iter
+        (Bytes.iter (fun c -> bits := !bits lor Char.code c))
+        m.Isa.Machine.watched;
       Alcotest.(check int)
         (name ^ ": all four watch kinds armed before the reset")
         15 !bits;
@@ -1206,7 +1208,10 @@ let test_reset_leaves_no_watch_bit () =
       let nonzero b =
         Bytes.fold_left (fun n c -> if c <> '\000' then n + 1 else n) 0 b
       in
-      Alcotest.(check int) (name ^ ": watched bytes") 0 (nonzero m.watched);
+      Alcotest.(check int)
+        (name ^ ": watched bytes")
+        0
+        (Array.fold_left (fun n b -> n + nonzero b) 0 m.watched);
       Alcotest.(check int)
         (name ^ ": watched page flags")
         0 (nonzero m.watched_pages);
@@ -1221,6 +1226,110 @@ let test_reset_leaves_no_watch_bit () =
         (List.length (nonzero_words m.mem));
       Alcotest.(check (list int)) (name ^ ": written pages") []
         (Hw.Memory.written_pages m.mem))
+    modes
+
+(* {2 The trusted warm boot}
+
+   A warm boot trusts what its system already checked on the very
+   string it last applied whole: the checksum, and the records of the
+   pages still clean under the memory anchor.  Any other string is
+   checked in full. *)
+
+let warm_boot_ok what sys image =
+  match Os.Snapshot.warm_boot sys image with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %a" what Os.Snapshot.pp_error e
+
+(* The bump pair under [mode], captured mid-run and run to the end,
+   then rewound to its image once, which the system now remembers, and
+   run to the end again.  Last, every word the image lists on a page
+   the runs dirtied is changed, so a rewind must store each one back;
+   the other pages stay clean. *)
+let remembered_run (name, mode) =
+  let sys = Os.System.create ~mode ~store:(build_store ~n1:30 ~n2:12 ()) () in
+  spawn_pair sys;
+  let image, _ = run_capturing_at sys ~at:150 in
+  warm_boot_ok (name ^ ": first warm boot") sys image;
+  let listed = memory_words sys in
+  ignore (Os.System.run sys : (string * Os.Kernel.exit) list);
+  let mem = machine_mem sys in
+  let dirty = Hw.Memory.dirty_pages mem in
+  List.iter
+    (fun (a, w) ->
+      if List.mem (a / Hw.Memory.page_words) dirty then
+        Hw.Memory.write_silent mem a (w lxor 1))
+    listed;
+  (sys, image)
+
+let all_fields sys =
+  Trace.Counters.fields (Trace.Counters.snapshot (counters sys))
+
+(* A warm boot to the remembered image skips checks a warm boot to a
+   byte copy of it runs; both must leave the same machine, and the
+   image's own. *)
+let test_trusted_warm_boot_equals_a_checked_one () =
+  List.iter
+    (fun ((name, _) as mode) ->
+      let trusted, image = remembered_run mode in
+      let checked, image' = remembered_run mode in
+      warm_boot_ok (name ^ ": remembered image") trusted image;
+      warm_boot_ok (name ^ ": byte copy") checked
+        (Bytes.to_string (Bytes.of_string image'));
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": memory words") (memory_words checked)
+        (memory_words trusted);
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": counters") (all_fields checked) (all_fields trusted);
+      let again = recapture trusted in
+      Alcotest.(check bool)
+        (name ^ ": re-captures the image") true (String.equal again image);
+      Alcotest.(check bool)
+        (name ^ ": re-captures alike") true
+        (String.equal (recapture checked) again))
+    modes
+
+(* [image] with one bit flipped in the first word its first page record
+   lists (after the header, [base_sum], the pre section with its
+   length, [mem_size], [npages] and the record's page number, length,
+   word count and first offset), the checksum left as it was. *)
+let flip_listed_word image =
+  let pre_len = Int64.to_int (String.get_int64_be image 40) in
+  let at = 48 + pre_len + 16 + 32 + 7 in
+  let b = Bytes.of_string image in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 1));
+  Bytes.to_string b
+
+(* A damaged copy of the remembered image is not the remembered image:
+   its checksum is verified, on the first try and after refused
+   applies (its own, and one of an image that fails past the
+   checksum), which must not make the system trust anything new. *)
+let test_damaged_copy_of_the_remembered_image_is_refused () =
+  List.iter
+    (fun ((name, _) as mode) ->
+      let sys, image = remembered_run mode in
+      warm_boot_ok (name ^ ": remembered image") sys image;
+      let damaged = flip_listed_word image in
+      let refused what =
+        match Os.Snapshot.warm_boot sys damaged with
+        | Error Os.Snapshot.Checksum_mismatch -> ()
+        | Ok () -> Alcotest.failf "%s: %s: damaged copy accepted" name what
+        | Error e ->
+            Alcotest.failf "%s: %s: %a" name what Os.Snapshot.pp_error e
+      in
+      refused "first try";
+      refused "after its own refusal";
+      let fingerprint = Int64.to_int (String.get_int64_be image 48) in
+      (match
+         Os.Snapshot.warm_boot sys (overwrite image 48 (fingerprint lxor 1))
+       with
+      | Error (Os.Snapshot.Corrupt _) -> ()
+      | Ok () -> Alcotest.failf "%s: counter drift accepted" name
+      | Error e -> Alcotest.failf "%s: drift: %a" name Os.Snapshot.pp_error e);
+      refused "after a refused apply of another image";
+      warm_boot_ok (name ^ ": remembered image again") sys image;
+      Alcotest.(check bool)
+        (name ^ ": re-captures the image") true
+        (String.equal (recapture sys) image))
     modes
 
 (* Every constructor of the variants the image encodes by hand, each
@@ -1429,5 +1538,9 @@ let suite =
             `Quick test_every_variant_round_trips;
           Alcotest.test_case "reset leaves no watch bit" `Quick
             test_reset_leaves_no_watch_bit;
+          Alcotest.test_case "trusted warm boot equals a checked one" `Quick
+            test_trusted_warm_boot_equals_a_checked_one;
+          Alcotest.test_case "damaged copy of the remembered image refused"
+            `Quick test_damaged_copy_of_the_remembered_image_is_refused;
         ] );
   ]
