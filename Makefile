@@ -21,14 +21,14 @@ bench:
 # incremental snapshots, step allocation), run in a private directory
 # from mktemp -d so the checked-in BENCH_throughput.json is left alone
 # (`make bench` regenerates it).  The fresh file must be well-formed
-# JSON with the backends and rewind sections.  The directory is removed
-# when the gates pass and left for inspection when they fail.
+# JSON with the backends, rewind and tenant sections.  The directory is
+# removed when the gates pass and left for inspection when they fail.
 bench-smoke:
 	dune build bench/main.exe bin/jsoncheck.exe
 	@dir=$$(mktemp -d) && cd $$dir \
 	  && $(CURDIR)/_build/default/bench/main.exe throughput \
 	  && $(CURDIR)/_build/default/bin/jsoncheck.exe BENCH_throughput.json \
-	  && for section in backends rewind; do \
+	  && for section in backends rewind tenant; do \
 	       grep -q "\"$$section\"" BENCH_throughput.json \
 	       || { echo "bench-smoke: bench $$section section missing"; exit 1; }; \
 	     done \

@@ -664,18 +664,20 @@ let best_seconds n ~prepare f =
   done;
   float_of_int !best *. 1e-9
 
+(* The seed-[arena_seed] standard population's first wave. *)
+let first_wave_tenants () =
+  List.hd
+    (Os.Arena.waves
+       (Serve.Tenants.generate ~seed:arena_seed
+          ~tenants:Os.Arena.wave_capacity ()))
+
 let run_machine_costs () =
   let create words =
     1e3
     *. best_seconds machine_samples ~prepare:Os.Store.create (fun store ->
            ignore (Os.System.create ~mem_size:words ~store ()))
   in
-  let wave, ts =
-    List.hd
-      (Os.Arena.waves
-         (Serve.Tenants.generate ~seed:arena_seed
-            ~tenants:Os.Arena.wave_capacity ()))
-  in
+  let wave, ts = first_wave_tenants () in
   let sys = Os.System.create ~store:(Os.Store.create ()) () in
   let used_store () =
     ignore (Os.Arena.run_wave ~sys ~quota:Os.Arena.default_quota ~wave ts);
@@ -687,6 +689,104 @@ let run_machine_costs () =
       1e6
       *. best_seconds machine_samples ~prepare:used_store (fun store ->
              Os.System.reset sys ~store);
+  }
+
+(* Host cost of an arena tenant's fixed layers, on a wave system an
+   arena wave has just used: loading the seed-[arena_seed] standard
+   first wave (its store, [Os.System.reset] and the eight spawns), the
+   assembly inside those spawns done as the loader does it (every
+   segment of a tenant surveyed, then each linked against the
+   tenant's surveys), and one slice of a wave of eight quota spinners
+   under [Os.Arena.run_wave] (the wave's time over its
+   [Os.System.slices]).  Best of [machine_samples] each; no gate — the
+   layers under the arena section's tenants. *)
+type tenant_sample = {
+  tn_load_us : float;
+  tn_assembly_us : float;
+  tn_slice_us : float;
+  tn_spinner_slices : int;
+}
+
+let wave_store (ts : Os.Arena.tenant list) =
+  let store = Os.Store.create () in
+  List.iter
+    (fun (t : Os.Arena.tenant) ->
+      List.iter
+        (fun (name, acl, src) -> Os.Store.add_source store ~name ~acl src)
+        t.segments)
+    ts;
+  store
+
+let assemble_like_the_loader (t : Os.Arena.tenant) =
+  let asm_fail name errs =
+    failwith
+      (Format.asprintf "tenant %s: %a" name
+         (Format.pp_print_list Asm.Assemble.pp_error)
+         errs)
+  in
+  let surveys =
+    List.mapi
+      (fun segno (name, _, src) ->
+        match Asm.Assemble.survey src with
+        | Ok s -> (name, segno, s)
+        | Error errs -> asm_fail name errs)
+      t.segments
+  in
+  let externals ~segment ~symbol =
+    List.find_map
+      (fun (name, segno, (s : Asm.Assemble.survey)) ->
+        if String.equal name segment then
+          List.assoc_opt symbol s.survey_symbols
+          |> Option.map (fun wordno -> Hw.Addr.v ~segno ~wordno)
+        else None)
+      surveys
+  in
+  List.iter
+    (fun (name, segno, s) ->
+      match Asm.Assemble.link ~externals ~self_segno:segno s with
+      | Ok _ -> ()
+      | Error errs -> asm_fail name errs)
+    surveys
+
+let run_tenant_costs () =
+  let quota = Os.Arena.default_quota in
+  let wave, ts = first_wave_tenants () in
+  let sys = Os.System.create ~store:(Os.Store.create ()) () in
+  let used () = ignore (Os.Arena.run_wave ~sys ~quota ~wave ts) in
+  let load () =
+    Os.System.reset sys ~store:(wave_store ts);
+    List.iter
+      (fun (t : Os.Arena.tenant) ->
+        match
+          Os.System.spawn sys ~paged:t.paged ~pname:t.name ~user:t.name
+            ~segments:(List.map (fun (n, _, _) -> n) t.segments)
+            ~start:t.start ~ring:t.ring
+        with
+        | Ok _ -> ()
+        | Error e -> failwith ("tenant: cannot spawn " ^ t.name ^ ": " ^ e))
+      ts
+  in
+  let spinners =
+    Serve.Tenants.generate ~seed:arena_seed ~tenants:512 ()
+    |> List.filter (fun (t : Os.Arena.tenant) -> t.kind = "quota-spin")
+    |> List.filteri (fun i _ -> i < Os.Arena.wave_capacity)
+  in
+  if List.length spinners < Os.Arena.wave_capacity then
+    failwith "tenant: too few quota spinners drawn";
+  let spin () = ignore (Os.Arena.run_wave ~sys ~quota ~wave:0 spinners) in
+  let load_us = 1e6 *. best_seconds machine_samples ~prepare:used load in
+  let assembly_us =
+    1e6
+    *. best_seconds machine_samples ~prepare:ignore (fun () ->
+           List.iter assemble_like_the_loader ts)
+  in
+  let spin_s = best_seconds machine_samples ~prepare:ignore spin in
+  let slices = Os.System.slices sys in
+  {
+    tn_load_us = load_us;
+    tn_assembly_us = assembly_us;
+    tn_slice_us = 1e6 *. spin_s /. float_of_int slices;
+    tn_spinner_slices = slices;
   }
 
 (* The three-way backend showdown: one downward-and-back crossing
@@ -827,7 +927,7 @@ let backend_deterministic_fragment s =
 
 let json_of_samples samples span_samples ~kernel_ms ~trace ~step_alloc ~idle
     ~(chaos : Os.Chaos.report) ~snap ~serving ~arena ~machine ~rewind
-    ~backends =
+    ~tenant ~backends =
   let untraced, traced = trace.median_pair in
   let buf = Buffer.create 1024 in
   (* Host self-description up front: every section below — not just
@@ -992,6 +1092,13 @@ let json_of_samples samples span_samples ~kernel_ms ~trace ~step_alloc ~idle
           (List.map
              (fun (name, us) -> Printf.sprintf "%S: %.2f" name us)
              rewind)));
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"tenant\": {\"best_of\": %d, \"seed\": %d, \
+        \"first_wave_load_us\": %.1f, \"first_wave_assembly_us\": %.1f, \
+        \"spinner_wave_slices\": %d, \"spinner_slice_us\": %.3f},\n"
+       machine_samples arena_seed tenant.tn_load_us tenant.tn_assembly_us
+       tenant.tn_spinner_slices tenant.tn_slice_us);
   Buffer.add_string buf
     "  \"backends\": {\"workload\": \"crossing\", \"caller_ring\": 4, \
      \"callee_ring\": 1, \"samples\": [\n";
@@ -1343,6 +1450,12 @@ let throughput () =
        (List.map
           (fun (name, us) -> Printf.sprintf "%.2f us (%s)" us name)
           rewind));
+  let tenant = run_tenant_costs () in
+  Printf.printf "host time - tenant, best of %d: seed-%d first wave loaded \
+                 onto a used wave system %.1f us (assembly %.1f us); a \
+                 quota-spinner wave %.3f us per slice (%d slices)\n"
+    machine_samples arena_seed tenant.tn_load_us tenant.tn_assembly_us
+    tenant.tn_slice_us tenant.tn_spinner_slices;
   print_newline ();
   let backends =
     List.map
@@ -1418,6 +1531,6 @@ let throughput () =
   output_string oc
     (json_of_samples samples span_samples
        ~kernel_ms:(kernel_before, kernel_after) ~trace ~step_alloc ~idle
-       ~chaos ~snap ~serving ~arena ~machine ~rewind ~backends);
+       ~chaos ~snap ~serving ~arena ~machine ~rewind ~tenant ~backends);
   close_out oc;
   Printf.printf "wrote BENCH_throughput.json\n"

@@ -156,22 +156,13 @@ let encode_its externals self_segno symbols line ~ring ~target ~indirect =
   | ind -> Ok (Isa.Indword.encode ind)
   | exception Invalid_argument m -> Error { line; message = m }
 
-(* Pass 2 also records, per source line, the address and words emitted,
-   for the listing. *)
-type emitted = { line : int; address : int; emitted : int list }
-
 let pass2 externals self_segno symbols size lines =
   let words = Array.make size 0 in
-  let notes = ref [] in
   let errors = ref [] in
   let lc = ref 0 in
-  let emit l ws =
-    notes := { line = l; address = !lc; emitted = ws } :: !notes;
-    List.iter
-      (fun w ->
-        words.(!lc) <- w;
-        incr lc)
-      ws
+  let emit w =
+    words.(!lc) <- w;
+    incr lc
   in
   List.iter
     (fun (l : Statement.line) ->
@@ -180,8 +171,7 @@ let pass2 externals self_segno symbols size lines =
         | None -> Ok ()
         | Some (Statement.Instruction i) ->
             let* w = encode_instruction symbols l.number i in
-            emit l.number [ w ];
-            Ok ()
+            Ok (emit w)
         | Some (Statement.Directive d) -> (
             match d with
             | Statement.Org (Statement.Num n) ->
@@ -190,18 +180,17 @@ let pass2 externals self_segno symbols size lines =
             | Statement.Org (Statement.Sym _ | Statement.Sym_offset _) ->
                 Ok () (* pass-1 error *)
             | Statement.Word es ->
-                let* vs =
-                  List.fold_left
-                    (fun acc e ->
-                      let* acc = acc in
-                      let* v = eval symbols l.number e in
-                      Ok (Hw.Word.of_signed v :: acc))
-                    (Ok []) es
-                in
-                emit l.number (List.rev vs);
-                Ok ()
+                List.fold_left
+                  (fun acc e ->
+                    let* () = acc in
+                    let* v = eval symbols l.number e in
+                    Ok (emit (Hw.Word.of_signed v)))
+                  (Ok ()) es
             | Statement.Zero (Statement.Num n) ->
-                emit l.number (List.init n (fun _ -> 0));
+                (* A fill, not a skip: [.org] may have moved the
+                   location counter back over words already emitted. *)
+                Array.fill words !lc n 0;
+                lc := !lc + n;
                 Ok ()
             | Statement.Zero (Statement.Sym _ | Statement.Sym_offset _) ->
                 Ok () (* pass-1 error *)
@@ -210,8 +199,7 @@ let pass2 externals self_segno symbols size lines =
                   encode_its externals self_segno symbols l.number ~ring
                     ~target ~indirect
                 in
-                emit l.number [ w ];
-                Ok ()
+                Ok (emit w)
             | Statement.Gate label ->
                 let* i =
                   encode_instruction symbols l.number
@@ -223,42 +211,18 @@ let pass2 externals self_segno symbols size lines =
                       indexed = false;
                     }
                 in
-                emit l.number [ i ];
-                Ok ())
+                Ok (emit i))
       in
       match result with Ok () -> () | Error e -> errors := e :: !errors)
     lines;
-  (List.rev !errors, words, List.rev !notes)
-
-let assemble ?(externals = no_externals) ?self_segno source =
-  match Parser.parse source with
-  | Error errs ->
-      Error
-        (List.map
-           (fun (e : Parser.error) ->
-             { line = e.Parser.line; message = e.Parser.message })
-           errs)
-  | Ok lines -> (
-      match pass1 lines with
-      | e :: _ as errs, _, _, _ ->
-          ignore e;
-          Error errs
-      | [], symbols, size, gates -> (
-          match pass2 externals self_segno symbols size lines with
-          | [], words, _notes ->
-              Ok
-                {
-                  words;
-                  symbols =
-                    Hashtbl.fold (fun k v acc -> (k, v) :: acc) symbols [];
-                  gates;
-                }
-          | errs, _, _ -> Error errs))
+  (List.rev !errors, words)
 
 type survey = {
   survey_symbols : (string * int) list;
   survey_size : int;
   survey_gates : int;
+  survey_lines : Statement.line list;
+  survey_table : (string, int) Hashtbl.t;
 }
 
 let survey source =
@@ -272,14 +236,28 @@ let survey source =
   | Ok lines -> (
       match pass1 lines with
       | (_ :: _ as errs), _, _, _ -> Error errs
-      | [], symbols, size, gates ->
+      | [], table, size, gates ->
           Ok
             {
               survey_symbols =
-                Hashtbl.fold (fun k v acc -> (k, v) :: acc) symbols [];
+                Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [];
               survey_size = size;
               survey_gates = gates;
+              survey_lines = lines;
+              survey_table = table;
             })
+
+let link ?(externals = no_externals) ?self_segno s =
+  match
+    pass2 externals self_segno s.survey_table s.survey_size s.survey_lines
+  with
+  | [], words ->
+      Ok { words; symbols = s.survey_symbols; gates = s.survey_gates }
+  | errs, _ -> Error errs
+
+let assemble ?externals ?self_segno source =
+  let* s = survey source in
+  link ?externals ?self_segno s
 
 let symbol p name = List.assoc name p.symbols
 

@@ -12,10 +12,12 @@ let is_ident s =
   && is_ident_start s.[0]
   && String.for_all is_ident_char s
 
+(* An identifier never parses as a number (a literal starts with a
+   digit or a sign), so it skips [int_of_string_opt], which raises and
+   catches internally on every failure. *)
 let parse_int s =
-  match int_of_string_opt s with
-  | Some n -> Some n
-  | None -> None
+  if String.length s > 0 && is_ident_start s.[0] then None
+  else int_of_string_opt s
 
 let parse_expr s : (Statement.expr, string) result =
   let s = String.trim s in

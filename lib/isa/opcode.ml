@@ -132,8 +132,11 @@ let mnemonic = function
 
 let all = Array.to_list table
 
-let of_mnemonic s =
-  let s = String.uppercase_ascii s in
-  List.find_opt (fun op -> String.equal (mnemonic op) s) all
+let by_mnemonic =
+  let h = Hashtbl.create 64 in
+  Array.iter (fun op -> Hashtbl.replace h (mnemonic op) op) table;
+  h
+
+let of_mnemonic s = Hashtbl.find_opt by_mnemonic (String.uppercase_ascii s)
 
 let pp ppf op = Format.pp_print_string ppf (mnemonic op)

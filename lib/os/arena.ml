@@ -141,7 +141,7 @@ let run_wave ?sys ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
             ~segments:(List.map (fun (n, _, _) -> n) t.segments)
             ~start:t.start ~ring:t.ring
         with
-        | Ok e -> (t, Some e)
+        | Ok e -> (t, Some (e, Trace.Counters.create ()))
         | Error msg ->
             violations :=
               Printf.sprintf "wave %d: %s failed to spawn: %s" wave t.name
@@ -150,17 +150,21 @@ let run_wave ?sys ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
             (t, None))
       tenants
   in
-  let entry_tenant = Hashtbl.create 8 in
-  List.iter
-    (fun (t, e) ->
-      match e with
-      | Some e -> Hashtbl.replace entry_tenant e.System.pname t
-      | None -> ())
-    spawned;
+  (* Each entry is paired with its tenant and bill once, here; a slice
+     finds its pair by the entry's identity, with no lookup by name. *)
+  let slots =
+    List.filter_map
+      (fun (t, s) -> Option.map (fun (e, bill) -> (e, t, bill)) s)
+      spawned
+  in
+  let rec slot_of e = function
+    | [] -> None
+    | ((e', _, _) as s) :: rest -> if e' == e then Some s else slot_of e rest
+  in
   List.iter
     (fun ((t : tenant), e) ->
       match e with
-      | Some e when mem_words_of e.System.process > quota.mem ->
+      | Some (e, _) when mem_words_of e.System.process > quota.mem ->
           System.quarantine sys e
             (Rings.Fault.Quota_exhausted
                { resource = "memory"; limit = quota.mem });
@@ -178,26 +182,24 @@ let run_wave ?sys ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
          chaos campaigns do, with the cross-tenant check added. *)
       m.Isa.Machine.on_recovery <-
         (fun f -> audit (Format.asprintf "recovery from %a" Rings.Fault.pp f)));
-  let ledger = Trace.Ledger.create () in
+  (* A bill is charged in place with what the machine's counters moved
+     since the slice began, so a slice allocates no table. *)
+  let since = Trace.Counters.create () in
   let before_slice (e : System.entry) =
-    Trace.Ledger.start ledger counters;
-    match Hashtbl.find_opt entry_tenant e.System.pname with
+    Trace.Counters.copy counters ~into:since;
+    match slot_of e slots with
     | None -> ()
-    | Some t ->
-        let spent =
-          Trace.Counters.cycles (Trace.Ledger.bill ledger ~tenant:t.id)
-        in
-        let remaining = max 0 (quota.cycles - spent) in
+    | Some (_, _, bill) ->
+        let remaining = max 0 (quota.cycles - Trace.Counters.cycles bill) in
         m.Isa.Machine.cycle_limit <-
           Some (Trace.Counters.cycles counters + remaining)
   in
   let after_slice (e : System.entry) (_result : Kernel.exit) =
     m.Isa.Machine.cycle_limit <- None;
-    match Hashtbl.find_opt entry_tenant e.System.pname with
+    match slot_of e slots with
     | None -> ()
-    | Some t ->
-        Trace.Ledger.charge ledger ~tenant:t.id counters;
-        let bill = Trace.Ledger.bill ledger ~tenant:t.id in
+    | Some (_, (t : tenant), bill) ->
+        Trace.Counters.accrue counters ~since ~into:bill;
         let quarantined_now =
           match e.System.status with
           | System.Done (Kernel.Quarantined _) -> true
@@ -243,12 +245,15 @@ let run_wave ?sys ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
   let bills =
     List.map
       (fun (t, e) ->
-        let billed = Trace.Ledger.bill ledger ~tenant:t.id in
-        let mem_words, exit =
+        let billed, mem_words, exit =
           match e with
-          | None -> (0, Kernel.Gatekeeper_error "spawn failed")
-          | Some e -> (
-              ( mem_words_of e.System.process,
+          | None ->
+              ( Trace.Counters.create (),
+                0,
+                Kernel.Gatekeeper_error "spawn failed" )
+          | Some (e, bill) -> (
+              ( bill,
+                mem_words_of e.System.process,
                 match e.System.status with
                 | System.Done x -> x
                 | System.Ready | System.Blocked -> Kernel.Out_of_budget ))

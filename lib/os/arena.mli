@@ -9,9 +9,13 @@
     bracket forgers, self-modifying cache probes, quota spinners) —
     run under per-tenant quotas for cycles, memory words, faults and
     channel operations.  Every slice is billed to the tenant that
-    owned the processor via {!Trace.Ledger}; a breach resolves to the
-    PR-3 quarantine path ({!System.quarantine}) for that tenant alone,
-    never to a whole-machine abort.
+    owned the processor: each tenant's bill is one {!Trace.Counters.t},
+    charged in place ({!Trace.Counters.accrue}) with what the
+    machine's counters moved during the slice, and each spawned entry
+    is paired with its tenant and bill once, so a slice finds its bill
+    by the entry's identity.  A breach resolves to the PR-3 quarantine
+    path ({!System.quarantine}) for that tenant alone, never to a
+    whole-machine abort.
 
     After every quarantine and at the end of each wave, the SDW
     auditor ({!Chaos.check_invariants}) and the cross-tenant region

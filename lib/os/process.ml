@@ -258,7 +258,10 @@ let address_of t ~segment ~symbol =
       List.assoc_opt symbol l.symbols
       |> Option.map (fun wordno -> Hw.Addr.v ~segno:l.segno ~wordno)
 
-(* Survey results for a pending segment before its words exist. *)
+(* A segment of the batch: surveyed (or given as words), not yet
+   linked. *)
+type contents = Words of int array | Surveyed of Asm.Assemble.survey
+
 type pending = {
   p_name : string;
   p_segno : int;
@@ -266,10 +269,16 @@ type pending = {
   p_size : int;
   p_gates : int;
   p_symbols : (string * int) list;
-  p_body : Store.body;
+  p_contents : contents;
 }
 
 let add_segments t names =
+  let asm_error name errs =
+    Error
+      (Format.asprintf "%s: %a" name
+         (Format.pp_print_list Asm.Assemble.pp_error)
+         errs)
+  in
   let* pendings =
     List.fold_left
       (fun acc name ->
@@ -286,21 +295,19 @@ let add_segments t names =
               Error
                 (Printf.sprintf "user %s not on the ACL of %s" t.user name)
         in
-        let* size, gates, symbols =
+        let* size, gates, symbols, contents =
           match seg.Store.body with
-          | Store.Words { words = _; gates; length } -> Ok (length, gates, [])
+          | Store.Words { words; gates; length } ->
+              Ok (length, gates, [], Words words)
           | Store.Source src -> (
               match Asm.Assemble.survey src with
               | Ok s ->
                   Ok
                     ( s.Asm.Assemble.survey_size,
                       s.Asm.Assemble.survey_gates,
-                      s.Asm.Assemble.survey_symbols )
-              | Error errs ->
-                  Error
-                    (Format.asprintf "%s: %a" name
-                       (Format.pp_print_list Asm.Assemble.pp_error)
-                       errs))
+                      s.Asm.Assemble.survey_symbols,
+                      Surveyed s )
+              | Error errs -> asm_error name errs)
         in
         Ok
           ({
@@ -310,7 +317,7 @@ let add_segments t names =
              p_size = size;
              p_gates = gates;
              p_symbols = symbols;
-             p_body = seg.Store.body;
+             p_contents = contents;
            }
           :: acc))
       (Ok []) names
@@ -338,13 +345,11 @@ let add_segments t names =
              t.region_end)
     else Ok ()
   in
+  (* Numbered here, committed to [next_segno] only once every segment
+     has linked: a batch refused for an unresolved external uses up no
+     segment number. *)
   let pendings =
-    List.map
-      (fun p ->
-        let segno = t.next_segno in
-        t.next_segno <- t.next_segno + 1;
-        { p with p_segno = segno })
-      pendings
+    List.mapi (fun i p -> { p with p_segno = t.next_segno + i }) pendings
   in
   let externals ~segment ~symbol =
     let from_pending =
@@ -366,22 +371,17 @@ let add_segments t names =
       (fun acc p ->
         let* acc = acc in
         let* words =
-          match p.p_body with
-          | Store.Words { words; _ } -> Ok words
-          | Store.Source src -> (
-              match
-                Asm.Assemble.assemble ~externals ~self_segno:p.p_segno src
-              with
+          match p.p_contents with
+          | Words words -> Ok words
+          | Surveyed s -> (
+              match Asm.Assemble.link ~externals ~self_segno:p.p_segno s with
               | Ok prog -> Ok prog.Asm.Assemble.words
-              | Error errs ->
-                  Error
-                    (Format.asprintf "%s: %a" p.p_name
-                       (Format.pp_print_list Asm.Assemble.pp_error)
-                       errs))
+              | Error errs -> asm_error p.p_name errs)
         in
         Ok ((p, words) :: acc))
       (Ok []) pendings
   in
+  t.next_segno <- t.next_segno + List.length pendings;
   List.iter
     (fun (p, words) ->
       let access = { p.p_access with Rings.Access.gates = p.p_gates } in

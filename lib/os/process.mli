@@ -123,11 +123,16 @@ val create :
 
 val add_segments : t -> string list -> (unit, string) result
 (** Add the named store segments to the virtual memory, as a batch so
-    they may reference one another with [seg$sym] externals.  Fails —
-    without loading anything — if any name is unknown, any ACL denies
-    the process's user, any source fails to assemble, or the batch
-    needs more than 256 segment numbers or more words than are left
-    before [region_end]. *)
+    they may reference one another with [seg$sym] externals.  Each
+    source is parsed once: surveyed ({!Asm.Assemble.survey}) for its
+    size and symbols, then linked ({!Asm.Assemble.link}) against the
+    batch and the segments already loaded.  Fails — without loading
+    anything or using up a segment number — if any name is unknown,
+    any ACL denies the process's user, any source fails to assemble,
+    or the batch needs more than 256 segment numbers or more words
+    than are left before [region_end].  The checks run in that order:
+    each segment's lookup, ACL and survey, then the fit, then each
+    link. *)
 
 val add_segment : t -> string -> (unit, string) result
 

@@ -215,8 +215,9 @@ let run ?(quantum = 50) ?(max_slices = 10_000) ?watchdog ?before_slice
   let age_blocked elapsed =
     List.iter
       (fun e ->
-        match e.saved_io with
-        | Some n, request when n <= elapsed ->
+        match (e.status, e.saved_io) with
+        | (Ready | Done _), _ -> ()
+        | Blocked, (Some n, request) when n <= elapsed ->
             (match request with
             | Some r -> (
                 match Io.complete e.process r with
@@ -225,11 +226,12 @@ let run ?(quantum = 50) ?(max_slices = 10_000) ?watchdog ?before_slice
             | None -> ());
             e.saved_io <- (None, None);
             e.status <- Ready
-        | Some n, request -> e.saved_io <- (Some (n - elapsed), request)
-        | None, _ ->
+        | Blocked, (Some n, request) ->
+            e.saved_io <- (Some (n - elapsed), request)
+        | Blocked, (None, _) ->
             (* Nothing pending after all: just wake it. *)
             e.status <- Ready)
-      (blocked ())
+      t.entries
   in
   (* The rotation lives on [t], not in this call frame: a checkpoint
      taken after any slice must record which process is up next, or a
@@ -275,14 +277,18 @@ let run ?(quantum = 50) ?(max_slices = 10_000) ?watchdog ?before_slice
              cycle ceiling) now that the entry owns the processor. *)
           (match before_slice with Some f -> f e | None -> ());
           let before = Trace.Counters.instructions counters in
-          let sig_before = progress_sig () in
+          let sig_before =
+            match watchdog with Some _ -> progress_sig () | None -> 0
+          in
           let result = Kernel.run ~max_instructions:(quantum * 4) e.process in
           (match result with
           | Kernel.Preempted | Kernel.Out_of_budget ->
-              (* Slice expired: the process stays ready. *)
-              e.saved_regs <- Hw.Registers.copy regs
+              (* Slice expired: the process stays ready.  The entry
+                 owns its saved registers, so they are overwritten in
+                 place. *)
+              Hw.Registers.restore e.saved_regs ~from:regs
           | Kernel.Blocked ->
-              e.saved_regs <- Hw.Registers.copy regs;
+              Hw.Registers.restore e.saved_regs ~from:regs;
               e.status <- Blocked
           | Kernel.Halted as exit ->
               (* HALT stops the processor; the dispatcher restarts it

@@ -25,7 +25,11 @@ type entry = {
   process : Process.t;
   mutable saved_regs : Hw.Registers.t;
       (** The register file as of the entry's last slice — after
-          completion, its final state. *)
+          completion, its final state.  The entry owns this record:
+          spawn, {!quarantine}, completion and the snapshot decoder
+          each store a fresh one, and a slice that expires or blocks
+          overwrites it in place ({!Hw.Registers.restore}), so hold a
+          copy, not this record, to keep a past state. *)
   mutable status : status;
   mutable saved_io : int option * Isa.Machine.io_request option;
       (** The entry's virtual channel, stashed across slices. *)
@@ -172,7 +176,8 @@ val run :
     bumping the [watchdog_tripped] and [quarantined] counters; the
     rest of the system keeps running.  Off by default — a legitimate
     compute loop is indistinguishable from a hang, so the budget is
-    the caller's policy.
+    the caller's policy; without it a slice reads no progress
+    counters.
 
     [before_slice] is called with the entry about to run, after its
     registers and channel state are seated and the timer armed — the

@@ -174,6 +174,178 @@ let test_assembly_error_reported () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "bad source loaded"
 
+(* A batch refused at link time leaves no trace, its segment numbers
+   included: the next segment loaded takes the number the refused one
+   would have had. *)
+let test_refused_batch_keeps_segnos () =
+  let p =
+    make_process
+      [
+        ( "bad",
+          wildcard_acl (Fixtures.code_ring 4),
+          `Source "start: tra lnk,*\nlnk: .its 0, nosuch$entry\n" );
+        ("good", wildcard_acl (Fixtures.code_ring 4), `Source "start: nop\n");
+      ]
+  in
+  let first = p.Os.Process.next_segno in
+  (match Os.Process.add_segments p [ "bad" ] with
+  | Error msg ->
+      Alcotest.(check string)
+        "link error" "bad: line 2: unresolved external nosuch$entry" msg
+  | Ok () -> Alcotest.fail "unresolved external loaded");
+  Alcotest.(check int) "no number used" first p.Os.Process.next_segno;
+  (match Os.Process.add_segments p [ "good" ] with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (option int))
+    "next segment takes the first number" (Some first)
+    (Os.Process.segno_of p "good");
+  Alcotest.(check int) "one number used" (first + 1) p.Os.Process.next_segno
+
+(* The loader parses each source once and links that parse; what it
+   loads must be exactly what the standalone assembler makes of the
+   same source, against the same externals and segment number.  Every
+   process is checked right after it is spawned, before it runs: one
+   tenant of every kind the arena generator draws, and every example
+   program. *)
+let tenant_kinds =
+  [
+    "compute"; "crossing"; "io-heavy"; "paging-heavy"; "gate-squeeze";
+    "ring-max"; "stack-bracket"; "cache-probe"; "quota-spin"; "mem-hog";
+  ]
+
+let one_tenant_per_kind () =
+  let rec draw seed found =
+    if List.length found = List.length tenant_kinds || seed > 40 then found
+    else
+      let found =
+        List.fold_left
+          (fun found (t : Os.Arena.tenant) ->
+            if List.mem_assoc t.kind found then found
+            else (t.kind, t) :: found)
+          found
+          (Serve.Tenants.generate ~seed ~tenants:64 ())
+      in
+      draw (seed + 1) found
+  in
+  let found = draw 1 [] in
+  Alcotest.(check (list string))
+    "every kind drawn"
+    (List.sort compare tenant_kinds)
+    (List.sort compare (List.map fst found));
+  List.map snd found
+
+let check_loaded_as_assembled ~what store (p : Os.Process.t) =
+  let mem = p.Os.Process.machine.Isa.Machine.mem in
+  List.iter
+    (fun (l : Os.Process.loaded) ->
+      if not (List.mem l.segno p.Os.Process.mapped) then begin
+        let what = Printf.sprintf "%s: %s" what l.name in
+        let src =
+          match Os.Store.find store l.name with
+          | Some { Os.Store.body = Os.Store.Source src; _ } -> src
+          | _ -> Alcotest.failf "%s: not a source segment" what
+        in
+        let prog =
+          match
+            Asm.Assemble.assemble
+              ~externals:(fun ~segment ~symbol ->
+                Os.Process.address_of p ~segment ~symbol)
+              ~self_segno:l.segno src
+          with
+          | Ok prog -> prog
+          | Error _ -> Alcotest.failf "%s: standalone assembly failed" what
+        in
+        let loaded =
+          match Hashtbl.find_opt p.Os.Process.placement l.segno with
+          | Some (Os.Process.Direct { base; bound }) ->
+              Array.init bound (fun i -> Hw.Memory.read_silent mem (base + i))
+          | Some (Os.Process.Paged_at _) -> (
+              match p.Os.Process.paging with
+              | Some ps -> Hashtbl.find ps.Os.Process.backing l.segno
+              | None -> Alcotest.failf "%s: paged without paging" what)
+          | None -> Alcotest.failf "%s: no placement" what
+        in
+        let n = Array.length prog.Asm.Assemble.words in
+        Alcotest.(check bool)
+          (what ^ ": fits its bound") true
+          (n <= Array.length loaded);
+        Alcotest.(check (array int))
+          (what ^ ": words") prog.Asm.Assemble.words (Array.sub loaded 0 n);
+        Alcotest.(check bool)
+          (what ^ ": zeros past the words") true
+          (Array.for_all (( = ) 0)
+             (Array.sub loaded n (Array.length loaded - n)));
+        Alcotest.(check (list (pair string int)))
+          (what ^ ": symbols")
+          (List.sort compare prog.Asm.Assemble.symbols)
+          (List.sort compare l.symbols);
+        Alcotest.(check int)
+          (what ^ ": gates") prog.Asm.Assemble.gates
+          l.access.Rings.Access.gates
+      end)
+    p.Os.Process.loaded
+
+let test_loader_matches_assembler () =
+  List.iter
+    (fun (t : Os.Arena.tenant) ->
+      let store = Os.Store.create () in
+      List.iter
+        (fun (name, acl, src) -> Os.Store.add_source store ~name ~acl src)
+        t.segments;
+      let sys = Os.System.create ~store () in
+      match
+        Os.System.spawn sys ~paged:t.paged ~pname:t.name ~user:t.name
+          ~segments:(List.map (fun (n, _, _) -> n) t.segments)
+          ~start:t.start ~ring:t.ring
+      with
+      | Ok e -> check_loaded_as_assembled ~what:t.kind store e.Os.System.process
+      | Error msg -> Alcotest.failf "%s: spawn failed: %s" t.kind msg)
+    (one_tenant_per_kind ());
+  let dir = "../examples/programs" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".rng")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "example programs found" true (files <> []);
+  List.iter
+    (fun file ->
+      let text =
+        In_channel.with_open_bin (Filename.concat dir file)
+          In_channel.input_all
+      in
+      let prog =
+        match Os.Program.parse text with
+        | Ok prog -> prog
+        | Error e -> Alcotest.failf "%s: %s" file e
+      in
+      let store = Os.Program.store prog in
+      let sys = Os.System.create ~store () in
+      let spawned =
+        match prog.Os.Program.processes with
+        | _ :: _ -> Os.Program.spawn sys prog
+        | [] ->
+            let first = List.hd prog.Os.Program.segments in
+            Os.System.spawn sys ~pname:"main" ~user:"operator"
+              ~segments:
+                (List.map
+                   (fun (s : Os.Program.segment) -> s.name)
+                   prog.Os.Program.segments)
+              ~start:(first.Os.Program.name, "start") ~ring:4
+            |> Result.map ignore
+      in
+      (match spawned with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: %s" file msg);
+      List.iter
+        (fun (e : Os.System.entry) ->
+          check_loaded_as_assembled
+            ~what:(file ^ " " ^ e.Os.System.pname)
+            store e.Os.System.process)
+        (Os.System.entries sys))
+    files
+
 let test_gates_from_body () =
   let p =
     make_process
@@ -299,6 +471,10 @@ let suite =
         Alcotest.test_case "cross references" `Quick test_cross_references;
         Alcotest.test_case "assembly error reported" `Quick
           test_assembly_error_reported;
+        Alcotest.test_case "refused batch uses no segment number" `Quick
+          test_refused_batch_keeps_segnos;
+        Alcotest.test_case "loader links what the assembler makes" `Quick
+          test_loader_matches_assembler;
         Alcotest.test_case "gates from body" `Quick test_gates_from_body;
         Alcotest.test_case "kread/kwrite" `Quick test_kread_kwrite;
         Alcotest.test_case "crossing stack" `Quick test_crossing_stack;
